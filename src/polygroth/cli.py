@@ -20,7 +20,7 @@ from .completion import (
     completion_to_json,
     partition_classes,
 )
-from .core import CheckMode, check_total_associativity
+from .core import DEFAULT_SEED, CheckMode, check_total_associativity
 from .doubles import all_doubles, builtin_quiver, hetero_power, parse_quiver
 from .errors import (
     ArityMismatch,
@@ -64,7 +64,7 @@ def _resolve_quiver(text: str):
 def _default_mode(structure) -> CheckMode:
     if structure.carrier.is_finite:
         return CheckMode.exhaustive()
-    return CheckMode.sampled(1000, 1)
+    return CheckMode.sampled(1000, DEFAULT_SEED)
 
 
 def _decision(recipe, structure):
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quer-mode", default="auto",
                        choices=("auto", "componentwise", "post", "search"))
         p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=97)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("classes", help="list canonical class representatives")
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, quiver_required=None)
     p.add_argument("--target", required=True, help="integers or integers-mod-k")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=97)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_universal_check)
 
     p = sub.add_parser("structures", help="list built-in structure recipes")

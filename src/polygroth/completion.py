@@ -637,7 +637,7 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
         if s.carrier.is_finite:
             size = len(s.carrier.elements()) ** 2
             total = size ** (2 * quiver.output_arity - 1)
-            assoc_mode = CheckMode.exhaustive() if total <= 2_000_000 else CheckMode.sampled(2000, seed)
+            assoc_mode = CheckMode.exhaustive() if total <= 20_000_000 else CheckMode.sampled(2000, seed)
         else:
             assoc_mode = CheckMode.sampled(1000, seed)
     assoc = check_total_associativity(power.structure, assoc_mode)

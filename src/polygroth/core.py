@@ -9,10 +9,9 @@ search otherwise.  Whenever a search is bounded, a negative outcome means
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -27,14 +26,6 @@ from .errors import (
 )
 
 DEFAULT_SEED = 97
-
-
-def env_threads() -> int:
-    """Parallelism cap taken from POLYGROTH_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("POLYGROTH_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +195,10 @@ class PolyadicStructure:
     """A carrier together with one n-ary operation.
 
     `facts` caches checker outputs (index tables, zeros); every entry is
-    reproducible by re-running the corresponding checker.
+    reproducible by re-running the corresponding checker.  A builder that
+    already knows the Cayley table may store it as "index_table", or store
+    under "derive_index_table" a function that returns it, so that
+    `_index_table` need not evaluate the operation on every tuple.
     """
 
     carrier: Carrier
@@ -391,10 +385,18 @@ def is_neutral_polyad(s: PolyadicStructure, polyad: Sequence, bound: int | None 
 
 
 def _index_table(s: PolyadicStructure):
-    """Flat Cayley table over element indices, cached on the structure."""
+    """Flat Cayley table over element indices, as a tuple, cached on the structure."""
     cached = s.facts.get("index_table")
     if cached is not None:
         return cached
+    derive = s.facts.get("derive_index_table")
+    table = derive() if derive is not None else _compile_table(s)
+    s.facts["index_table"] = table
+    return table
+
+
+def _compile_table(s: PolyadicStructure):
+    """Evaluate the operation on every tuple; raises NonMember if not closed."""
     elems = s.carrier.elements()
     k = len(elems)
     n = s.arity
@@ -407,26 +409,53 @@ def _index_table(s: PolyadicStructure):
             raise NonMember(r, f"{s.name or 'structure'} (operation is not closed)")
         table[flat] = index[r]
         flat += 1
-    s.facts["index_table"] = (table, k)
-    return table, k
+    return tuple(table), k
 
 
-def _assoc_scan(table, k, n, start, stop):
-    """Scan tuple codes [start, stop); return (code, placement) of the first
-    disagreement with placement 0, or None."""
-    L = 2 * n - 1
-    pw = [k ** e for e in range(L + 1)]
-    pn = pw[n]
-    for T in range(start, stop):
-        first = None
-        for i in range(n):
-            q = pw[n - 1 - i]
-            inner = table[(T // q) % pn]
-            out = table[((T // pw[L - i]) * k + inner) * q + T % q]
-            if i == 0:
-                first = out
-            elif out != first:
-                return (T, i)
+def _assoc_scan(table, k, n):
+    """(tuple code, placement) of the first disagreement with placement 0, or None.
+
+    A (2n-1)-tuple with code T splits as T = u*k^(n-1) + v: u codes the leading
+    n-tuple and v the trailing (n-1)-tuple.  For each u in lexicographic order
+    the results of one placement over every v form a block built by slicing:
+    placement 0 is the table row of table[u]; placement i gathers rows of
+    length k^(n-1-i), fixed by u[:i], through the inner results, which for the
+    window u[i:] + v[:i] are the contiguous slice at code(u[i:])*k^i.  Only
+    blocks that differ from placement 0 are walked, so the scan stops in the
+    first failing block and reports the smallest counterexample.
+    """
+    if n == 1 or k <= 1:
+        return None
+    table = tuple(table)  # blocks are compared as tuples; no copy if it is one
+    span = k ** (n - 1)
+    pw = [k ** e for e in range(n + 1)]
+    # the last placement gathers single entries; one getter per window code
+    last = [itemgetter(*table[c * span:(c + 1) * span]) for c in range(k)]
+    prefixes = [-1] * n
+    rows = [None] * n
+    for u in range(k ** n):
+        start = table[u] * span
+        first = table[start:start + span]
+        hits = []
+        for i in range(1, n):
+            pre, window = divmod(u, pw[n - i])
+            width = pw[n - 1 - i]
+            if pre != prefixes[i]:
+                prefixes[i] = pre
+                lo = pre * k * width
+                rows[i] = table[lo:lo + k] if width == 1 else [
+                    table[r:r + width] for r in range(lo, lo + k * width, width)]
+            if width == 1:
+                block = last[window](rows[i])
+            else:
+                inner = table[window * pw[i]:(window + 1) * pw[i]]
+                block = tuple(itertools.chain.from_iterable(map(rows[i].__getitem__, inner)))
+            if block != first:
+                v = next(v for v, (a, b) in enumerate(zip(first, block)) if a != b)
+                hits.append((v, i))
+        if hits:
+            v, i = min(hits)
+            return u * span + v, i
     return None
 
 
@@ -435,8 +464,7 @@ def _decode_polyad(elems, k, L, T):
     return tuple(elems[(T // pw[L - 1 - j]) % k] for j in range(L))
 
 
-def check_total_associativity(s: PolyadicStructure, mode: CheckMode,
-                              threads: int | None = None) -> Verdict:
+def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
     """Invariance of the doubly applied product under all n inner placements.
 
     Exhaustive mode covers every (2n-1)-tuple of a finite carrier and reports
@@ -452,15 +480,7 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode,
         table, k = _index_table(s)
         L = 2 * n - 1
         total = k ** L
-        threads = threads or env_threads()
-        if threads <= 1:
-            hit = _assoc_scan(table, k, n, 0, total)
-        else:
-            chunk = (total + threads - 1) // threads
-            ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                hits = [h for h in pool.map(lambda r: _assoc_scan(table, k, n, *r), ranges) if h]
-            hit = min(hits) if hits else None
+        hit = _assoc_scan(table, k, n)
         if hit is None:
             return Verdict("proved-exhaustive", total)
         T, i = hit
@@ -617,8 +637,8 @@ class GroupVerdict:
         return f"not a group (solvability failures: {self.solvability_failures[:2]})"
 
 
-def verify_polyadic_group(s: PolyadicStructure, mode: CheckMode,
-                          threads: int | None = None, max_failures: int = 3) -> GroupVerdict:
+def verify_polyadic_group(s: PolyadicStructure, mode: CheckMode, *,
+                          max_failures: int = 3) -> GroupVerdict:
     """Total associativity plus unique solvability at every argument slot.
 
     On finite carriers, exhaustive mode checks that fixing any n-1 arguments
@@ -626,7 +646,7 @@ def verify_polyadic_group(s: PolyadicStructure, mode: CheckMode,
     only choice on rule-based carriers) counts solutions within the generated
     elements, so a boundary failure reads "unsolvable within bound".
     """
-    assoc = check_total_associativity(s, mode, threads)
+    assoc = check_total_associativity(s, mode)
     n = s.arity
     failures: list = []
     checked = 0

@@ -9,8 +9,10 @@ fraction must be an integer, which quantizes the admissible (m, n) pairs.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -19,6 +21,7 @@ from .core import (
     NAryOperation,
     PolyadicStructure,
     RuleCarrier,
+    _index_table,
     find_identities,
 )
 from .errors import ArityMismatch, InvalidQuiver, NotQuantized, UnknownQuiver
@@ -328,7 +331,9 @@ def hetero_power(s: PolyadicStructure, quiver: QuiverSpec) -> DoubledStructure:
     """Wire the square S x S by the quiver.
 
     Associativity of the result is *not* asserted here; run
-    check_total_associativity on .structure before trusting it.
+    check_total_associativity on .structure before trusting it.  On a finite
+    base the power's index table is derived from the base's on first use, so
+    nothing is evaluated until an exhaustive checker asks for it.
     """
     if quiver.input_arity != s.arity:
         raise ArityMismatch(
@@ -341,7 +346,47 @@ def hetero_power(s: PolyadicStructure, quiver: QuiverSpec) -> DoubledStructure:
         name=quiver.name or format_quiver(quiver),
     )
     label = f"{s.name or 'S'} boxtimes {quiver.name or format_quiver(quiver)}"
-    return DoubledStructure(s, quiver, PolyadicStructure(carrier, op, name=label))
+    power = PolyadicStructure(carrier, op, name=label)
+    if s.carrier.is_finite:
+        power.facts["derive_index_table"] = lambda: _doubles_table(quiver, *_index_table(s))
+    return DoubledStructure(s, quiver, power)
+
+
+def _doubles_table(quiver: QuiverSpec, base_table: tuple, k: int):
+    """Index table of the power, derived from the base's without evaluating it.
+
+    Double (a, b) has index a*k + b, so a tuple of n doubles is coded by the
+    2n base digits (top_1, bottom_1, ..., top_n, bottom_n).  Each wire's value
+    is a digit (intact) or the base table entry coded by its picks' digits.
+    """
+    n = quiver.output_arity
+
+    def wire_values(wire, scale):
+        weights = [0] * (2 * n)
+        picks = _wire_picks(wire)
+        if isinstance(wire, Intact):
+            weights[_digit(picks[0])] = scale
+            return _digit_codes(weights, k)
+        for j, p in enumerate(picks):
+            weights[_digit(p)] = k ** (len(picks) - 1 - j)
+        values = base_table if scale == 1 else [v * scale for v in base_table]
+        return map(values.__getitem__, _digit_codes(weights, k))
+
+    table = tuple(map(add, wire_values(quiver.top, k), wire_values(quiver.bottom, 1)))
+    return table, k * k
+
+
+def _digit(p: Pick) -> int:
+    return 2 * (p.slot - 1) + (p.comp == BOTTOM)
+
+
+def _digit_codes(weights: list, k: int) -> list:
+    """sum(w_j * d_j) for every base-k digit tuple d, in lexicographic order."""
+    codes = [0]
+    for w in weights:
+        spread = itertools.chain.from_iterable(zip(*[codes] * k))
+        codes = list(map(add, spread, itertools.cycle(range(0, k * w, w))) if w else spread)
+    return codes
 
 
 def componentwise_power(s: PolyadicStructure) -> DoubledStructure:

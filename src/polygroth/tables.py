@@ -54,6 +54,7 @@ def parse_table(text: str, name: str = "table") -> PolyadicStructure:
         if not 0 <= v < k:
             raise ValueError(f"result index {v} out of range 0..{k - 1}")
         flat.append(v)
+    flat = tuple(flat)
     carrier = FiniteCarrier(range(k), labels=labels, name=name)
 
     def fn(polyad, _flat=flat, _k=k):
@@ -62,7 +63,9 @@ def parse_table(text: str, name: str = "table") -> PolyadicStructure:
             idx = idx * _k + d
         return _flat[idx]
 
-    return PolyadicStructure(carrier, NAryOperation(m, fn, name=name), name=name)
+    structure = PolyadicStructure(carrier, NAryOperation(m, fn, name=name), name=name)
+    structure.facts["index_table"] = (flat, k)
+    return structure
 
 
 def read_table(path: str) -> PolyadicStructure:

@@ -160,3 +160,9 @@ def test_text_output_mode(capsys):
                        "--output", "text")
     assert code == 0
     assert "well-defined" in out
+
+
+def test_assoc_check_default_mode_uses_library_seed(capsys):
+    code, out, _ = run(capsys, "assoc-check", "--structure", "odd3")
+    assert code == 0
+    assert json.loads(out)["mode"] == "sampled:1000:97"

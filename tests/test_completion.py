@@ -423,6 +423,16 @@ def test_finite_table_completion_has_exact_size_hints():
     assert K.report.ok and "exhaustive solvability" in K.report.group
 
 
+def test_default_mode_proves_ternary_z5_doubles_exhaustively():
+    # 25^5 = 9,765,625 tuples: under the exhaustive cutoff, so proved rather
+    # than sampled.  The twist-class invariant 2(a-b) mod 5 keeps the
+    # partition cheap.
+    s = zmod_add(5, 3)
+    twist = ExactRule(lambda d1, d2: 2 * (d1.top - d1.bottom - d2.top + d2.bottom) % 5 == 0)
+    K = build_completion(s, builtin_quiver("post-ternary"), twist)
+    assert K.report.associative == "proved-exhaustive(9765625)"
+
+
 # ---------------------------------------------------------------------------
 # binary embedding, inverse, universal property
 

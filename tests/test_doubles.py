@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from polygroth import (
     CheckMode,
     Double,
+    FiniteCarrier,
     Intact,
+    NAryOperation,
     Pick,
     Product,
     QuiverSpec,
@@ -23,12 +25,15 @@ from polygroth import (
     hetero_power,
     identity_report_for_power,
     parse_quiver,
+    PolyadicStructure,
     placement_result,
     swap_picks,
     zmod_add,
 )
-from polygroth.errors import ArityMismatch, InvalidQuiver, NotQuantized, UnknownQuiver
+from polygroth.core import _index_table
+from polygroth.errors import ArityMismatch, InvalidQuiver, NonMember, NotQuantized, UnknownQuiver
 from polygroth.structures import get_recipe
+from polygroth.tables import format_table, parse_table
 
 BUILTIN_NAMES = [
     "componentwise-2", "componentwise-3", "componentwise-5", "twisted-binary",
@@ -234,6 +239,70 @@ def test_swapped_post_ternary_breaks_associativity():
     assert placement_result(d.op, polyad, i) == ri
     assert placement_result(d.op, polyad, j) == rj
     assert ri != rj
+
+
+# ---------------------------------------------------------------------------
+# index tables of powers, derived from the base table
+
+
+def relabelled_table(k, m):
+    """Text of t -> sum((j+1)*t_j) mod k, element v stored as label k-1-v.
+
+    The operation is not commutative, so a wire that read its picks in the
+    wrong order would show.
+    """
+    flat = [k - 1 - (sum((j + 1) * (k - 1 - x) for j, x in enumerate(t)) % k)
+            for t in itertools.product(range(k), repeat=m)]
+    labels = " ".join(f"v{k - 1 - i}" for i in range(k))
+    return "\n".join([f"arity {m}", f"size {k}", *map(str, flat), f"labels {labels}"]) + "\n"
+
+
+def compiled_by_evaluation(s):
+    elems = s.carrier.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    return tuple(index[s.op.fn(t)] for t in itertools.product(elems, repeat=s.arity))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["post-ternary-swapped"])
+def test_power_index_table_matches_evaluation(name):
+    if name == "post-ternary-swapped":
+        q = swap_picks(builtin_quiver("post-ternary"), ("top", 0), ("bottom", 2))
+    else:
+        q = builtin_quiver(name)
+    m = q.input_arity
+    k = 3 if m <= 3 else 2
+    text = relabelled_table(k, m)
+    relabelled = parse_table(text)
+    assert format_table(relabelled) == text
+    for base in (zmod_add(k, m), relabelled):
+        power = hetero_power(base, q).structure
+        assert _index_table(power) == (compiled_by_evaluation(power), k * k)
+
+
+def counting(s, calls):
+    def fn(t):
+        calls.append(t)
+        return s.op.fn(t)
+    return PolyadicStructure(s.carrier, NAryOperation(s.arity, fn), facts=dict(s.facts))
+
+
+def test_power_evaluates_no_base_operation_until_an_exhaustive_check():
+    for base, compiles in ((zmod_add(3, 3), 27), (parse_table(format_table(zmod_add(3, 3))), 0)):
+        calls = []
+        d = hetero_power(counting(base, calls), builtin_quiver("post-ternary"))
+        assert calls == []
+        assert check_total_associativity(d.structure, CheckMode.exhaustive()).ok
+        # the base table is compiled once (a parsed table arrives compiled);
+        # the power's table is derived from it without evaluating anything
+        assert len(calls) == compiles
+
+
+def test_power_of_unclosed_base_raises_on_exhaustive_check():
+    carrier = FiniteCarrier(range(3))
+    unclosed = PolyadicStructure(carrier, NAryOperation(3, sum))  # 2+2+2 = 6 is not in Z3
+    d = hetero_power(unclosed, builtin_quiver("post-ternary"))
+    with pytest.raises(NonMember):
+        check_total_associativity(d.structure, CheckMode.exhaustive())
 
 
 # ---------------------------------------------------------------------------
