@@ -428,7 +428,7 @@ def _assoc_scan(table, k, n):
         return None
     table = tuple(table)  # blocks are compared as tuples; no copy if it is one
     span = k ** (n - 1)
-    pw = [k ** e for e in range(n + 1)]
+    pw = [k ** e for e in range(n)]
     # the last placement gathers single entries; one getter per window code
     last = [itemgetter(*table[c * span:(c + 1) * span]) for c in range(k)]
     prefixes = [-1] * n
