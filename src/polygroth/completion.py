@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .core import (
@@ -83,12 +84,6 @@ class WitnessSearch:
     bound: int | None = None     # None: the carrier's full enumeration
 
 
-def _definite_or_unknown(s, bound):
-    elems = s.carrier.elements(bound)
-    exhaustive = s.carrier.is_finite and len(elems) == len(s.carrier.elements())
-    return elems, exhaustive
-
-
 def gauge_witness(s: PolyadicStructure, d1: Double, d2: Double, bound: int | None = None):
     """First (x, y) with op[a1^(m-1),x] = op[a2^(m-1),y] componentwise, else None."""
     op, m, eq = s.op, s.arity, s.carrier.eq
@@ -118,34 +113,79 @@ def twist_witness(s: PolyadicStructure, d1: Double, d2: Double, bound: int | Non
     return None
 
 
-def gauge_equivalent(s, d1, d2, dec) -> bool:
+def _finite_shift_test(s: PolyadicStructure, relation: str, elems: list):
+    """Witness test of a shift relation from per-double tables, filled lazily.
+
+    Gauge: d1 ~ d2 iff the sets {(op[a^(m-1),x], op[b^(m-1),x]) : x} of the
+    two doubles meet.  Twist: d1 ~ d2 iff the rows of (a1, b2) and (a2, b1),
+    z -> (op)^o2[a^(m-1), b^(m-1), z], agree somewhere.  Either test is true
+    exactly when gauge_witness / twist_witness finds a witness in `elems`.
+    """
+    op, m = s.op, s.arity
+    tables: dict = {}
+    if relation == GAUGE:
+        def entry(d):
+            got = tables.get(d)
+            if got is None:
+                tops = [op.fn((d.top,) * (m - 1) + (x,)) for x in elems]
+                bottoms = [op.fn((d.bottom,) * (m - 1) + (x,)) for x in elems]
+                got = tables[d] = frozenset(zip(tops, bottoms))
+            return got
+
+        return lambda d1, d2: not entry(d1).isdisjoint(entry(d2))
+
+    def row(a, b):
+        got = tables.get((a, b))
+        if got is None:
+            h = (a,) * (m - 1) + (b,) * (m - 1)
+            got = tables[a, b] = tuple(iterated_eval(op, 2, h + (z,)) for z in elems)
+        return got
+
+    return lambda d1, d2: any(map(operator.eq, row(d1.top, d2.bottom), row(d2.top, d1.bottom)))
+
+
+def _shift_search(s: PolyadicStructure, relation: str, bound: int | None):
+    """(table test or None, exhaustive, candidate count), cached on s.facts by
+    (relation, bound).  Rule-based carriers get no table test."""
+    key = (relation, bound)
+    cached = s.facts.get(key)
+    if cached is None:
+        elems = s.carrier.elements(bound)
+        finite = s.carrier.is_finite
+        test = _finite_shift_test(s, relation, elems) if finite else None
+        exhaustive = finite and len(elems) == len(s.carrier.elements())
+        cached = s.facts[key] = (test, exhaustive, len(elems))
+    return cached
+
+
+def _shift_equivalent(s, d1, d2, dec, relation: str) -> bool:
     if isinstance(dec, ExactRule):
         return bool(dec.rule(d1, d2))
-    elems, exhaustive = _definite_or_unknown(s, dec.bound)
-    if gauge_witness(s, d1, d2, dec.bound) is not None:
+    test, exhaustive, size = _shift_search(s, relation, dec.bound)
+    if test is not None:
+        found = test(d1, d2)
+    else:
+        witness = gauge_witness if relation == GAUGE else twist_witness
+        found = witness(s, d1, d2, dec.bound) is not None
+    if found:
         return True
     if exhaustive:
         return False
-    raise BoundExhausted(len(elems))
+    raise BoundExhausted(size)
+
+
+def gauge_equivalent(s, d1, d2, dec) -> bool:
+    return _shift_equivalent(s, d1, d2, dec, GAUGE)
 
 
 def twist_equivalent(s, d1, d2, dec) -> bool:
-    if isinstance(dec, ExactRule):
-        return bool(dec.rule(d1, d2))
-    elems, exhaustive = _definite_or_unknown(s, dec.bound)
-    if twist_witness(s, d1, d2, dec.bound) is not None:
-        return True
-    if exhaustive:
-        return False
-    raise BoundExhausted(len(elems))
+    return _shift_equivalent(s, d1, d2, dec, TWIST)
 
 
 def decide_equivalent(s, d1, d2, dec) -> bool:
     if isinstance(dec, ExactRule):
         return bool(dec.rule(d1, d2))
-    if dec.relation == GAUGE:
-        return gauge_equivalent(s, d1, d2, dec)
-    return twist_equivalent(s, d1, d2, dec)
+    return _shift_equivalent(s, d1, d2, dec, GAUGE if dec.relation == GAUGE else TWIST)
 
 
 def _twist_holds_at(s, d1, d2, z) -> bool:
@@ -338,6 +378,7 @@ class Partition:
     domain: list
     classes: list                # member lists, ordered by representative
     reps: list                   # canonical representative per class
+    _position: dict | None = field(default=None, init=False, repr=False)
 
     def class_count(self) -> int:
         return len(self.reps)
@@ -352,11 +393,20 @@ class Partition:
             raise PolyadicError(f"{rep!r} is not a class representative") from None
 
     def resolve(self, double) -> ClassDouble:
-        """Class of an arbitrary double (also ones outside the domain)."""
+        """Class of an arbitrary double (also ones outside the domain).
+
+        A domain double is looked up in a double -> class position map built
+        on first use; any other double is decided against each representative.
+        """
         if not isinstance(double, Double):
             double = Double(*double)
         if self.canonical is not None:
             return ClassDouble(self.canonical(double), self.tag)
+        if self._position is None:
+            self._position = {d: i for i, members in enumerate(self.classes) for d in members}
+        i = self._position.get(double)
+        if i is not None:
+            return ClassDouble(self.reps[i], self.tag)
         for r in self.reps:
             if decide_equivalent(self.structure, double, r, self.decision):
                 return ClassDouble(r, self.tag)

@@ -194,7 +194,8 @@ def iterate(op: NAryOperation, ell: int) -> NAryOperation:
 class PolyadicStructure:
     """A carrier together with one n-ary operation.
 
-    `facts` caches checker outputs (index tables, zeros); every entry is
+    `facts` caches checker outputs (index tables, zeros, the shift-relation
+    tables of completion, keyed by (relation, bound)); every entry is
     reproducible by re-running the corresponding checker.  A builder that
     already knows the Cayley table may store it as "index_table", or store
     under "derive_index_table" a function that returns it, so that

@@ -15,6 +15,7 @@ from polygroth import (
     builtin_quiver,
     check_equivalence_axioms,
     check_relation_coincidence,
+    check_total_associativity,
     check_universal_factorization,
     check_well_definedness,
     class_inverse,
@@ -28,6 +29,7 @@ from polygroth import (
     integers_group,
     integers_mod_group,
     neutral_class,
+    parse_table,
     partition_classes,
     phi_sg,
     twist_equivalent,
@@ -35,10 +37,12 @@ from polygroth import (
     zmod_add,
     zmod_mul,
 )
-from polygroth.completion import QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH
+from polygroth import completion
+from polygroth.completion import GAUGE, QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH, TWIST
 from polygroth.errors import (
     BoundExhausted,
     NotAHomomorphism,
+    PolyadicError,
     QuerFormulaFailsVerification,
     QuerNotFound,
 )
@@ -106,6 +110,67 @@ def test_matrix_every_pair_equivalent_by_search():
     dec = WitnessSearch()
     d1, d2 = Double(1 + 0j, -0.5j), Double(-1 + 0j, 0.5 + 0.5j)
     assert twist_equivalent(s, d1, d2, dec)
+
+
+def random_table(rng, k, m):
+    """A seeded parse_table structure that is neither associative nor cancellative."""
+    while True:
+        flat = [rng.randrange(k) for _ in range(k ** m)]
+        s = parse_table("\n".join([f"arity {m}", f"size {k}", *map(str, flat)]) + "\n")
+        cancellative = all(
+            len({s.op.fn(rest[:i] + (x,) + rest[i:]) for x in range(k)}) == k
+            for i in range(m) for rest in itertools.product(range(k), repeat=m - 1)
+        )
+        if not cancellative and not check_total_associativity(s, CheckMode.exhaustive()).ok:
+            return s
+
+
+def search_reference(s, d1, d2, relation, bound):
+    """The plain witness search's answer: True, False, or BoundExhausted."""
+    witness = gauge_witness if relation == GAUGE else twist_witness
+    if witness(s, d1, d2, bound) is not None:
+        return True
+    if bound is None or bound >= len(s.carrier.elements()):
+        return False
+    return BoundExhausted
+
+
+def decided(fn, *args):
+    try:
+        return fn(*args)
+    except BoundExhausted:
+        return BoundExhausted
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_table_decisions_agree_with_witness_search(k, m):
+    s = random_table(random.Random(f"shift/{k}/{m}"), k, m)
+    doubles = all_doubles(s.carrier)
+    outcomes = set()
+    for bound in (None, k - 1):
+        for relation, checker in ((GAUGE, gauge_equivalent), (TWIST, twist_equivalent)):
+            dec = WitnessSearch(relation, bound)
+            for d1, d2 in itertools.product(doubles, repeat=2):
+                want = search_reference(s, d1, d2, relation, bound)
+                assert decided(checker, s, d1, d2, dec) is want, (relation, bound, d1, d2)
+                assert decided(decide_equivalent, s, d1, d2, dec) is want
+                outcomes.add(want)
+    if k >= 4:
+        assert outcomes == {True, False, BoundExhausted}
+
+
+def test_finite_decisions_run_no_witness_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("witness search on a finite carrier")
+
+    monkeypatch.setattr(completion, "gauge_witness", refuse)
+    monkeypatch.setattr(completion, "twist_witness", refuse)
+    s = zmod_add(6, 3)
+    for relation in (GAUGE, TWIST):
+        part = partition_classes(s, all_doubles(s.carrier), WitnessSearch(relation))
+        assert part.class_count() == 3          # classes of 2(a-b) mod 6
+    assert set(s.facts) >= {(GAUGE, None), (TWIST, None)}
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +256,43 @@ def test_partition_without_canonicalizer_uses_least_member():
     assert part.class_count() == 3
     assert part.reps[0] == Double(0, 0)
     assert part.resolve(Double(2, 1)).rep in part.reps
+
+
+def scan_resolve(part, d):
+    """Partition.resolve as a scan over the representatives."""
+    for r in part.reps:
+        if decide_equivalent(part.structure, d, r, part.decision):
+            return r
+    raise PolyadicError(f"{d!r} matches no class")
+
+
+def relabelled_z5():
+    """Z5 under addition, elements stored under a scrambled labelling."""
+    perm = [3, 0, 4, 1, 2]
+    flat = [perm[(perm.index(a) + perm.index(b)) % 5] for a in range(5) for b in range(5)]
+    return parse_table("\n".join(["arity 2", "size 5", *map(str, flat)]) + "\n")
+
+
+@pytest.mark.parametrize("relation", [GAUGE, TWIST])
+@pytest.mark.parametrize("structure", [zmod_add(6, 3), relabelled_z5()])
+def test_resolve_by_index_matches_scan(structure, relation):
+    part = partition_classes(structure, all_doubles(structure.carrier), WitnessSearch(relation))
+    assert 1 < part.class_count() < len(part.domain)
+    for d in part.domain:
+        rep = part.resolve(d).rep
+        assert rep == scan_resolve(part, d)
+        assert d in part.members_of(rep)
+
+
+def test_resolve_outside_a_subdomain_falls_back_to_scan():
+    s = zmod_add(6, 2)
+    part = partition_classes(s, all_doubles(s.carrier, bound=3), WitnessSearch())
+    assert part.class_count() == 5          # differences -2..2 of 0..2
+    outside = Double(5, 0)                  # difference 5 = -1 mod 6
+    assert outside not in part.domain
+    assert part.resolve(outside).rep == scan_resolve(part, outside) == Double(0, 1)
+    with pytest.raises(PolyadicError, match="matches no class"):
+        part.resolve(Double(3, 0))          # difference 3: no listed class
 
 
 # ---------------------------------------------------------------------------
