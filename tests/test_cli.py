@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from polygroth.cli import main
 from polygroth.tables import format_table
@@ -152,6 +155,17 @@ def test_json_output_is_byte_identical(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_stdout_matches_golden_bytes(capsys, case):
+    """Exact stdout and exit code of recorded runs: a speedup must not move a byte."""
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit_code"]
+    assert out == case["stdout"]
 
 
 def test_text_output_mode(capsys):
