@@ -417,20 +417,39 @@ def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
                       canonical: Callable | None = None, tag: str = "") -> Partition:
     """Disjoint-set partition of the domain under the decision.
 
-    The pair stream is deterministic: each double is tested against the
-    leaders of the classes found so far, in discovery order, and unioned with
-    the first equivalent one.  Unknown verdicts abort (BoundExhausted).
+    Each class is led by its first double in domain order.  With a canonical
+    form, a double joins the class of the first double with the same
+    canonical key, and the decision confirms each such join (N - C decisions
+    in all); a join the decision rejects raises PolyadicError naming both
+    doubles, since the canonical form then merges inequivalent doubles.  The
+    form is trusted to give equivalent doubles one key.  Without a canonical
+    form, each double is tested against the leaders found so far, in
+    discovery order, and joins the first equivalent one.  Unknown verdicts
+    abort (BoundExhausted).
     """
     domain = list(domain)
     root = list(range(len(domain)))
     leaders: list = []
-    for i, d in enumerate(domain):
-        for L in leaders:
-            if decide_equivalent(s, d, domain[L], dec):
+    if canonical is not None:
+        first: dict = {}
+        for i, d in enumerate(domain):
+            L = first.setdefault(canonical(d), i)
+            if L == i:
+                leaders.append(i)
+            elif decide_equivalent(s, d, domain[L], dec):
                 root[i] = L
-                break
-        else:
-            leaders.append(i)
+            else:
+                raise PolyadicError(
+                    f"canonical form joins inequivalent doubles {domain[L]!r} and {d!r}"
+                )
+    else:
+        for i, d in enumerate(domain):
+            for L in leaders:
+                if decide_equivalent(s, d, domain[L], dec):
+                    root[i] = L
+                    break
+            else:
+                leaders.append(i)
     members = {L: [] for L in leaders}
     for i, d in enumerate(domain):
         members[root[i]].append(d)
@@ -735,10 +754,10 @@ def completion_to_json(K: CompletionGroup) -> dict:
     def pair(d):
         return [carrier.render(d.top), carrier.render(d.bottom)]
 
-    classes = []
-    for rep in K.partition.reps:
-        size = len(K.partition.members_of(rep)) if carrier.is_finite else "infinite"
-        classes.append({"rep": pair(rep), "size_hint": size})
+    classes = [
+        {"rep": pair(rep), "size_hint": len(members) if carrier.is_finite else "infinite"}
+        for rep, members in zip(K.partition.reps, K.partition.classes)
+    ]
     quer = []
     if K.quer is not None:
         for rep in K.partition.reps:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -73,7 +73,7 @@ class QuiverSpec:
     output_arity: int
     top: Product | Intact
     bottom: Product | Intact
-    name: str = ""
+    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         m, n = self.input_arity, self.output_arity
@@ -98,16 +98,6 @@ class QuiverSpec:
     @property
     def intact_count(self) -> int:
         return sum(isinstance(w, Intact) for w in (self.top, self.bottom))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuiverSpec)
-            and (self.input_arity, self.output_arity, self.top, self.bottom)
-            == (other.input_arity, other.output_arity, other.top, other.bottom)
-        )
-
-    def __hash__(self):
-        return hash((self.input_arity, self.output_arity, self.top, self.bottom))
 
 
 def apply_quiver(quiver: QuiverSpec, base_op: NAryOperation, doubles: Sequence[Double]) -> Double:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -37,7 +38,7 @@ from polygroth import (
     zmod_add,
     zmod_mul,
 )
-from polygroth import completion
+from polygroth import cli, completion
 from polygroth.completion import GAUGE, QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH, TWIST
 from polygroth.errors import (
     BoundExhausted,
@@ -256,6 +257,72 @@ def test_partition_without_canonicalizer_uses_least_member():
     assert part.class_count() == 3
     assert part.reps[0] == Double(0, 0)
     assert part.resolve(Double(2, 1)).rep in part.reps
+
+
+def leader_scan_partition(s, domain, dec, canonical):
+    """Reference partition: each double against every earlier class leader.
+
+    Returns (classes, reps) ordered as partition_classes orders them."""
+    leaders, members = [], {}
+    for d in domain:
+        for L in leaders:
+            if decide_equivalent(s, d, L, dec):
+                members[L].append(d)
+                break
+        else:
+            leaders.append(d)
+            members[d] = [d]
+
+    def lexkey(d):
+        return (s.carrier.sort_key(d.top), s.carrier.sort_key(d.bottom))
+
+    pairs = [(canonical(min(members[L], key=lexkey)), members[L]) for L in leaders]
+    pairs.sort(key=lambda pair: lexkey(pair[0]))
+    return [mem for _, mem in pairs], [rep for rep, _ in pairs]
+
+
+@pytest.mark.parametrize("name, bounds", [
+    ("nat0", (10, 30)),
+    ("neg3", (10, 20)),
+    ("odd3", (11, 21)),
+    ("res-3-4", (30, 60)),
+    ("res-7-10", (80, 200)),
+    ("matrix4", (9, 25)),
+])
+def test_keyed_partition_matches_leader_scan(name, bounds):
+    recipe = get_recipe(name)
+    for bound in bounds:
+        s = recipe.build(bound)
+        domain = all_doubles(s.carrier)
+        calls = []
+        counted = ExactRule(lambda d1, d2: calls.append((d1, d2)) or recipe.exact_rule(d1, d2))
+        part = partition_classes(s, domain, counted, canonical=recipe.canonical_double, tag=name)
+        classes, reps = leader_scan_partition(s, domain, recipe.exact_decision(),
+                                              recipe.canonical_double)
+        assert part.classes == classes
+        assert part.reps == reps
+        for rep, members in zip(reps, classes):
+            for d in members:
+                assert part.resolve(d).rep == rep
+        assert len(calls) == len(domain) - part.class_count()
+
+
+def test_canonical_form_joining_inequivalent_doubles_is_reported():
+    recipe = get_recipe("nat0")
+    s = recipe.build(5)
+    with pytest.raises(PolyadicError, match=r"joins inequivalent doubles Double\(top=0, bottom=0\)"
+                                            r" and Double\(top=0, bottom=1\)"):
+        partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
+                          canonical=lambda d: Double(0, 0))
+
+
+def test_cli_classes_exits_1_on_a_joining_canonical_form(monkeypatch, capsys):
+    broken = dataclasses.replace(get_recipe("nat0"), canonical_double=lambda d: Double(0, 0))
+    monkeypatch.setattr(cli, "get_recipe", lambda name: broken)
+    assert cli.main(["classes", "--structure", "nat0", "--bound", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "canonical form joins inequivalent doubles" in captured.err
 
 
 def scan_resolve(part, d):

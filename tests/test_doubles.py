@@ -121,6 +121,15 @@ def test_quiver_serialization_round_trip(name):
     assert format_quiver(parse_quiver(text)) == text
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_quiver_equality_ignores_the_name(name):
+    q = builtin_quiver(name)
+    renamed = parse_quiver(format_quiver(q), name="renamed")
+    assert renamed.name != q.name
+    assert renamed == q and hash(renamed) == hash(q)
+    assert swap_picks(q, ("top", 0), ("bottom", 0)) != q
+
+
 def test_serialized_examples():
     assert format_quiver(builtin_quiver("post-ternary")) == \
         "3<-3 intact=0; top=(1,T)(2,B)(3,T); bottom=(1,B)(2,T)(3,B)"
