@@ -584,6 +584,40 @@ def test_distinct_class_quiver_warns():
                          class_quiver=builtin_quiver("post-ternary"))
 
 
+def binary_2_table(cells):
+    return parse_table("\n".join(["arity 2", "size 2", *map(str, cells)]) + "\n")
+
+
+GROUP_STAGE_PINS = [
+    # left projection: no cancellation, so the identities fail
+    ([0, 0, 1, 1], WitnessSearch(GAUGE), 307, 50,
+     "failed(cancellation identities at [1;1],[0;0]; 4-double domain)"),
+    ([1, 0, 1, 1], ExactRule(lambda a, b: a.bottom == b.bottom), 2848, 50,
+     "failed(class associativity at ([0;0], [0;0], [0;0]); 4-double domain)"),
+    ([0, 0, 1, 1], WitnessSearch(TWIST), 0, 1,
+     "failed(solvability at slot 1, ([0;0],); 4-double domain)"),
+]
+
+
+@pytest.mark.parametrize("cells,dec,seed,samples,want", GROUP_STAGE_PINS)
+def test_group_stage_failure_strings_are_pinned(cells, dec, seed, samples, want):
+    K = build_completion(binary_2_table(cells), builtin_quiver("componentwise-2"), dec,
+                         assoc_mode=CheckMode.sampled(3, seed), samples=samples, seed=seed)
+    assert K.report.group == want
+    assert not K.report.ok
+
+
+def test_group_stage_pass_string_and_quer_are_pinned():
+    K = build_completion(zmod_add(5, 3), builtin_quiver("post-ternary"), WitnessSearch(GAUGE),
+                         assoc_mode=CheckMode.sampled(3, 5))
+    assert K.report.ok
+    assert K.report.group == (
+        "group(exhaustive solvability; quer at all slots; 25-double domain)")
+    searched = class_quer(K.partition, K.product, K.base, QUER_SEARCH)
+    assert searched.mapping == K.quer.mapping
+    assert searched.slot_ok == K.quer.slot_ok
+
+
 def test_finite_table_completion_has_exact_size_hints():
     s = zmod_add(3, 2)
     K = build_completion(s, builtin_quiver("componentwise-2"), WitnessSearch(), tag="z3")
