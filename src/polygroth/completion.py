@@ -13,7 +13,6 @@ False.  Partitions demand definite answers and abort otherwise.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 import random
@@ -24,9 +23,16 @@ from typing import Callable, Sequence
 from .core import (
     CheckMode,
     DEFAULT_SEED,
+    FiniteCarrier,
     NAryOperation,
     PolyadicStructure,
     Verdict,
+    _cancels,
+    _index_table,
+    _placements_disagree,
+    _quer_search,
+    _quer_slots,
+    _solvability_scan,
     check_total_associativity,
     find_identities,
     iterated_eval,
@@ -44,6 +50,7 @@ from .errors import (
     ArityMismatch,
     BoundExhausted,
     ExhaustiveOnInfiniteCarrier,
+    NonMember,
     NotAHomomorphism,
     PolyadicError,
     QuerFormulaFailsVerification,
@@ -82,6 +89,11 @@ class WitnessSearch:
 
     relation: str = TWIST
     bound: int | None = None     # None: the carrier's full enumeration
+
+    def __post_init__(self):
+        if self.relation not in (GAUGE, TWIST):
+            raise UsageError(f"unknown shift relation {self.relation!r}: expected "
+                             f"{GAUGE!r} or {TWIST!r}")
 
 
 def gauge_witness(s: PolyadicStructure, d1: Double, d2: Double, bound: int | None = None):
@@ -185,7 +197,7 @@ def twist_equivalent(s, d1, d2, dec) -> bool:
 def decide_equivalent(s, d1, d2, dec) -> bool:
     if isinstance(dec, ExactRule):
         return bool(dec.rule(d1, d2))
-    return _shift_equivalent(s, d1, d2, dec, GAUGE if dec.relation == GAUGE else TWIST)
+    return _shift_equivalent(s, d1, d2, dec, dec.relation)
 
 
 def _twist_holds_at(s, d1, d2, z) -> bool:
@@ -556,8 +568,8 @@ def class_quer(partition: Partition, product: NAryOperation, base: PolyadicStruc
     QuerFormulaFailsVerification; the other slots are recorded per class.
     """
     m = base.arity
-    n = product.arity
-    cds = partition.class_doubles()
+    cs = PolyadicStructure(FiniteCarrier(partition.class_doubles()), product)
+    cds = cs.carrier.elements()
     mapping: dict = {}
     slot_ok: dict = {}
     for c in cds:
@@ -572,17 +584,10 @@ def class_quer(partition: Partition, product: NAryOperation, base: PolyadicStruc
                 raise UsageError("the Post-style quer formula applies to ternary products")
             q = partition.resolve(Double(base.op.fn((a, a, b)), base.op.fn((a, b, b))))
         elif mode == QUER_SEARCH:
-            sols = [x for x in cds if product.fn((c,) * (n - 1) + (x,)) == c]
-            if not sols:
-                raise QuerNotFound(c, len(cds))
-            if len(sols) > 1:
-                raise QuerNotUnique(c, sols)
-            q = sols[0]
+            q = _quer_search(cs, c, cds)
         else:
             raise UsageError(f"unknown quer mode {mode!r}")
-        verdicts = tuple(
-            product.fn((c,) * i + (q,) + (c,) * (n - 1 - i)) == c for i in range(n)
-        )
+        verdicts = tuple(_quer_slots(cs, c, q))
         if not verdicts[-1]:
             raise QuerFormulaFailsVerification(c, f"candidate {q} at the defining slot")
         mapping[c] = q
@@ -637,43 +642,36 @@ def _auto_quer_mode(quiver: QuiverSpec, base_arity: int) -> str:
 
 def _class_group_checks(partition: Partition, product: NAryOperation, quer: QuerMap,
                         samples: int, seed: int):
-    """Group evidence on the (possibly truncated) class set.
+    """Group evidence on the (possibly truncated) class set, by the core checkers.
 
     Always: sampled class-level associativity, quer totality with its equation
     at every slot, and sampled cancellation identities.  When the listed class
-    set is small and closed under the product, unique solvability is added
-    exhaustively.
+    set is small and closed under the product (its index table compiles),
+    unique solvability is added exhaustively on that table.
     """
     rng = random.Random(seed)
-    cds = partition.class_doubles()
+    cs = PolyadicStructure(FiniteCarrier(partition.class_doubles()), product)
+    cds = cs.carrier.elements()
     n = product.arity
     for _ in range(samples):
         t = tuple(rng.choice(cds) for _ in range(2 * n - 1))
-        base_r = None
-        for i in range(n):
-            inner = product.fn(t[i:i + n])
-            res = product.fn(t[:i] + (inner,) + t[i + n:])
-            if i == 0:
-                base_r = res
-            elif res != base_r:
-                return (f"failed(class associativity at {t})", False)
+        if _placements_disagree(cs, t) is not None:
+            return (f"failed(class associativity at {t})", False)
     for _ in range(samples):
         g, h = rng.choice(cds), rng.choice(cds)
-        hq = quer.mapping[h]
-        for i in range(n - 1):
-            polyad = (h,) * i + (hq,) + (h,) * (n - 2 - i)
-            if product.fn((g,) + polyad) != g or product.fn(polyad + (g,)) != g:
-                return (f"failed(cancellation identities at {g},{h})", False)
+        if not _cancels(cs, g, h, quer.mapping[h]):
+            return (f"failed(cancellation identities at {g},{h})", False)
     slots = "all slots" if quer.all_slots_ok() else "defining slot only"
     if len(cds) ** (n + 1) <= 200_000:
-        cset = set(cds)
-        closed = all(product.fn(t) in cset for t in itertools.product(cds, repeat=n))
-        if closed:
-            for i in range(n):
-                for others in itertools.product(cds, repeat=n - 1):
-                    res = {product.fn(others[:i] + (h,) + others[i:]) for h in cds}
-                    if len(res) != len(cds):
-                        return (f"failed(solvability at slot {i}, {others})", False)
+        try:
+            _index_table(cs)
+        except NonMember:  # a product leaves the listed classes
+            pass
+        else:
+            failures, _ = _solvability_scan(cs, max_failures=1)
+            if failures:
+                i, others = failures[0]
+                return (f"failed(solvability at slot {i}, {others})", False)
             return (f"group(exhaustive solvability; quer at {slots})", True)
     return (f"group(diagrammatic on truncated class set; quer at {slots})", True)
 

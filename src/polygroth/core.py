@@ -345,16 +345,8 @@ def is_nilpotent(s: PolyadicStructure, g, ell: int, z) -> bool:
 def find_identities(s: PolyadicStructure, bound: int | None = None) -> list:
     """Elements neutral at every argument position (bounded scan on rules)."""
     elems = s.carrier.elements(bound)
-    n, op, eq = s.arity, s.op, s.carrier.eq
-    out = []
-    for e in elems:
-        if all(
-            eq(op.fn((e,) * i + (g,) + (e,) * (n - 1 - i)), g)
-            for g in elems
-            for i in range(n)
-        ):
-            out.append(e)
-    return out
+    copies = s.arity - 1
+    return [e for e in elems if _is_neutral(s, (e,) * copies, elems)]
 
 
 def identity_placements(s: PolyadicStructure, e, bound: int | None = None) -> tuple:
@@ -372,13 +364,12 @@ def is_neutral_polyad(s: PolyadicStructure, polyad: Sequence, bound: int | None 
     polyad = tuple(polyad)
     if len(polyad) != s.arity - 1:
         raise ArityMismatch(f"neutral polyad must have length {s.arity - 1}")
-    elems = s.carrier.elements(bound)
-    op, eq = s.op, s.carrier.eq
-    return all(
-        eq(op.fn(polyad[:i] + (g,) + polyad[i:]), g)
-        for g in elems
-        for i in range(s.arity)
-    )
+    return _is_neutral(s, polyad, s.carrier.elements(bound))
+
+
+def _is_neutral(s: PolyadicStructure, polyad: tuple, elems) -> bool:
+    fn, eq, slots = s.op.fn, s.carrier.eq, range(len(polyad) + 1)
+    return all(eq(fn(polyad[:i] + (g,) + polyad[i:]), g) for g in elems for i in slots)
 
 
 # ---------------------------------------------------------------------------
@@ -592,27 +583,40 @@ def querelement(s: PolyadicStructure, g, bound: int | None = None):
     """
     if g not in s.carrier:
         raise NonMember(g, s.name or s.carrier.name)
+    q = _quer_search(s, g, s.carrier.elements(bound))
+    for i, ok in enumerate(itertools.islice(_quer_slots(s, g, q), s.arity - 1)):
+        if not ok:
+            raise QuerPlacementFailed(g, q, i)
+    return q
+
+
+def _quer_search(s: PolyadicStructure, g, elems):
+    """The one x in elems with op[g^(n-1), x] = g; raises QuerNotFound/QuerNotUnique."""
     n, op, eq = s.arity, s.op, s.carrier.eq
-    elems = s.carrier.elements(bound)
     head = (g,) * (n - 1)
     sols = [x for x in elems if eq(op.fn(head + (x,)), g)]
     if not sols:
         raise QuerNotFound(g, len(elems))
     if len(sols) > 1:
         raise QuerNotUnique(g, sols)
-    q = sols[0]
-    for i in range(n - 1):
-        if not eq(op.fn((g,) * i + (q,) + (g,) * (n - 1 - i)), g):
-            raise QuerPlacementFailed(g, q, i)
-    return q
+    return sols[0]
+
+
+def _quer_slots(s: PolyadicStructure, g, q):
+    """Lazy verdicts of op[g^i, q, g^(n-1-i)] = g for slots i = 0..n-1 (the last defines q)."""
+    n, op, eq = s.arity, s.op, s.carrier.eq
+    return (eq(op.fn((g,) * i + (q,) + (g,) * (n - 1 - i)), g) for i in range(n))
 
 
 def check_doernte(s: PolyadicStructure, g, h, bound: int | None = None) -> bool:
     """Cancellation identities: op[g, n_h] = op[n_h, g] = g where
     n_h = (h^(n-2), quer(h)) with the quer at any slot."""
-    n = s.arity
-    hq = querelement(s, h, bound)
-    op, eq = s.op, s.carrier.eq
+    return _cancels(s, g, h, querelement(s, h, bound))
+
+
+def _cancels(s: PolyadicStructure, g, h, hq) -> bool:
+    """The cancellation identities of check_doernte, given the quer hq of h."""
+    n, op, eq = s.arity, s.op, s.carrier.eq
     for i in range(n - 1):
         polyad = (h,) * i + (hq,) + (h,) * (n - 2 - i)
         if not eq(op.fn((g,) + polyad), g):
@@ -649,36 +653,11 @@ def verify_polyadic_group(s: PolyadicStructure, mode: CheckMode, *,
     """
     assoc = check_total_associativity(s, mode)
     n = s.arity
-    failures: list = []
-    checked = 0
     if mode.kind == CheckMode.EXHAUSTIVE:
-        table, k = _index_table(s)
-        elems = s.carrier.elements()
-        done = False
-        for i in range(n):
-            if done:
-                break
-            for others in itertools.product(range(k), repeat=n - 1):
-                seen = [False] * k
-                ok = True
-                pre, post = others[:i], others[i:]
-                for h in range(k):
-                    idx = 0
-                    for d in pre + (h,) + post:
-                        idx = idx * k + d
-                    r = table[idx]
-                    if seen[r]:
-                        ok = False
-                        break
-                    seen[r] = True
-                checked += 1
-                if not ok:
-                    failures.append((i, tuple(elems[d] for d in others)))
-                    if len(failures) >= max_failures:
-                        done = True
-                        break
+        failures, checked = _solvability_scan(s, max_failures)
         note = "exhaustive unique solvability at every slot"
     else:
+        failures, checked = [], 0
         rng = random.Random(mode.seed)
         elems = s.carrier.elements()
         eq = s.carrier.eq
@@ -694,6 +673,37 @@ def verify_polyadic_group(s: PolyadicStructure, mode: CheckMode, *,
                     break
         note = f"sampled solvability within the first {len(elems)} generated elements"
     return GroupVerdict(assoc.ok and not failures, assoc, tuple(failures), checked, note)
+
+
+def _solvability_scan(s: PolyadicStructure, max_failures: int):
+    """(failures, checked) of the exhaustive unique-solvability scan on the index table.
+
+    A failure (slot, others) says that fixing the other n-1 arguments to
+    `others` does not make the slot a bijection; the scan stops after
+    `max_failures` of them.
+    """
+    table, k = _index_table(s)
+    elems = s.carrier.elements()
+    n = s.arity
+    failures: list = []
+    checked = 0
+    for i in range(n):
+        for others in itertools.product(range(k), repeat=n - 1):
+            checked += 1
+            seen = [False] * k
+            pre, post = others[:i], others[i:]
+            for h in range(k):
+                idx = 0
+                for d in pre + (h,) + post:
+                    idx = idx * k + d
+                r = table[idx]
+                if seen[r]:
+                    failures.append((i, tuple(elems[d] for d in others)))
+                    if len(failures) >= max_failures:
+                        return failures, checked
+                    break
+                seen[r] = True
+    return failures, checked
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .core import (
     RuleCarrier,
     _index_table,
     find_identities,
+    identity_placements,
 )
 from .errors import ArityMismatch, InvalidQuiver, NotQuantized, UnknownQuiver
 
@@ -408,14 +409,7 @@ def identity_report_for_power(d: DoubledStructure, bound: int | None = None) -> 
         return IdentityReport("none", None, ())
     e = base_ids[0]
     E = Double(e, e)
-    n = d.arity
-    op = d.op
-    eq = d.carrier.eq
-    domain = d.carrier.elements(bound)
-    placements = tuple(
-        all(eq(op.fn((E,) * i + (S,) + (E,) * (n - 1 - i)), S) for S in domain)
-        for i in range(n)
-    )
+    placements = identity_placements(d.structure, E, bound)
     if all(placements):
         kind = "two-sided"
     elif placements[-1] and not placements[0]:

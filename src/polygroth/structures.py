@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .completion import ExactRule
@@ -265,26 +265,6 @@ MATRIX4 = StructureRecipe(
 
 # ---------------------------------------------------------------------------
 # registry and helpers
-
-
-def nat0_monoid(limit: int = 40) -> StructureRecipe:
-    return replace(NAT0, default_limit=limit)
-
-
-def neg_ternary(limit: int = 20) -> StructureRecipe:
-    return replace(NEG3, default_limit=limit)
-
-
-def odd_ternary(limit: int = 101) -> StructureRecipe:
-    return replace(ODD3, default_limit=limit)
-
-
-def residue_structure(a: int, b: int, limit: int = 200) -> StructureRecipe:
-    return replace(residue_recipe(a, b), default_limit=limit)
-
-
-def matrix_4ary() -> StructureRecipe:
-    return MATRIX4
 
 
 _RECIPES = {r.name: r for r in (NAT0, NEG3, ODD3, MATRIX4)}

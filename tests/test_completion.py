@@ -46,6 +46,7 @@ from polygroth.errors import (
     PolyadicError,
     QuerFormulaFailsVerification,
     QuerNotFound,
+    UsageError,
 )
 
 
@@ -616,6 +617,37 @@ def test_group_stage_pass_string_and_quer_are_pinned():
     searched = class_quer(K.partition, K.product, K.base, QUER_SEARCH)
     assert searched.mapping == K.quer.mapping
     assert searched.slot_ok == K.quer.slot_ok
+
+
+def test_class_group_checks_make_one_product_per_class_tuple():
+    # the closure table answers the solvability scan, so the exhaustive group
+    # stage evaluates the class product once per tuple: C^n = 7^3
+    K = build_completion(zmod_add(7, 3), builtin_quiver("post-ternary"), WitnessSearch(GAUGE),
+                         assoc_mode=CheckMode.sampled(10, 1), samples=20)
+    assert K.partition.class_count() == 7
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return K.product.fn(t)
+
+    product = dataclasses.replace(K.product, fn=counted)
+    got = completion._class_group_checks(K.partition, product, K.quer, samples=0, seed=0)
+    assert got == ("group(exhaustive solvability; quer at all slots)", True)
+    assert len(calls) == 7 ** 3
+
+
+def test_witness_search_rejects_unknown_relations():
+    for relation in ("Gauge", "twisted", ""):
+        with pytest.raises(UsageError, match="relation"):
+            WitnessSearch(relation)
+    # gauge and twist split this table differently, so a misspelt relation
+    # could not silently pass for either
+    s = parse_table("\n".join(["arity 2", "size 3", *"020112002"]) + "\n")
+    domain = all_doubles(s.carrier)
+    gauge = partition_classes(s, domain, WitnessSearch(GAUGE))
+    twist = partition_classes(s, domain, WitnessSearch(TWIST))
+    assert (gauge.class_count(), twist.class_count()) == (3, 2)
 
 
 def test_finite_table_completion_has_exact_size_hints():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -49,14 +50,15 @@ def test_recipe_registry():
 
 
 def test_named_constructors():
-    from polygroth import matrix_4ary, nat0_monoid, neg_ternary, odd_ternary, residue_structure
+    def made(name, limit):
+        return replace(get_recipe(name), default_limit=limit).make()
 
-    assert nat0_monoid(12).make().carrier.elements()[-1] == 12
-    assert neg_ternary(5).make().carrier.elements() == [-1, -2, -3, -4, -5]
-    assert odd_ternary(9).make().carrier.elements() == [1, 3, 5, 7, 9]
-    res = residue_structure(7, 10, limit=57)
-    assert res.arity == 5 and res.make().carrier.elements() == [7, 17, 27, 37, 47, 57]
-    assert matrix_4ary().arity == 4
+    assert made("nat0", 12).carrier.elements()[-1] == 12
+    assert made("neg3", 5).carrier.elements() == [-1, -2, -3, -4, -5]
+    assert made("odd3", 9).carrier.elements() == [1, 3, 5, 7, 9]
+    res = made("res-7-10", 57)
+    assert res.arity == 5 and res.carrier.elements() == [7, 17, 27, 37, 47, 57]
+    assert get_recipe("matrix4").arity == 4
 
 
 @pytest.mark.parametrize("name", RECIPES)
