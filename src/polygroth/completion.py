@@ -17,7 +17,7 @@ import json
 import operator
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .core import (
@@ -560,16 +560,50 @@ class QuerMap:
         return all(all(v) for v in self.slot_ok.values())
 
 
-def class_quer(partition: Partition, product: NAryOperation, base: PolyadicStructure,
+def class_structure(partition: Partition, product: NAryOperation) -> PolyadicStructure:
+    """The listed classes as a finite structure under the class product.
+
+    When C^(n+1) <= 200,000 for C listed classes, their Cayley table is
+    compiled first and the returned structure's operation reads it, so the
+    class-level checks make no further class products.  A compile that raises
+    PolyadicError (a product leaves the listed classes, or a double resolves
+    to no class) keeps the product-backed operation and is recorded as
+    facts["closure_error"].
+    """
+    cs = PolyadicStructure(FiniteCarrier(partition.class_doubles()), product)
+    n = product.arity
+    if len(cs.carrier) ** (n + 1) > 200_000:
+        return cs
+    try:
+        table, k = _index_table(cs)
+    except PolyadicError as exc:
+        cs.facts["closure_error"] = exc
+        return cs
+    elems = cs.carrier.elements()
+    index = {c: i for i, c in enumerate(elems)}
+
+    def lookup(cds):
+        code = 0
+        try:
+            for c in cds:
+                code = code * k + index[c]
+        except KeyError:  # a class outside the listed set, such as a formula quer
+            return product.fn(cds)
+        return elems[table[code]]
+
+    return replace(cs, op=NAryOperation(n, lookup, name=product.name))
+
+
+def class_quer(partition: Partition, classes: PolyadicStructure, base: PolyadicStructure,
                mode: str = QUER_SEARCH) -> QuerMap:
     """Compute the quer of every listed class and verify the quer equation.
 
-    The defining slot (quer last) must hold, otherwise
-    QuerFormulaFailsVerification; the other slots are recorded per class.
+    `classes` is the class structure (see class_structure).  The defining
+    slot (quer last) must hold, otherwise QuerFormulaFailsVerification; the
+    other slots are recorded per class.
     """
     m = base.arity
-    cs = PolyadicStructure(FiniteCarrier(partition.class_doubles()), product)
-    cds = cs.carrier.elements()
+    cds = classes.carrier.elements()
     mapping: dict = {}
     slot_ok: dict = {}
     for c in cds:
@@ -584,10 +618,10 @@ def class_quer(partition: Partition, product: NAryOperation, base: PolyadicStruc
                 raise UsageError("the Post-style quer formula applies to ternary products")
             q = partition.resolve(Double(base.op.fn((a, a, b)), base.op.fn((a, b, b))))
         elif mode == QUER_SEARCH:
-            q = _quer_search(cs, c, cds)
+            q = _quer_search(classes, c, cds)
         else:
             raise UsageError(f"unknown quer mode {mode!r}")
-        verdicts = tuple(_quer_slots(cs, c, q))
+        verdicts = tuple(_quer_slots(classes, c, q))
         if not verdicts[-1]:
             raise QuerFormulaFailsVerification(c, f"candidate {q} at the defining slot")
         mapping[c] = q
@@ -640,19 +674,18 @@ def _auto_quer_mode(quiver: QuiverSpec, base_arity: int) -> str:
     return QUER_SEARCH
 
 
-def _class_group_checks(partition: Partition, product: NAryOperation, quer: QuerMap,
-                        samples: int, seed: int):
-    """Group evidence on the (possibly truncated) class set, by the core checkers.
+def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed: int):
+    """Group evidence on the class structure cs (from class_structure), by the
+    core checkers.
 
     Always: sampled class-level associativity, quer totality with its equation
     at every slot, and sampled cancellation identities.  When the listed class
-    set is small and closed under the product (its index table compiles),
+    set is small and closed under the product (its index table compiled),
     unique solvability is added exhaustively on that table.
     """
     rng = random.Random(seed)
-    cs = PolyadicStructure(FiniteCarrier(partition.class_doubles()), product)
     cds = cs.carrier.elements()
-    n = product.arity
+    n = cs.arity
     for _ in range(samples):
         t = tuple(rng.choice(cds) for _ in range(2 * n - 1))
         if _placements_disagree(cs, t) is not None:
@@ -662,17 +695,15 @@ def _class_group_checks(partition: Partition, product: NAryOperation, quer: Quer
         if not _cancels(cs, g, h, quer.mapping[h]):
             return (f"failed(cancellation identities at {g},{h})", False)
     slots = "all slots" if quer.all_slots_ok() else "defining slot only"
-    if len(cds) ** (n + 1) <= 200_000:
-        try:
-            _index_table(cs)
-        except NonMember:  # a product leaves the listed classes
-            pass
-        else:
-            failures, _ = _solvability_scan(cs, max_failures=1)
-            if failures:
-                i, others = failures[0]
-                return (f"failed(solvability at slot {i}, {others})", False)
-            return (f"group(exhaustive solvability; quer at {slots})", True)
+    if "index_table" in cs.facts:
+        failures, _ = _solvability_scan(cs, max_failures=1)
+        if failures:
+            i, others = failures[0]
+            return (f"failed(solvability at slot {i}, {others})", False)
+        return (f"group(exhaustive solvability; quer at {slots})", True)
+    error = cs.facts.get("closure_error")
+    if error is not None and not isinstance(error, NonMember):
+        raise error  # some product has no class, as the compile found
     return (f"group(diagrammatic on truncated class set; quer at {slots})", True)
 
 
@@ -724,13 +755,14 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
     else:
         if quer_mode == "auto":
             quer_mode = _auto_quer_mode(class_quiver, s.arity)
+        classes = class_structure(part, product)
         try:
-            quer = class_quer(part, product, s, quer_mode)
+            quer = class_quer(part, classes, s, quer_mode)
         except (QuerNotFound, QuerNotUnique, QuerFormulaFailsVerification) as exc:
             ok = False
             group_str = f"failed(quer: {exc}; {bound_note})"
         if quer is not None:
-            group_str, group_ok = _class_group_checks(part, product, quer, samples, seed)
+            group_str, group_ok = _class_group_checks(classes, quer, samples, seed)
             group_str = f"{group_str[:-1]}; {bound_note})"
             ok = ok and group_ok
 

@@ -194,12 +194,14 @@ def iterate(op: NAryOperation, ell: int) -> NAryOperation:
 class PolyadicStructure:
     """A carrier together with one n-ary operation.
 
-    `facts` caches checker outputs (index tables, zeros, the shift-relation
-    tables of completion, keyed by (relation, bound)); every entry is
-    reproducible by re-running the corresponding checker.  A builder that
-    already knows the Cayley table may store it as "index_table", or store
-    under "derive_index_table" a function that returns it, so that
-    `_index_table` need not evaluate the operation on every tuple.
+    `facts` caches checker outputs (index tables, zeros, identities keyed by
+    ("identities", bound), the shift-relation tables of completion keyed by
+    (relation, bound), and completion's "closure_error" of a class table that
+    did not compile); every entry is reproducible by re-running the
+    corresponding checker.  A builder that already knows the Cayley table may
+    store it as "index_table", or store under "derive_index_table" a function
+    that returns it, so that `_index_table` need not evaluate the operation on
+    every tuple.
     """
 
     carrier: Carrier
@@ -343,10 +345,18 @@ def is_nilpotent(s: PolyadicStructure, g, ell: int, z) -> bool:
 
 
 def find_identities(s: PolyadicStructure, bound: int | None = None) -> list:
-    """Elements neutral at every argument position (bounded scan on rules)."""
-    elems = s.carrier.elements(bound)
-    copies = s.arity - 1
-    return [e for e in elems if _is_neutral(s, (e,) * copies, elems)]
+    """Elements neutral at every argument position (bounded scan on rules).
+
+    The scan runs once per bound and is cached on s.facts; each call returns
+    a fresh list.
+    """
+    key = ("identities", bound)
+    ids = s.facts.get(key)
+    if ids is None:
+        elems = s.carrier.elements(bound)
+        copies = s.arity - 1
+        ids = s.facts[key] = tuple(e for e in elems if _is_neutral(s, (e,) * copies, elems))
+    return list(ids)
 
 
 def identity_placements(s: PolyadicStructure, e, bound: int | None = None) -> tuple:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -66,15 +66,26 @@ def _wire_picks(wire) -> tuple:
     return (wire.pick,) if isinstance(wire, Intact) else tuple(wire.picks)
 
 
+def _digit(p: Pick) -> int:
+    """Position of a pick among the flattened inputs (top_1, bottom_1, ..., bottom_n)."""
+    return 2 * (p.slot - 1) + (p.comp == BOTTOM)
+
+
 @dataclass(frozen=True)
 class QuiverSpec:
-    """Wiring of a doubles product; validation makes bad arities unbuildable."""
+    """Wiring of a doubles product; validation makes bad arities unbuildable.
+
+    `gathers` holds, per wire (top, bottom), an itemgetter over the flattened
+    inputs and whether the wire is intact: an intact wire gathers its one
+    input, a product wire the tuple fed to the base operation.
+    """
 
     input_arity: int
     output_arity: int
     top: Product | Intact
     bottom: Product | Intact
     name: str = field(default="", compare=False)
+    gathers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, n = self.input_arity, self.output_arity
@@ -95,6 +106,10 @@ class QuiverSpec:
                 raise InvalidQuiver(f"bad pick {p!r}")
         if len(consumed) != 2 * n or len(set(consumed)) != 2 * n:
             raise InvalidQuiver("each of the 2n inputs must be consumed exactly once")
+        object.__setattr__(self, "gathers", tuple(
+            (itemgetter(*map(_digit, _wire_picks(w))), isinstance(w, Intact))
+            for w in (self.top, self.bottom)
+        ))
 
     @property
     def intact_count(self) -> int:
@@ -106,21 +121,12 @@ def apply_quiver(quiver: QuiverSpec, base_op: NAryOperation, doubles: Sequence[D
         raise ArityMismatch(
             f"quiver takes {quiver.output_arity} doubles, got {len(doubles)}"
         )
+    flat = tuple(itertools.chain.from_iterable(doubles))
+    (top, top_intact), (bottom, bottom_intact) = quiver.gathers
     return Double(
-        _wire_value(quiver.top, base_op, doubles),
-        _wire_value(quiver.bottom, base_op, doubles),
+        top(flat) if top_intact else base_op.fn(top(flat)),
+        bottom(flat) if bottom_intact else base_op.fn(bottom(flat)),
     )
-
-
-def _wire_value(wire, base_op, doubles):
-    if isinstance(wire, Intact):
-        p = wire.pick
-        d = doubles[p.slot - 1]
-        return d.top if p.comp == TOP else d.bottom
-    return base_op.fn(tuple(
-        doubles[p.slot - 1].top if p.comp == TOP else doubles[p.slot - 1].bottom
-        for p in wire.picks
-    ))
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +371,6 @@ def _doubles_table(quiver: QuiverSpec, base_table: tuple, k: int):
 
     table = tuple(map(add, wire_values(quiver.top, k), wire_values(quiver.bottom, 1)))
     return table, k * k
-
-
-def _digit(p: Pick) -> int:
-    return 2 * (p.slot - 1) + (p.comp == BOTTOM)
 
 
 def _digit_codes(weights: list, k: int) -> list:

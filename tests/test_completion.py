@@ -1,7 +1,10 @@
+import collections
 import dataclasses
 import itertools
 import json
+import math
 import random
+import warnings
 
 import pytest
 
@@ -10,6 +13,8 @@ from polygroth import (
     ClassDouble,
     Double,
     ExactRule,
+    FiniteCarrier,
+    PolyadicStructure,
     WitnessSearch,
     all_doubles,
     build_completion,
@@ -22,30 +27,51 @@ from polygroth import (
     class_inverse,
     class_product,
     class_quer,
+    class_structure,
     completion_to_json,
     decide_equivalent,
+    format_table,
     gauge_equivalent,
     gauge_witness,
     get_recipe,
+    hetero_power,
     integers_group,
     integers_mod_group,
     neutral_class,
     parse_table,
     partition_classes,
     phi_sg,
+    swap_picks,
     twist_equivalent,
     twist_witness,
     zmod_add,
     zmod_mul,
 )
 from polygroth import cli, completion
-from polygroth.completion import GAUGE, QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH, TWIST
+from polygroth.completion import (
+    GAUGE,
+    QUER_COMPONENTWISE,
+    QUER_POST,
+    QUER_SEARCH,
+    TWIST,
+    CompletionReport,
+)
+from polygroth.core import (
+    _cancels,
+    _index_table,
+    _placements_disagree,
+    _quer_search,
+    _quer_slots,
+    _solvability_scan,
+)
 from polygroth.errors import (
     BoundExhausted,
+    NonMember,
     NotAHomomorphism,
     PolyadicError,
     QuerFormulaFailsVerification,
     QuerNotFound,
+    QuerNotUnique,
     UsageError,
 )
 
@@ -466,8 +492,9 @@ def test_odd_quer_modes():
 
 def test_quer_search_mode_matches_formula():
     K = completion_for("nat0", "componentwise-2", limit=12)
-    found = class_quer(K.partition, K.product, K.base, QUER_SEARCH)
-    formula = class_quer(K.partition, K.product, K.base, QUER_COMPONENTWISE)
+    classes = class_structure(K.partition, K.product)
+    found = class_quer(K.partition, classes, K.base, QUER_SEARCH)
+    formula = class_quer(K.partition, classes, K.base, QUER_COMPONENTWISE)
     # binary quer equation op[c, q] = c forces q to be the neutral class
     neutral = neutral_class(K)
     for c in K.classes():
@@ -499,7 +526,7 @@ def test_quer_formula_failure_is_reported():
     verdict = check_total_associativity(hetero_power(s, q).structure, CheckMode.sampled(200, 1))
     prod = class_product(part, q, s, assoc_verdict=verdict)
     with pytest.raises((QuerFormulaFailsVerification, QuerNotFound)):
-        class_quer(part, prod, s, QUER_SEARCH)
+        class_quer(part, class_structure(part, prod), s, QUER_SEARCH)
 
 
 # ---------------------------------------------------------------------------
@@ -614,27 +641,211 @@ def test_group_stage_pass_string_and_quer_are_pinned():
     assert K.report.ok
     assert K.report.group == (
         "group(exhaustive solvability; quer at all slots; 25-double domain)")
-    searched = class_quer(K.partition, K.product, K.base, QUER_SEARCH)
+    searched = class_quer(K.partition, class_structure(K.partition, K.product), K.base,
+                          QUER_SEARCH)
     assert searched.mapping == K.quer.mapping
     assert searched.slot_ok == K.quer.slot_ok
 
 
-def test_class_group_checks_make_one_product_per_class_tuple():
-    # the closure table answers the solvability scan, so the exhaustive group
-    # stage evaluates the class product once per tuple: C^n = 7^3
-    K = build_completion(zmod_add(7, 3), builtin_quiver("post-ternary"), WitnessSearch(GAUGE),
-                         assoc_mode=CheckMode.sampled(10, 1), samples=20)
-    assert K.partition.class_count() == 7
+def test_class_group_checks_make_one_product_per_class_tuple(monkeypatch):
+    # the class table is compiled once, before the quer, and every class-level
+    # check reads it: a whole exhaustive completion evaluates the class
+    # product once per tuple, C^n = 7^3, however many samples it draws
     calls = []
 
-    def counted(t):
-        calls.append(t)
-        return K.product.fn(t)
+    def counted_product(*args, **kwargs):
+        product = class_product(*args, **kwargs)
 
-    product = dataclasses.replace(K.product, fn=counted)
-    got = completion._class_group_checks(K.partition, product, K.quer, samples=0, seed=0)
-    assert got == ("group(exhaustive solvability; quer at all slots)", True)
+        def fn(t):
+            calls.append(t)
+            return product.fn(t)
+
+        return dataclasses.replace(product, fn=fn)
+
+    monkeypatch.setattr(completion, "class_product", counted_product)
+    K = build_completion(zmod_add(7, 3), builtin_quiver("post-ternary"), WitnessSearch(GAUGE),
+                         assoc_mode=CheckMode.sampled(10, 1), samples=200)
+    assert K.partition.class_count() == 7
+    assert K.report.group == "group(exhaustive solvability; quer at all slots; 49-double domain)"
     assert len(calls) == 7 ** 3
+    assert len(set(calls)) == 7 ** 3
+
+
+def product_backed_group_stage(part, product, base, quer_mode, samples, seed):
+    """Reference class stage that evaluates the class product on every call,
+    compiling the class table only for solvability: (group string, ok, quer)."""
+    cs = PolyadicStructure(FiniteCarrier(part.class_doubles()), product)
+    cds = cs.carrier.elements()
+    m, n = base.arity, product.arity
+    mapping, slot_ok = {}, {}
+    try:
+        for c in cds:
+            a, b = c.rep
+            if quer_mode == QUER_COMPONENTWISE:
+                q = part.resolve(Double(base.op.fn((a,) + (b,) * (m - 1)),
+                                        base.op.fn((a,) * (m - 1) + (b,))))
+            elif quer_mode == QUER_POST:
+                if m != 3:
+                    raise UsageError("the Post-style quer formula applies to ternary products")
+                q = part.resolve(Double(base.op.fn((a, a, b)), base.op.fn((a, b, b))))
+            else:
+                q = _quer_search(cs, c, cds)
+            verdicts = tuple(_quer_slots(cs, c, q))
+            if not verdicts[-1]:
+                raise QuerFormulaFailsVerification(c, f"candidate {q} at the defining slot")
+            mapping[c], slot_ok[c] = q, verdicts
+    except (QuerNotFound, QuerNotUnique, QuerFormulaFailsVerification) as exc:
+        return f"failed(quer: {exc})", False, None
+    quer = (mapping, slot_ok)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        t = tuple(rng.choice(cds) for _ in range(2 * n - 1))
+        if _placements_disagree(cs, t) is not None:
+            return f"failed(class associativity at {t})", False, quer
+    for _ in range(samples):
+        g, h = rng.choice(cds), rng.choice(cds)
+        if not _cancels(cs, g, h, mapping[h]):
+            return f"failed(cancellation identities at {g},{h})", False, quer
+    slots = "all slots" if all(all(v) for v in slot_ok.values()) else "defining slot only"
+    if len(cds) ** (n + 1) <= 200_000:
+        try:
+            _index_table(cs)
+        except NonMember:
+            pass
+        else:
+            failures, _ = _solvability_scan(cs, max_failures=1)
+            if failures:
+                i, others = failures[0]
+                return f"failed(solvability at slot {i}, {others})", False, quer
+            return f"group(exhaustive solvability; quer at {slots})", True, quer
+    return f"group(diagrammatic on truncated class set; quer at {slots})", True, quer
+
+
+def reference_completion(s, quiver, dec, quer_mode, canonical, assoc_mode, samples, seed,
+                         domain):
+    """(CompletionReport, (quer mapping, quer slots) or None) of build_completion,
+    with the product-backed class stage."""
+    assoc = check_total_associativity(hetero_power(s, quiver).structure, assoc_mode)
+    part = partition_classes(s, domain, dec, canonical=canonical, tag=s.name)
+    product = class_product(part, quiver, s, assoc_verdict=assoc)
+    wd = check_well_definedness(part, quiver, s, samples=samples, seed=seed)
+    note = f"{len(domain)}-double domain"
+    quer = None
+    if not assoc.ok:
+        group, ok = f"failed(doubles associativity; {note})", False
+    elif not wd.ok:
+        group, ok = f"failed(well-definedness; {note})", False
+    else:
+        if quer_mode == "auto":
+            quer_mode = completion._auto_quer_mode(quiver, s.arity)
+        group, ok, quer = product_backed_group_stage(part, product, s, quer_mode, samples, seed)
+        group = f"{group[:-1]}; {note})"
+    report = CompletionReport(str(assoc), str(wd), group, len(domain), ok,
+                              (f"classes enumerated over a {note}",))
+    return report, quer
+
+
+def random_stage_case(rng):
+    k, m = rng.choice([2, 3, 4]), rng.choice([2, 3])
+    kind = rng.choice(["random", "random", "add", "mul"])
+    cells = [rng.randrange(k) if kind == "random"
+             else (sum(t) if kind == "add" else math.prod(t)) % k
+             for t in itertools.product(range(k), repeat=m)]
+    s = parse_table("\n".join([f"arity {m}", f"size {k}", *map(str, cells)]) + "\n")
+    names = (["componentwise-2", "twisted-binary"] if m == 2 else
+             ["componentwise-3", "post-ternary", "ternary-to-binary-a", "ternary-to-binary-b"])
+    quiver = builtin_quiver(rng.choice(names))
+    if rng.random() < 0.15:
+        quiver = swap_picks(quiver, ("top", 0), ("bottom", 0))
+    dec = rng.choice([
+        WitnessSearch(GAUGE), WitnessSearch(TWIST),
+        ExactRule(lambda a, b: a.bottom == b.bottom),
+        ExactRule(lambda a, b: a.top == b.top),
+        ExactRule(lambda a, b, k=k: (a.top - a.bottom - b.top + b.bottom) % k == 0),
+    ])
+    elems = s.carrier.elements()
+    domain = all_doubles(s.carrier)
+    canonical = None
+    truncation = rng.choice(["none", "none", "prefix", "prefix", "subset"])
+    if truncation == "prefix":
+        domain = [Double(a, b) for a in elems[:k - 1] for b in elems]
+        canonical = rng.choice([None, lambda d: d])
+    elif truncation == "subset":  # products may match no class at all
+        domain = rng.sample(domain, rng.randrange(2, len(domain)))
+    quer_mode = rng.choice(["auto", QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH])
+    # a random table is rarely associative, so most cases skip the doubles'
+    # associativity (zero samples) to reach the class stage
+    assoc_mode = CheckMode.exhaustive() if rng.random() < 0.2 else CheckMode.sampled(0, 0)
+    return dict(s=s, quiver=quiver, dec=dec, quer_mode=quer_mode, canonical=canonical,
+                assoc_mode=assoc_mode, samples=rng.choice([0, 0, 1, 3, 10, 40]),
+                seed=rng.randrange(1000), domain=domain)
+
+
+def outcome(run):
+    try:
+        return run()
+    except PolyadicError as exc:
+        return type(exc), str(exc)
+
+
+def test_table_backed_class_stage_matches_product_backed_reference():
+    rng = random.Random(20261018)
+    # the quer and zero samples never meet the product that matches no class,
+    # so only the group stage's closure check can raise
+    unresolvable = dict(
+        s=parse_table(format_table(zmod_add(3, 3))), quiver=builtin_quiver("post-ternary"),
+        dec=WitnessSearch(TWIST), quer_mode=QUER_SEARCH, canonical=None,
+        assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0,
+        domain=[Double(1, 0), Double(2, 2), Double(2, 1)])
+    seen = collections.Counter()
+    for case in [unresolvable] + [random_stage_case(rng) for _ in range(600)]:
+
+        def table_backed():
+            K = build_completion(case["s"], case["quiver"], case["dec"], case["quer_mode"],
+                                 canonical=case["canonical"], assoc_mode=case["assoc_mode"],
+                                 samples=case["samples"], seed=case["seed"],
+                                 domain=case["domain"])
+            quer = None if K.quer is None else (K.quer.mapping, K.quer.slot_ok)
+            return K.report, quer
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = outcome(table_backed)
+            want = outcome(lambda: reference_completion(**case))
+        assert got == want, case
+        if isinstance(want[0], CompletionReport):
+            seen[want[0].group] += 1
+            if want[1] is not None:
+                seen[case["quer_mode"]] += 1
+        else:
+            seen[want[0].__name__] += 1
+    branches = ["group(exhaustive solvability", "group(diagrammatic on truncated class set",
+                "failed(class associativity", "failed(cancellation identities",
+                "failed(solvability", "failed(quer: no querelement for",
+                "failed(quer: querelement of", "failed(quer: quer candidate",
+                "failed(well-definedness", "failed(doubles associativity"]
+    for branch in branches:
+        assert sum(n for got, n in seen.items() if got.startswith(branch)) >= 3, (branch, seen)
+    for key in ["auto", QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH, "PolyadicError", "UsageError"]:
+        assert seen[key] >= 3, (key, seen)
+
+
+def test_class_table_multiplies_unlisted_classes_by_the_product():
+    # the listed classes [0;0] and [2;0] of Z4 are closed, so their table
+    # compiles; a class outside them, such as a formula quer may name, is
+    # still multiplied by the class product
+    s = zmod_add(4, 2)
+    part = partition_classes(s, [Double(a, b) for a in (0, 2) for b in (0, 2)],
+                             ExactRule(lambda x, y: (x.top - x.bottom - y.top + y.bottom) % 4 == 0),
+                             canonical=lambda d: Double((d.top - d.bottom) % 4, 0))
+    product = class_product(part, builtin_quiver("componentwise-2"), s,
+                            assoc_verdict=check_total_associativity(s, CheckMode.exhaustive()))
+    cs = class_structure(part, product)
+    assert cs.facts["index_table"] == ((0, 1, 1, 0), 2)
+    listed, outside = cs.carrier.elements(), ClassDouble(Double(1, 0))
+    for t in itertools.product(listed + [outside], repeat=2):
+        assert cs.op.fn(t) == product.fn(t)
+    assert cs.op.fn((outside, listed[1])) == ClassDouble(Double(3, 0))
 
 
 def test_witness_search_rejects_unknown_relations():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polygroth import (
     CheckMode,
     NAryOperation,
+    PolyadicStructure,
     check_doernte,
     check_total_associativity,
     commutativity_report,
@@ -215,6 +216,24 @@ def test_assoc_fast_scan_agrees_with_naive_placements():
 def test_find_identities():
     assert find_identities(zmod_add(5, 3)) == [0]
     assert find_identities(get_recipe("odd3").build(41)) == []
+
+
+def test_find_identities_scans_once_per_bound():
+    base = get_recipe("nat0").build(30)
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return base.op.fn(t)
+
+    s = PolyadicStructure(base.carrier, NAryOperation(2, fn))
+    first = find_identities(s)
+    assert first == [0] and calls
+    first.append("mutated")
+    calls.clear()
+    assert find_identities(s) == [0]
+    assert calls == []
+    assert find_identities(s, 5) == [0] and calls
 
 
 def test_matrix_identities_are_one_sided_only():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +189,54 @@ def test_apply_quiver_arity_mismatch():
     q = builtin_quiver("post-ternary")
     with pytest.raises(ArityMismatch):
         apply_quiver(q, zmod_add(3, 3).op, [Double(0, 0)])
+
+
+def apply_quiver_by_picks(quiver, base_op, doubles):
+    """Reference wiring: read every pick from its double, one by one."""
+    def wire(w):
+        picks = (w.pick,) if isinstance(w, Intact) else w.picks
+        values = tuple(doubles[p.slot - 1][0 if p.comp == "T" else 1] for p in picks)
+        return values[0] if isinstance(w, Intact) else base_op.fn(values)
+
+    return Double(wire(quiver.top), wire(quiver.bottom))
+
+
+def random_intact_wiring(rng, m):
+    """parse_quiver text of a random n<-m wiring with one intact wire."""
+    n = m - (m - 1) // 2
+    picks = [f"({slot},{comp})" for slot in range(1, n + 1) for comp in "TB"]
+    rng.shuffle(picks)
+    wires = ["".join(picks[:m]), picks[m]]
+    if rng.random() < 0.5:
+        wires.reverse()
+    return f"{n}<-{m} intact=1; top={wires[0]}; bottom={wires[1]}"
+
+
+def test_gathered_wiring_matches_pick_by_pick_reference():
+    # the base op returns its argument tuple, tagged, so a value records
+    # whether the op ran and which inputs a wire read, in what order
+    rng = random.Random(5)
+    quivers = [builtin_quiver(name) for name in BUILTIN_NAMES]
+    for q in list(quivers):
+        widths = {side: len(getattr(w, "picks", (w,)))
+                  for side, w in (("top", q.top), ("bottom", q.bottom))}
+        for _ in range(4):
+            a, b = [(side, rng.randrange(widths[side]))
+                    for side in (rng.choice(["top", "bottom"]) for _ in range(2))]
+            quivers.append(swap_picks(q, a, b))
+    quivers += [parse_quiver(random_intact_wiring(rng, m)) for m in (3, 3, 5, 5, 5)]
+    assert sum(q.intact_count for q in quivers) >= 10
+    for q in quivers:
+        op = NAryOperation(q.input_arity, lambda t: ("op",) + t)
+        plain = [(f"t{i}", f"b{i}") for i in range(1, q.output_arity + 1)]
+        doubles = [Double(*d) for d in plain]
+        want = apply_quiver_by_picks(q, op, doubles)
+        assert apply_quiver(q, op, doubles) == want, format_quiver(q)
+        assert apply_quiver(q, op, plain) == want, format_quiver(q)
+        assert apply_quiver(q, op, tuple(plain)) == want
+        for _ in range(3):
+            shuffled = rng.sample(doubles, len(doubles))
+            assert apply_quiver(q, op, shuffled) == apply_quiver_by_picks(q, op, shuffled)
 
 
 # ---------------------------------------------------------------------------
