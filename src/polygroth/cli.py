@@ -73,6 +73,14 @@ def _decision(recipe, structure):
     return WitnessSearch()
 
 
+def _count(text: str) -> int:
+    """argparse type of a sample count: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list) -> None:
     if args.output == "json":
         print(json.dumps(payload, indent=2))
@@ -117,7 +125,6 @@ def _build(args) -> CompletionGroup:
         s, q, _decision(recipe, s),
         quer_mode=args.quer_mode,
         canonical=recipe.canonical_double if recipe else None,
-        tag=args.structure,
         assoc_mode=assoc_mode,
         samples=args.samples,
         seed=args.seed,
@@ -141,11 +148,8 @@ def cmd_complete(args) -> int:
 def cmd_classes(args) -> int:
     s, recipe = _resolve_structure(args.structure, args.bound)
     try:
-        part = partition_classes(
-            s, all_doubles(s.carrier), _decision(recipe, s),
-            canonical=recipe.canonical_double if recipe else None,
-            tag=args.structure,
-        )
+        part = partition_classes(s, all_doubles(s.carrier), _decision(recipe, s),
+                                 canonical=recipe.canonical_double if recipe else None)
     except BoundExhausted as exc:
         print(f"cannot partition: {exc}", file=sys.stderr)
         return 1
@@ -167,7 +171,7 @@ def cmd_quer(args) -> int:
     else:
         carrier = K.base.carrier
         for rep in K.partition.reps:
-            q = K.quer.mapping[ClassDouble(rep, K.partition.tag)]
+            q = K.quer.mapping[ClassDouble(rep)]
             lines.append(
                 f"  quer[{carrier.render(rep.top)};{carrier.render(rep.bottom)}]"
                 f" = [{carrier.render(q.rep.top)};{carrier.render(q.rep.bottom)}]"
@@ -195,7 +199,7 @@ def cmd_universal_check(args) -> int:
     K = build_completion(s, q, _decision(recipe, s),
                          quer_mode="componentwise",
                          canonical=recipe.canonical_double if recipe else None,
-                         tag=args.structure, samples=args.samples, seed=args.seed)
+                         samples=args.samples, seed=args.seed)
     bound = args.bound if args.bound is not None else (recipe.default_limit if recipe else 40)
     target, phi = _resolve_target(args.target, bound)
     try:
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", help="doubles associativity mode override")
         p.add_argument("--quer-mode", default="auto",
                        choices=("auto", "componentwise", "post", "search"))
-        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--samples", type=_count, default=200)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.set_defaults(func=fn)
 
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("universal-check", help="binary factorization through a target group")
     common(p, quiver_required=None)
     p.add_argument("--target", required=True, help="integers or integers-mod-k")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_universal_check)
 

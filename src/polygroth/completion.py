@@ -13,7 +13,7 @@ False.  Partitions demand definite answers and abort otherwise.
 
 from __future__ import annotations
 
-import json
+import itertools
 import operator
 import random
 import warnings
@@ -43,11 +43,11 @@ from .doubles import (
     QuiverSpec,
     all_doubles,
     apply_quiver,
+    builtin_quiver,
     format_quiver,
     hetero_power,
 )
 from .errors import (
-    ArityMismatch,
     BoundExhausted,
     ExhaustiveOnInfiniteCarrier,
     NonMember,
@@ -80,7 +80,6 @@ class ExactRule:
     """
 
     rule: Callable[[Double, Double], bool]
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -230,12 +229,12 @@ class CoincidenceVerdict:
         return f"partitions differ at {self.disagreements[:3]}"
 
 
-def check_relation_coincidence(s: PolyadicStructure, bound: int | None = None) -> CoincidenceVerdict:
+def check_relation_coincidence(s: PolyadicStructure) -> CoincidenceVerdict:
     """Compare gauge and twist verdicts on every pair of doubles (finite only)."""
     if not s.carrier.is_finite:
         raise ExhaustiveOnInfiniteCarrier("relation coincidence is an exhaustive check")
     domain = all_doubles(s.carrier)
-    dec = WitnessSearch(bound=bound)
+    dec = WitnessSearch()
     bad = []
     count = 0
     for i in range(len(domain)):
@@ -273,15 +272,15 @@ class AxiomsVerdict:
 
 
 def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
-                             seed: int = DEFAULT_SEED, domain: Sequence | None = None,
-                             cross_check: bool = True) -> AxiomsVerdict:
+                             seed: int = DEFAULT_SEED) -> AxiomsVerdict:
     """Reflexivity and symmetry on samples; transitivity through the combined
-    witness (padding with m-2 spectator elements); and, for exact rules, a
-    cross-check against the witness searches on definite answers."""
+    witness (padding with m-2 spectator elements, repeating the carrier's
+    elements when it has fewer); and, for exact rules, a cross-check against
+    the witness searches on definite answers."""
     rng = random.Random(seed)
-    domain = list(domain) if domain is not None else all_doubles(s.carrier)
+    domain = all_doubles(s.carrier)
     m = s.arity
-    pad = tuple(s.carrier.elements()[: m - 2])
+    pad = tuple(itertools.islice(itertools.cycle(s.carrier.elements()), m - 2))
     failures = []
     skipped = 0
 
@@ -340,7 +339,7 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
                     failures.append(("transitivity-gauge-witness", (d1, d2, d3)))
 
     cross = 0
-    if cross_check and isinstance(dec, ExactRule):
+    if isinstance(dec, ExactRule):
         search = WitnessSearch()
         for _ in range(samples):
             d1, d2 = rng.choice(domain), rng.choice(domain)
@@ -365,11 +364,10 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
 class ClassDouble:
     """An equivalence class named by its canonical representative double."""
 
-    __slots__ = ("rep", "tag")
+    __slots__ = ("rep",)
 
-    def __init__(self, rep, tag: str = ""):
+    def __init__(self, rep):
         self.rep = rep if isinstance(rep, Double) else Double(*rep)
-        self.tag = tag
 
     def __eq__(self, other):
         return isinstance(other, ClassDouble) and self.rep == other.rep
@@ -386,7 +384,6 @@ class Partition:
     structure: PolyadicStructure
     decision: object
     canonical: Callable | None
-    tag: str
     domain: list
     classes: list                # member lists, ordered by representative
     reps: list                   # canonical representative per class
@@ -396,7 +393,7 @@ class Partition:
         return len(self.reps)
 
     def class_doubles(self) -> list:
-        return [ClassDouble(r, self.tag) for r in self.reps]
+        return [ClassDouble(r) for r in self.reps]
 
     def members_of(self, rep) -> list:
         try:
@@ -413,20 +410,20 @@ class Partition:
         if not isinstance(double, Double):
             double = Double(*double)
         if self.canonical is not None:
-            return ClassDouble(self.canonical(double), self.tag)
+            return ClassDouble(self.canonical(double))
         if self._position is None:
             self._position = {d: i for i, members in enumerate(self.classes) for d in members}
         i = self._position.get(double)
         if i is not None:
-            return ClassDouble(self.reps[i], self.tag)
+            return ClassDouble(self.reps[i])
         for r in self.reps:
             if decide_equivalent(self.structure, double, r, self.decision):
-                return ClassDouble(r, self.tag)
+                return ClassDouble(r)
         raise PolyadicError(f"double {double!r} matches no class of the partition")
 
 
 def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
-                      canonical: Callable | None = None, tag: str = "") -> Partition:
+                      canonical: Callable | None = None) -> Partition:
     """Disjoint-set partition of the domain under the decision.
 
     Each class is led by its first double in domain order.  With a canonical
@@ -477,7 +474,7 @@ def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
         classes.append(mem)
     order = sorted(range(len(reps)), key=lambda idx: lexkey(reps[idx]))
     return Partition(
-        s, dec, canonical, tag or s.name, domain,
+        s, dec, canonical, domain,
         [classes[idx] for idx in order], [reps[idx] for idx in order],
     )
 
@@ -640,12 +637,10 @@ class CompletionReport:
     group: str
     domain_size: int
     ok: bool
-    notes: tuple = ()
 
 
 @dataclass(eq=False)
 class CompletionGroup:
-    name: str
     base: PolyadicStructure
     quiver: QuiverSpec
     partition: Partition
@@ -666,10 +661,10 @@ class CompletionGroup:
 
 
 def _auto_quer_mode(quiver: QuiverSpec, base_arity: int) -> str:
-    name = quiver.name or ""
-    if name.startswith("componentwise"):
+    """The quer formula of the built-in quiver wired like this one, else search."""
+    if quiver == builtin_quiver(f"componentwise-{base_arity}"):
         return QUER_COMPONENTWISE
-    if name == "post-ternary" and base_arity == 3:
+    if base_arity == 3 and quiver == builtin_quiver("post-ternary"):
         return QUER_POST
     return QUER_SEARCH
 
@@ -709,28 +704,15 @@ def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed
 
 def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
                      quer_mode: str = "auto", *, canonical: Callable | None = None,
-                     tag: str = "", assoc_mode: CheckMode | None = None,
+                     assoc_mode: CheckMode | None = None,
                      samples: int = 200, seed: int = DEFAULT_SEED,
-                     domain: Sequence | None = None,
-                     class_quiver: QuiverSpec | None = None) -> CompletionGroup:
+                     domain: Sequence | None = None) -> CompletionGroup:
     """Partition, class product, well-definedness, quer, group checks.
 
     A failed stage leaves later stages unrun (quer stays None) and the report
     marked not ok; callers decide what to do with an honest failure.
     """
-    if quiver.input_arity != s.arity:
-        raise ArityMismatch(
-            f"quiver expects a {quiver.input_arity}-ary base, structure is {s.arity}-ary"
-        )
-    if class_quiver is not None and class_quiver != quiver:
-        warnings.warn(
-            "distinct quivers for doubles and classes: final arities may diverge",
-            stacklevel=2,
-        )
-    else:
-        class_quiver = quiver
-
-    power = hetero_power(s, quiver)
+    power = hetero_power(s, quiver)  # raises ArityMismatch for a wrong base arity
     if assoc_mode is None:
         if s.carrier.is_finite:
             size = len(s.carrier.elements()) ** 2
@@ -741,9 +723,9 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
     assoc = check_total_associativity(power.structure, assoc_mode)
 
     domain = list(domain) if domain is not None else all_doubles(s.carrier)
-    part = partition_classes(s, domain, dec, canonical=canonical, tag=tag or s.name)
-    product = class_product(part, class_quiver, s, assoc_verdict=assoc)
-    wd = check_well_definedness(part, class_quiver, s, samples=samples, seed=seed)
+    part = partition_classes(s, domain, dec, canonical=canonical)
+    product = class_product(part, quiver, s, assoc_verdict=assoc)
+    wd = check_well_definedness(part, quiver, s, samples=samples, seed=seed)
 
     bound_note = f"{len(domain)}-double domain"
     quer = None
@@ -754,7 +736,7 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
         group_str = f"failed(well-definedness; {bound_note})"
     else:
         if quer_mode == "auto":
-            quer_mode = _auto_quer_mode(class_quiver, s.arity)
+            quer_mode = _auto_quer_mode(quiver, s.arity)
         classes = class_structure(part, product)
         try:
             quer = class_quer(part, classes, s, quer_mode)
@@ -772,9 +754,8 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
         group=group_str,
         domain_size=len(domain),
         ok=ok,
-        notes=(f"classes enumerated over a {bound_note}",),
     )
-    return CompletionGroup(s.name, s, class_quiver, part, product, quer, report)
+    return CompletionGroup(s, quiver, part, product, quer, report)
 
 
 def completion_to_json(K: CompletionGroup) -> dict:
@@ -791,7 +772,7 @@ def completion_to_json(K: CompletionGroup) -> dict:
     quer = []
     if K.quer is not None:
         for rep in K.partition.reps:
-            c = ClassDouble(rep, K.partition.tag)
+            c = ClassDouble(rep)
             quer.append([pair(c.rep), pair(K.quer.mapping[c].rep)])
     return {
         "m": K.m,
@@ -805,10 +786,6 @@ def completion_to_json(K: CompletionGroup) -> dict:
             "group": K.report.group,
         },
     }
-
-
-def completion_json_text(K: CompletionGroup) -> str:
-    return json.dumps(completion_to_json(K), indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ class Carrier:
     """A set of elements: finite and enumerated, or membership-rule based."""
 
     is_finite = False
-    witness_bound = 0
     name = ""
 
     def __contains__(self, x) -> bool:
@@ -75,7 +74,6 @@ class FiniteCarrier(Carrier):
             raise ValueError("labels must list exactly one name per element")
         self.labels = list(labels) if labels is not None else None
         self.name = name
-        self.witness_bound = len(self._elements)
 
     def __contains__(self, x):
         return x in self._index
@@ -114,7 +112,6 @@ class RuleCarrier(Carrier):
         self._render = render
         self._sort_key = sort_key
         self.name = name
-        self.witness_bound = len(self._universe)
 
     def __contains__(self, x):
         return bool(self._member(x))
@@ -194,13 +191,13 @@ def iterate(op: NAryOperation, ell: int) -> NAryOperation:
 class PolyadicStructure:
     """A carrier together with one n-ary operation.
 
-    `facts` caches checker outputs (index tables, zeros, identities keyed by
-    ("identities", bound), the shift-relation tables of completion keyed by
-    (relation, bound), and completion's "closure_error" of a class table that
-    did not compile); every entry is reproducible by re-running the
-    corresponding checker.  A builder that already knows the Cayley table may
-    store it as "index_table", or store under "derive_index_table" a function
-    that returns it, so that `_index_table` need not evaluate the operation on
+    `facts` caches checker outputs ("index_table", "zeros", "identities", the
+    shift-relation tables of completion keyed by (relation, bound), and
+    completion's "closure_error" of a class table that did not compile);
+    every entry is reproducible by re-running the corresponding checker.  A
+    builder that already knows the Cayley table may store it as
+    "index_table", or store under "derive_index_table" a function that
+    returns it, so that `_index_table` need not evaluate the operation on
     every tuple.
     """
 
@@ -250,10 +247,14 @@ class CheckMode:
         parts = text.split(":")
         if len(parts) == 3 and parts[0] == "sampled":
             try:
-                return cls.sampled(int(parts[1]), int(parts[2]))
+                count, seed = int(parts[1]), int(parts[2])
             except ValueError:
                 pass
-        raise UsageError(f"bad mode {text!r}: expected 'exhaustive' or 'sampled:COUNT:SEED'")
+            else:
+                if count >= 1:
+                    return cls.sampled(count, seed)
+        raise UsageError(f"bad mode {text!r}: expected 'exhaustive' or 'sampled:COUNT:SEED' "
+                         "with COUNT >= 1")
 
     def __str__(self):
         if self.kind == self.EXHAUSTIVE:
@@ -314,54 +315,50 @@ def polyadic_power(s: PolyadicStructure, g, ell: int):
     return iterated_eval(s.op, ell, (g,) * iterated_arity(s.arity, ell))
 
 
-def find_zeros(s: PolyadicStructure, bound: int | None = None) -> list:
+def find_zeros(s: PolyadicStructure) -> list:
     """All absorbing elements, at every placement.
 
     On rule-based carriers this is a bounded scan: quantifiers range over the
-    generated elements only.
+    generated elements only.  The scan runs once and is cached on s.facts;
+    each call returns a fresh list.
     """
-    elems = s.carrier.elements(bound)
-    n, op, eq = s.arity, s.op, s.carrier.eq
-    zeros = []
-    for z in elems:
-        if all(
-            eq(op.fn(t[:i] + (z,) + t[i:]), z)
-            for t in itertools.product(elems, repeat=n - 1)
-            for i in range(n)
-        ):
-            zeros.append(z)
-    return zeros
+    zeros = s.facts.get("zeros")
+    if zeros is None:
+        elems = s.carrier.elements()
+        n, op, eq = s.arity, s.op, s.carrier.eq
+        zeros = s.facts["zeros"] = tuple(
+            z for z in elems
+            if all(eq(op.fn(t[:i] + (z,) + t[i:]), z)
+                   for t in itertools.product(elems, repeat=n - 1)
+                   for i in range(n))
+        )
+    return list(zeros)
 
 
 def is_nilpotent(s: PolyadicStructure, g, ell: int, z) -> bool:
     """Whether the ell-th polyadic power of g hits the zero z."""
-    zeros = s.facts.get("zeros")
-    if zeros is None:
-        zeros = find_zeros(s)
-        s.facts["zeros"] = zeros
-    if not any(s.carrier.eq(z, z0) for z0 in zeros):
+    if not any(s.carrier.eq(z, z0) for z0 in find_zeros(s)):
         raise NotAZero(z)
     return s.carrier.eq(polyadic_power(s, g, ell), z)
 
 
-def find_identities(s: PolyadicStructure, bound: int | None = None) -> list:
+def find_identities(s: PolyadicStructure) -> list:
     """Elements neutral at every argument position (bounded scan on rules).
 
-    The scan runs once per bound and is cached on s.facts; each call returns
-    a fresh list.
+    The scan runs once and is cached on s.facts; each call returns a fresh
+    list.
     """
-    key = ("identities", bound)
-    ids = s.facts.get(key)
+    ids = s.facts.get("identities")
     if ids is None:
-        elems = s.carrier.elements(bound)
+        elems = s.carrier.elements()
         copies = s.arity - 1
-        ids = s.facts[key] = tuple(e for e in elems if _is_neutral(s, (e,) * copies, elems))
+        ids = s.facts["identities"] = tuple(e for e in elems if _is_neutral(s, (e,) * copies, elems))
     return list(ids)
 
 
-def identity_placements(s: PolyadicStructure, e, bound: int | None = None) -> tuple:
+def identity_placements(s: PolyadicStructure, e) -> tuple:
     """Per-slot verdicts: slot i holds iff op[e^i, g, e^(n-1-i)] = g for all scanned g."""
-    elems = s.carrier.elements(bound)
+    elems = s.carrier.elements()
     n, op, eq = s.arity, s.op, s.carrier.eq
     return tuple(
         all(eq(op.fn((e,) * i + (g,) + (e,) * (n - 1 - i)), g) for g in elems)
@@ -369,12 +366,12 @@ def identity_placements(s: PolyadicStructure, e, bound: int | None = None) -> tu
     )
 
 
-def is_neutral_polyad(s: PolyadicStructure, polyad: Sequence, bound: int | None = None) -> bool:
+def is_neutral_polyad(s: PolyadicStructure, polyad: Sequence) -> bool:
     """Whether the (n-1)-tuple acts as an identity at every insertion point."""
     polyad = tuple(polyad)
     if len(polyad) != s.arity - 1:
         raise ArityMismatch(f"neutral polyad must have length {s.arity - 1}")
-    return _is_neutral(s, polyad, s.carrier.elements(bound))
+    return _is_neutral(s, polyad, s.carrier.elements())
 
 
 def _is_neutral(s: PolyadicStructure, polyad: tuple, elems) -> bool:
@@ -586,14 +583,14 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
 # querelements, Doernte relations, group verification
 
 
-def querelement(s: PolyadicStructure, g, bound: int | None = None):
+def querelement(s: PolyadicStructure, g):
     """The unique x with op[g^(n-1), x] = g, verified at every placement of x.
 
     Search is exhaustive on finite carriers and bounded on rule-based ones.
     """
     if g not in s.carrier:
         raise NonMember(g, s.name or s.carrier.name)
-    q = _quer_search(s, g, s.carrier.elements(bound))
+    q = _quer_search(s, g, s.carrier.elements())
     for i, ok in enumerate(itertools.islice(_quer_slots(s, g, q), s.arity - 1)):
         if not ok:
             raise QuerPlacementFailed(g, q, i)
@@ -618,10 +615,10 @@ def _quer_slots(s: PolyadicStructure, g, q):
     return (eq(op.fn((g,) * i + (q,) + (g,) * (n - 1 - i)), g) for i in range(n))
 
 
-def check_doernte(s: PolyadicStructure, g, h, bound: int | None = None) -> bool:
+def check_doernte(s: PolyadicStructure, g, h) -> bool:
     """Cancellation identities: op[g, n_h] = op[n_h, g] = g where
     n_h = (h^(n-2), quer(h)) with the quer at any slot."""
-    return _cancels(s, g, h, querelement(s, h, bound))
+    return _cancels(s, g, h, querelement(s, h))
 
 
 def _cancels(s: PolyadicStructure, g, h, hq) -> bool:
@@ -652,19 +649,19 @@ class GroupVerdict:
         return f"not a group (solvability failures: {self.solvability_failures[:2]})"
 
 
-def verify_polyadic_group(s: PolyadicStructure, mode: CheckMode, *,
-                          max_failures: int = 3) -> GroupVerdict:
+def verify_polyadic_group(s: PolyadicStructure, mode: CheckMode) -> GroupVerdict:
     """Total associativity plus unique solvability at every argument slot.
 
     On finite carriers, exhaustive mode checks that fixing any n-1 arguments
     makes the remaining slot a bijection of the carrier.  Sampled mode (the
     only choice on rule-based carriers) counts solutions within the generated
-    elements, so a boundary failure reads "unsolvable within bound".
+    elements, so a boundary failure reads "unsolvable within bound".  Either
+    mode stops at the third solvability failure.
     """
     assoc = check_total_associativity(s, mode)
     n = s.arity
     if mode.kind == CheckMode.EXHAUSTIVE:
-        failures, checked = _solvability_scan(s, max_failures)
+        failures, checked = _solvability_scan(s, 3)
         note = "exhaustive unique solvability at every slot"
     else:
         failures, checked = [], 0
@@ -679,7 +676,7 @@ def verify_polyadic_group(s: PolyadicStructure, mode: CheckMode, *,
             checked += 1
             if len(sols) != 1:
                 failures.append((i, others, g, len(sols)))
-                if len(failures) >= max_failures:
+                if len(failures) >= 3:
                     break
         note = f"sampled solvability within the first {len(elems)} generated elements"
     return GroupVerdict(assoc.ok and not failures, assoc, tuple(failures), checked, note)

@@ -196,10 +196,6 @@ def builtin_quiver(name: str) -> QuiverSpec:
     raise UnknownQuiver(name)
 
 
-def builtin_quiver_names() -> list:
-    return ["componentwise-m"] + sorted(_BUILTINS)
-
-
 def swap_picks(q: QuiverSpec, a, b) -> QuiverSpec:
     """Exchange two picks, addressed as ('top'|'bottom', index).
 
@@ -401,17 +397,17 @@ class IdentityReport:
         return self.kind if self.identity is None else f"{self.kind} E={self.identity}"
 
 
-def identity_report_for_power(d: DoubledStructure, bound: int | None = None) -> IdentityReport:
+def identity_report_for_power(d: DoubledStructure) -> IdentityReport:
     """Classify E = (e,e) by which placement equations hold on the power.
 
     'left' means only op[E,...,E,S] = S survives; 'right' only op[S,E,...,E].
     """
-    base_ids = find_identities(d.base, bound)
+    base_ids = find_identities(d.base)
     if not base_ids:
         return IdentityReport("none", None, ())
     e = base_ids[0]
     E = Double(e, e)
-    placements = identity_placements(d.structure, E, bound)
+    placements = identity_placements(d.structure, E)
     if all(placements):
         kind = "two-sided"
     elif placements[-1] and not placements[0]:

@@ -43,10 +43,9 @@ class StructureRecipe:
     canonical_double: Callable[[Double], Double]
     exact_rule: Callable[[Double, Double], bool]
     default_limit: int = 20
-    description: str = ""
 
     def exact_decision(self) -> ExactRule:
-        return ExactRule(self.exact_rule, name=f"{self.name}-rule")
+        return ExactRule(self.exact_rule)
 
     def make(self, limit: int | None = None) -> PolyadicStructure:
         return self.build(limit if limit is not None else self.default_limit)
@@ -77,11 +76,8 @@ def _nat0_rule(d1: Double, d2: Double) -> bool:
     return d1.top + d2.bottom == d2.top + d1.bottom
 
 
-NAT0 = StructureRecipe(
-    "nat0", 2, _nat0_build, _nat0_canonical, _nat0_rule,
-    default_limit=40,
-    description="nonnegative integers under addition",
-)
+NAT0 = StructureRecipe("nat0", 2, _nat0_build, _nat0_canonical, _nat0_rule,
+                       default_limit=40)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +107,8 @@ def _neg_rule(d1: Double, d2: Double) -> bool:
     return d1.top * d2.bottom == d2.top * d1.bottom
 
 
-NEG3 = StructureRecipe(
-    "neg3", 3, _neg_build, _neg_canonical, _neg_rule,
-    default_limit=20,
-    description="negative integers under the ternary product",
-)
+NEG3 = StructureRecipe("neg3", 3, _neg_build, _neg_canonical, _neg_rule,
+                       default_limit=20)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +140,8 @@ def _odd_rule(d1: Double, d2: Double) -> bool:
     return d1.top - d1.bottom == d2.top - d2.bottom
 
 
-ODD3 = StructureRecipe(
-    "odd3", 3, _odd_build, _odd_canonical, _odd_rule,
-    default_limit=101,
-    description="odd naturals under the ternary sum",
-)
+ODD3 = StructureRecipe("odd3", 3, _odd_build, _odd_canonical, _odd_rule,
+                       default_limit=101)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +202,7 @@ def residue_recipe(a: int, b: int) -> StructureRecipe:
     def rule(d1: Double, d2: Double) -> bool:
         return d1.top * d2.bottom == d2.top * d1.bottom
 
-    return StructureRecipe(
-        name, m, build, canonical, rule,
-        default_limit=200,
-        description=f"residue class {{{b}k+{a}}} under the {m}-fold product",
-    )
+    return StructureRecipe(name, m, build, canonical, rule, default_limit=200)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +223,11 @@ def _cfmt(z: complex) -> str:
 
 
 def _matrix_build(limit: int = 25) -> PolyadicStructure:
+    if limit < 1:
+        raise UsageError("limit must be >= 1")
     carrier = RuleCarrier(
         member=lambda x: isinstance(x, (int, float, complex)),
-        universe=_GRID[:limit] if limit else _GRID,
+        universe=_GRID[:limit],
         canonical=complex,
         eq=lambda x, y: abs(complex(x) - complex(y)) <= MATRIX_TOLERANCE,
         render=_cfmt,
@@ -259,7 +247,6 @@ MATRIX4 = StructureRecipe(
     canonical_double=lambda d: Double(0j, 0j),
     exact_rule=lambda d1, d2: True,
     default_limit=25,
-    description="rank-one complex matrices, 4-ary idempotent mix",
 )
 
 

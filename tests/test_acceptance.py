@@ -47,7 +47,7 @@ def _completion(name, quiver_name, limit, quer_mode="auto", seed=97):
     s = recipe.build(limit)
     return build_completion(
         s, builtin_quiver(quiver_name), recipe.exact_decision(),
-        quer_mode=quer_mode, canonical=recipe.canonical_double, tag=name, seed=seed,
+        quer_mode=quer_mode, canonical=recipe.canonical_double, seed=seed,
     )
 
 
@@ -94,9 +94,9 @@ def test_criterion_02_negatives_componentwise_quer():
         for q in range(1, 21):
             if math.gcd(p, q) != 1:
                 continue
-            c = ClassDouble(Double(-p, -q), "neg3")
+            c = ClassDouble(Double(-p, -q))
             quer = K.quer.mapping.get(c)
-            if quer != ClassDouble(Double(-q, -p), "neg3"):
+            if quer != ClassDouble(Double(-q, -p)):
                 failures.append(f"quer[{c}] = {quer}, expected [-{q};-{p}]")
                 break
             if K.product((c, c, quer)) != c:
@@ -118,7 +118,7 @@ def test_criterion_03_negatives_post_quer():
         for q in range(1, 21):
             if math.gcd(p, q) != 1:
                 continue
-            c = ClassDouble(Double(-p, -q), "neg3")
+            c = ClassDouble(Double(-p, -q))
             if K.quer.mapping.get(c) != c:
                 failures.append(f"quer[{c}] = {K.quer.mapping.get(c)}, expected {c}")
                 break
@@ -136,8 +136,8 @@ def test_criterion_04_odds_quers():
     if not Kc.report.ok:
         failures.append(f"componentwise pipeline not ok: {Kc.report.group}")
     for k in range(1, 51):
-        up = ClassDouble(Double(2 * k + 1, 1), "odd3")
-        down = ClassDouble(Double(1, 2 * k + 1), "odd3")
+        up = ClassDouble(Double(2 * k + 1, 1))
+        down = ClassDouble(Double(1, 2 * k + 1))
         if Kc.quer.mapping.get(up) != down or Kc.quer.mapping.get(down) != up:
             failures.append(f"componentwise quer does not swap at k={k}")
             break
@@ -174,7 +174,7 @@ def test_criterion_05_matrix_structure():
     domain = all_doubles(s.carrier)
     sample = [domain[rng.randrange(len(domain))] for _ in range(50)]
     part = partition_classes(s, sample, recipe.exact_decision(),
-                             canonical=recipe.canonical_double, tag="matrix4")
+                             canonical=recipe.canonical_double)
     if part.class_count() != 1:
         failures.append(f"{part.class_count()} classes, expected 1")
     _report(5, "matrix-style 4-ary structure: idempotent mix, one class (tol 1e-12)", failures)

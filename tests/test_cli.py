@@ -47,6 +47,24 @@ def test_assoc_check_with_quiver(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["assoc-check", "--structure", "nat0", "--quiver", "twisted-binary",
+     "--mode", "sampled:0:1"],
+    ["assoc-check", "--structure", "odd3", "--mode", "sampled:-5:1"],
+    ["complete", "--structure", "nat0", "--quiver", "componentwise-2", "--bound", "5",
+     "--samples", "-4"],
+    ["quer", "--structure", "nat0", "--quiver", "componentwise-2", "--bound", "5",
+     "--samples", "0"],
+    ["universal-check", "--structure", "nat0", "--target", "integers", "--samples", "0"],
+    ["assoc-check", "--structure", "matrix4", "--bound", "0"],
+    ["assoc-check", "--structure", "matrix4", "--bound", "-3"],
+], ids=lambda argv: " ".join(argv))
+def test_counts_and_bounds_below_one_are_usage_errors(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_unknown_structure_is_usage_error(capsys):
     code, _, err = run(capsys, "assoc-check", "--structure", "nosuch")
     assert code == 2

@@ -81,13 +81,13 @@ def completion_for(name, quiver_name, limit=None, quer_mode="auto", samples=200,
     s = recipe.build(limit if limit is not None else recipe.default_limit)
     return build_completion(
         s, builtin_quiver(quiver_name), recipe.exact_decision(),
-        quer_mode=quer_mode, canonical=recipe.canonical_double, tag=name,
+        quer_mode=quer_mode, canonical=recipe.canonical_double,
         samples=samples, seed=seed,
     )
 
 
-def cls(name, a, b):
-    return ClassDouble(Double(a, b), name)
+def cls(a, b):
+    return ClassDouble(Double(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +224,20 @@ def test_equivalence_axioms_for_worked_structures(name):
     assert verdict.transitivity_checked >= 100
 
 
+@pytest.mark.parametrize("k, arity", [(2, 5), (3, 6)])
+@pytest.mark.parametrize("relation", [GAUGE, TWIST])
+def test_equivalence_axioms_on_carriers_smaller_than_the_pad(k, arity, relation):
+    # the transitivity witness pads with arity - 2 spectators, more than k
+    verdict = check_equivalence_axioms(zmod_add(k, arity), WitnessSearch(relation),
+                                       samples=50, seed=3)
+    assert verdict.ok, verdict.failures[:3]
+    assert verdict.transitivity_checked == 50
+
+
 def test_broken_rule_caught_by_cross_check():
     # tops-equal is reflexive, symmetric, transitive, but not the shift relation
     s = get_recipe("odd3").build(41)
-    broken = ExactRule(lambda d1, d2: d1.top == d2.top, name="broken")
+    broken = ExactRule(lambda d1, d2: d1.top == d2.top)
     verdict = check_equivalence_axioms(s, broken, samples=150, seed=5)
     assert not verdict.ok
     assert any(kind == "cross-check" for kind, _ in verdict.failures)
@@ -241,7 +251,7 @@ def test_nat0_partition_counts_differences():
     recipe = get_recipe("nat0")
     s = recipe.build(10)
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
-                             canonical=recipe.canonical_double, tag="nat0")
+                             canonical=recipe.canonical_double)
     # oracle: classes biject with the differences n - m over 0..10
     diffs = {n - m for n in range(11) for m in range(11)}
     assert part.class_count() == len(diffs) == 21
@@ -255,7 +265,7 @@ def test_matrix_partition_is_single_class():
     s = recipe.build(25)
     domain = all_doubles(s.carrier)[:50]
     part = partition_classes(s, domain, recipe.exact_decision(),
-                             canonical=recipe.canonical_double, tag="matrix4")
+                             canonical=recipe.canonical_double)
     assert part.class_count() == 1
 
 
@@ -263,7 +273,7 @@ def test_neg_partition_groups_scalings():
     recipe = get_recipe("neg3")
     s = recipe.build(20)
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
-                             canonical=recipe.canonical_double, tag="neg3")
+                             canonical=recipe.canonical_double)
     c = part.resolve(Double(-3, -2))
     assert part.resolve(Double(-6, -4)) == c
     assert part.resolve(Double(-9, -6)) == c
@@ -323,7 +333,7 @@ def test_keyed_partition_matches_leader_scan(name, bounds):
         domain = all_doubles(s.carrier)
         calls = []
         counted = ExactRule(lambda d1, d2: calls.append((d1, d2)) or recipe.exact_rule(d1, d2))
-        part = partition_classes(s, domain, counted, canonical=recipe.canonical_double, tag=name)
+        part = partition_classes(s, domain, counted, canonical=recipe.canonical_double)
         classes, reps = leader_scan_partition(s, domain, recipe.exact_decision(),
                                               recipe.canonical_double)
         assert part.classes == classes
@@ -396,29 +406,29 @@ def test_resolve_outside_a_subdomain_falls_back_to_scan():
 def test_neg_componentwise_class_product():
     K = completion_for("neg3", "componentwise-3")
     prod = K.product
-    out = prod((cls("neg3", -2, -3), cls("neg3", -1, -5), cls("neg3", -3, -1)))
+    out = prod((cls(-2, -3), cls(-1, -5), cls(-3, -1)))
     # raw componentwise product (-6,-15) reduced by gcd 3
-    assert out == cls("neg3", -2, -5)
+    assert out == cls(-2, -5)
 
 
 def test_odd_componentwise_class_product():
     K = completion_for("odd3", "componentwise-3", limit=41)
-    out = K.product((cls("odd3", 3, 1), cls("odd3", 5, 1), cls("odd3", 7, 1)))
+    out = K.product((cls(3, 1), cls(5, 1), cls(7, 1)))
     # differences add: 2+4+6 = 12 -> canonical (13, 1)
-    assert out == cls("odd3", 13, 1)
+    assert out == cls(13, 1)
 
 
 def test_nat0_binary_class_product():
     K = completion_for("nat0", "componentwise-2", limit=20)
-    out = K.product((cls("nat0", 5, 0), cls("nat0", 0, 3)))
-    assert out == cls("nat0", 2, 0)
+    out = K.product((cls(5, 0), cls(0, 3)))
+    assert out == cls(2, 0)
 
 
 def test_class_product_warns_without_verdict():
     recipe = get_recipe("nat0")
     s = recipe.build(10)
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
-                             canonical=recipe.canonical_double, tag="nat0")
+                             canonical=recipe.canonical_double)
     with pytest.warns(UserWarning):
         class_product(part, builtin_quiver("componentwise-2"), s)
 
@@ -469,7 +479,7 @@ def test_residue_intact_product_not_well_defined_documented_counterexample():
 def test_neg_componentwise_quer_swaps_components():
     K = completion_for("neg3", "componentwise-3")
     for p, q in [(2, 3), (1, 2), (5, 4), (1, 1)]:
-        assert K.quer.mapping[cls("neg3", -p, -q)] == cls("neg3", -q, -p)
+        assert K.quer.mapping[cls(-p, -q)] == cls(-q, -p)
     assert K.quer.all_slots_ok()
 
 
@@ -480,11 +490,27 @@ def test_neg_post_quer_fixes_classes():
         assert K.quer.mapping[c] == c
 
 
+def test_auto_quer_mode_follows_the_wiring_not_the_name():
+    scrambled = swap_picks(builtin_quiver("componentwise-3"), ("top", 1), ("bottom", 1))
+    post = builtin_quiver("post-ternary")
+    assert scrambled == post and scrambled.name != post.name
+    K = build_completion(zmod_add(3, 3), scrambled, WitnessSearch())
+    want = build_completion(zmod_add(3, 3), post, WitnessSearch())
+    assert K.quer.mode == want.quer.mode == QUER_POST
+    assert K.report == want.report and K.report.ok
+    assert K.quer.mapping == want.quer.mapping
+    # a scramble that is wired like no built-in searches; built-ins keep their mode
+    other = swap_picks(builtin_quiver("componentwise-3"), ("top", 0), ("bottom", 0))
+    assert completion._auto_quer_mode(other, 3) == QUER_SEARCH
+    assert completion._auto_quer_mode(builtin_quiver("componentwise-5"), 5) == QUER_COMPONENTWISE
+    assert completion._auto_quer_mode(builtin_quiver("post-5ary"), 5) == QUER_SEARCH
+
+
 def test_odd_quer_modes():
     Kc = completion_for("odd3", "componentwise-3", limit=41)
-    assert Kc.quer.mapping[cls("odd3", 11, 1)] == cls("odd3", 1, 11)
-    assert Kc.quer.mapping[cls("odd3", 1, 7)] == cls("odd3", 7, 1)
-    assert Kc.quer.mapping[cls("odd3", 1, 1)] == cls("odd3", 1, 1)
+    assert Kc.quer.mapping[cls(11, 1)] == cls(1, 11)
+    assert Kc.quer.mapping[cls(1, 7)] == cls(7, 1)
+    assert Kc.quer.mapping[cls(1, 1)] == cls(1, 1)
     Kp = completion_for("odd3", "post-ternary", limit=41)
     for c in Kp.classes():
         assert Kp.quer.mapping[c] == c
@@ -522,7 +548,7 @@ def test_quer_formula_failure_is_reported():
     s = recipe.build(200)
     q = builtin_quiver("five-to-three-intact")
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
-                             canonical=recipe.canonical_double, tag="res")
+                             canonical=recipe.canonical_double)
     verdict = check_total_associativity(hetero_power(s, q).structure, CheckMode.sampled(200, 1))
     prod = class_product(part, q, s, assoc_verdict=verdict)
     with pytest.raises((QuerFormulaFailsVerification, QuerNotFound)):
@@ -561,7 +587,7 @@ def test_completion_with_nonassociative_quiver_reports_failure():
     s = recipe.build(10)
     with pytest.warns(UserWarning, match="failed associativity"):
         K = build_completion(s, builtin_quiver("twisted-binary"), recipe.exact_decision(),
-                             canonical=recipe.canonical_double, tag="nat0")
+                             canonical=recipe.canonical_double)
     assert not K.report.ok
     assert K.quer is None
     assert K.report.group.startswith("failed(doubles associativity")
@@ -601,15 +627,6 @@ def test_tiny_nat0_completion_golden():
     assert all(c["size_hint"] == "infinite" for c in j["classes"])
     assert [q for _, q in j["quer"]] == [["0", "0"]] * 5
     assert j["report"]["group"].startswith("group(diagrammatic")
-
-
-def test_distinct_class_quiver_warns():
-    recipe = get_recipe("neg3")
-    s = recipe.build(8)
-    with pytest.warns(UserWarning, match="distinct quivers"):
-        build_completion(s, builtin_quiver("componentwise-3"), recipe.exact_decision(),
-                         quer_mode="componentwise", canonical=recipe.canonical_double,
-                         class_quiver=builtin_quiver("post-ternary"))
 
 
 def binary_2_table(cells):
@@ -726,7 +743,7 @@ def reference_completion(s, quiver, dec, quer_mode, canonical, assoc_mode, sampl
     """(CompletionReport, (quer mapping, quer slots) or None) of build_completion,
     with the product-backed class stage."""
     assoc = check_total_associativity(hetero_power(s, quiver).structure, assoc_mode)
-    part = partition_classes(s, domain, dec, canonical=canonical, tag=s.name)
+    part = partition_classes(s, domain, dec, canonical=canonical)
     product = class_product(part, quiver, s, assoc_verdict=assoc)
     wd = check_well_definedness(part, quiver, s, samples=samples, seed=seed)
     note = f"{len(domain)}-double domain"
@@ -740,8 +757,7 @@ def reference_completion(s, quiver, dec, quer_mode, canonical, assoc_mode, sampl
             quer_mode = completion._auto_quer_mode(quiver, s.arity)
         group, ok, quer = product_backed_group_stage(part, product, s, quer_mode, samples, seed)
         group = f"{group[:-1]}; {note})"
-    report = CompletionReport(str(assoc), str(wd), group, len(domain), ok,
-                              (f"classes enumerated over a {note}",))
+    report = CompletionReport(str(assoc), str(wd), group, len(domain), ok)
     return report, quer
 
 
@@ -863,7 +879,7 @@ def test_witness_search_rejects_unknown_relations():
 
 def test_finite_table_completion_has_exact_size_hints():
     s = zmod_add(3, 2)
-    K = build_completion(s, builtin_quiver("componentwise-2"), WitnessSearch(), tag="z3")
+    K = build_completion(s, builtin_quiver("componentwise-2"), WitnessSearch())
     j = completion_to_json(K)
     assert [c["size_hint"] for c in j["classes"]] == [3, 3, 3]
     assert K.report.ok and "exhaustive solvability" in K.report.group
@@ -885,8 +901,8 @@ def test_default_mode_proves_ternary_z5_doubles_exhaustively():
 
 def test_phi_sg_values():
     K = completion_for("nat0", "componentwise-2", limit=20)
-    assert phi_sg(K, 5) == cls("nat0", 5, 0)
-    assert phi_sg(K, 0) == neutral_class(K) == cls("nat0", 0, 0)
+    assert phi_sg(K, 5) == cls(5, 0)
+    assert phi_sg(K, 0) == neutral_class(K) == cls(0, 0)
     rng = random.Random(2)
     for _ in range(30):
         a, b = rng.randrange(10), rng.randrange(10)
@@ -895,8 +911,8 @@ def test_phi_sg_values():
 
 def test_class_inverse():
     K = completion_for("nat0", "componentwise-2", limit=20)
-    c = cls("nat0", 7, 0)
-    assert class_inverse(K, c) == cls("nat0", 0, 7)
+    c = cls(7, 0)
+    assert class_inverse(K, c) == cls(0, 7)
     assert K.product((c, class_inverse(K, c))) == neutral_class(K)
 
 

