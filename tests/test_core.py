@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from polygroth import (
     CheckMode,
+    FiniteCarrier,
     NAryOperation,
     PolyadicStructure,
     check_doernte,
@@ -361,6 +362,54 @@ def test_verify_group():
     v = verify_polyadic_group(odd, CheckMode.sampled(200, 7))
     assert not v.is_group and v.solvability_failures
     assert not verify_polyadic_group(zmod_mul(4, 3), CheckMode.exhaustive()).is_group
+
+
+def solvability_reference(s):
+    """(failures, checked) of exhaustive unique solvability, one (slot, others)
+    at a time: a failure is a slot whose n-1 fixed arguments do not make it a
+    bijection, and the scan stops at the third."""
+    elems = s.carrier.elements()
+    n = s.arity
+    failures, checked = [], 0
+    for i in range(n):
+        for others in itertools.product(elems, repeat=n - 1):
+            checked += 1
+            column = {s.op.fn(others[:i] + (h,) + others[i:]) for h in elems}
+            if len(column) < len(elems):
+                failures.append((i, others))
+                if len(failures) == 3:
+                    return tuple(failures), checked
+    return tuple(failures), checked
+
+
+def test_exhaustive_solvability_matches_per_column_reference():
+    # cyclic tables are bijective in every slot; a perturbed entry breaks
+    # one column of each slot (n failures, capped at three); random tables
+    # mostly stop at three failures.
+    # Half the cases run on a lettered carrier through a compiled table.
+    rng = random.Random(47)
+    seen = set()
+    for k in range(2, 6):
+        for n in range(2, 5):
+            cyclic = [sum(t) % k for t in itertools.product(range(k), repeat=n)]
+            perturbed = list(cyclic)
+            code = rng.randrange(k ** n)
+            perturbed[code] = (perturbed[code] + rng.randrange(1, k)) % k
+            randoms = [[rng.randrange(k) for _ in range(k ** n)] for _ in range(2)]
+            for j, flat in enumerate([cyclic, perturbed] + randoms):
+                if j % 2:
+                    letters = "abcde"[:k]
+                    s = PolyadicStructure(FiniteCarrier(letters), NAryOperation(
+                        n, lambda t, _f=flat, _k=k: letters[_f[sum(
+                            "abcde".index(x) * _k ** p for p, x in enumerate(reversed(t)))]]))
+                else:
+                    s = parse_table("\n".join([f"arity {n}", f"size {k}", *map(str, flat)]))
+                want_failures, want_checked = solvability_reference(s)
+                v = verify_polyadic_group(s, CheckMode.exhaustive())
+                assert v.solvability_failures == want_failures, (k, n, flat)
+                assert v.checked == want_checked, (k, n, flat)
+                seen.add(len(want_failures))
+    assert seen == {0, 2, 3}
 
 
 def test_group_members_have_unique_quers_and_doernte():
