@@ -52,7 +52,7 @@ def _resolve_structure(spec: str, bound: int | None):
         except ValueError as exc:
             raise UsageError(f"bad table file {path!r}: {exc}") from None
     recipe = get_recipe(spec)
-    return recipe.build(bound if bound is not None else recipe.default_limit), recipe
+    return recipe.make(bound), recipe
 
 
 def _resolve_quiver(text: str):
@@ -197,7 +197,6 @@ def cmd_universal_check(args) -> int:
         raise UsageError("universal factorization applies to binary completions only")
     q = builtin_quiver("componentwise-2")
     K = build_completion(s, q, _decision(recipe, s),
-                         quer_mode="componentwise",
                          canonical=recipe.canonical_double if recipe else None,
                          samples=args.samples, seed=args.seed)
     bound = args.bound if args.bound is not None else (recipe.default_limit if recipe else 40)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -26,7 +25,6 @@ from .core import (
     FiniteCarrier,
     NAryOperation,
     PolyadicStructure,
-    Verdict,
     _cancels,
     _index_table,
     _placements_disagree,
@@ -84,10 +82,9 @@ class ExactRule:
 
 @dataclass(frozen=True)
 class WitnessSearch:
-    """Decide by enumerating witnesses of a shift relation up to a bound."""
+    """Decide a shift relation by searching the carrier's enumeration for a witness."""
 
     relation: str = TWIST
-    bound: int | None = None     # None: the carrier's full enumeration
 
     def __post_init__(self):
         if self.relation not in (GAUGE, TWIST):
@@ -95,10 +92,10 @@ class WitnessSearch:
                              f"{GAUGE!r} or {TWIST!r}")
 
 
-def gauge_witness(s: PolyadicStructure, d1: Double, d2: Double, bound: int | None = None):
+def gauge_witness(s: PolyadicStructure, d1: Double, d2: Double):
     """First (x, y) with op[a1^(m-1),x] = op[a2^(m-1),y] componentwise, else None."""
     op, m, eq = s.op, s.arity, s.carrier.eq
-    elems = s.carrier.elements(bound)
+    elems = s.carrier.elements()
     a1 = (d1.top,) * (m - 1)
     b1 = (d1.bottom,) * (m - 1)
     a2 = (d2.top,) * (m - 1)
@@ -113,26 +110,27 @@ def gauge_witness(s: PolyadicStructure, d1: Double, d2: Double, bound: int | Non
     return None
 
 
-def twist_witness(s: PolyadicStructure, d1: Double, d2: Double, bound: int | None = None):
+def twist_witness(s: PolyadicStructure, d1: Double, d2: Double):
     """First z with (op)^o2[a1^(m-1), b2^(m-1), z] = (op)^o2[a2^(m-1), b1^(m-1), z]."""
     op, m, eq = s.op, s.arity, s.carrier.eq
     h1 = (d1.top,) * (m - 1) + (d2.bottom,) * (m - 1)
     h2 = (d2.top,) * (m - 1) + (d1.bottom,) * (m - 1)
-    for z in s.carrier.elements(bound):
+    for z in s.carrier.elements():
         if eq(iterated_eval(op, 2, h1 + (z,)), iterated_eval(op, 2, h2 + (z,))):
             return z
     return None
 
 
-def _finite_shift_test(s: PolyadicStructure, relation: str, elems: list):
+def _finite_shift_test(s: PolyadicStructure, relation: str):
     """Witness test of a shift relation from per-double tables, filled lazily.
 
     Gauge: d1 ~ d2 iff the sets {(op[a^(m-1),x], op[b^(m-1),x]) : x} of the
     two doubles meet.  Twist: d1 ~ d2 iff the rows of (a1, b2) and (a2, b1),
     z -> (op)^o2[a^(m-1), b^(m-1), z], agree somewhere.  Either test is true
-    exactly when gauge_witness / twist_witness finds a witness in `elems`.
+    exactly when gauge_witness / twist_witness finds a witness.
     """
     op, m = s.op, s.arity
+    elems = s.carrier.elements()
     tables: dict = {}
     if relation == GAUGE:
         def entry(d):
@@ -155,48 +153,24 @@ def _finite_shift_test(s: PolyadicStructure, relation: str, elems: list):
     return lambda d1, d2: any(map(operator.eq, row(d1.top, d2.bottom), row(d2.top, d1.bottom)))
 
 
-def _shift_search(s: PolyadicStructure, relation: str, bound: int | None):
-    """(table test or None, exhaustive, candidate count), cached on s.facts by
-    (relation, bound).  Rule-based carriers get no table test."""
-    key = (relation, bound)
-    cached = s.facts.get(key)
-    if cached is None:
-        elems = s.carrier.elements(bound)
-        finite = s.carrier.is_finite
-        test = _finite_shift_test(s, relation, elems) if finite else None
-        exhaustive = finite and len(elems) == len(s.carrier.elements())
-        cached = s.facts[key] = (test, exhaustive, len(elems))
-    return cached
-
-
-def _shift_equivalent(s, d1, d2, dec, relation: str) -> bool:
-    if isinstance(dec, ExactRule):
-        return bool(dec.rule(d1, d2))
-    test, exhaustive, size = _shift_search(s, relation, dec.bound)
-    if test is not None:
-        found = test(d1, d2)
-    else:
-        witness = gauge_witness if relation == GAUGE else twist_witness
-        found = witness(s, d1, d2, dec.bound) is not None
-    if found:
-        return True
-    if exhaustive:
-        return False
-    raise BoundExhausted(size)
-
-
-def gauge_equivalent(s, d1, d2, dec) -> bool:
-    return _shift_equivalent(s, d1, d2, dec, GAUGE)
-
-
-def twist_equivalent(s, d1, d2, dec) -> bool:
-    return _shift_equivalent(s, d1, d2, dec, TWIST)
-
-
 def decide_equivalent(s, d1, d2, dec) -> bool:
+    """Whether d1 ~ d2 under an ExactRule or a WitnessSearch.
+
+    A search on a finite carrier reads the relation's table test, cached on
+    s.facts under the relation name, so a miss is a definite False.  On a
+    rule carrier it runs the witness search, and a miss raises BoundExhausted.
+    """
     if isinstance(dec, ExactRule):
         return bool(dec.rule(d1, d2))
-    return _shift_equivalent(s, d1, d2, dec, dec.relation)
+    if s.carrier.is_finite:
+        test = s.facts.get(dec.relation)
+        if test is None:
+            test = s.facts[dec.relation] = _finite_shift_test(s, dec.relation)
+        return test(d1, d2)
+    witness = gauge_witness if dec.relation == GAUGE else twist_witness
+    if witness(s, d1, d2) is not None:
+        return True
+    raise BoundExhausted(len(s.carrier.elements()))
 
 
 def _twist_holds_at(s, d1, d2, z) -> bool:
@@ -234,13 +208,13 @@ def check_relation_coincidence(s: PolyadicStructure) -> CoincidenceVerdict:
     if not s.carrier.is_finite:
         raise ExhaustiveOnInfiniteCarrier("relation coincidence is an exhaustive check")
     domain = all_doubles(s.carrier)
-    dec = WitnessSearch()
+    gauge, twist = WitnessSearch(GAUGE), WitnessSearch(TWIST)
     bad = []
     count = 0
     for i in range(len(domain)):
         for j in range(i, len(domain)):
-            g = gauge_equivalent(s, domain[i], domain[j], dec)
-            t = twist_equivalent(s, domain[i], domain[j], dec)
+            g = decide_equivalent(s, domain[i], domain[j], gauge)
+            t = decide_equivalent(s, domain[i], domain[j], twist)
             count += 1
             if g != t:
                 bad.append(((domain[i], domain[j]), g, t))
@@ -340,19 +314,19 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
 
     cross = 0
     if isinstance(dec, ExactRule):
-        search = WitnessSearch()
+        searches = (WitnessSearch(TWIST), WitnessSearch(GAUGE))
         for _ in range(samples):
             d1, d2 = rng.choice(domain), rng.choice(domain)
             want = dec.rule(d1, d2)
-            for checker in (twist_equivalent, gauge_equivalent):
+            for search in searches:
                 try:
-                    got = checker(s, d1, d2, search)
+                    got = decide_equivalent(s, d1, d2, search)
                 except BoundExhausted:
                     skipped += 1
                     continue
                 cross += 1
                 if got != want:
-                    failures.append(("cross-check", (checker.__name__, d1, d2, want, got)))
+                    failures.append(("cross-check", (search.relation, d1, d2, want, got)))
 
     return AxiomsVerdict(not failures, refl, symm, trans, cross, skipped, tuple(failures))
 
@@ -483,15 +457,9 @@ def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
 # class product, well-definedness, quer
 
 
-def class_product(partition: Partition, quiver: QuiverSpec, base: PolyadicStructure,
-                  assoc_verdict: Verdict | None = None) -> NAryOperation:
+def class_product(partition: Partition, quiver: QuiverSpec,
+                  base: PolyadicStructure) -> NAryOperation:
     """Product of classes through the quiver applied to canonical representatives."""
-    if assoc_verdict is None:
-        warnings.warn("class product built without an associativity verdict for the quiver",
-                      stacklevel=2)
-    elif not assoc_verdict.ok:
-        warnings.warn("class product built although the quiver failed associativity",
-                      stacklevel=2)
 
     def fn(cds, _q=quiver, _op=base.op, _p=partition):
         raw = apply_quiver(_q, _op, [cd.rep for cd in cds])
@@ -724,7 +692,7 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
 
     domain = list(domain) if domain is not None else all_doubles(s.carrier)
     part = partition_classes(s, domain, dec, canonical=canonical)
-    product = class_product(part, quiver, s, assoc_verdict=assoc)
+    product = class_product(part, quiver, s)
     wd = check_well_definedness(part, quiver, s, samples=samples, seed=seed)
 
     bound_note = f"{len(domain)}-double domain"

@@ -41,14 +41,11 @@ class Carrier:
     def __contains__(self, x) -> bool:
         raise NotImplementedError
 
-    def canonical(self, x):
-        return x
-
     def eq(self, x, y) -> bool:
         return x == y
 
-    def elements(self, bound: int | None = None) -> list:
-        """Deterministic element list; `bound` caps how many are returned."""
+    def elements(self) -> list:
+        """Deterministic element list."""
         raise NotImplementedError
 
     def render(self, x) -> str:
@@ -84,8 +81,8 @@ class FiniteCarrier(Carrier):
     def index(self, x) -> int:
         return self._index[x]
 
-    def elements(self, bound=None):
-        return list(self._elements) if bound is None else self._elements[:bound]
+    def elements(self):
+        return list(self._elements)
 
     def render(self, x):
         return self.labels[self._index[x]] if self.labels else str(x)
@@ -103,11 +100,10 @@ class RuleCarrier(Carrier):
 
     is_finite = False
 
-    def __init__(self, member: Callable, universe: Iterable, canonical=None, eq=None,
+    def __init__(self, member: Callable, universe: Iterable, eq=None,
                  render=None, sort_key=None, name: str = ""):
         self._member = member
         self._universe = list(universe)
-        self._canonical = canonical
         self._eq = eq
         self._render = render
         self._sort_key = sort_key
@@ -116,14 +112,11 @@ class RuleCarrier(Carrier):
     def __contains__(self, x):
         return bool(self._member(x))
 
-    def canonical(self, x):
-        return self._canonical(x) if self._canonical else x
-
     def eq(self, x, y):
         return self._eq(x, y) if self._eq else x == y
 
-    def elements(self, bound=None):
-        return list(self._universe) if bound is None else self._universe[:bound]
+    def elements(self):
+        return list(self._universe)
 
     def render(self, x):
         return self._render(x) if self._render else str(x)
@@ -191,14 +184,11 @@ def iterate(op: NAryOperation, ell: int) -> NAryOperation:
 class PolyadicStructure:
     """A carrier together with one n-ary operation.
 
-    `facts` caches checker outputs ("index_table", "zeros", "identities", the
-    shift-relation tables of completion keyed by (relation, bound), and
-    completion's "closure_error" of a class table that did not compile);
-    every entry is reproducible by re-running the corresponding checker.  A
-    builder that already knows the Cayley table may store it as
-    "index_table", or store under "derive_index_table" a function that
-    returns it, so that `_index_table` need not evaluate the operation on
-    every tuple.
+    `facts` caches what checkers found, each entry reproducible by re-running
+    its checker: "index_table", "zeros", "identities", and completion's
+    "gauge"/"twist" tests and "closure_error".  A builder that knows the
+    Cayley table may store it as "index_table", or a function returning it
+    as "derive_index_table".
     """
 
     carrier: Carrier
@@ -687,7 +677,8 @@ def _solvability_scan(s: PolyadicStructure, max_failures: int):
 
     A failure (slot, others) says that fixing the other n-1 arguments to
     `others` does not make the slot a bijection; the scan stops after
-    `max_failures` of them.
+    `max_failures` of them.  The column of slot i is the strided slice of
+    the table with stride k^(n-1-i), starting where that slot reads 0.
     """
     table, k = _index_table(s)
     elems = s.carrier.elements()
@@ -695,21 +686,15 @@ def _solvability_scan(s: PolyadicStructure, max_failures: int):
     failures: list = []
     checked = 0
     for i in range(n):
-        for others in itertools.product(range(k), repeat=n - 1):
+        stride = k ** (n - 1 - i)
+        for code in range(k ** (n - 1)):
             checked += 1
-            seen = [False] * k
-            pre, post = others[:i], others[i:]
-            for h in range(k):
-                idx = 0
-                for d in pre + (h,) + post:
-                    idx = idx * k + d
-                r = table[idx]
-                if seen[r]:
-                    failures.append((i, tuple(elems[d] for d in others)))
-                    if len(failures) >= max_failures:
-                        return failures, checked
-                    break
-                seen[r] = True
+            pre, post = divmod(code, stride)
+            start = pre * stride * k + post
+            if len(set(table[start:start + k * stride:stride])) < k:
+                failures.append((i, _decode_polyad(elems, k, n - 1, code)))
+                if len(failures) >= max_failures:
+                    return failures, checked
     return failures, checked
 
 

@@ -280,7 +280,6 @@ class RuleDoubleCarrier(RuleCarrier):
             member=lambda d: isinstance(d, tuple) and len(d) == 2
             and d[0] in base and d[1] in base,
             universe=[Double(a, b) for a in elems for b in elems],
-            canonical=lambda d: Double(base.canonical(d[0]), base.canonical(d[1])),
             eq=lambda d1, d2: base.eq(d1[0], d2[0]) and base.eq(d1[1], d2[1]),
             render=lambda d: f"({base.render(d[0])};{base.render(d[1])})",
             sort_key=lambda d: (base.sort_key(d[0]), base.sort_key(d[1])),
@@ -293,9 +292,9 @@ def double_carrier(base: Carrier) -> Carrier:
     return FiniteDoubleCarrier(base) if base.is_finite else RuleDoubleCarrier(base)
 
 
-def all_doubles(carrier: Carrier, bound: int | None = None) -> list:
-    """Every pair over the carrier's (possibly truncated) enumeration."""
-    elems = carrier.elements(bound)
+def all_doubles(carrier: Carrier) -> list:
+    """Every pair over the carrier's enumeration."""
+    elems = carrier.elements()
     return [Double(a, b) for a in elems for b in elems]
 
 

@@ -228,7 +228,6 @@ def _matrix_build(limit: int = 25) -> PolyadicStructure:
     carrier = RuleCarrier(
         member=lambda x: isinstance(x, (int, float, complex)),
         universe=_GRID[:limit],
-        canonical=complex,
         eq=lambda x, y: abs(complex(x) - complex(y)) <= MATRIX_TOLERANCE,
         render=_cfmt,
         sort_key=lambda z: (complex(z).real, complex(z).imag),

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,6 +127,21 @@ def test_complete_accepts_serialized_quiver(capsys):
                        "--quiver", "3<-3 intact=0; top=(1,T)(2,T)(3,T); bottom=(1,B)(2,B)(3,B)",
                        "--bound", "10", "--quer-mode", "componentwise")
     assert code == 0
+
+
+def test_failed_associativity_exits_1_with_nothing_on_stderr():
+    # a fresh interpreter, so the default warning filters apply: the failed
+    # verdict is in the report and the exit code, and nothing is logged
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from polygroth.cli import entry; entry()", "complete",
+         "--structure", "nat0", "--quiver", "twisted-binary", "--bound", "6"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "failed(doubles associativity" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_classes_odd3(capsys):

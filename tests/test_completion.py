@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import random
-import warnings
 
 import pytest
 
@@ -31,7 +30,6 @@ from polygroth import (
     completion_to_json,
     decide_equivalent,
     format_table,
-    gauge_equivalent,
     gauge_witness,
     get_recipe,
     hetero_power,
@@ -42,7 +40,6 @@ from polygroth import (
     partition_classes,
     phi_sg,
     swap_picks,
-    twist_equivalent,
     twist_witness,
     zmod_add,
     zmod_mul,
@@ -105,39 +102,38 @@ def test_gauge_witness_on_negatives():
 
 def test_twist_search_definite_true_on_odds():
     s = get_recipe("odd3").build(41)
-    dec = WitnessSearch()
-    assert twist_equivalent(s, Double(3, 1), Double(5, 3), dec)
+    assert decide_equivalent(s, Double(3, 1), Double(5, 3), WitnessSearch(TWIST))
     assert twist_witness(s, Double(3, 1), Double(5, 3)) == 1  # any z works; first is returned
 
 
 def test_twist_search_unknown_on_infinite_carrier():
     s = get_recipe("odd3").build(41)
     with pytest.raises(BoundExhausted):
-        twist_equivalent(s, Double(3, 1), Double(3, 5), WitnessSearch())
+        decide_equivalent(s, Double(3, 1), Double(3, 5), WitnessSearch(TWIST))
 
 
 def test_search_definite_false_on_finite_carrier():
     s = zmod_add(3, 2)
-    dec = WitnessSearch()
+    twist, gauge = WitnessSearch(TWIST), WitnessSearch(GAUGE)
     # z = 1+z mod 3 has no solution: exhaustion of a finite carrier is a proof
-    assert not twist_equivalent(s, Double(0, 0), Double(1, 0), dec)
-    assert not gauge_equivalent(s, Double(0, 0), Double(1, 0), dec)
-    assert twist_equivalent(s, Double(0, 0), Double(1, 1), dec)
+    assert not decide_equivalent(s, Double(0, 0), Double(1, 0), twist)
+    assert not decide_equivalent(s, Double(0, 0), Double(1, 0), gauge)
+    assert decide_equivalent(s, Double(0, 0), Double(1, 1), twist)
 
 
 def test_exact_rule_dispatch():
     s = get_recipe("nat0").build(10)
     dec = get_recipe("nat0").exact_decision()
-    assert gauge_equivalent(s, Double(3, 1), Double(5, 3), dec)
-    assert twist_equivalent(s, Double(3, 1), Double(5, 3), dec)
+    assert decide_equivalent(s, Double(3, 1), Double(5, 3), dec)
     assert not decide_equivalent(s, Double(3, 1), Double(1, 3), dec)
+    # the rule decides even where a witness search would answer otherwise
+    assert not decide_equivalent(s, Double(3, 1), Double(3, 1), ExactRule(lambda a, b: False))
 
 
 def test_matrix_every_pair_equivalent_by_search():
     s = get_recipe("matrix4").build(25)
-    dec = WitnessSearch()
     d1, d2 = Double(1 + 0j, -0.5j), Double(-1 + 0j, 0.5 + 0.5j)
-    assert twist_equivalent(s, d1, d2, dec)
+    assert decide_equivalent(s, d1, d2, WitnessSearch(TWIST))
 
 
 def random_table(rng, k, m):
@@ -153,39 +149,22 @@ def random_table(rng, k, m):
             return s
 
 
-def search_reference(s, d1, d2, relation, bound):
-    """The plain witness search's answer: True, False, or BoundExhausted."""
-    witness = gauge_witness if relation == GAUGE else twist_witness
-    if witness(s, d1, d2, bound) is not None:
-        return True
-    if bound is None or bound >= len(s.carrier.elements()):
-        return False
-    return BoundExhausted
-
-
-def decided(fn, *args):
-    try:
-        return fn(*args)
-    except BoundExhausted:
-        return BoundExhausted
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_table_decisions_agree_with_witness_search(k, m):
+    # on a finite carrier the witness search covers the whole carrier, so
+    # its miss is a definite False
     s = random_table(random.Random(f"shift/{k}/{m}"), k, m)
     doubles = all_doubles(s.carrier)
     outcomes = set()
-    for bound in (None, k - 1):
-        for relation, checker in ((GAUGE, gauge_equivalent), (TWIST, twist_equivalent)):
-            dec = WitnessSearch(relation, bound)
-            for d1, d2 in itertools.product(doubles, repeat=2):
-                want = search_reference(s, d1, d2, relation, bound)
-                assert decided(checker, s, d1, d2, dec) is want, (relation, bound, d1, d2)
-                assert decided(decide_equivalent, s, d1, d2, dec) is want
-                outcomes.add(want)
+    for relation, witness in ((GAUGE, gauge_witness), (TWIST, twist_witness)):
+        dec = WitnessSearch(relation)
+        for d1, d2 in itertools.product(doubles, repeat=2):
+            want = witness(s, d1, d2) is not None
+            assert decide_equivalent(s, d1, d2, dec) is want, (relation, d1, d2)
+            outcomes.add(want)
     if k >= 4:
-        assert outcomes == {True, False, BoundExhausted}
+        assert outcomes == {True, False}
 
 
 def test_finite_decisions_run_no_witness_search(monkeypatch):
@@ -198,7 +177,7 @@ def test_finite_decisions_run_no_witness_search(monkeypatch):
     for relation in (GAUGE, TWIST):
         part = partition_classes(s, all_doubles(s.carrier), WitnessSearch(relation))
         assert part.class_count() == 3          # classes of 2(a-b) mod 6
-    assert set(s.facts) >= {(GAUGE, None), (TWIST, None)}
+    assert set(s.facts) == {GAUGE, TWIST}
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +219,8 @@ def test_broken_rule_caught_by_cross_check():
     broken = ExactRule(lambda d1, d2: d1.top == d2.top)
     verdict = check_equivalence_axioms(s, broken, samples=150, seed=5)
     assert not verdict.ok
-    assert any(kind == "cross-check" for kind, _ in verdict.failures)
+    relations = {detail[0] for kind, detail in verdict.failures if kind == "cross-check"}
+    assert relations == {TWIST, GAUGE}
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +370,8 @@ def test_resolve_by_index_matches_scan(structure, relation):
 
 def test_resolve_outside_a_subdomain_falls_back_to_scan():
     s = zmod_add(6, 2)
-    part = partition_classes(s, all_doubles(s.carrier, bound=3), WitnessSearch())
+    part = partition_classes(s, [Double(a, b) for a in range(3) for b in range(3)],
+                             WitnessSearch())
     assert part.class_count() == 5          # differences -2..2 of 0..2
     outside = Double(5, 0)                  # difference 5 = -1 mod 6
     assert outside not in part.domain
@@ -422,15 +403,6 @@ def test_nat0_binary_class_product():
     K = completion_for("nat0", "componentwise-2", limit=20)
     out = K.product((cls(5, 0), cls(0, 3)))
     assert out == cls(2, 0)
-
-
-def test_class_product_warns_without_verdict():
-    recipe = get_recipe("nat0")
-    s = recipe.build(10)
-    part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
-                             canonical=recipe.canonical_double)
-    with pytest.warns(UserWarning):
-        class_product(part, builtin_quiver("componentwise-2"), s)
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +514,12 @@ def test_symmetric_exponent_quer_candidate_fails_on_residue_intact_product():
 def test_quer_formula_failure_is_reported():
     # searching a quer against the residue intact product finds nothing:
     # the product is not even representative-independent
-    from polygroth import check_total_associativity, hetero_power
-
     recipe = get_recipe("res-7-10")
     s = recipe.build(200)
     q = builtin_quiver("five-to-three-intact")
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
                              canonical=recipe.canonical_double)
-    verdict = check_total_associativity(hetero_power(s, q).structure, CheckMode.sampled(200, 1))
-    prod = class_product(part, q, s, assoc_verdict=verdict)
+    prod = class_product(part, q, s)
     with pytest.raises((QuerFormulaFailsVerification, QuerNotFound)):
         class_quer(part, class_structure(part, prod), s, QUER_SEARCH)
 
@@ -585,9 +554,8 @@ def test_completion_with_nonassociative_quiver_reports_failure():
     # with an honest report and never builds a quer
     recipe = get_recipe("nat0")
     s = recipe.build(10)
-    with pytest.warns(UserWarning, match="failed associativity"):
-        K = build_completion(s, builtin_quiver("twisted-binary"), recipe.exact_decision(),
-                             canonical=recipe.canonical_double)
+    K = build_completion(s, builtin_quiver("twisted-binary"), recipe.exact_decision(),
+                         canonical=recipe.canonical_double)
     assert not K.report.ok
     assert K.quer is None
     assert K.report.group.startswith("failed(doubles associativity")
@@ -744,7 +712,7 @@ def reference_completion(s, quiver, dec, quer_mode, canonical, assoc_mode, sampl
     with the product-backed class stage."""
     assoc = check_total_associativity(hetero_power(s, quiver).structure, assoc_mode)
     part = partition_classes(s, domain, dec, canonical=canonical)
-    product = class_product(part, quiver, s, assoc_verdict=assoc)
+    product = class_product(part, quiver, s)
     wd = check_well_definedness(part, quiver, s, samples=samples, seed=seed)
     note = f"{len(domain)}-double domain"
     quer = None
@@ -824,10 +792,8 @@ def test_table_backed_class_stage_matches_product_backed_reference():
             quer = None if K.quer is None else (K.quer.mapping, K.quer.slot_ok)
             return K.report, quer
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = outcome(table_backed)
-            want = outcome(lambda: reference_completion(**case))
+        got = outcome(table_backed)
+        want = outcome(lambda: reference_completion(**case))
         assert got == want, case
         if isinstance(want[0], CompletionReport):
             seen[want[0].group] += 1
@@ -854,8 +820,7 @@ def test_class_table_multiplies_unlisted_classes_by_the_product():
     part = partition_classes(s, [Double(a, b) for a in (0, 2) for b in (0, 2)],
                              ExactRule(lambda x, y: (x.top - x.bottom - y.top + y.bottom) % 4 == 0),
                              canonical=lambda d: Double((d.top - d.bottom) % 4, 0))
-    product = class_product(part, builtin_quiver("componentwise-2"), s,
-                            assoc_verdict=check_total_associativity(s, CheckMode.exhaustive()))
+    product = class_product(part, builtin_quiver("componentwise-2"), s)
     cs = class_structure(part, product)
     assert cs.facts["index_table"] == ((0, 1, 1, 0), 2)
     listed, outside = cs.carrier.elements(), ClassDouble(Double(1, 0))

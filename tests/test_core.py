@@ -382,6 +382,19 @@ def solvability_reference(s):
     return tuple(failures), checked
 
 
+def lettered_table(k, n, flat):
+    """The table over the letters a, b, ... with no index table stored."""
+    letters = "abcde"[:k]
+
+    def fn(t):
+        code = 0
+        for x in t:
+            code = code * k + letters.index(x)
+        return letters[flat[code]]
+
+    return PolyadicStructure(FiniteCarrier(letters), NAryOperation(n, fn))
+
+
 def test_exhaustive_solvability_matches_per_column_reference():
     # cyclic tables are bijective in every slot; a perturbed entry breaks
     # one column of each slot (n failures, capped at three); random tables
@@ -398,10 +411,7 @@ def test_exhaustive_solvability_matches_per_column_reference():
             randoms = [[rng.randrange(k) for _ in range(k ** n)] for _ in range(2)]
             for j, flat in enumerate([cyclic, perturbed] + randoms):
                 if j % 2:
-                    letters = "abcde"[:k]
-                    s = PolyadicStructure(FiniteCarrier(letters), NAryOperation(
-                        n, lambda t, _f=flat, _k=k: letters[_f[sum(
-                            "abcde".index(x) * _k ** p for p, x in enumerate(reversed(t)))]]))
+                    s = lettered_table(k, n, flat)
                 else:
                     s = parse_table("\n".join([f"arity {n}", f"size {k}", *map(str, flat)]))
                 want_failures, want_checked = solvability_reference(s)

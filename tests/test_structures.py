@@ -12,13 +12,13 @@ from polygroth import (
     WitnessSearch,
     all_doubles,
     check_total_associativity,
+    decide_equivalent,
     detect_residue_arity,
     evaluate,
     get_recipe,
     integers_group,
     integers_mod_group,
     recipe_names,
-    twist_equivalent,
     verify_polyadic_group,
 )
 from polygroth.errors import BoundExhausted, NoClosedArity, UsageError
@@ -67,7 +67,6 @@ def test_rule_carrier_enumeration_yields_members_in_fixed_order(name):
     first = s.carrier.elements()
     assert first == s.carrier.elements()
     assert all(x in s.carrier for x in first)
-    assert s.carrier.elements(5) == first[:5]
 
 
 def test_expected_arities():
@@ -85,7 +84,7 @@ def test_exact_rule_vs_twist_search(name):
     recipe, s = build(name, 20 if name != "matrix4" else None)
     domain = all_doubles(s.carrier)
     rng = random.Random(5)
-    search = WitnessSearch()
+    search = WitnessSearch("twist")
     groups = []
     for d in domain:
         for mem in groups:
@@ -104,7 +103,7 @@ def test_exact_rule_vs_twist_search(name):
             d1, d2 = rng.choice(domain), rng.choice(domain)
         want = recipe.exact_rule(d1, d2)
         try:
-            got = twist_equivalent(s, d1, d2, search)
+            got = decide_equivalent(s, d1, d2, search)
         except BoundExhausted:
             assert not want  # a rule-equivalent pair always has a cheap witness here
             continue
