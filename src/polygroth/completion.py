@@ -683,9 +683,11 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
     power = hetero_power(s, quiver)  # raises ArityMismatch for a wrong base arity
     if assoc_mode is None:
         if s.carrier.is_finite:
-            size = len(s.carrier.elements()) ** 2
-            total = size ** (2 * quiver.output_arity - 1)
-            assoc_mode = CheckMode.exhaustive() if total <= 20_000_000 else CheckMode.sampled(2000, seed)
+            # past the cutoff, a proof lifted from a base scan within it still counts
+            k, cutoff = len(s.carrier.elements()), 20_000_000
+            exhaustive = (k * k) ** (2 * quiver.output_arity - 1) <= cutoff or (
+                k ** (2 * s.arity - 1) <= cutoff and power.structure.facts["lifted_associativity"]())
+            assoc_mode = CheckMode.exhaustive() if exhaustive else CheckMode.sampled(2000, seed)
         else:
             assoc_mode = CheckMode.sampled(1000, seed)
     assoc = check_total_associativity(power.structure, assoc_mode)

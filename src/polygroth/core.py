@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -188,7 +188,9 @@ class PolyadicStructure:
     its checker: "index_table", "zeros", "identities", and completion's
     "gauge"/"twist" tests and "closure_error".  A builder that knows the
     Cayley table may store it as "index_table", or a function returning it
-    as "derive_index_table".
+    as "derive_index_table".  A builder that can prove total associativity
+    without the table may store a function answering True when it can as
+    "lifted_associativity"; exhaustive checks ask it first.
     """
 
     carrier: Carrier
@@ -448,6 +450,15 @@ def _assoc_scan(table, k, n):
     return None
 
 
+def _digit_codes(weights: list, k: int) -> list:
+    """sum(w_j * d_j) for every base-k digit tuple d, in lexicographic order."""
+    codes = [0]
+    for w in weights:
+        spread = itertools.chain.from_iterable(zip(*[codes] * k))
+        codes = list(map(add, spread, itertools.cycle(range(0, k * w, w))) if w else spread)
+    return codes
+
+
 def _decode_polyad(elems, k, L, T):
     pw = [k ** e for e in range(L)]
     return tuple(elems[(T // pw[L - 1 - j]) % k] for j in range(L))
@@ -466,12 +477,14 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
             raise ExhaustiveOnInfiniteCarrier(
                 "exhaustive associativity needs a finite enumerated carrier"
             )
-        table, k = _index_table(s)
         L = 2 * n - 1
-        total = k ** L
+        lifted = s.facts.get("lifted_associativity")
+        if lifted is not None and lifted():
+            return Verdict("proved-exhaustive", len(s.carrier.elements()) ** L)
+        table, k = _index_table(s)
         hit = _assoc_scan(table, k, n)
         if hit is None:
-            return Verdict("proved-exhaustive", total)
+            return Verdict("proved-exhaustive", k ** L)
         T, i = hit
         polyad = _decode_polyad(s.carrier.elements(), k, L, T)
         r0 = placement_result(s.op, polyad, 0)
@@ -531,6 +544,8 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
     """
     n, op, eq = s.arity, s.op, s.carrier.eq
     elems = s.carrier.elements()
+    if sigma is not None and sorted(sigma) != list(range(n)):
+        raise UsageError(f"sigma {tuple(sigma)} is not a permutation of the {n} slots")
     if n == 1:
         return CommutativityReport("full", None, 0)
     if mode.kind == CheckMode.EXHAUSTIVE:
@@ -538,18 +553,32 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
             raise ExhaustiveOnInfiniteCarrier(
                 "exhaustive commutativity needs a finite enumerated carrier"
             )
-        pool = list(itertools.product(elems, repeat=n))
+        table, k = _index_table(s)
+        table = tuple(table)  # compared as a tuple; no copy if it is one
+        checked = k ** n
+
+        def violation(perm):
+            # t permuted has digit t[perm[q]] at slot q, so its code weighs
+            # digit p of t by the sum of k^(n-1-q) over the q with perm[q] = p
+            weights = [0] * n
+            for q, p in enumerate(perm):
+                weights[p] += k ** (n - 1 - q)
+            permuted = tuple(map(table.__getitem__, _digit_codes(weights, k)))
+            if permuted == table:
+                return None
+            code = next(c for c, (a, b) in enumerate(zip(table, permuted)) if a != b)
+            return (_decode_polyad(elems, k, n, code), tuple(perm))
     else:
         rng = random.Random(mode.seed)
         pool = [tuple(rng.choice(elems) for _ in range(n)) for _ in range(mode.count)]
-    checked = len(pool)
+        checked = len(pool)
 
-    def violation(perm):
-        for t in pool:
-            pt = tuple(t[p] for p in perm)
-            if not eq(op.fn(t), op.fn(pt)):
-                return (t, tuple(perm))
-        return None
+        def violation(perm):
+            for t in pool:
+                pt = tuple(t[p] for p in perm)
+                if not eq(op.fn(t), op.fn(pt)):
+                    return (t, tuple(perm))
+            return None
 
     full_failure = None
     for j in range(n - 1):

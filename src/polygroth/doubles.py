@@ -9,6 +9,7 @@ fraction must be an integer, which quantizes the admissible (m, n) pairs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -17,13 +18,18 @@ from typing import NamedTuple, Sequence
 
 from .core import (
     Carrier,
+    CheckMode,
     FiniteCarrier,
     NAryOperation,
     PolyadicStructure,
     RuleCarrier,
+    _assoc_scan,
+    _digit_codes,
     _index_table,
+    commutativity_report,
     find_identities,
     identity_placements,
+    placement_result,
 )
 from .errors import ArityMismatch, InvalidQuiver, NotQuantized, UnknownQuiver
 
@@ -324,8 +330,10 @@ def hetero_power(s: PolyadicStructure, quiver: QuiverSpec) -> DoubledStructure:
 
     Associativity of the result is *not* asserted here; run
     check_total_associativity on .structure before trusting it.  On a finite
-    base the power's index table is derived from the base's on first use, so
-    nothing is evaluated until an exhaustive checker asks for it.
+    base the power's index table is derived from the base's on first use, and
+    an exhaustive check first tries to lift the base's associativity (see
+    _lifts_associativity), so nothing is evaluated until an exhaustive checker
+    asks for it.
     """
     if quiver.input_arity != s.arity:
         raise ArityMismatch(
@@ -341,7 +349,43 @@ def hetero_power(s: PolyadicStructure, quiver: QuiverSpec) -> DoubledStructure:
     power = PolyadicStructure(carrier, op, name=label)
     if s.carrier.is_finite:
         power.facts["derive_index_table"] = lambda: _doubles_table(quiver, *_index_table(s))
+        power.facts["lifted_associativity"] = functools.cache(
+            lambda: _lifts_associativity(quiver, s))
     return DoubledStructure(s, quiver, power)
+
+
+def _placement_words(quiver: QuiverSpec) -> list:
+    """(top word, bottom word) of each placement of 2n-1 symbolic doubles.
+
+    The base operation concatenates its arguments, so each component becomes
+    the word of base variables it multiplies, in order: variable 2j is the
+    top of double j and 2j+1 its bottom.
+    """
+    n = quiver.output_arity
+    concat = NAryOperation(quiver.input_arity, lambda ws: tuple(itertools.chain.from_iterable(ws)))
+    op = NAryOperation(n, lambda ds: apply_quiver(quiver, concat, ds))
+    polyad = tuple(Double((2 * j,), (2 * j + 1,)) for j in range(2 * n - 1))
+    return [placement_result(op, polyad, i) for i in range(n)]
+
+
+def _lifts_associativity(quiver: QuiverSpec, s: PolyadicStructure) -> bool:
+    """Whether the power's total associativity follows from the finite base's.
+
+    In a totally associative m-ary structure every bracketing of a word gives
+    the same value (Post, Doernte), and with full commutativity so does every
+    reordering.  So the power is totally associative when all placements give
+    the same words and the base is totally associative, or the same words up
+    to order and the base is also fully commutative.  False means only that
+    the lift does not apply.  The words are compared first, so a scrambled
+    wiring never pays for a scan of the base.
+    """
+    words = _placement_words(quiver)
+    if len(set(words)) > 1:
+        if len({tuple(tuple(sorted(c)) for c in w) for w in words}) > 1:
+            return False
+        if commutativity_report(s, CheckMode.exhaustive()).level != "full":
+            return False
+    return _assoc_scan(*_index_table(s), s.arity) is None
 
 
 def _doubles_table(quiver: QuiverSpec, base_table: tuple, k: int):
@@ -366,15 +410,6 @@ def _doubles_table(quiver: QuiverSpec, base_table: tuple, k: int):
 
     table = tuple(map(add, wire_values(quiver.top, k), wire_values(quiver.bottom, 1)))
     return table, k * k
-
-
-def _digit_codes(weights: list, k: int) -> list:
-    """sum(w_j * d_j) for every base-k digit tuple d, in lexicographic order."""
-    codes = [0]
-    for w in weights:
-        spread = itertools.chain.from_iterable(zip(*[codes] * k))
-        codes = list(map(add, spread, itertools.cycle(range(0, k * w, w))) if w else spread)
-    return codes
 
 
 def componentwise_power(s: PolyadicStructure) -> DoubledStructure:

@@ -860,6 +860,24 @@ def test_default_mode_proves_ternary_z5_doubles_exhaustively():
     assert K.report.associative == "proved-exhaustive(9765625)"
 
 
+def test_default_mode_lifts_ternary_z7_doubles_past_the_cutoff():
+    # 49^5 = 282,475,249 tuples are over the cutoff, but post-ternary gives
+    # every placement the same words, so the 7^5-tuple proof of the base
+    # proves the doubles; one perturbed entry leaves the sampled verdict
+    twist = ExactRule(lambda d1, d2: 2 * (d1.top - d1.bottom - d2.top + d2.bottom) % 7 == 0)
+    q = builtin_quiver("post-ternary")
+    K = build_completion(zmod_add(7, 3), q, twist)
+    assert K.report.associative == "proved-exhaustive(282475249)"
+    assert K.report.ok
+
+    lines = format_table(zmod_add(7, 3)).splitlines()
+    lines[2 + 100] = str((int(lines[2 + 100]) + 1) % 7)
+    broken = parse_table("\n".join(lines))
+    K = build_completion(broken, q, twist, seed=5)
+    sampled = check_total_associativity(hetero_power(broken, q).structure, CheckMode.sampled(2000, 5))
+    assert K.report.associative == str(sampled)
+
+
 # ---------------------------------------------------------------------------
 # binary embedding, inverse, universal property
 

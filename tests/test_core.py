@@ -36,6 +36,7 @@ from polygroth.errors import (
     NotAZero,
     QuerNotFound,
     QuerNotUnique,
+    UsageError,
 )
 from polygroth.structures import MATRIX4, MATRIX_TOLERANCE, get_recipe
 from polygroth.tables import format_table, parse_table
@@ -291,6 +292,65 @@ def test_commutativity_sigma_level():
     assert rep.level == "none"
     rep2 = commutativity_report(d.structure, CheckMode.exhaustive(), sigma=(0, 1))
     assert rep2.level == "sigma" and rep2.sigma == (0, 1)
+
+
+def commutativity_reference(s, sigma=None):
+    """(level, sigma, checked, full_failure) by evaluating the operation on
+    every tuple and on its permutation, in lexicographic order."""
+    n, op, eq = s.arity, s.op, s.carrier.eq
+    pool = list(itertools.product(s.carrier.elements(), repeat=n))
+
+    def violation(perm):
+        for t in pool:
+            if not eq(op.fn(t), op.fn(tuple(t[p] for p in perm))):
+                return (t, tuple(perm))
+        return None
+
+    full_failure = None
+    for j in range(n - 1):
+        full_failure = violation(tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, n)))
+        if full_failure:
+            break
+    if full_failure is None:
+        return ("full", None, len(pool), None)
+    if violation((n - 1,) + tuple(range(1, n - 1)) + (0,)) is None:
+        return ("semi", None, len(pool), full_failure)
+    if sigma is not None and violation(sigma) is None:
+        return ("sigma", tuple(sigma), len(pool), full_failure)
+    return ("none", None, len(pool), full_failure)
+
+
+def test_exhaustive_commutativity_matches_op_evaluating_reference():
+    # random tables, Z_k sums, weighted sums (semi when the outer weights
+    # match, sigma when a swapped pair of weights does) and projections;
+    # half the cases run on a lettered carrier through a compiled table
+    rng = random.Random(53)
+    seen = set()
+    for k in range(2, 5):
+        for n in range(2, 5):
+            tuples = list(itertools.product(range(k), repeat=n))
+            weights = [[1] * n, [1] + [2] * (n - 2) + [1], [2, 2] + [1] * (n - 2)]
+            flats = [[sum(w * x for w, x in zip(ws, t)) % k for t in tuples] for ws in weights]
+            flats += [[t[i] for t in tuples] for i in (0, n - 1)]
+            flats += [[rng.randrange(k) for _ in tuples] for _ in range(2)]
+            for j, flat in enumerate(flats):
+                if j % 2:
+                    s = lettered_table(k, n, flat)
+                else:
+                    s = parse_table("\n".join([f"arity {n}", f"size {k}", *map(str, flat)]))
+                for sigma in (None, tuple(rng.sample(range(n), n)), (1, 0) + tuple(range(2, n))):
+                    rep = commutativity_report(s, CheckMode.exhaustive(), sigma=sigma)
+                    want = commutativity_reference(s, sigma)
+                    assert (rep.level, rep.sigma, rep.checked, rep.full_failure) == want, \
+                        (k, n, flat, sigma)
+                    seen.add(rep.level)
+    assert seen == {"full", "semi", "sigma", "none"}
+
+
+def test_commutativity_rejects_a_sigma_that_is_not_a_permutation():
+    for sigma in ((0, 0, 1), (0, 1), (0, 1, 3)):
+        with pytest.raises(UsageError):
+            commutativity_report(zmod_add(3, 3), CheckMode.exhaustive(), sigma=sigma)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=3, max_size=3),

@@ -32,6 +32,7 @@ from polygroth import (
     zmod_add,
 )
 from polygroth.core import _index_table
+from polygroth.doubles import _wire_picks
 from polygroth.errors import ArityMismatch, InvalidQuiver, NonMember, NotQuantized, UnknownQuiver
 from polygroth.structures import get_recipe
 from polygroth.tables import format_table, parse_table
@@ -351,16 +352,166 @@ def test_power_evaluates_no_base_operation_until_an_exhaustive_check():
         assert calls == []
         assert check_total_associativity(d.structure, CheckMode.exhaustive()).ok
         # the base table is compiled once (a parsed table arrives compiled);
-        # the power's table is derived from it without evaluating anything
+        # the proof is lifted from it, so the power's table is never derived
         assert len(calls) == compiles
+        assert "index_table" not in d.structure.facts
+
+
+def test_power_runs_its_base_proof_at_most_once(monkeypatch):
+    from polygroth import doubles
+
+    scans = []
+    monkeypatch.setattr(doubles, "_assoc_scan", lambda *a: scans.append(a) or None)
+    z3 = zmod_add(3, 3)
+    d = hetero_power(z3, builtin_quiver("post-ternary"))
+    for _ in range(3):
+        assert check_total_associativity(d.structure, CheckMode.exhaustive()).ok
+    assert len(scans) == 1
+    # a scrambled wiring fails the word check and never scans the base
+    scrambled = hetero_power(z3, swap_picks(builtin_quiver("post-ternary"),
+                                            ("top", 0), ("bottom", 0)))
+    assert check_total_associativity(scrambled.structure, CheckMode.exhaustive()).status == "failed"
+    assert len(scans) == 1
+    assert "index_table" in scrambled.structure.facts
 
 
 def test_power_of_unclosed_base_raises_on_exhaustive_check():
+    # the lift compiles the base table for a word-identical wiring, the scan
+    # for a scrambled one; either way the compile meets 2+2+2 = 6, not in Z3
     carrier = FiniteCarrier(range(3))
-    unclosed = PolyadicStructure(carrier, NAryOperation(3, sum))  # 2+2+2 = 6 is not in Z3
-    d = hetero_power(unclosed, builtin_quiver("post-ternary"))
-    with pytest.raises(NonMember):
-        check_total_associativity(d.structure, CheckMode.exhaustive())
+    unclosed = PolyadicStructure(carrier, NAryOperation(3, sum))
+    q = builtin_quiver("post-ternary")
+    for wiring in (q, swap_picks(q, ("top", 0), ("bottom", 0))):
+        d = hetero_power(unclosed, wiring)
+        with pytest.raises(NonMember):
+            check_total_associativity(d.structure, CheckMode.exhaustive())
+
+
+# ---------------------------------------------------------------------------
+# associativity lifted from the base by word identity
+
+
+def table_structure(k, m, flat, name=""):
+    """The m-ary structure on range(k) with the flat table, compiled on use."""
+    def fn(t):
+        code = 0
+        for x in t:
+            code = code * k + x
+        return flat[code]
+    return PolyadicStructure(FiniteCarrier(range(k)), NAryOperation(m, fn), name=name)
+
+
+def closed_transformations(gens):
+    """Flat binary table of the semigroup of maps of {0,1,2} that gens generate."""
+    elems = list(dict.fromkeys(gens))
+    for f in elems:  # the list grows while it is walked
+        for g in list(elems):
+            for h in (tuple(f[g[x]] for x in range(3)), tuple(g[f[x]] for x in range(3))):
+                if h not in elems:
+                    elems.append(h)
+    index = {f: i for i, f in enumerate(elems)}
+    return len(elems), [index[tuple(f[g[x]] for x in range(3))] for f in elems for g in elems]
+
+
+def associative_binary_tables(rng):
+    """(label, k, flat) of seeded associative binary tables."""
+    tables = {}
+    for k in (2, 3, 4):
+        tables[f"Z{k}+"] = k, [(x + y) % k for x in range(k) for y in range(k)]
+        tables[f"Z{k}*"] = k, [(x * y) % k for x in range(k) for y in range(k)]
+    for k in (2, 3):
+        tables[f"left-zero {k}"] = k, [x for x in range(k) for _ in range(k)]
+        tables[f"right-zero {k}"] = k, [y for _ in range(k) for y in range(k)]
+    maps = list(itertools.product(range(3), repeat=3))
+    while len(tables) < 15:
+        k, flat = closed_transformations(rng.sample(maps, 2))
+        if 2 <= k <= 5:
+            tables[f"T3 sub {len(tables)}"] = k, flat
+    for a, b in (("Z2+", "left-zero 2"), ("Z3*", "right-zero 2")):
+        (ka, fa), (kb, fb) = tables[a], tables[b]
+        tables[f"{a} x {b}"] = ka * kb, [
+            fa[a1 * ka + a2] * kb + fb[b1 * kb + b2]
+            for a1 in range(ka) for b1 in range(kb) for a2 in range(ka) for b2 in range(kb)]
+    return [(label, k, flat) for label, (k, flat) in tables.items()]
+
+
+def iterated_flat(k, flat, m):
+    """The m-ary table of the left-nested iterate of a binary table."""
+    def fold(t):
+        acc = t[0]
+        for x in t[1:]:
+            acc = flat[acc * k + x]
+        return acc
+    return [fold(t) for t in itertools.product(range(k), repeat=m)]
+
+
+def perturbed(k, flat, rng):
+    flat = list(flat)
+    code = rng.randrange(len(flat))
+    flat[code] = (flat[code] + rng.randrange(1, k)) % k
+    return flat
+
+
+def without_lift(base, q):
+    power = hetero_power(base, q).structure
+    del power.facts["lifted_associativity"]
+    return power
+
+
+def test_lifted_associativity_agrees_with_the_scan():
+    # every built-in quiver and two scrambles of it, over seeded associative
+    # tables and one-entry perturbations of them, wherever the power has at
+    # most 300,000 tuples to scan: the verdict with the lift (status, checked
+    # and counterexample) is the verdict of the plain scan
+    rng = random.Random(59)
+    quivers = {}
+    for name in BUILTIN_NAMES:
+        q = builtin_quiver(name)
+        swaps = [(i, j) for i in range(len(_wire_picks(q.top)))
+                 for j in range(len(_wire_picks(q.bottom)))]
+        quivers.setdefault(q.input_arity, []).append(q)
+        quivers[q.input_arity] += [swap_picks(q, ("top", i), ("bottom", j))
+                                   for i, j in rng.sample(swaps, 2)]
+    answers = set()
+    for label, k, flat in associative_binary_tables(rng):
+        for m, wirings in quivers.items():
+            table = flat if m == 2 else iterated_flat(k, flat, m)
+            for q in wirings:
+                if (k * k) ** (2 * q.output_arity - 1) > 300_000:
+                    continue
+                for flat_m in (table, perturbed(k, table, rng)):
+                    base = table_structure(k, m, flat_m, name=label)
+                    power = hetero_power(base, q).structure
+                    lifted = power.facts["lifted_associativity"]()
+                    v = check_total_associativity(power, CheckMode.exhaustive())
+                    want = check_total_associativity(without_lift(base, q), CheckMode.exhaustive())
+                    assert v == want, (label, flat_m, format_quiver(q))
+                    answers.add((lifted, q.name, v.status))
+    # the lift proves powers by word identity and by multiset identity over a
+    # commutative base, and leaves proofs and refutations to the scan
+    assert (True, "post-ternary", "proved-exhaustive") in answers
+    assert (True, "five-to-three-intact", "proved-exhaustive") in answers
+    assert {(lifted, status) for lifted, _, status in answers} == {
+        (True, "proved-exhaustive"), (False, "proved-exhaustive"), (False, "failed")}
+
+
+def test_noncommutative_5ary_base_falls_back_to_the_scan():
+    # five-to-three-intact gives words equal only up to order, so over an
+    # associative base that is not commutative the lift does not apply: the
+    # scan proves the power over the left-zero band and refutes it over the
+    # right-zero band
+    q = builtin_quiver("five-to-three-intact")
+    for k, flat, status in ((2, [x for x in range(2) for _ in range(2)], "proved-exhaustive"),
+                            (2, [y for _ in range(2) for y in range(2)], "failed")):
+        base = table_structure(k, 5, iterated_flat(k, flat, 5))
+        assert check_total_associativity(base, CheckMode.exhaustive()).ok
+        assert commutativity_report(base, CheckMode.exhaustive()).level != "full"
+        power = hetero_power(base, q).structure
+        assert power.facts["lifted_associativity"]() is False
+        v = check_total_associativity(power, CheckMode.exhaustive())
+        assert v.status == status
+        assert v == check_total_associativity(without_lift(base, q), CheckMode.exhaustive())
+        assert "index_table" in power.facts
 
 
 # ---------------------------------------------------------------------------
