@@ -48,6 +48,7 @@ from .doubles import (
 from .errors import (
     BoundExhausted,
     ExhaustiveOnInfiniteCarrier,
+    NoClassMatch,
     NonMember,
     NotAHomomorphism,
     PolyadicError,
@@ -376,24 +377,30 @@ class Partition:
             raise PolyadicError(f"{rep!r} is not a class representative") from None
 
     def resolve(self, double) -> ClassDouble:
-        """Class of an arbitrary double (also ones outside the domain).
-
-        A domain double is looked up in a double -> class position map built
-        on first use; any other double is decided against each representative.
-        """
+        """Class of an arbitrary double (also ones outside the domain)."""
         if not isinstance(double, Double):
             double = Double(*double)
+        return ClassDouble(self.rep_of(double))
+
+    def rep_of(self, double: Double) -> Double:
+        """Representative of the class of a double, as resolve names it.
+
+        A domain double is looked up in a double -> class position map built
+        on first use; any other double is decided against each representative,
+        and one that matches none raises NoClassMatch.
+        """
         if self.canonical is not None:
-            return ClassDouble(self.canonical(double))
+            rep = self.canonical(double)
+            return rep if isinstance(rep, Double) else Double(*rep)
         if self._position is None:
             self._position = {d: i for i, members in enumerate(self.classes) for d in members}
         i = self._position.get(double)
         if i is not None:
-            return ClassDouble(self.reps[i])
+            return self.reps[i]
         for r in self.reps:
             if decide_equivalent(self.structure, double, r, self.decision):
-                return ClassDouble(r)
-        raise PolyadicError(f"double {double!r} matches no class of the partition")
+                return r
+        raise NoClassMatch(double)
 
 
 def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
@@ -459,14 +466,61 @@ def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
 
 def class_product(partition: Partition, quiver: QuiverSpec,
                   base: PolyadicStructure) -> NAryOperation:
-    """Product of classes through the quiver applied to canonical representatives."""
+    """Product of classes through the quiver applied to canonical representatives.
+
+    The evaluator carries the quer search's row evaluator as `fn.quer_row`
+    (see _quer_row); class_structure hands it to a product-backed class
+    structure.
+    """
 
     def fn(cds, _q=quiver, _op=base.op, _p=partition):
         raw = apply_quiver(_q, _op, [cd.rep for cd in cds])
         return _p.resolve(raw)
 
+    fn.quer_row = _quer_row(partition, quiver, base.op)
     return NAryOperation(quiver.output_arity, fn,
                          name=f"classes:{quiver.name or format_quiver(quiver)}")
+
+
+class _Memo(dict):
+    """Base-operation values keyed by argument tuple, evaluated on first use."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, args):
+        value = self[args] = self.fn(args)
+        return value
+
+
+def _quer_row(partition: Partition, quiver: QuiverSpec, op: NAryOperation):
+    """Row evaluator of the quer search: (g, elems) -> the x in elems whose
+    class product op[g^(n-1), x] is g, in elems order.
+
+    The head's n-1 representatives are flattened once per row, and each wire
+    gathers its arguments from that prefix plus x's representative.  An
+    intact wire reads its digit; a product wire's base value is memoised per
+    row by its argument tuple, so candidates that feed a wire the same
+    arguments share one base evaluation.  Every candidate's double is still
+    resolved (NoClassMatch as from the class product) and compared with g.
+    """
+    (top, top_intact), (bottom, bottom_intact) = quiver.gathers
+    copies = quiver.output_arity - 1
+
+    def row(g, elems):
+        prefix, want, memo, rep_of = tuple(g.rep) * copies, g.rep, _Memo(op.fn), partition.rep_of
+        sols = []
+        for x in elems:
+            flat = prefix + x.rep
+            t = top(flat) if top_intact else memo[top(flat)]
+            b = bottom(flat) if bottom_intact else memo[bottom(flat)]
+            if rep_of(Double(t, b)) == want:
+                sols.append(x)
+        return sols
+
+    return row
 
 
 @dataclass(frozen=True)
@@ -538,12 +592,12 @@ def class_structure(partition: Partition, product: NAryOperation) -> PolyadicStr
     cs = PolyadicStructure(FiniteCarrier(partition.class_doubles()), product)
     n = product.arity
     if len(cs.carrier) ** (n + 1) > 200_000:
-        return cs
+        return _with_quer_row(cs)
     try:
         table, k = _index_table(cs)
     except PolyadicError as exc:
         cs.facts["closure_error"] = exc
-        return cs
+        return _with_quer_row(cs)
     elems = cs.carrier.elements()
     index = {c: i for i, c in enumerate(elems)}
 
@@ -557,6 +611,14 @@ def class_structure(partition: Partition, product: NAryOperation) -> PolyadicStr
         return elems[table[code]]
 
     return replace(cs, op=NAryOperation(n, lookup, name=product.name))
+
+
+def _with_quer_row(cs: PolyadicStructure) -> PolyadicStructure:
+    """A product-backed class structure, given its product's row evaluator."""
+    row = getattr(cs.op.fn, "quer_row", None)
+    if row is not None:
+        cs.facts["quer_row"] = row
+    return cs
 
 
 def class_quer(partition: Partition, classes: PolyadicStructure, base: PolyadicStructure,
@@ -678,7 +740,9 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
     """Partition, class product, well-definedness, quer, group checks.
 
     A failed stage leaves later stages unrun (quer stays None) and the report
-    marked not ok; callers decide what to do with an honest failure.
+    marked not ok; callers decide what to do with an honest failure.  When a
+    double met by the quer or group stage matches no class (a truncated
+    domain without a canonical form), the group verdict is unknown.
     """
     power = hetero_power(s, quiver)  # raises ArityMismatch for a wrong base arity
     if assoc_mode is None:
@@ -710,13 +774,15 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
         classes = class_structure(part, product)
         try:
             quer = class_quer(part, classes, s, quer_mode)
-        except (QuerNotFound, QuerNotUnique, QuerFormulaFailsVerification) as exc:
-            ok = False
-            group_str = f"failed(quer: {exc}; {bound_note})"
-        if quer is not None:
             group_str, group_ok = _class_group_checks(classes, quer, samples, seed)
             group_str = f"{group_str[:-1]}; {bound_note})"
             ok = ok and group_ok
+        except (QuerNotFound, QuerNotUnique, QuerFormulaFailsVerification) as exc:
+            ok = False
+            group_str = f"failed(quer: {exc}; {bound_note})"
+        except NoClassMatch as exc:
+            ok = False
+            group_str = f"unknown(class product leaves the partition: {exc}; {bound_note})"
 
     report = CompletionReport(
         associative=str(assoc),

@@ -190,7 +190,10 @@ class PolyadicStructure:
     Cayley table may store it as "index_table", or a function returning it
     as "derive_index_table".  A builder that can prove total associativity
     without the table may store a function answering True when it can as
-    "lifted_associativity"; exhaustive checks ask it first.
+    "lifted_associativity"; exhaustive checks ask it first.  A builder that
+    can evaluate a whole quer-search row op[g^(n-1), x] over candidates x
+    at once may store "quer_row", a function (g, candidates) -> the
+    candidates x with op[g^(n-1), x] = g, in order.
     """
 
     carrier: Carrier
@@ -617,10 +620,17 @@ def querelement(s: PolyadicStructure, g):
 
 
 def _quer_search(s: PolyadicStructure, g, elems):
-    """The one x in elems with op[g^(n-1), x] = g; raises QuerNotFound/QuerNotUnique."""
-    n, op, eq = s.arity, s.op, s.carrier.eq
-    head = (g,) * (n - 1)
-    sols = [x for x in elems if eq(op.fn(head + (x,)), g)]
+    """The one x in elems with op[g^(n-1), x] = g; raises QuerNotFound/QuerNotUnique.
+
+    A "quer_row" fact, when present, finds the solving x of the whole row.
+    """
+    row = s.facts.get("quer_row")
+    if row is not None:
+        sols = row(g, elems)
+    else:
+        n, op, eq = s.arity, s.op, s.carrier.eq
+        head = (g,) * (n - 1)
+        sols = [x for x in elems if eq(op.fn(head + (x,)), g)]
     if not sols:
         raise QuerNotFound(g, len(elems))
     if len(sols) > 1:

@@ -63,6 +63,14 @@ class QuerFormulaFailsVerification(PolyadicError):
         self.cls = cls
 
 
+class NoClassMatch(PolyadicError):
+    """A double is equivalent to no representative of a partition."""
+
+    def __init__(self, double):
+        super().__init__(f"double {double!r} matches no class of the partition")
+        self.double = double
+
+
 class NotQuantized(PolyadicError):
     """The intact-element arity formula does not give an integer."""
 

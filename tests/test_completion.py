@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from polygroth import (
     Double,
     ExactRule,
     FiniteCarrier,
+    NAryOperation,
     PolyadicStructure,
     WitnessSearch,
     all_doubles,
@@ -63,6 +65,7 @@ from polygroth.core import (
 )
 from polygroth.errors import (
     BoundExhausted,
+    NoClassMatch,
     NonMember,
     NotAHomomorphism,
     PolyadicError,
@@ -658,10 +661,11 @@ def test_class_group_checks_make_one_product_per_class_tuple(monkeypatch):
 
 def product_backed_group_stage(part, product, base, quer_mode, samples, seed):
     """Reference class stage that evaluates the class product on every call,
-    compiling the class table only for solvability: (group string, ok, quer)."""
+    compiling the class table only for solvability: (group string, ok, quer).
+    A double that matches no class makes the verdict unknown."""
     cs = PolyadicStructure(FiniteCarrier(part.class_doubles()), product)
     cds = cs.carrier.elements()
-    m, n = base.arity, product.arity
+    m = base.arity
     mapping, slot_ok = {}, {}
     try:
         for c in cds:
@@ -681,16 +685,28 @@ def product_backed_group_stage(part, product, base, quer_mode, samples, seed):
             mapping[c], slot_ok[c] = q, verdicts
     except (QuerNotFound, QuerNotUnique, QuerFormulaFailsVerification) as exc:
         return f"failed(quer: {exc})", False, None
+    except NoClassMatch as exc:
+        return f"unknown(class product leaves the partition: {exc})", False, None
     quer = (mapping, slot_ok)
+    try:
+        group, ok = product_backed_group_checks(cs, mapping, slot_ok, samples, seed)
+    except NoClassMatch as exc:
+        group, ok = f"unknown(class product leaves the partition: {exc})", False
+    return group, ok, quer
+
+
+def product_backed_group_checks(cs, mapping, slot_ok, samples, seed):
+    cds = cs.carrier.elements()
+    n = cs.arity
     rng = random.Random(seed)
     for _ in range(samples):
         t = tuple(rng.choice(cds) for _ in range(2 * n - 1))
         if _placements_disagree(cs, t) is not None:
-            return f"failed(class associativity at {t})", False, quer
+            return f"failed(class associativity at {t})", False
     for _ in range(samples):
         g, h = rng.choice(cds), rng.choice(cds)
         if not _cancels(cs, g, h, mapping[h]):
-            return f"failed(cancellation identities at {g},{h})", False, quer
+            return f"failed(cancellation identities at {g},{h})", False
     slots = "all slots" if all(all(v) for v in slot_ok.values()) else "defining slot only"
     if len(cds) ** (n + 1) <= 200_000:
         try:
@@ -701,9 +717,9 @@ def product_backed_group_stage(part, product, base, quer_mode, samples, seed):
             failures, _ = _solvability_scan(cs, max_failures=1)
             if failures:
                 i, others = failures[0]
-                return f"failed(solvability at slot {i}, {others})", False, quer
-            return f"group(exhaustive solvability; quer at {slots})", True, quer
-    return f"group(diagrammatic on truncated class set; quer at {slots})", True, quer
+                return f"failed(solvability at slot {i}, {others})", False
+            return f"group(exhaustive solvability; quer at {slots})", True
+    return f"group(diagrammatic on truncated class set; quer at {slots})", True
 
 
 def reference_completion(s, quiver, dec, quer_mode, canonical, assoc_mode, samples, seed,
@@ -775,7 +791,7 @@ def outcome(run):
 def test_table_backed_class_stage_matches_product_backed_reference():
     rng = random.Random(20261018)
     # the quer and zero samples never meet the product that matches no class,
-    # so only the group stage's closure check can raise
+    # so only the group stage's closure check finds it, and the group is unknown
     unresolvable = dict(
         s=parse_table(format_table(zmod_add(3, 3))), quiver=builtin_quiver("post-ternary"),
         dec=WitnessSearch(TWIST), quer_mode=QUER_SEARCH, canonical=None,
@@ -805,10 +821,11 @@ def test_table_backed_class_stage_matches_product_backed_reference():
                 "failed(class associativity", "failed(cancellation identities",
                 "failed(solvability", "failed(quer: no querelement for",
                 "failed(quer: querelement of", "failed(quer: quer candidate",
-                "failed(well-definedness", "failed(doubles associativity"]
+                "failed(well-definedness", "failed(doubles associativity",
+                "unknown(class product leaves the partition"]
     for branch in branches:
         assert sum(n for got, n in seen.items() if got.startswith(branch)) >= 3, (branch, seen)
-    for key in ["auto", QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH, "PolyadicError", "UsageError"]:
+    for key in ["auto", QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH, "UsageError"]:
         assert seen[key] >= 3, (key, seen)
 
 
@@ -827,6 +844,96 @@ def test_class_table_multiplies_unlisted_classes_by_the_product():
     for t in itertools.product(listed + [outside], repeat=2):
         assert cs.op.fn(t) == product.fn(t)
     assert cs.op.fn((outside, listed[1])) == ClassDouble(Double(3, 0))
+
+
+def test_quer_row_search_matches_the_per_candidate_search():
+    # past the class-table cutoff the quer search reads the product's row
+    # evaluator; it must give the per-candidate search's quer map, or raise
+    # its error with its message.  Under an equality rule every double of Z8
+    # (binary) or Z5 (ternary) is its own class; truncated domains keep at
+    # least the fewest classes past the cutoff, and without a canonical form
+    # their products may match no class.
+    rng = random.Random(20261019)
+    seen = collections.Counter()
+    for _ in range(150):
+        k, m, names = rng.choice([(8, 2, ["componentwise-2", "twisted-binary"]),
+                                  (5, 3, ["componentwise-3", "post-ternary"]),
+                                  (8, 3, ["ternary-to-binary-a", "ternary-to-binary-b"])])
+        kind = rng.choice(["random", "add", "add", "mul"])
+        cells = [rng.randrange(k) if kind == "random"
+                 else (sum(t) if kind == "add" else math.prod(t)) % k
+                 for t in itertools.product(range(k), repeat=m)]
+        s = parse_table("\n".join([f"arity {m}", f"size {k}", *map(str, cells)]) + "\n")
+        quiver = builtin_quiver(rng.choice(names))
+        if rng.random() < 0.4:
+            bottom = 1 if quiver.intact_count else m
+            quiver = swap_picks(quiver, ("top", rng.randrange(m)), ("bottom", rng.randrange(bottom)))
+        n = quiver.output_arity
+        least = next(c for c in itertools.count(1) if c ** (n + 1) > 200_000)
+        domain = all_doubles(s.carrier)
+        if rng.random() < 0.5:
+            domain = rng.sample(domain, rng.randrange(least, len(domain)))
+        part = partition_classes(s, domain, ExactRule(operator.eq),
+                                 canonical=rng.choice([None, lambda d: d]))
+        product = class_product(part, quiver, s)
+        cs = class_structure(part, product)
+        assert "quer_row" in cs.facts and "index_table" not in cs.facts
+        reference = PolyadicStructure(FiniteCarrier(part.class_doubles()), product)
+
+        def quer(classes):
+            q = class_quer(part, classes, s, QUER_SEARCH)
+            return q.mapping, q.slot_ok
+
+        want = outcome(lambda: quer(reference))
+        assert outcome(lambda: quer(cs)) == want
+        seen["found" if isinstance(want[0], dict) else want[0].__name__] += 1
+    for key in ["found", "QuerNotFound", "QuerNotUnique", "NoClassMatch"]:
+        assert seen[key] >= 3, (key, seen)
+
+
+def test_post_5ary_quer_search_memoises_base_values_per_row():
+    # post-5ary feeds the candidate x one pick per wire, so a row evaluates
+    # the base once per distinct top and once per distinct bottom of the
+    # representatives, not twice per candidate (2C^2 for the whole search);
+    # the slot checks add one class product, 2n base values, per class
+    recipe = get_recipe("res-7-10")
+    calls, base = [], recipe.build(80)
+    s = dataclasses.replace(base, op=NAryOperation(5, lambda t: calls.append(t) or base.op.fn(t)))
+    q = builtin_quiver("post-5ary")
+    part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
+                             canonical=recipe.canonical_double)
+    cs = class_structure(part, class_product(part, q, s))
+    c, n = part.class_count(), q.output_arity
+    components = len({x for rep in part.reps for x in rep})
+    assert (c, components) == (57, 8) and "quer_row" in cs.facts
+    calls.clear()
+    quer = class_quer(part, cs, s, QUER_SEARCH)
+    assert quer.all_slots_ok()
+    assert len(calls) <= c * 2 * components + c * 2 * n
+    assert len(calls) < 2 * c * c
+
+
+def test_class_product_leaving_the_partition_reports_unknown():
+    # without a canonical form a truncated domain may not be closed: when a
+    # double met by the group stage or the quer search matches no class, the
+    # completion reports an unknown group instead of raising
+    z3 = zmod_add(3, 3)
+    K = build_completion(parse_table(format_table(z3)), builtin_quiver("post-ternary"),
+                         WitnessSearch(TWIST), QUER_SEARCH, assoc_mode=CheckMode.sampled(0, 0),
+                         samples=0, seed=0, domain=[Double(1, 0), Double(2, 2), Double(2, 1)])
+    assert K.report.group == ("unknown(class product leaves the partition: double "
+                              "Double(top=1, bottom=2) matches no class of the partition; "
+                              "3-double domain)")
+    assert not K.report.ok and K.quer is not None
+    K = build_completion(z3, builtin_quiver("componentwise-3"), WitnessSearch(GAUGE),
+                         QUER_SEARCH, assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0,
+                         domain=[Double(0, 0), Double(0, 1)])
+    assert K.report.group == ("unknown(class product leaves the partition: double "
+                              "Double(top=0, bottom=2) matches no class of the partition; "
+                              "2-double domain)")
+    assert not K.report.ok and K.quer is None
+    with pytest.raises(NoClassMatch, match="matches no class"):
+        K.partition.resolve((0, 2))
 
 
 def test_witness_search_rejects_unknown_relations():
