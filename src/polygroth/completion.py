@@ -13,10 +13,11 @@ False.  Partitions demand definite answers and abort otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .core import (
@@ -482,19 +483,6 @@ def class_product(partition: Partition, quiver: QuiverSpec,
                          name=f"classes:{quiver.name or format_quiver(quiver)}")
 
 
-class _Memo(dict):
-    """Base-operation values keyed by argument tuple, evaluated on first use."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, args):
-        value = self[args] = self.fn(args)
-        return value
-
-
 def _quer_row(partition: Partition, quiver: QuiverSpec, op: NAryOperation):
     """Row evaluator of the quer search: (g, elems) -> the x in elems whose
     class product op[g^(n-1), x] is g, in elems order.
@@ -510,12 +498,13 @@ def _quer_row(partition: Partition, quiver: QuiverSpec, op: NAryOperation):
     copies = quiver.output_arity - 1
 
     def row(g, elems):
-        prefix, want, memo, rep_of = tuple(g.rep) * copies, g.rep, _Memo(op.fn), partition.rep_of
+        prefix, want, rep_of = tuple(g.rep) * copies, g.rep, partition.rep_of
+        value = functools.cache(op.fn)
         sols = []
         for x in elems:
             flat = prefix + x.rep
-            t = top(flat) if top_intact else memo[top(flat)]
-            b = bottom(flat) if bottom_intact else memo[bottom(flat)]
+            t = top(flat) if top_intact else value(top(flat))
+            b = bottom(flat) if bottom_intact else value(bottom(flat))
             if rep_of(Double(t, b)) == want:
                 sols.append(x)
         return sols
@@ -587,17 +576,20 @@ def class_structure(partition: Partition, product: NAryOperation) -> PolyadicStr
     class-level checks make no further class products.  A compile that raises
     PolyadicError (a product leaves the listed classes, or a double resolves
     to no class) keeps the product-backed operation and is recorded as
-    facts["closure_error"].
+    facts["closure_error"].  A product-backed structure gets the product's
+    row evaluator as facts["quer_row"], which the quer search reads.
     """
     cs = PolyadicStructure(FiniteCarrier(partition.class_doubles()), product)
+    if hasattr(product.fn, "quer_row"):
+        cs.facts["quer_row"] = product.fn.quer_row
     n = product.arity
     if len(cs.carrier) ** (n + 1) > 200_000:
-        return _with_quer_row(cs)
+        return cs
     try:
         table, k = _index_table(cs)
     except PolyadicError as exc:
         cs.facts["closure_error"] = exc
-        return _with_quer_row(cs)
+        return cs
     elems = cs.carrier.elements()
     index = {c: i for i, c in enumerate(elems)}
 
@@ -610,15 +602,8 @@ def class_structure(partition: Partition, product: NAryOperation) -> PolyadicStr
             return product.fn(cds)
         return elems[table[code]]
 
-    return replace(cs, op=NAryOperation(n, lookup, name=product.name))
-
-
-def _with_quer_row(cs: PolyadicStructure) -> PolyadicStructure:
-    """A product-backed class structure, given its product's row evaluator."""
-    row = getattr(cs.op.fn, "quer_row", None)
-    if row is not None:
-        cs.facts["quer_row"] = row
-    return cs
+    return PolyadicStructure(cs.carrier, NAryOperation(n, lookup, name=product.name),
+                             facts={"index_table": (table, k)})
 
 
 def class_quer(partition: Partition, classes: PolyadicStructure, base: PolyadicStructure,
