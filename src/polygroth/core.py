@@ -190,10 +190,9 @@ class PolyadicStructure:
     Cayley table may store it as "index_table", or a function returning it
     as "derive_index_table".  A builder that can prove total associativity
     without the table may store a function answering True when it can as
-    "lifted_associativity"; exhaustive checks ask it first.  A builder that
-    can evaluate a whole quer-search row op[g^(n-1), x] over candidates x
-    at once may store "quer_row", a function (g, candidates) -> the
-    candidates x with op[g^(n-1), x] = g, in order.
+    "lifted_associativity"; exhaustive checks ask it first.  A whole
+    quer-search row may be stored as "quer_row", a function
+    (g, candidates) -> the candidates x with op[g^(n-1), x] = g, in order.
     """
 
     carrier: Carrier
