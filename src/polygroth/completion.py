@@ -27,7 +27,6 @@ from .core import (
     NAryOperation,
     PolyadicStructure,
     _cancels,
-    _index_table,
     _placements_disagree,
     _quer_search,
     _quer_slots,
@@ -470,8 +469,7 @@ def class_product(partition: Partition, quiver: QuiverSpec,
     """Product of classes through the quiver applied to canonical representatives.
 
     The evaluator carries the quer search's row evaluator as `fn.quer_row`
-    (see _quer_row); class_structure hands it to a product-backed class
-    structure.
+    (see _quer_row); class_structure hands it to the class structure.
     """
 
     def fn(cds, _q=quiver, _op=base.op, _p=partition):
@@ -571,39 +569,14 @@ class QuerMap:
 def class_structure(partition: Partition, product: NAryOperation) -> PolyadicStructure:
     """The listed classes as a finite structure under the class product.
 
-    When C^(n+1) <= 200,000 for C listed classes, their Cayley table is
-    compiled first and the returned structure's operation reads it, so the
-    class-level checks make no further class products.  A compile that raises
-    PolyadicError (a product leaves the listed classes, or a double resolves
-    to no class) keeps the product-backed operation and is recorded as
-    facts["closure_error"].  A product-backed structure gets the product's
-    row evaluator as facts["quer_row"], which the quer search reads.
+    The operation is the product memoised by class tuple, so no class-level
+    check multiplies one tuple twice, and a Cayley table compiled from it
+    reuses what the earlier checks computed.  The product's row evaluator
+    is stored as facts["quer_row"], which the quer search reads.
     """
-    cs = PolyadicStructure(FiniteCarrier(partition.class_doubles()), product)
-    if hasattr(product.fn, "quer_row"):
-        cs.facts["quer_row"] = product.fn.quer_row
-    n = product.arity
-    if len(cs.carrier) ** (n + 1) > 200_000:
-        return cs
-    try:
-        table, k = _index_table(cs)
-    except PolyadicError as exc:
-        cs.facts["closure_error"] = exc
-        return cs
-    elems = cs.carrier.elements()
-    index = {c: i for i, c in enumerate(elems)}
-
-    def lookup(cds):
-        code = 0
-        try:
-            for c in cds:
-                code = code * k + index[c]
-        except KeyError:  # a class outside the listed set, such as a formula quer
-            return product.fn(cds)
-        return elems[table[code]]
-
-    return PolyadicStructure(cs.carrier, NAryOperation(n, lookup, name=product.name),
-                             facts={"index_table": (table, k)})
+    op = NAryOperation(product.arity, functools.cache(product.fn), name=product.name)
+    return PolyadicStructure(FiniteCarrier(partition.class_doubles()), op,
+                             facts={"quer_row": product.fn.quer_row})
 
 
 def class_quer(partition: Partition, classes: PolyadicStructure, base: PolyadicStructure,
@@ -690,8 +663,10 @@ def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed
 
     Always: sampled class-level associativity, quer totality with its equation
     at every slot, and sampled cancellation identities.  When the listed class
-    set is small and closed under the product (its index table compiled),
-    unique solvability is added exhaustively on that table.
+    set is small (C^(n+1) <= 200,000 for C classes), its Cayley table is
+    compiled through the memoised product and unique solvability is proved
+    exhaustively on it; a product that leaves the listed classes stops the
+    compile, and the report says the checks ran on a truncated class set.
     """
     rng = random.Random(seed)
     cds = cs.carrier.elements()
@@ -705,15 +680,16 @@ def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed
         if not _cancels(cs, g, h, quer.mapping[h]):
             return (f"failed(cancellation identities at {g},{h})", False)
     slots = "all slots" if quer.all_slots_ok() else "defining slot only"
-    if "index_table" in cs.facts:
-        failures, _ = _solvability_scan(cs, max_failures=1)
-        if failures:
-            i, others = failures[0]
-            return (f"failed(solvability at slot {i}, {others})", False)
-        return (f"group(exhaustive solvability; quer at {slots})", True)
-    error = cs.facts.get("closure_error")
-    if error is not None and not isinstance(error, NonMember):
-        raise error  # some product has no class, as the compile found
+    if len(cds) ** (n + 1) <= 200_000:
+        try:
+            failures, _ = _solvability_scan(cs, max_failures=1)
+        except NonMember:
+            pass
+        else:
+            if failures:
+                i, others = failures[0]
+                return (f"failed(solvability at slot {i}, {others})", False)
+            return (f"group(exhaustive solvability; quer at {slots})", True)
     return (f"group(diagrammatic on truncated class set; quer at {slots})", True)
 
 
@@ -811,12 +787,6 @@ def completion_to_json(K: CompletionGroup) -> dict:
 
 # ---------------------------------------------------------------------------
 # binary specialization: embedding, inverses, universal property
-
-
-def neutral_class(K: CompletionGroup) -> ClassDouble:
-    """Class of a squared-diagonal double (binary completions)."""
-    a = K.base.carrier.elements()[0]
-    return K.partition.resolve(Double(a, a))
 
 
 def class_inverse(K: CompletionGroup, c: ClassDouble) -> ClassDouble:

@@ -18,7 +18,6 @@ from .errors import (
     ArityMismatch,
     ExhaustiveOnInfiniteCarrier,
     NonMember,
-    NotAZero,
     QuerNotFound,
     QuerNotUnique,
     QuerPlacementFailed,
@@ -77,9 +76,6 @@ class FiniteCarrier(Carrier):
 
     def __len__(self):
         return len(self._elements)
-
-    def index(self, x) -> int:
-        return self._index[x]
 
     def elements(self):
         return list(self._elements)
@@ -186,13 +182,13 @@ class PolyadicStructure:
 
     `facts` caches what checkers found, each entry reproducible by re-running
     its checker: "index_table", "zeros", "identities", and completion's
-    "gauge"/"twist" tests and "closure_error".  A builder that knows the
-    Cayley table may store it as "index_table", or a function returning it
-    as "derive_index_table".  A builder that can prove total associativity
-    without the table may store a function answering True when it can as
-    "lifted_associativity"; exhaustive checks ask it first.  A whole
-    quer-search row may be stored as "quer_row", a function
-    (g, candidates) -> the candidates x with op[g^(n-1), x] = g, in order.
+    "gauge"/"twist" tests.  A builder that knows the Cayley table may store
+    it as "index_table", or a function returning it as "derive_index_table".
+    A builder that can prove total associativity without the table may store
+    a function answering True when it can as "lifted_associativity";
+    exhaustive checks ask it first.  A whole quer-search row may be stored
+    as "quer_row", a function (g, candidates) -> the candidates x with
+    op[g^(n-1), x] = g, in order.
     """
 
     carrier: Carrier
@@ -288,25 +284,7 @@ def placement_result(op: NAryOperation, polyad: Sequence, i: int):
 
 
 # ---------------------------------------------------------------------------
-# basic evaluation
-
-
-def evaluate(s: PolyadicStructure, args: Sequence):
-    """Apply the structure's operation after validating the polyad."""
-    args = tuple(args)
-    if len(args) != s.arity:
-        raise ArityMismatch(f"{s.name or 'structure'} takes {s.arity} arguments, got {len(args)}")
-    for a in args:
-        if a not in s.carrier:
-            raise NonMember(a, s.name or s.carrier.name)
-    return s.op.fn(args)
-
-
-def polyadic_power(s: PolyadicStructure, g, ell: int):
-    """g to the ell-th polyadic power: the iterated product of ell*(n-1)+1 copies."""
-    if g not in s.carrier:
-        raise NonMember(g, s.name or s.carrier.name)
-    return iterated_eval(s.op, ell, (g,) * iterated_arity(s.arity, ell))
+# zeros and identities
 
 
 def find_zeros(s: PolyadicStructure) -> list:
@@ -329,13 +307,6 @@ def find_zeros(s: PolyadicStructure) -> list:
     return list(zeros)
 
 
-def is_nilpotent(s: PolyadicStructure, g, ell: int, z) -> bool:
-    """Whether the ell-th polyadic power of g hits the zero z."""
-    if not any(s.carrier.eq(z, z0) for z0 in find_zeros(s)):
-        raise NotAZero(z)
-    return s.carrier.eq(polyadic_power(s, g, ell), z)
-
-
 def find_identities(s: PolyadicStructure) -> list:
     """Elements neutral at every argument position (bounded scan on rules).
 
@@ -348,24 +319,6 @@ def find_identities(s: PolyadicStructure) -> list:
         copies = s.arity - 1
         ids = s.facts["identities"] = tuple(e for e in elems if _is_neutral(s, (e,) * copies, elems))
     return list(ids)
-
-
-def identity_placements(s: PolyadicStructure, e) -> tuple:
-    """Per-slot verdicts: slot i holds iff op[e^i, g, e^(n-1-i)] = g for all scanned g."""
-    elems = s.carrier.elements()
-    n, op, eq = s.arity, s.op, s.carrier.eq
-    return tuple(
-        all(eq(op.fn((e,) * i + (g,) + (e,) * (n - 1 - i)), g) for g in elems)
-        for i in range(n)
-    )
-
-
-def is_neutral_polyad(s: PolyadicStructure, polyad: Sequence) -> bool:
-    """Whether the (n-1)-tuple acts as an identity at every insertion point."""
-    polyad = tuple(polyad)
-    if len(polyad) != s.arity - 1:
-        raise ArityMismatch(f"neutral polyad must have length {s.arity - 1}")
-    return _is_neutral(s, polyad, s.carrier.elements())
 
 
 def _is_neutral(s: PolyadicStructure, polyad: tuple, elems) -> bool:
@@ -643,14 +596,9 @@ def _quer_slots(s: PolyadicStructure, g, q):
     return (eq(op.fn((g,) * i + (q,) + (g,) * (n - 1 - i)), g) for i in range(n))
 
 
-def check_doernte(s: PolyadicStructure, g, h) -> bool:
-    """Cancellation identities: op[g, n_h] = op[n_h, g] = g where
-    n_h = (h^(n-2), quer(h)) with the quer at any slot."""
-    return _cancels(s, g, h, querelement(s, h))
-
-
 def _cancels(s: PolyadicStructure, g, h, hq) -> bool:
-    """The cancellation identities of check_doernte, given the quer hq of h."""
+    """Cancellation identities: op[g, n_h] = op[n_h, g] = g where
+    n_h = (h^(n-2), hq), hq the quer of h, with the quer at any slot."""
     n, op, eq = s.arity, s.op, s.carrier.eq
     for i in range(n - 1):
         polyad = (h,) * i + (hq,) + (h,) * (n - 2 - i)

@@ -27,8 +27,6 @@ from .core import (
     _digit_codes,
     _index_table,
     commutativity_report,
-    find_identities,
-    identity_placements,
     placement_result,
 )
 from .errors import ArityMismatch, InvalidQuiver, NotQuantized, UnknownQuiver
@@ -410,46 +408,3 @@ def _doubles_table(quiver: QuiverSpec, base_table: tuple, k: int):
 
     table = tuple(map(add, wire_values(quiver.top, k), wire_values(quiver.bottom, 1)))
     return table, k * k
-
-
-def componentwise_power(s: PolyadicStructure) -> DoubledStructure:
-    """Same-arity power multiplying tops and bottoms independently."""
-    return hetero_power(s, builtin_quiver(f"componentwise-{s.arity}"))
-
-
-# ---------------------------------------------------------------------------
-# identity classification on powers
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    kind: str                    # two-sided | left | right | partial | none
-    identity: Double | None
-    placements: tuple            # per-slot verdicts for E, empty when no candidate
-
-    def __str__(self):
-        return self.kind if self.identity is None else f"{self.kind} E={self.identity}"
-
-
-def identity_report_for_power(d: DoubledStructure) -> IdentityReport:
-    """Classify E = (e,e) by which placement equations hold on the power.
-
-    'left' means only op[E,...,E,S] = S survives; 'right' only op[S,E,...,E].
-    """
-    base_ids = find_identities(d.base)
-    if not base_ids:
-        return IdentityReport("none", None, ())
-    e = base_ids[0]
-    E = Double(e, e)
-    placements = identity_placements(d.structure, E)
-    if all(placements):
-        kind = "two-sided"
-    elif placements[-1] and not placements[0]:
-        kind = "left"
-    elif placements[0] and not placements[-1]:
-        kind = "right"
-    elif placements[0] and placements[-1]:
-        kind = "partial"
-    else:
-        kind = "none"
-    return IdentityReport(kind, E, placements)

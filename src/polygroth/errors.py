@@ -20,12 +20,6 @@ class NonMember(PolyadicError):
         self.element = element
 
 
-class NotAZero(PolyadicError):
-    def __init__(self, element):
-        super().__init__(f"{element!r} is not a polyadic zero of the structure")
-        self.element = element
-
-
 class ExhaustiveOnInfiniteCarrier(PolyadicError):
     """Exhaustive checks need a finite enumerated carrier."""
 

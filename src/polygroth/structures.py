@@ -145,7 +145,7 @@ ODD3 = StructureRecipe("odd3", 3, _odd_build, _odd_canonical, _odd_rule,
 
 
 # ---------------------------------------------------------------------------
-# residue class {bk+a} under the m-fold product
+# positive members of the residue class {bk+a} under the m-fold product
 
 
 def detect_residue_arity(a: int, b: int, bound: int = 16) -> int:
@@ -168,12 +168,13 @@ def residue_recipe(a: int, b: int) -> StructureRecipe:
     name = f"res-{a}-{b}"
 
     def member(x):
-        return isinstance(x, int) and x >= 0 and x % b == a
+        # positive only: zero absorbs, so cross-multiplying would not be transitive
+        return isinstance(x, int) and x > 0 and x % b == a
 
     def build(limit: int = 200) -> PolyadicStructure:
-        if limit < a:
-            raise UsageError(f"limit must be >= {a}")
-        start = a if a > 0 else 0
+        start = a or b
+        if limit < start:
+            raise UsageError(f"limit must be >= {start}")
         carrier = RuleCarrier(member, range(start, limit + 1, b),
                               name=f"[[{a}]]_{b}(<= {limit})")
 

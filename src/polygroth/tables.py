@@ -83,8 +83,3 @@ def format_table(s: PolyadicStructure) -> str:
     if getattr(s.carrier, "labels", None):
         lines.append("labels " + " ".join(s.carrier.labels))
     return "\n".join(lines) + "\n"
-
-
-def write_table(s: PolyadicStructure, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_table(s))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,27 @@ def test_classes_odd3(capsys):
     payload = json.loads(out)
     for rep in (["3", "1"], ["1", "3"], ["1", "1"]):
         assert rep in payload["classes"]
+
+
+def test_residue_class_of_zero_is_the_positive_multiples(capsys):
+    # zero absorbs, so res-0-b leaves it out and starts at b: one class per
+    # ratio p/q of multiples of 4, each named by multiples of 4
+    ratios = {Fraction(p, q) for p in range(4, 41, 4) for q in range(4, 41, 4)}
+    code, out, _ = run(capsys, "classes", "--structure", "res-0-4", "--bound", "40")
+    assert code == 0
+    reps = [(int(p), int(q)) for p, q in json.loads(out)["classes"]]
+    code, out, _ = run(capsys, "complete", "--structure", "res-0-4",
+                       "--quiver", "componentwise-2", "--bound", "40")
+    assert code == 0
+    payload = json.loads(out)
+    assert [[str(p), str(q)] for p, q in reps] == [c["rep"] for c in payload["classes"]]
+    assert payload["report"]["group"].startswith("group")
+    assert len(reps) == len(ratios) == len({Fraction(p, q) for p, q in reps})
+    assert {Fraction(p, q) for p, q in reps} == ratios
+    assert all(p > 0 and q > 0 and p % 4 == q % 4 == 0 for p, q in reps)
+    code, out, err = run(capsys, "classes", "--structure", "res-0-4", "--bound", "3")
+    assert code == 2 and out == ""
+    assert "limit must be >= 4" in err
 
 
 def test_quer_post_ternary_fixes_all(capsys):

@@ -37,7 +37,6 @@ from polygroth import (
     hetero_power,
     integers_group,
     integers_mod_group,
-    neutral_class,
     parse_table,
     partition_classes,
     phi_sg,
@@ -497,7 +496,7 @@ def test_quer_search_mode_matches_formula():
     found = class_quer(K.partition, classes, K.base, QUER_SEARCH)
     formula = class_quer(K.partition, classes, K.base, QUER_COMPONENTWISE)
     # binary quer equation op[c, q] = c forces q to be the neutral class
-    neutral = neutral_class(K)
+    neutral = K.partition.resolve(Double(0, 0))
     for c in K.classes():
         assert found.mapping[c] == formula.mapping[c] == neutral
 
@@ -636,9 +635,10 @@ def test_group_stage_pass_string_and_quer_are_pinned():
 
 
 def test_class_group_checks_make_one_product_per_class_tuple(monkeypatch):
-    # the class table is compiled once, before the quer, and every class-level
-    # check reads it: a whole exhaustive completion evaluates the class
-    # product once per tuple, C^n = 7^3, however many samples it draws
+    # the class structure memoises the class product, so no class-level check
+    # multiplies a class tuple twice: a whole exhaustive completion evaluates
+    # the product once per tuple, C^n = 7^3, however many samples it draws,
+    # and past the table cutoff the sampled checks repeat no tuple either
     calls = []
 
     def counted_product(*args, **kwargs):
@@ -648,6 +648,7 @@ def test_class_group_checks_make_one_product_per_class_tuple(monkeypatch):
             calls.append(t)
             return product.fn(t)
 
+        fn.quer_row = product.fn.quer_row
         return dataclasses.replace(product, fn=fn)
 
     monkeypatch.setattr(completion, "class_product", counted_product)
@@ -657,6 +658,12 @@ def test_class_group_checks_make_one_product_per_class_tuple(monkeypatch):
     assert K.report.group == "group(exhaustive solvability; quer at all slots; 49-double domain)"
     assert len(calls) == 7 ** 3
     assert len(set(calls)) == 7 ** 3
+    calls.clear()
+    K = completion_for("nat0", "componentwise-2", limit=80)
+    assert K.partition.class_count() ** 3 > 200_000
+    assert K.report.group.startswith("group(diagrammatic on truncated class set")
+    assert len(calls) > 1000
+    assert len(calls) == len(set(calls))
 
 
 def product_backed_group_stage(part, product, base, quer_mode, samples, seed):
@@ -800,7 +807,7 @@ def test_table_backed_class_stage_matches_product_backed_reference():
     seen = collections.Counter()
     for case in [unresolvable] + [random_stage_case(rng) for _ in range(600)]:
 
-        def table_backed():
+        def memoised():
             K = build_completion(case["s"], case["quiver"], case["dec"], case["quer_mode"],
                                  canonical=case["canonical"], assoc_mode=case["assoc_mode"],
                                  samples=case["samples"], seed=case["seed"],
@@ -808,7 +815,7 @@ def test_table_backed_class_stage_matches_product_backed_reference():
             quer = None if K.quer is None else (K.quer.mapping, K.quer.slot_ok)
             return K.report, quer
 
-        got = outcome(table_backed)
+        got = outcome(memoised)
         want = outcome(lambda: reference_completion(**case))
         assert got == want, case
         if isinstance(want[0], CompletionReport):
@@ -830,16 +837,15 @@ def test_table_backed_class_stage_matches_product_backed_reference():
 
 
 def test_class_table_multiplies_unlisted_classes_by_the_product():
-    # the listed classes [0;0] and [2;0] of Z4 are closed, so their table
-    # compiles; a class outside them, such as a formula quer may name, is
-    # still multiplied by the class product
+    # the listed classes [0;0] and [2;0] of Z4 are closed; a class outside
+    # them, such as a formula quer may name, is still multiplied by the
+    # class product
     s = zmod_add(4, 2)
     part = partition_classes(s, [Double(a, b) for a in (0, 2) for b in (0, 2)],
                              ExactRule(lambda x, y: (x.top - x.bottom - y.top + y.bottom) % 4 == 0),
                              canonical=lambda d: Double((d.top - d.bottom) % 4, 0))
     product = class_product(part, builtin_quiver("componentwise-2"), s)
     cs = class_structure(part, product)
-    assert cs.facts["index_table"] == ((0, 1, 1, 0), 2)
     listed, outside = cs.carrier.elements(), ClassDouble(Double(1, 0))
     for t in itertools.product(listed + [outside], repeat=2):
         assert cs.op.fn(t) == product.fn(t)
@@ -847,7 +853,7 @@ def test_class_table_multiplies_unlisted_classes_by_the_product():
 
 
 def test_quer_row_search_matches_the_per_candidate_search():
-    # past the class-table cutoff the quer search reads the product's row
+    # the class structure's quer search reads the product's row
     # evaluator; it must give the per-candidate search's quer map, or raise
     # its error with its message.  Under an equality rule every double of Z8
     # (binary) or Z5 (ternary) is its own class; truncated domains keep at
@@ -992,7 +998,7 @@ def test_default_mode_lifts_ternary_z7_doubles_past_the_cutoff():
 def test_phi_sg_values():
     K = completion_for("nat0", "componentwise-2", limit=20)
     assert phi_sg(K, 5) == cls(5, 0)
-    assert phi_sg(K, 0) == neutral_class(K) == cls(0, 0)
+    assert phi_sg(K, 0) == K.partition.resolve(Double(3, 3)) == cls(0, 0)
     rng = random.Random(2)
     for _ in range(30):
         a, b = rng.randrange(10), rng.randrange(10)
@@ -1003,7 +1009,7 @@ def test_class_inverse():
     K = completion_for("nat0", "componentwise-2", limit=20)
     c = cls(7, 0)
     assert class_inverse(K, c) == cls(0, 7)
-    assert K.product((c, class_inverse(K, c))) == neutral_class(K)
+    assert K.product((c, class_inverse(K, c))) == K.partition.resolve(Double(3, 3))
 
 
 def test_universal_factorization_into_integers():

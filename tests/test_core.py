@@ -10,30 +10,24 @@ from polygroth import (
     FiniteCarrier,
     NAryOperation,
     PolyadicStructure,
-    check_doernte,
     check_total_associativity,
     commutativity_report,
-    evaluate,
     find_identities,
     find_zeros,
-    identity_placements,
-    is_neutral_polyad,
-    is_nilpotent,
     iterate,
     iterated_arity,
+    iterated_eval,
     placement_result,
-    polyadic_power,
     querelement,
     structure_report,
     verify_polyadic_group,
     zmod_add,
     zmod_mul,
 )
+from polygroth.core import _cancels, _is_neutral
 from polygroth.errors import (
     ArityMismatch,
     ExhaustiveOnInfiniteCarrier,
-    NonMember,
-    NotAZero,
     QuerNotFound,
     QuerNotUnique,
     UsageError,
@@ -57,26 +51,18 @@ def corrupted_z3_ternary():
 
 def test_evaluate_ternary_mod5():
     z5 = zmod_add(5, 3)
-    assert evaluate(z5, (1, 2, 3)) == (1 + 2 + 3) % 5 == 1
+    assert z5.op((1, 2, 3)) == (1 + 2 + 3) % 5 == 1
 
 
 def test_evaluate_odd_ternary_addition():
     odd = get_recipe("odd3").build(21)
-    assert evaluate(odd, (1, 3, 5)) == 9
+    assert odd.op((1, 3, 5)) == 9
 
 
 def test_evaluate_matrix_idempotent():
     s = MATRIX4.build(25)
     a = 0.5 + 0.25j
-    assert abs(evaluate(s, (a, a, a, a)) - a) <= MATRIX_TOLERANCE
-
-
-def test_evaluate_validates():
-    z5 = zmod_add(5, 3)
-    with pytest.raises(ArityMismatch):
-        evaluate(z5, (1, 2))
-    with pytest.raises(NonMember):
-        evaluate(z5, (1, 2, 7))
+    assert abs(s.op((a, a, a, a)) - a) <= MATRIX_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +95,13 @@ def test_iterate_arity_law_property(arity, ell):
 
 def test_polyadic_power():
     z5 = zmod_add(5, 3)
-    assert polyadic_power(z5, 2, 1) == 1  # 2+2+2 = 6 = 1 mod 5
+    assert iterated_eval(z5.op, 1, (2,) * 3) == 1  # 2+2+2 = 6 = 1 mod 5
+    assert iterated_eval(z5.op, 2, (2,) * 5) == 0  # 5*2 = 10 = 0 mod 5
     odd = get_recipe("odd3").build(21)
-    assert polyadic_power(odd, 3, 1) == 9
+    assert iterated_eval(odd.op, 1, (3,) * 3) == 9
     s = MATRIX4.build(25)
     a = -0.5 + 1.0j
-    assert abs(polyadic_power(s, a, 1) - a) <= MATRIX_TOLERANCE
+    assert abs(iterated_eval(s.op, 1, (a,) * 4) - a) <= MATRIX_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +128,16 @@ def test_find_zeros_scans_once():
     first.append("mutated")
     calls.clear()
     assert find_zeros(s) == [0]
-    assert is_nilpotent(s, 2, 1, 0)
-    assert calls == [(2, 2, 2)]  # only the power itself
+    assert calls == []
 
 
 def test_is_nilpotent():
     z4 = zmod_mul(4, 3)
-    assert is_nilpotent(z4, 2, 1, 0)  # 2*2*2 = 8 = 0 mod 4
-    assert is_nilpotent(z4, 0, 1, 0)
-    with pytest.raises(NotAZero):
-        is_nilpotent(zmod_add(5, 3), 2, 1, 0)
+    assert find_zeros(z4) == [0]
+    assert iterated_eval(z4.op, 1, (2,) * 3) == 0  # 2*2*2 = 8 = 0 mod 4
+    assert iterated_eval(z4.op, 1, (0,) * 3) == 0
+    assert iterated_eval(z4.op, 2, (1,) * 5) == 1
+    assert find_zeros(zmod_add(5, 3)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +245,19 @@ def test_find_identities_scans_once_per_bound():
 def test_matrix_identities_are_one_sided_only():
     s = MATRIX4.build(25)
     assert find_identities(s) == []  # no slot-independent identity
-    for e in s.carrier.elements()[:5]:
-        assert identity_placements(s, e) == (True, False, False, True)
+    elems = s.carrier.elements()
+    for e in elems[:5]:
+        slots = tuple(all(s.carrier.eq(s.op((e,) * i + (g,) + (e,) * (3 - i)), g) for g in elems)
+                      for i in range(4))
+        assert slots == (True, False, False, True)
 
 
 def test_neutral_polyads():
     z5 = zmod_add(5, 3)
-    assert is_neutral_polyad(z5, (2, 3))
-    assert is_neutral_polyad(z5, (0, 0))  # e^(n-1) for the identity e
-    assert not is_neutral_polyad(z5, (1, 1))
-    with pytest.raises(ArityMismatch):
-        is_neutral_polyad(z5, (1, 2, 3))
+    elems = z5.carrier.elements()
+    assert _is_neutral(z5, (2, 3), elems)
+    assert _is_neutral(z5, (0, 0), elems)  # e^(n-1) for the identity e
+    assert not _is_neutral(z5, (1, 1), elems)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +384,12 @@ def test_querelement_not_unique_at_absorber():
 
 def test_doernte_holds_on_group():
     z5 = zmod_add(5, 3)
-    assert all(check_doernte(z5, g, h) for g in range(5) for h in range(5))
+    assert all(_cancels(z5, g, h, querelement(z5, h)) for g in range(5) for h in range(5))
 
 
 def test_doernte_binary_group_reduces_to_inverse_cancellation():
     z6 = zmod_add(6, 2)
-    assert all(check_doernte(z6, g, h) for g in range(6) for h in range(6))
+    assert all(_cancels(z6, g, h, querelement(z6, h)) for g in range(6) for h in range(6))
 
 
 def test_doernte_fails_somewhere_on_corrupted_table():
@@ -409,7 +398,7 @@ def test_doernte_fails_somewhere_on_corrupted_table():
     for g in range(3):
         for h in range(3):
             try:
-                if check_doernte(bad, g, h):
+                if _cancels(bad, g, h, querelement(bad, h)):
                     ok += 1
             except (QuerNotFound, QuerNotUnique):
                 pass
@@ -489,7 +478,7 @@ def test_group_members_have_unique_quers_and_doernte():
         q = querelement(z5, g)
         assert z5.op((g, g, q)) == g
         for h in range(5):
-            assert check_doernte(z5, g, h)
+            assert _cancels(z5, g, h, querelement(z5, h))
 
 
 def test_structure_report_bundle():

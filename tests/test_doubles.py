@@ -20,11 +20,10 @@ from polygroth import (
     builtin_quiver,
     check_total_associativity,
     commutativity_report,
-    componentwise_power,
     double_carrier,
+    find_identities,
     format_quiver,
     hetero_power,
-    identity_report_for_power,
     parse_quiver,
     PolyadicStructure,
     placement_result,
@@ -176,7 +175,7 @@ def test_twisted_binary_matches_hand_formula():
 
 def test_componentwise_power():
     z3 = zmod_add(3, 3)
-    d = componentwise_power(z3)
+    d = hetero_power(z3, builtin_quiver("componentwise-3"))
     assert d.arity == 3
     assert d.op((Double(1, 2), Double(2, 2), Double(0, 1))) == Double(0, 2)
 
@@ -519,7 +518,7 @@ def test_noncommutative_5ary_base_falls_back_to_the_scan():
 
 
 def test_componentwise_power_stays_fully_commutative():
-    d = componentwise_power(zmod_add(3, 3))
+    d = hetero_power(zmod_add(3, 3), builtin_quiver("componentwise-3"))
     assert commutativity_report(d.structure, CheckMode.exhaustive()).level == "full"
 
 
@@ -555,16 +554,26 @@ def test_five_to_three_power_sigma_commutativity():
 # identities on powers
 
 
+def identity_slots(d, E):
+    """Per-slot verdicts: slot i holds iff op[E^i, S, E^(n-1-i)] = S for every S."""
+    elems, n = d.carrier.elements(), d.arity
+    return tuple(all(d.op((E,) * i + (S,) + (E,) * (n - 1 - i)) == S for S in elems)
+                 for i in range(n))
+
+
 def test_identity_reports():
-    z3 = zmod_add(3, 3)
-    assert identity_report_for_power(componentwise_power(z3)).kind == "two-sided"
-    assert identity_report_for_power(
-        hetero_power(z3, builtin_quiver("ternary-to-binary-a"))).kind == "left"
-    assert identity_report_for_power(
-        hetero_power(z3, builtin_quiver("ternary-to-binary-b"))).kind == "right"
+    # E = (e, e) for the identity e of the base: two-sided on the
+    # componentwise power, left (only op[E,...,E,S] = S) or right (only
+    # op[S,E,...,E] = S) on the intact wirings
+    z3, E = zmod_add(3, 3), Double(0, 0)
+    assert identity_slots(hetero_power(z3, builtin_quiver("componentwise-3")), E) == (True,) * 3
+    assert identity_slots(hetero_power(z3, builtin_quiver("ternary-to-binary-a")), E) == (
+        False, True)
+    assert identity_slots(hetero_power(z3, builtin_quiver("ternary-to-binary-b")), E) == (
+        True, False)
     z2 = zmod_add(2, 5)
-    assert identity_report_for_power(
-        hetero_power(z2, builtin_quiver("five-to-three-intact"))).kind == "left"
+    assert identity_slots(hetero_power(z2, builtin_quiver("five-to-three-intact")), E) == (
+        False, False, True)
 
 
 def test_post_ternary_identity_holds_at_outer_slots_only():
@@ -572,17 +581,16 @@ def test_post_ternary_identity_holds_at_outer_slots_only():
     # the components of S, so it is not a full ternary identity
     z3 = zmod_add(3, 3)
     d = hetero_power(z3, builtin_quiver("post-ternary"))
-    rep = identity_report_for_power(d)
-    assert rep.placements == (True, False, True)
-    assert rep.kind == "partial"
+    assert identity_slots(d, Double(0, 0)) == (True, False, True)
     E, S = Double(0, 0), Double(1, 2)
     assert d.op((E, S, E)) == Double(2, 1)
 
 
 def test_no_identity_candidate_on_odds_power():
+    # no base identity, so no E = (e, e) to try, and no identity of the power
     odd = get_recipe("odd3").build(21)
-    d = componentwise_power(odd)
-    assert identity_report_for_power(d).kind == "none"
+    assert find_identities(odd) == []
+    assert find_identities(hetero_power(odd, builtin_quiver("componentwise-3")).structure) == []
 
 
 def test_enumerate_all_ternary_to_binary_wirings():

@@ -1,7 +1,7 @@
 import pytest
 
-from polygroth import CheckMode, check_total_associativity, evaluate, zmod_add
-from polygroth.tables import format_table, parse_table, read_table, write_table
+from polygroth import CheckMode, check_total_associativity, zmod_add
+from polygroth.tables import format_table, parse_table, read_table
 
 
 def test_round_trip_through_text():
@@ -11,14 +11,14 @@ def test_round_trip_through_text():
     assert back.arity == 3
     assert len(back.carrier) == 3
     for args in [(0, 1, 2), (2, 2, 2), (1, 0, 1)]:
-        assert evaluate(back, args) == evaluate(s, args)
+        assert back.op(args) == s.op(args)
     assert format_table(back) == text
 
 
 def test_round_trip_through_file(tmp_path):
     s = zmod_add(4, 2)
     path = tmp_path / "z4.tbl"
-    write_table(s, str(path))
+    path.write_text(format_table(s))
     back = read_table(str(path))
     assert check_total_associativity(back, CheckMode.exhaustive()).ok
 
