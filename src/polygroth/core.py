@@ -66,8 +66,8 @@ class FiniteCarrier(Carrier):
             if e in self._index:
                 raise ValueError(f"duplicate carrier element {e!r}")
             self._index[e] = i
-        if labels is not None and len(labels) != len(self._elements):
-            raise ValueError("labels must list exactly one name per element")
+        if labels is not None and not len(labels) == len(set(labels)) == len(self._elements):
+            raise ValueError("labels must list exactly one distinct name per element")
         self.labels = list(labels) if labels is not None else None
         self.name = name
 
@@ -138,7 +138,10 @@ class NAryOperation:
             raise ArityMismatch(f"arity must be >= 1, got {self.arity}")
 
     def __call__(self, polyad):
-        return self.fn(tuple(polyad))
+        polyad = tuple(polyad)
+        if len(polyad) != self.arity:
+            raise ArityMismatch(f"{self.arity}-ary operation given {len(polyad)} arguments")
+        return self.fn(polyad)
 
 
 def iterated_arity(arity: int, ell: int) -> int:
@@ -183,7 +186,8 @@ class PolyadicStructure:
     `facts` caches what checkers found, each entry reproducible by re-running
     its checker: "index_table", "zeros", "identities", and completion's
     "gauge"/"twist" tests.  A builder that knows the Cayley table may store
-    it as "index_table", or a function returning it as "derive_index_table".
+    it as "index_table", or a function returning its row r (see _index_rows)
+    as "index_row".
     A builder that can prove total associativity without the table may store
     a function answering True when it can as "lifted_associativity";
     exhaustive checks ask it first.  A whole quer-search row may be stored
@@ -335,10 +339,27 @@ def _index_table(s: PolyadicStructure):
     cached = s.facts.get("index_table")
     if cached is not None:
         return cached
-    derive = s.facts.get("derive_index_table")
-    table = derive() if derive is not None else _compile_table(s)
+    row = s.facts.get("index_row")
+    if row is None:
+        table = _compile_table(s)
+    else:
+        k = len(s.carrier.elements())
+        table = tuple(itertools.chain.from_iterable(map(row, range(k)))), k
     s.facts["index_table"] = table
     return table
+
+
+def _index_rows(s: PolyadicStructure):
+    """(row, k): row(r) is the tuple of table entries whose first argument has index r.
+
+    Rows come from an "index_row" fact unless the whole table is at hand.
+    """
+    row = s.facts.get("index_row")
+    if row is not None and "index_table" not in s.facts:
+        return row, len(s.carrier.elements())
+    table, k = _index_table(s)
+    table, span = tuple(table), k ** (s.arity - 1)  # rows are compared as tuples
+    return (lambda r: table[r * span:(r + 1) * span]), k
 
 
 def _compile_table(s: PolyadicStructure):
@@ -358,44 +379,56 @@ def _compile_table(s: PolyadicStructure):
     return tuple(table), k
 
 
-def _assoc_scan(table, k, n):
+def _assoc_scan(row, k, n):
     """(tuple code, placement) of the first disagreement with placement 0, or None.
+
+    `row(r)` gives the table row of first argument r (see _index_rows).  Each
+    row is fetched once, on first use, so an early exit reads few rows.
 
     A (2n-1)-tuple with code T splits as T = u*k^(n-1) + v: u codes the leading
     n-tuple and v the trailing (n-1)-tuple.  For each u in lexicographic order
     the results of one placement over every v form a block built by slicing:
-    placement 0 is the table row of table[u]; placement i gathers rows of
-    length k^(n-1-i), fixed by u[:i], through the inner results, which for the
-    window u[i:] + v[:i] are the contiguous slice at code(u[i:])*k^i.  Only
-    blocks that differ from placement 0 are walked, so the scan stops in the
-    first failing block and reports the smallest counterexample.
+    placement 0 is the row of table[u]; placement i gathers runs of length
+    k^(n-1-i) from the row of u's first digit, fixed by u[:i], through the
+    inner results, which for the window u[i:] + v[:i] are a contiguous slice
+    of the row of u's digit i.  Only blocks that differ from placement 0 are
+    walked, so the scan stops in the first failing block and reports the
+    smallest counterexample.
     """
     if n == 1 or k <= 1:
         return None
-    table = tuple(table)  # blocks are compared as tuples; no copy if it is one
     span = k ** (n - 1)
     pw = [k ** e for e in range(n)]
-    # the last placement gathers single entries; one getter per window code
-    last = [itemgetter(*table[c * span:(c + 1) * span]) for c in range(k)]
+    rows = [None] * k
+    last = [None] * k  # the last placement gathers single entries: a getter per row
+
+    def fetch(r):
+        rows[r] = row(r)
+        return rows[r]
+
     prefixes = [-1] * n
-    rows = [None] * n
+    runs = [None] * n
     for u in range(k ** n):
-        start = table[u] * span
-        first = table[start:start + span]
+        head = rows[u // span] or fetch(u // span)
+        r = head[u % span]
+        first = rows[r] or fetch(r)
         hits = []
         for i in range(1, n):
             pre, window = divmod(u, pw[n - i])
             width = pw[n - 1 - i]
             if pre != prefixes[i]:
                 prefixes[i] = pre
-                lo = pre * k * width
-                rows[i] = table[lo:lo + k] if width == 1 else [
-                    table[r:r + width] for r in range(lo, lo + k * width, width)]
+                lo = pre % pw[i - 1] * k * width
+                runs[i] = head[lo:lo + k] if width == 1 else [
+                    head[c:c + width] for c in range(lo, lo + k * width, width)]
             if width == 1:
-                block = last[window](rows[i])
+                if last[window] is None:
+                    last[window] = itemgetter(*(rows[window] or fetch(window)))
+                block = last[window](runs[i])
             else:
-                inner = table[window * pw[i]:(window + 1) * pw[i]]
-                block = tuple(itertools.chain.from_iterable(map(rows[i].__getitem__, inner)))
+                digit, tail = divmod(window, width)
+                inner = (rows[digit] or fetch(digit))[tail * pw[i]:(tail + 1) * pw[i]]
+                block = tuple(itertools.chain.from_iterable(map(runs[i].__getitem__, inner)))
             if block != first:
                 v = next(v for v, (a, b) in enumerate(zip(first, block)) if a != b)
                 hits.append((v, i))
@@ -436,8 +469,8 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
         lifted = s.facts.get("lifted_associativity")
         if lifted is not None and lifted():
             return Verdict("proved-exhaustive", len(s.carrier.elements()) ** L)
-        table, k = _index_table(s)
-        hit = _assoc_scan(table, k, n)
+        row, k = _index_rows(s)
+        hit = _assoc_scan(row, k, n)
         if hit is None:
             return Verdict("proved-exhaustive", k ** L)
         T, i = hit

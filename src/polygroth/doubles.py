@@ -25,6 +25,7 @@ from .core import (
     RuleCarrier,
     _assoc_scan,
     _digit_codes,
+    _index_rows,
     _index_table,
     commutativity_report,
     placement_result,
@@ -328,10 +329,10 @@ def hetero_power(s: PolyadicStructure, quiver: QuiverSpec) -> DoubledStructure:
 
     Associativity of the result is *not* asserted here; run
     check_total_associativity on .structure before trusting it.  On a finite
-    base the power's index table is derived from the base's on first use, and
-    an exhaustive check first tries to lift the base's associativity (see
-    _lifts_associativity), so nothing is evaluated until an exhaustive checker
-    asks for it.
+    base the power's index table rows are derived from the base's as they are
+    read, and an exhaustive check first tries to lift the base's associativity
+    (see _lifts_associativity), so nothing is evaluated until an exhaustive
+    checker asks for it.
     """
     if quiver.input_arity != s.arity:
         raise ArityMismatch(
@@ -346,7 +347,7 @@ def hetero_power(s: PolyadicStructure, quiver: QuiverSpec) -> DoubledStructure:
     label = f"{s.name or 'S'} boxtimes {quiver.name or format_quiver(quiver)}"
     power = PolyadicStructure(carrier, op, name=label)
     if s.carrier.is_finite:
-        power.facts["derive_index_table"] = lambda: _doubles_table(quiver, *_index_table(s))
+        power.facts["index_row"] = _power_rows(quiver, s)
         power.facts["lifted_associativity"] = functools.cache(
             lambda: _lifts_associativity(quiver, s))
     return DoubledStructure(s, quiver, power)
@@ -383,28 +384,37 @@ def _lifts_associativity(quiver: QuiverSpec, s: PolyadicStructure) -> bool:
             return False
         if commutativity_report(s, CheckMode.exhaustive()).level != "full":
             return False
-    return _assoc_scan(*_index_table(s), s.arity) is None
+    return _assoc_scan(*_index_rows(s), s.arity) is None
 
 
-def _doubles_table(quiver: QuiverSpec, base_table: tuple, k: int):
-    """Index table of the power, derived from the base's without evaluating it.
+def _power_rows(quiver: QuiverSpec, s: PolyadicStructure):
+    """Rows of the power's index table, derived from the base's without evaluating it.
 
     Double (a, b) has index a*k + b, so a tuple of n doubles is coded by the
     2n base digits (top_1, bottom_1, ..., top_n, bottom_n).  Each wire's value
-    is a digit (intact) or the base table entry coded by its picks' digits.
+    is a digit (intact) or the base table entry coded by its picks' digits:
+    an offset fixed by the row's double plus a code over the other 2n-2
+    digits, which are computed once per power.
     """
     n = quiver.output_arity
 
-    def wire_values(wire, scale):
-        weights = [0] * (2 * n)
-        picks = _wire_picks(wire)
-        if isinstance(wire, Intact):
-            weights[_digit(picks[0])] = scale
-            return _digit_codes(weights, k)
-        for j, p in enumerate(picks):
-            weights[_digit(p)] = k ** (len(picks) - 1 - j)
-        values = base_table if scale == 1 else [v * scale for v in base_table]
-        return map(values.__getitem__, _digit_codes(weights, k))
+    @functools.cache
+    def wires():
+        base_table, k = _index_table(s)
+        out = []
+        for wire, scale in ((quiver.top, k), (quiver.bottom, 1)):
+            picks = _wire_picks(wire)
+            weights = [0] * (2 * n)
+            for j, p in enumerate(picks):
+                weights[_digit(p)] = k ** (len(picks) - 1 - j)
+            values = tuple(v * scale for v in (range(k) if isinstance(wire, Intact) else base_table))
+            codes = _digit_codes(weights[2:], k)
+            gather = itemgetter(*codes) if len(codes) > 1 else (lambda t, c=codes[0]: (t[c],))
+            out.append((values, _digit_codes(weights[:2], k), gather))
+        return out
 
-    table = tuple(map(add, wire_values(quiver.top, k), wire_values(quiver.bottom, 1)))
-    return table, k * k
+    def row(r):
+        top, bottom = (gather(values[lead[r]:]) for values, lead, gather in wires())
+        return tuple(map(add, top, bottom))
+
+    return row

@@ -43,6 +43,15 @@ def test_assoc_check_corrupted_table(tmp_path, capsys):
     assert payload["ok"] is False and "failed" in payload["verdict"]
 
 
+def test_duplicate_table_labels_are_a_bad_table_file(tmp_path, capsys):
+    dup = tmp_path / "dup.tbl"
+    dup.write_text("arity 2\nsize 2\n0\n1\n1\n0\nlabels a a\n")
+    code, out, err = run(capsys, "assoc-check", "--structure", f"table:{dup}",
+                         "--mode", "exhaustive")
+    assert code == 2 and out == ""
+    assert "bad table file" in err and "labels" in err
+
+
 def test_assoc_check_with_quiver(capsys):
     code, out, _ = run(capsys, "assoc-check", "--structure", "table:missing.tbl")
     assert code == 2

@@ -492,3 +492,12 @@ def test_structure_report_bundle():
 def test_operation_rejects_bad_arity():
     with pytest.raises(ArityMismatch):
         NAryOperation(0, lambda t: t)
+
+
+def test_operation_rejects_a_polyad_of_the_wrong_length():
+    # a table op would index an entry for (1, 1), so the call must check
+    op = parse_table(format_table(zmod_add(3, 3))).op
+    assert op((1, 1, 1)) == 0
+    for polyad in ((1, 1), (1, 1, 1, 1), ()):
+        with pytest.raises(ArityMismatch):
+            op(polyad)

@@ -43,6 +43,7 @@ def test_comments_and_blanks_ignored():
     ("arity 2\nsize 2\n0\n1\n1\n5\n", "out of range"),
     ("arity 2\nsize 2\n0\n1\n1\nx\n", "bad result"),
     ("arity 2\nsize 2\n0\n1\n1\n0\nlabels e\n", "labels"),
+    ("arity 2\nsize 2\n0\n1\n1\n0\nlabels a a\n", "labels"),
 ])
 def test_parse_errors(text, msg):
     with pytest.raises(ValueError, match=msg):
