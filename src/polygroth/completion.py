@@ -18,7 +18,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     CheckMode,
@@ -336,22 +336,14 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
 # classes and partitions
 
 
-class ClassDouble:
+class ClassDouble(NamedTuple):
     """An equivalence class named by its canonical representative double."""
 
-    __slots__ = ("rep",)
-
-    def __init__(self, rep):
-        self.rep = rep if isinstance(rep, Double) else Double(*rep)
-
-    def __eq__(self, other):
-        return isinstance(other, ClassDouble) and self.rep == other.rep
-
-    def __hash__(self):
-        return hash(self.rep)
+    rep: Double
 
     def __repr__(self):
-        return f"[{self.rep.top};{self.rep.bottom}]"
+        top, bottom = self.rep
+        return f"[{top};{bottom}]"
 
 
 @dataclass(eq=False)
@@ -390,8 +382,7 @@ class Partition:
         and one that matches none raises NoClassMatch.
         """
         if self.canonical is not None:
-            rep = self.canonical(double)
-            return rep if isinstance(rep, Double) else Double(*rep)
+            return self.canonical(double)
         if self._position is None:
             self._position = {d: i for i, members in enumerate(self.classes) for d in members}
         i = self._position.get(double)
@@ -451,7 +442,7 @@ def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
     for L in leaders:
         mem = members[L]
         least = min(mem, key=lexkey)
-        reps.append(canonical(least) if canonical else least)
+        reps.append(Double(*canonical(least)) if canonical else least)
         classes.append(mem)
     order = sorted(range(len(reps)), key=lambda idx: lexkey(reps[idx]))
     return Partition(
@@ -462,23 +453,6 @@ def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
 
 # ---------------------------------------------------------------------------
 # class product, well-definedness, quer
-
-
-def class_product(partition: Partition, quiver: QuiverSpec,
-                  base: PolyadicStructure) -> NAryOperation:
-    """Product of classes through the quiver applied to canonical representatives.
-
-    The evaluator carries the quer search's row evaluator as `fn.quer_row`
-    (see _quer_row); class_structure hands it to the class structure.
-    """
-
-    def fn(cds, _q=quiver, _op=base.op, _p=partition):
-        raw = apply_quiver(_q, _op, [cd.rep for cd in cds])
-        return _p.resolve(raw)
-
-    fn.quer_row = _quer_row(partition, quiver, base.op)
-    return NAryOperation(quiver.output_arity, fn,
-                         name=f"classes:{quiver.name or format_quiver(quiver)}")
 
 
 def _quer_row(partition: Partition, quiver: QuiverSpec, op: NAryOperation):
@@ -566,17 +540,28 @@ class QuerMap:
         return all(all(v) for v in self.slot_ok.values())
 
 
-def class_structure(partition: Partition, product: NAryOperation) -> PolyadicStructure:
+def class_structure(partition: Partition, quiver: QuiverSpec,
+                    base: PolyadicStructure) -> PolyadicStructure:
     """The listed classes as a finite structure under the class product.
 
-    The operation is the product memoised by class tuple, so no class-level
+    The product applies the quiver to the classes' representatives and
+    resolves the result.  It is memoised by class tuple, so no class-level
     check multiplies one tuple twice, and a Cayley table compiled from it
-    reuses what the earlier checks computed.  The product's row evaluator
-    is stored as facts["quer_row"], which the quer search reads.
+    reuses what the earlier checks computed.  The quer search reads the row
+    evaluator stored as facts["quer_row"] (see _quer_row).
     """
-    op = NAryOperation(product.arity, functools.cache(product.fn), name=product.name)
-    return PolyadicStructure(FiniteCarrier(partition.class_doubles()), op,
-                             facts={"quer_row": product.fn.quer_row})
+    op = base.op
+
+    @functools.cache
+    def product(cds):
+        return partition.resolve(apply_quiver(quiver, op, [cd.rep for cd in cds]))
+
+    return PolyadicStructure(
+        FiniteCarrier(partition.class_doubles()),
+        NAryOperation(quiver.output_arity, product,
+                      name=f"classes:{quiver.name or format_quiver(quiver)}"),
+        facts={"quer_row": _quer_row(partition, quiver, op)},
+    )
 
 
 def class_quer(partition: Partition, classes: PolyadicStructure, base: PolyadicStructure,
@@ -623,7 +608,6 @@ class CompletionReport:
     associative: str
     well_defined: str
     group: str
-    domain_size: int
     ok: bool
 
 
@@ -632,7 +616,7 @@ class CompletionGroup:
     base: PolyadicStructure
     quiver: QuiverSpec
     partition: Partition
-    product: NAryOperation
+    product: NAryOperation       # the class structure's memoised product
     quer: QuerMap | None
     report: CompletionReport
 
@@ -719,7 +703,7 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
 
     domain = list(domain) if domain is not None else all_doubles(s.carrier)
     part = partition_classes(s, domain, dec, canonical=canonical)
-    product = class_product(part, quiver, s)
+    classes = class_structure(part, quiver, s)
     wd = check_well_definedness(part, quiver, s, samples=samples, seed=seed)
 
     bound_note = f"{len(domain)}-double domain"
@@ -732,7 +716,6 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
     else:
         if quer_mode == "auto":
             quer_mode = _auto_quer_mode(quiver, s.arity)
-        classes = class_structure(part, product)
         try:
             quer = class_quer(part, classes, s, quer_mode)
             group_str, group_ok = _class_group_checks(classes, quer, samples, seed)
@@ -749,10 +732,9 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
         associative=str(assoc),
         well_defined=str(wd),
         group=group_str,
-        domain_size=len(domain),
         ok=ok,
     )
-    return CompletionGroup(s, quiver, part, product, quer, report)
+    return CompletionGroup(s, quiver, part, classes.op, quer, report)
 
 
 def completion_to_json(K: CompletionGroup) -> dict:

@@ -262,45 +262,22 @@ def parse_quiver(text: str, name: str = "") -> QuiverSpec:
 # carriers of doubles and the powers themselves
 
 
-class FiniteDoubleCarrier(FiniteCarrier):
-    def __init__(self, base: Carrier):
-        elems = base.elements()
-        super().__init__(
-            [Double(a, b) for a in elems for b in elems],
-            name=f"({base.name or 'S'})^2",
-        )
-        self.base = base
-
-    def render(self, d):
-        return f"({self.base.render(d.top)};{self.base.render(d.bottom)})"
-
-    def sort_key(self, d):
-        return (self.base.sort_key(d.top), self.base.sort_key(d.bottom))
-
-
-class RuleDoubleCarrier(RuleCarrier):
-    def __init__(self, base: Carrier):
-        elems = base.elements()
-        super().__init__(
-            member=lambda d: isinstance(d, tuple) and len(d) == 2
-            and d[0] in base and d[1] in base,
-            universe=[Double(a, b) for a in elems for b in elems],
-            eq=lambda d1, d2: base.eq(d1[0], d2[0]) and base.eq(d1[1], d2[1]),
-            render=lambda d: f"({base.render(d[0])};{base.render(d[1])})",
-            sort_key=lambda d: (base.sort_key(d[0]), base.sort_key(d[1])),
-            name=f"({base.name or 'S'})^2",
-        )
-        self.base = base
-
-
-def double_carrier(base: Carrier) -> Carrier:
-    return FiniteDoubleCarrier(base) if base.is_finite else RuleDoubleCarrier(base)
-
-
 def all_doubles(carrier: Carrier) -> list:
     """Every pair over the carrier's enumeration."""
     elems = carrier.elements()
     return [Double(a, b) for a in elems for b in elems]
+
+
+def double_carrier(base: Carrier) -> Carrier:
+    """S x S: the pairs over the base's enumeration, with componentwise
+    membership and equality on a rule carrier."""
+    if base.is_finite:
+        return FiniteCarrier(all_doubles(base))
+    return RuleCarrier(
+        member=lambda d: isinstance(d, tuple) and len(d) == 2 and d[0] in base and d[1] in base,
+        universe=all_doubles(base),
+        eq=lambda d1, d2: base.eq(d1[0], d2[0]) and base.eq(d1[1], d2[1]),
+    )
 
 
 @dataclass(eq=False)
@@ -394,7 +371,8 @@ def _power_rows(quiver: QuiverSpec, s: PolyadicStructure):
     2n base digits (top_1, bottom_1, ..., top_n, bottom_n).  Each wire's value
     is a digit (intact) or the base table entry coded by its picks' digits:
     an offset fixed by the row's double plus a code over the other 2n-2
-    digits, which are computed once per power.
+    digits, which are computed once per power.  Each row is derived once per
+    power, so a scan followed by a table assembly derives none twice.
     """
     n = quiver.output_arity
 
@@ -413,6 +391,7 @@ def _power_rows(quiver: QuiverSpec, s: PolyadicStructure):
             out.append((values, _digit_codes(weights[:2], k), gather))
         return out
 
+    @functools.cache
     def row(r):
         top, bottom = (gather(values[lead[r]:]) for values, lead, gather in wires())
         return tuple(map(add, top, bottom))

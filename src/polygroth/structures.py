@@ -38,7 +38,6 @@ class StructureRecipe:
     """
 
     name: str
-    arity: int
     build: Callable[[int], PolyadicStructure]
     canonical_double: Callable[[Double], Double]
     exact_rule: Callable[[Double, Double], bool]
@@ -76,8 +75,7 @@ def _nat0_rule(d1: Double, d2: Double) -> bool:
     return d1.top + d2.bottom == d2.top + d1.bottom
 
 
-NAT0 = StructureRecipe("nat0", 2, _nat0_build, _nat0_canonical, _nat0_rule,
-                       default_limit=40)
+NAT0 = StructureRecipe("nat0", _nat0_build, _nat0_canonical, _nat0_rule, default_limit=40)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +105,7 @@ def _neg_rule(d1: Double, d2: Double) -> bool:
     return d1.top * d2.bottom == d2.top * d1.bottom
 
 
-NEG3 = StructureRecipe("neg3", 3, _neg_build, _neg_canonical, _neg_rule,
-                       default_limit=20)
+NEG3 = StructureRecipe("neg3", _neg_build, _neg_canonical, _neg_rule, default_limit=20)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +137,7 @@ def _odd_rule(d1: Double, d2: Double) -> bool:
     return d1.top - d1.bottom == d2.top - d2.bottom
 
 
-ODD3 = StructureRecipe("odd3", 3, _odd_build, _odd_canonical, _odd_rule,
-                       default_limit=101)
+ODD3 = StructureRecipe("odd3", _odd_build, _odd_canonical, _odd_rule, default_limit=101)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +173,7 @@ def residue_recipe(a: int, b: int) -> StructureRecipe:
             raise UsageError(f"limit must be >= {start}")
         carrier = RuleCarrier(member, range(start, limit + 1, b),
                               name=f"[[{a}]]_{b}(<= {limit})")
-
-        def fn(t):
-            r = 1
-            for x in t:
-                r *= x
-            return r
-
-        return PolyadicStructure(carrier, NAryOperation(m, fn, name=f"*{m}"), name=name)
+        return PolyadicStructure(carrier, NAryOperation(m, math.prod, name=f"*{m}"), name=name)
 
     def canonical(d: Double) -> Double:
         p, q = d.top, d.bottom
@@ -193,9 +182,10 @@ def residue_recipe(a: int, b: int) -> StructureRecipe:
         if member(p0) and member(q0):
             return Double(p0, q0)
         # smallest rescale putting both components back into the class;
-        # if the two components disagree mod b no k exists and the pair
-        # is kept as given
-        for k in range(1, b * b + 1):
+        # membership of k*p0 depends on k mod b only, so k <= b suffices, and
+        # if the two components disagree mod b no k exists and the pair is
+        # kept as given
+        for k in range(1, b + 1):
             if member(k * p0) and member(k * q0):
                 return Double(k * p0, k * q0)
         return Double(p, q)
@@ -203,7 +193,7 @@ def residue_recipe(a: int, b: int) -> StructureRecipe:
     def rule(d1: Double, d2: Double) -> bool:
         return d1.top * d2.bottom == d2.top * d1.bottom
 
-    return StructureRecipe(name, m, build, canonical, rule, default_limit=200)
+    return StructureRecipe(name, build, canonical, rule, default_limit=200)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +231,7 @@ def _matrix_build(limit: int = 25) -> PolyadicStructure:
 
 
 MATRIX4 = StructureRecipe(
-    "matrix4", 4, _matrix_build,
+    "matrix4", _matrix_build,
     # every pair of doubles is equivalent (the twisted shift collapses to
     # z = z), so one fixed representative names the single class
     canonical_double=lambda d: Double(0j, 0j),

@@ -18,6 +18,7 @@ from polygroth import (
     PolyadicStructure,
     WitnessSearch,
     all_doubles,
+    apply_quiver,
     build_completion,
     builtin_quiver,
     check_equivalence_axioms,
@@ -26,7 +27,6 @@ from polygroth import (
     check_universal_factorization,
     check_well_definedness,
     class_inverse,
-    class_product,
     class_quer,
     class_structure,
     completion_to_json,
@@ -87,6 +87,12 @@ def completion_for(name, quiver_name, limit=None, quer_mode="auto", samples=200,
 
 def cls(a, b):
     return ClassDouble(Double(a, b))
+
+
+def unmemoised_product(part, quiver, base):
+    """The class product, evaluated afresh on every call."""
+    return NAryOperation(quiver.output_arity, lambda cds: part.resolve(
+        apply_quiver(quiver, base.op, [cd.rep for cd in cds])))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +498,7 @@ def test_odd_quer_modes():
 
 def test_quer_search_mode_matches_formula():
     K = completion_for("nat0", "componentwise-2", limit=12)
-    classes = class_structure(K.partition, K.product)
+    classes = class_structure(K.partition, K.quiver, K.base)
     found = class_quer(K.partition, classes, K.base, QUER_SEARCH)
     formula = class_quer(K.partition, classes, K.base, QUER_COMPONENTWISE)
     # binary quer equation op[c, q] = c forces q to be the neutral class
@@ -521,9 +527,8 @@ def test_quer_formula_failure_is_reported():
     q = builtin_quiver("five-to-three-intact")
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
                              canonical=recipe.canonical_double)
-    prod = class_product(part, q, s)
     with pytest.raises((QuerFormulaFailsVerification, QuerNotFound)):
-        class_quer(part, class_structure(part, prod), s, QUER_SEARCH)
+        class_quer(part, class_structure(part, q, s), s, QUER_SEARCH)
 
 
 # ---------------------------------------------------------------------------
@@ -628,42 +633,26 @@ def test_group_stage_pass_string_and_quer_are_pinned():
     assert K.report.ok
     assert K.report.group == (
         "group(exhaustive solvability; quer at all slots; 25-double domain)")
-    searched = class_quer(K.partition, class_structure(K.partition, K.product), K.base,
+    searched = class_quer(K.partition, class_structure(K.partition, K.quiver, K.base), K.base,
                           QUER_SEARCH)
     assert searched.mapping == K.quer.mapping
     assert searched.slot_ok == K.quer.slot_ok
 
 
-def test_class_group_checks_make_one_product_per_class_tuple(monkeypatch):
+def test_class_group_checks_make_one_product_per_class_tuple():
     # the class structure memoises the class product, so no class-level check
     # multiplies a class tuple twice: a whole exhaustive completion evaluates
     # the product once per tuple, C^n = 7^3, however many samples it draws,
-    # and past the table cutoff the sampled checks repeat no tuple either
-    calls = []
-
-    def counted_product(*args, **kwargs):
-        product = class_product(*args, **kwargs)
-
-        def fn(t):
-            calls.append(t)
-            return product.fn(t)
-
-        fn.quer_row = product.fn.quer_row
-        return dataclasses.replace(product, fn=fn)
-
-    monkeypatch.setattr(completion, "class_product", counted_product)
+    # and past the table cutoff the sampled checks share the memo too
     K = build_completion(zmod_add(7, 3), builtin_quiver("post-ternary"), WitnessSearch(GAUGE),
                          assoc_mode=CheckMode.sampled(10, 1), samples=200)
     assert K.partition.class_count() == 7
     assert K.report.group == "group(exhaustive solvability; quer at all slots; 49-double domain)"
-    assert len(calls) == 7 ** 3
-    assert len(set(calls)) == 7 ** 3
-    calls.clear()
+    assert K.product.fn.cache_info().misses == 7 ** 3
     K = completion_for("nat0", "componentwise-2", limit=80)
     assert K.partition.class_count() ** 3 > 200_000
     assert K.report.group.startswith("group(diagrammatic on truncated class set")
-    assert len(calls) > 1000
-    assert len(calls) == len(set(calls))
+    assert K.product.fn.cache_info().misses > 1000
 
 
 def product_backed_group_stage(part, product, base, quer_mode, samples, seed):
@@ -735,7 +724,7 @@ def reference_completion(s, quiver, dec, quer_mode, canonical, assoc_mode, sampl
     with the product-backed class stage."""
     assoc = check_total_associativity(hetero_power(s, quiver).structure, assoc_mode)
     part = partition_classes(s, domain, dec, canonical=canonical)
-    product = class_product(part, quiver, s)
+    product = unmemoised_product(part, quiver, s)
     wd = check_well_definedness(part, quiver, s, samples=samples, seed=seed)
     note = f"{len(domain)}-double domain"
     quer = None
@@ -748,7 +737,7 @@ def reference_completion(s, quiver, dec, quer_mode, canonical, assoc_mode, sampl
             quer_mode = completion._auto_quer_mode(quiver, s.arity)
         group, ok, quer = product_backed_group_stage(part, product, s, quer_mode, samples, seed)
         group = f"{group[:-1]}; {note})"
-    report = CompletionReport(str(assoc), str(wd), group, len(domain), ok)
+    report = CompletionReport(str(assoc), str(wd), group, ok)
     return report, quer
 
 
@@ -844,8 +833,8 @@ def test_class_table_multiplies_unlisted_classes_by_the_product():
     part = partition_classes(s, [Double(a, b) for a in (0, 2) for b in (0, 2)],
                              ExactRule(lambda x, y: (x.top - x.bottom - y.top + y.bottom) % 4 == 0),
                              canonical=lambda d: Double((d.top - d.bottom) % 4, 0))
-    product = class_product(part, builtin_quiver("componentwise-2"), s)
-    cs = class_structure(part, product)
+    quiver = builtin_quiver("componentwise-2")
+    product, cs = unmemoised_product(part, quiver, s), class_structure(part, quiver, s)
     listed, outside = cs.carrier.elements(), ClassDouble(Double(1, 0))
     for t in itertools.product(listed + [outside], repeat=2):
         assert cs.op.fn(t) == product.fn(t)
@@ -881,10 +870,10 @@ def test_quer_row_search_matches_the_per_candidate_search():
             domain = rng.sample(domain, rng.randrange(least, len(domain)))
         part = partition_classes(s, domain, ExactRule(operator.eq),
                                  canonical=rng.choice([None, lambda d: d]))
-        product = class_product(part, quiver, s)
-        cs = class_structure(part, product)
+        cs = class_structure(part, quiver, s)
         assert "quer_row" in cs.facts and "index_table" not in cs.facts
-        reference = PolyadicStructure(FiniteCarrier(part.class_doubles()), product)
+        reference = PolyadicStructure(FiniteCarrier(part.class_doubles()),
+                                      unmemoised_product(part, quiver, s))
 
         def quer(classes):
             q = class_quer(part, classes, s, QUER_SEARCH)
@@ -908,7 +897,7 @@ def test_post_5ary_quer_search_memoises_base_values_per_row():
     q = builtin_quiver("post-5ary")
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
                              canonical=recipe.canonical_double)
-    cs = class_structure(part, class_product(part, q, s))
+    cs = class_structure(part, q, s)
     c, n = part.class_count(), q.output_arity
     components = len({x for rep in part.reps for x in rep})
     assert (c, components) == (57, 8) and "quer_row" in cs.facts

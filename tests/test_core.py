@@ -283,11 +283,13 @@ def test_commutativity_sigma_level():
     assert rep2.level == "sigma" and rep2.sigma == (0, 1)
 
 
-def commutativity_reference(s, sigma=None):
+def commutativity_reference(s, sigma=None, pool=None):
     """(level, sigma, checked, full_failure) by evaluating the operation on
-    every tuple and on its permutation, in lexicographic order."""
+    every tuple of the pool (by default every tuple, in lexicographic order)
+    and on its permutation."""
     n, op, eq = s.arity, s.op, s.carrier.eq
-    pool = list(itertools.product(s.carrier.elements(), repeat=n))
+    if pool is None:
+        pool = list(itertools.product(s.carrier.elements(), repeat=n))
 
     def violation(perm):
         for t in pool:
@@ -333,6 +335,32 @@ def test_exhaustive_commutativity_matches_op_evaluating_reference():
                     assert (rep.level, rep.sigma, rep.checked, rep.full_failure) == want, \
                         (k, n, flat, sigma)
                     seen.add(rep.level)
+    assert seen == {"full", "semi", "sigma", "none"}
+
+
+def test_sampled_commutativity_matches_the_reference_on_its_pool():
+    # the sampled report scans the seeded pool of `count` tuples; matrix4
+    # compares through its tolerance, since a first/last swap reorders the
+    # float sum
+    rng = random.Random(71)
+    seen = set()
+    cases = [(MATRIX4.build(25), (0, 2, 1, 3))]
+    for k, n in [(2, 2), (3, 3), (4, 3), (3, 4)]:
+        tuples = list(itertools.product(range(k), repeat=n))
+        for ws in ([1] * n, [1] + [2] * (n - 2) + [1], [2, 2] + [1] * (n - 2), None):
+            flat = [rng.randrange(k) if ws is None else sum(w * x for w, x in zip(ws, t)) % k
+                    for t in tuples]
+            s = parse_table("\n".join([f"arity {n}", f"size {k}", *map(str, flat)]))
+            cases.append((s, (1, 0) + tuple(range(2, n))))
+    for s, sigma in cases:
+        for count, seed in ((1, 0), (30, 5), (200, 9)):
+            rep = commutativity_report(s, CheckMode.sampled(count, seed), sigma=sigma)
+            draw, elems = random.Random(seed), s.carrier.elements()
+            pool = [tuple(draw.choice(elems) for _ in range(s.arity)) for _ in range(count)]
+            want = commutativity_reference(s, sigma, pool)
+            assert (rep.level, rep.sigma, rep.checked, rep.full_failure) == want, (s, count)
+            seen.add(rep.level)
+    assert commutativity_report(cases[0][0], CheckMode.sampled(200, 9)).level == "semi"
     assert seen == {"full", "semi", "sigma", "none"}
 
 

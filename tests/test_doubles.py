@@ -29,6 +29,7 @@ from polygroth import (
     Verdict,
     placement_result,
     swap_picks,
+    verify_polyadic_group,
     zmod_add,
 )
 from polygroth.core import _index_table
@@ -592,6 +593,17 @@ def test_refutation_derives_only_the_rows_it_reads():
     assert len(derived) < 9
     assert len(set(derived)) == len(derived)
     assert "index_table" not in power.facts
+
+
+def test_scan_and_table_assembly_derive_each_row_once():
+    # without the lift, the group check scans the power's rows and then
+    # assembles its table for solvability; commutativity reads that table,
+    # so the 9 rows of the Z3 power are derived once each
+    power = without_lift(zmod_add(3, 3), builtin_quiver("post-ternary"))
+    gv = verify_polyadic_group(power, CheckMode.exhaustive())
+    assert gv.associativity.status == "proved-exhaustive" and "index_table" in power.facts
+    assert commutativity_report(power, CheckMode.exhaustive()).level == "semi"
+    assert power.facts["index_row"].cache_info().misses == 9
 
 
 # ---------------------------------------------------------------------------
