@@ -27,10 +27,9 @@ from .core import (
     NAryOperation,
     PolyadicStructure,
     _cancels,
-    _placements_disagree,
+    _index_table,
     _quer_search,
     _quer_slots,
-    _solvability_scan,
     check_total_associativity,
     find_identities,
     iterated_eval,
@@ -279,9 +278,11 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
     trans = 0
     try:
         part = partition_classes(s, domain, dec)
-        rich = [c for c in part.classes if len(c) >= 3]
-    except BoundExhausted:
+    except BoundExhausted:  # no classes to draw triples from: every triple is unknown
         rich = []
+        skipped += samples
+    else:
+        rich = [c for c in part.classes if len(c) >= 3]
     if rich:
         for _ in range(samples):
             cls = rng.choice(rich)
@@ -403,10 +404,11 @@ def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
     canonical key, and the decision confirms each such join (N - C decisions
     in all); a join the decision rejects raises PolyadicError naming both
     doubles, since the canonical form then merges inequivalent doubles.  The
-    form is trusted to give equivalent doubles one key.  Without a canonical
-    form, each double is tested against the leaders found so far, in
-    discovery order, and joins the first equivalent one.  Unknown verdicts
-    abort (BoundExhausted).
+    form is trusted to give equivalent doubles one key, and must return a
+    Double (the class representative); other output raises UsageError.
+    Without a canonical form, each double is tested against the leaders found
+    so far, in discovery order, and joins the first equivalent one.  Unknown
+    verdicts abort (BoundExhausted).
     """
     domain = list(domain)
     root = list(range(len(domain)))
@@ -442,7 +444,11 @@ def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
     for L in leaders:
         mem = members[L]
         least = min(mem, key=lexkey)
-        reps.append(Double(*canonical(least)) if canonical else least)
+        if canonical is not None:
+            least = canonical(least)
+            if not isinstance(least, Double):
+                raise UsageError(f"canonical form returned {least!r}, not a Double")
+        reps.append(least)
         classes.append(mem)
     order = sorted(range(len(reps)), key=lambda idx: lexkey(reps[idx]))
     return Partition(
@@ -641,40 +647,47 @@ def _auto_quer_mode(quiver: QuiverSpec, base_arity: int) -> str:
     return QUER_SEARCH
 
 
-def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed: int):
-    """Group evidence on the class structure cs (from class_structure), by the
-    core checkers.
+def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed: int,
+                        truncated: bool):
+    """Group evidence on the class structure cs (from class_structure), with
+    its quer map, by the core checkers.
 
-    Always: sampled class-level associativity, quer totality with its equation
-    at every slot, and sampled cancellation identities.  When the listed class
-    set is small (C^(n+1) <= 200,000 for C classes), its Cayley table is
-    compiled through the memoised product and unique solvability is proved
-    exhaustively on it; a product that leaves the listed classes stops the
-    compile, and the report says the checks ran on a truncated class set.
+    When the exhaustive associativity proof is small (C^(2n-1) <= 200,000 for
+    C classes), the class Cayley table is compiled through the memoised
+    product and verify_polyadic_group proves or refutes the n-ary group on
+    it; a group's quers satisfy the cancellation identities.  Otherwise, or
+    when a product leaves the listed classes, class associativity and the
+    cancellation identities are sampled.  `truncated` says whether the class
+    set may miss classes (a rule carrier or a partial domain); a product
+    outside the listed classes shows that it does.
     """
-    rng = random.Random(seed)
     cds = cs.carrier.elements()
     n = cs.arity
-    for _ in range(samples):
-        t = tuple(rng.choice(cds) for _ in range(2 * n - 1))
-        if _placements_disagree(cs, t) is not None:
-            return (f"failed(class associativity at {t})", False)
+    slots = "all slots" if quer.all_slots_ok() else "defining slot only"
+    if len(cds) ** (2 * n - 1) <= 200_000:
+        try:
+            _index_table(cs)
+        except NonMember:
+            truncated = True
+        else:
+            gv = verify_polyadic_group(cs, CheckMode.exhaustive())
+            if not gv.associativity.ok:
+                return (f"failed(class associativity at {gv.associativity.counterexample[0]})",
+                        False)
+            if gv.solvability_failures:
+                i, others = gv.solvability_failures[0]
+                return (f"failed(solvability at slot {i}, {others})", False)
+            return (f"group(exhaustive solvability and associativity; quer at {slots})", True)
+    assoc = check_total_associativity(cs, CheckMode.sampled(samples, seed))
+    if not assoc.ok:
+        return (f"failed(class associativity at {assoc.counterexample[0]})", False)
+    rng = random.Random(seed)
     for _ in range(samples):
         g, h = rng.choice(cds), rng.choice(cds)
         if not _cancels(cs, g, h, quer.mapping[h]):
             return (f"failed(cancellation identities at {g},{h})", False)
-    slots = "all slots" if quer.all_slots_ok() else "defining slot only"
-    if len(cds) ** (n + 1) <= 200_000:
-        try:
-            failures, _ = _solvability_scan(cs, max_failures=1)
-        except NonMember:
-            pass
-        else:
-            if failures:
-                i, others = failures[0]
-                return (f"failed(solvability at slot {i}, {others})", False)
-            return (f"group(exhaustive solvability; quer at {slots})", True)
-    return (f"group(diagrammatic on truncated class set; quer at {slots})", True)
+    label = "diagrammatic on truncated class set" if truncated else "diagrammatic"
+    return (f"group({label}; quer at {slots})", True)
 
 
 def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
@@ -685,7 +698,8 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
     """Partition, class product, well-definedness, quer, group checks.
 
     A failed stage leaves later stages unrun (quer stays None) and the report
-    marked not ok; callers decide what to do with an honest failure.  When a
+    marked not ok; callers decide what to do with an honest failure.  A
+    canonical form must return a Double (see partition_classes).  When a
     double met by the quer or group stage matches no class (a truncated
     domain without a canonical form), the group verdict is unknown.
     """
@@ -718,7 +732,8 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
             quer_mode = _auto_quer_mode(quiver, s.arity)
         try:
             quer = class_quer(part, classes, s, quer_mode)
-            group_str, group_ok = _class_group_checks(classes, quer, samples, seed)
+            truncated = not s.carrier.is_finite or set(domain) != set(all_doubles(s.carrier))
+            group_str, group_ok = _class_group_checks(classes, quer, samples, seed, truncated)
             group_str = f"{group_str[:-1]}; {bound_note})"
             ok = ok and group_ok
         except (QuerNotFound, QuerNotUnique, QuerFormulaFailsVerification) as exc:

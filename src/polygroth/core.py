@@ -483,24 +483,15 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
     if not elems:
         raise UsageError("cannot sample from an empty carrier enumeration")
     rng = random.Random(mode.seed)
-    L = 2 * n - 1
+    op, eq, L = s.op, s.carrier.eq, 2 * n - 1
     for c in range(mode.count):
         polyad = tuple(rng.choice(elems) for _ in range(L))
-        bad = _placements_disagree(s, polyad)
-        if bad is not None:
-            i, j, ri, rj = bad
-            return Verdict("failed", c + 1, (polyad, i, j, ri, rj))
+        r0 = placement_result(op, polyad, 0)
+        for i in range(1, n):
+            ri = placement_result(op, polyad, i)
+            if not eq(ri, r0):
+                return Verdict("failed", c + 1, (polyad, 0, i, r0, ri))
     return Verdict("passed-sampled", mode.count)
-
-
-def _placements_disagree(s: PolyadicStructure, polyad):
-    op, n, eq = s.op, s.arity, s.carrier.eq
-    base = placement_result(op, polyad, 0)
-    for i in range(1, n):
-        ri = placement_result(op, polyad, i)
-        if not eq(ri, base):
-            return (0, i, base, ri)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +639,10 @@ class GroupVerdict:
     associativity: Verdict
     solvability_failures: tuple
     checked: int
-    note: str = ""
 
     def __str__(self):
         if self.is_group:
-            return f"group ({self.note}, {self.checked} instances)"
+            return f"group (exhaustive unique solvability at every slot, {self.checked} instances)"
         if not self.associativity.ok:
             return f"not a group (associativity: {self.associativity})"
         return f"not a group (solvability failures: {self.solvability_failures[:2]})"
@@ -661,43 +651,27 @@ class GroupVerdict:
 def verify_polyadic_group(s: PolyadicStructure, mode: CheckMode) -> GroupVerdict:
     """Total associativity plus unique solvability at every argument slot.
 
-    On finite carriers, exhaustive mode checks that fixing any n-1 arguments
-    makes the remaining slot a bijection of the carrier.  Sampled mode (the
-    only choice on rule-based carriers) counts solutions within the generated
-    elements, so a boundary failure reads "unsolvable within bound".  Either
-    mode stops at the third solvability failure.
+    Both are proved or refuted exhaustively on a finite carrier: fixing any
+    n-1 arguments must make the remaining slot a bijection of the carrier,
+    and the scan stops at the third failure.  A sampled mode is a UsageError,
+    since a bounded enumeration cannot refute solvability; a rule carrier
+    raises ExhaustiveOnInfiniteCarrier.
     """
+    if mode.kind != CheckMode.EXHAUSTIVE:
+        raise UsageError("group verification is exhaustive: a bounded enumeration "
+                         "cannot refute solvability")
     assoc = check_total_associativity(s, mode)
-    n = s.arity
-    if mode.kind == CheckMode.EXHAUSTIVE:
-        failures, checked = _solvability_scan(s, 3)
-        note = "exhaustive unique solvability at every slot"
-    else:
-        failures, checked = [], 0
-        rng = random.Random(mode.seed)
-        elems = s.carrier.elements()
-        eq = s.carrier.eq
-        for _ in range(mode.count):
-            i = rng.randrange(n)
-            others = tuple(rng.choice(elems) for _ in range(n - 1))
-            g = rng.choice(elems)
-            sols = [h for h in elems if eq(s.op.fn(others[:i] + (h,) + others[i:]), g)]
-            checked += 1
-            if len(sols) != 1:
-                failures.append((i, others, g, len(sols)))
-                if len(failures) >= 3:
-                    break
-        note = f"sampled solvability within the first {len(elems)} generated elements"
-    return GroupVerdict(assoc.ok and not failures, assoc, tuple(failures), checked, note)
+    failures, checked = _solvability_scan(s)
+    return GroupVerdict(assoc.ok and not failures, assoc, tuple(failures), checked)
 
 
-def _solvability_scan(s: PolyadicStructure, max_failures: int):
+def _solvability_scan(s: PolyadicStructure):
     """(failures, checked) of the exhaustive unique-solvability scan on the index table.
 
     A failure (slot, others) says that fixing the other n-1 arguments to
-    `others` does not make the slot a bijection; the scan stops after
-    `max_failures` of them.  The column of slot i is the strided slice of
-    the table with stride k^(n-1-i), starting where that slot reads 0.
+    `others` does not make the slot a bijection; the scan stops after three
+    of them.  The column of slot i is the strided slice of the table with
+    stride k^(n-1-i), starting where that slot reads 0.
     """
     table, k = _index_table(s)
     elems = s.carrier.elements()
@@ -712,7 +686,7 @@ def _solvability_scan(s: PolyadicStructure, max_failures: int):
             start = pre * stride * k + post
             if len(set(table[start:start + k * stride:stride])) < k:
                 failures.append((i, _decode_polyad(elems, k, n - 1, code)))
-                if len(failures) >= max_failures:
+                if len(failures) == 3:
                     return failures, checked
     return failures, checked
 

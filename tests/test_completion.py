@@ -45,7 +45,7 @@ from polygroth import (
     zmod_add,
     zmod_mul,
 )
-from polygroth import cli, completion
+from polygroth import cli, completion, core
 from polygroth.completion import (
     GAUGE,
     QUER_COMPONENTWISE,
@@ -57,10 +57,9 @@ from polygroth.completion import (
 from polygroth.core import (
     _cancels,
     _index_table,
-    _placements_disagree,
     _quer_search,
     _quer_slots,
-    _solvability_scan,
+    verify_polyadic_group,
 )
 from polygroth.errors import (
     BoundExhausted,
@@ -221,6 +220,17 @@ def test_equivalence_axioms_on_carriers_smaller_than_the_pad(k, arity, relation)
     assert verdict.transitivity_checked == 50
 
 
+def test_transitivity_of_an_unknown_partition_counts_as_skipped():
+    # on a rule carrier the twist partition meets an unknown decision and
+    # aborts, so none of the 50 transitivity triples is drawn: all are
+    # skipped, on top of the 45 unknown reflexivity and symmetry samples
+    verdict = check_equivalence_axioms(get_recipe("odd3").build(21), WitnessSearch(TWIST),
+                                       samples=50, seed=1)
+    unknown_pairs = 2 * 50 - verdict.reflexive_checked - verdict.symmetry_checked
+    assert verdict.transitivity_checked == 0
+    assert (unknown_pairs, verdict.skipped) == (45, 95)
+
+
 def test_broken_rule_caught_by_cross_check():
     # tops-equal is reflexive, symmetric, transitive, but not the shift relation
     s = get_recipe("odd3").build(41)
@@ -339,6 +349,15 @@ def test_canonical_form_joining_inequivalent_doubles_is_reported():
                                             r" and Double\(top=0, bottom=1\)"):
         partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
                           canonical=lambda d: Double(0, 0))
+
+
+def test_canonical_form_must_return_doubles():
+    # plain pairs would build a completion that its JSON cannot render
+    recipe = get_recipe("nat0")
+    with pytest.raises(UsageError, match=r"canonical form returned \(0, 0\), not a Double"):
+        build_completion(recipe.build(6), builtin_quiver("componentwise-2"),
+                         recipe.exact_decision(),
+                         canonical=lambda d: tuple(recipe.canonical_double(d)))
 
 
 def test_cli_classes_exits_1_on_a_joining_canonical_form(monkeypatch, capsys):
@@ -604,16 +623,19 @@ def test_tiny_nat0_completion_golden():
     assert j["report"]["group"].startswith("group(diagrammatic")
 
 
-def binary_2_table(cells):
-    return parse_table("\n".join(["arity 2", "size 2", *map(str, cells)]) + "\n")
+def binary_table(cells):
+    size = math.isqrt(len(cells))
+    return parse_table("\n".join(["arity 2", f"size {size}", *map(str, cells)]) + "\n")
 
 
 GROUP_STAGE_PINS = [
-    # left projection: no cancellation, so the identities fail
-    ([0, 0, 1, 1], WitnessSearch(GAUGE), 307, 50,
-     "failed(cancellation identities at [1;1],[0;0]; 4-double domain)"),
+    # left projection on 8 elements, each double its own class: 64 classes
+    # are past the exhaustive cutoff, and the formula quer has no cancellation
+    ([a for a in range(8) for _ in range(8)], ExactRule(operator.eq), 307, 50,
+     "failed(cancellation identities at [4;6],[4;5]; 64-double domain)"),
     ([1, 0, 1, 1], ExactRule(lambda a, b: a.bottom == b.bottom), 2848, 50,
      "failed(class associativity at ([0;0], [0;0], [0;0]); 4-double domain)"),
+    # left projection on 2 elements: the exhaustive proof refutes solvability
     ([0, 0, 1, 1], WitnessSearch(TWIST), 0, 1,
      "failed(solvability at slot 1, ([0;0],); 4-double domain)"),
 ]
@@ -621,7 +643,7 @@ GROUP_STAGE_PINS = [
 
 @pytest.mark.parametrize("cells,dec,seed,samples,want", GROUP_STAGE_PINS)
 def test_group_stage_failure_strings_are_pinned(cells, dec, seed, samples, want):
-    K = build_completion(binary_2_table(cells), builtin_quiver("componentwise-2"), dec,
+    K = build_completion(binary_table(cells), builtin_quiver("componentwise-2"), dec,
                          assoc_mode=CheckMode.sampled(3, seed), samples=samples, seed=seed)
     assert K.report.group == want
     assert not K.report.ok
@@ -632,7 +654,7 @@ def test_group_stage_pass_string_and_quer_are_pinned():
                          assoc_mode=CheckMode.sampled(3, 5))
     assert K.report.ok
     assert K.report.group == (
-        "group(exhaustive solvability; quer at all slots; 25-double domain)")
+        "group(exhaustive solvability and associativity; quer at all slots; 25-double domain)")
     searched = class_quer(K.partition, class_structure(K.partition, K.quiver, K.base), K.base,
                           QUER_SEARCH)
     assert searched.mapping == K.quer.mapping
@@ -647,7 +669,8 @@ def test_class_group_checks_make_one_product_per_class_tuple():
     K = build_completion(zmod_add(7, 3), builtin_quiver("post-ternary"), WitnessSearch(GAUGE),
                          assoc_mode=CheckMode.sampled(10, 1), samples=200)
     assert K.partition.class_count() == 7
-    assert K.report.group == "group(exhaustive solvability; quer at all slots; 49-double domain)"
+    assert K.report.group == (
+        "group(exhaustive solvability and associativity; quer at all slots; 49-double domain)")
     assert K.product.fn.cache_info().misses == 7 ** 3
     K = completion_for("nat0", "componentwise-2", limit=80)
     assert K.partition.class_count() ** 3 > 200_000
@@ -655,9 +678,46 @@ def test_class_group_checks_make_one_product_per_class_tuple():
     assert K.product.fn.cache_info().misses > 1000
 
 
-def product_backed_group_stage(part, product, base, quer_mode, samples, seed):
+def twist_rule(k, m):
+    """Twist equivalence on the doubles of Z_k m-ary addition: (m-1)(a-b) mod k."""
+    return ExactRule(lambda d1, d2: (m - 1) * (d1.top - d1.bottom - d2.top + d2.bottom) % k == 0)
+
+
+@pytest.mark.parametrize("k, m, quiver, exhaustive", [
+    (58, 2, "componentwise-2", True), (59, 2, "componentwise-2", False),
+    (11, 3, "post-ternary", True), (13, 3, "post-ternary", False),
+    (3, 5, "post-5ary", True), (7, 5, "post-5ary", False),
+])
+def test_class_stage_cutoff_bounds_the_associativity_proof(k, m, quiver, exhaustive):
+    # k classes: the class stage is exhaustive while k^(2n-1) <= 200,000;
+    # past that, a whole finite class set is sampled, and says so without
+    # calling itself truncated
+    K = build_completion(zmod_add(k, m), builtin_quiver(quiver), twist_rule(k, m),
+                         assoc_mode=CheckMode.sampled(3, 1))
+    n = K.n
+    assert K.partition.class_count() == k and (k ** (2 * n - 1) <= 200_000) == exhaustive
+    label = "exhaustive solvability and associativity" if exhaustive else "diagrammatic"
+    assert K.report.group == f"group({label}; quer at all slots; {k * k}-double domain)"
+    assert K.report.ok
+
+
+def test_truncated_label_needs_a_truncated_class_set():
+    # past the cutoff, a partial domain of a finite base is truncated (here it
+    # still meets all 13 classes); the whole domain, in any order, is not
+    s, k = zmod_add(13, 3), 13
+    partial = [Double(a, b) for a in range(k - 1) for b in range(k)]
+    for domain, label in [(partial, "diagrammatic on truncated class set"),
+                          (all_doubles(s.carrier)[::-1], "diagrammatic")]:
+        K = build_completion(s, builtin_quiver("post-ternary"), twist_rule(k, 3),
+                             assoc_mode=CheckMode.sampled(3, 1), domain=domain)
+        assert K.partition.class_count() == k
+        assert K.report.group.startswith(f"group({label}; quer at all slots;")
+
+
+def product_backed_group_stage(part, product, base, quer_mode, samples, seed, truncated):
     """Reference class stage that evaluates the class product on every call,
-    compiling the class table only for solvability: (group string, ok, quer).
+    and compiles the class table for the group proof under the cutoff:
+    (group string, ok, quer).
     A double that matches no class makes the verdict unknown."""
     cs = PolyadicStructure(FiniteCarrier(part.class_doubles()), product)
     cds = cs.carrier.elements()
@@ -685,37 +745,40 @@ def product_backed_group_stage(part, product, base, quer_mode, samples, seed):
         return f"unknown(class product leaves the partition: {exc})", False, None
     quer = (mapping, slot_ok)
     try:
-        group, ok = product_backed_group_checks(cs, mapping, slot_ok, samples, seed)
+        group, ok = product_backed_group_checks(cs, mapping, slot_ok, samples, seed, truncated)
     except NoClassMatch as exc:
         group, ok = f"unknown(class product leaves the partition: {exc})", False
     return group, ok, quer
 
 
-def product_backed_group_checks(cs, mapping, slot_ok, samples, seed):
+def product_backed_group_checks(cs, mapping, slot_ok, samples, seed, truncated):
     cds = cs.carrier.elements()
     n = cs.arity
+    slots = "all slots" if all(all(v) for v in slot_ok.values()) else "defining slot only"
+    if len(cds) ** (2 * n - 1) <= 200_000:
+        try:
+            _index_table(cs)
+        except NonMember:
+            truncated = True
+        else:
+            gv = verify_polyadic_group(cs, CheckMode.exhaustive())
+            if not gv.associativity.ok:
+                polyad = gv.associativity.counterexample[0]
+                return f"failed(class associativity at {polyad})", False
+            if gv.solvability_failures:
+                i, others = gv.solvability_failures[0]
+                return f"failed(solvability at slot {i}, {others})", False
+            return f"group(exhaustive solvability and associativity; quer at {slots})", True
+    assoc = check_total_associativity(cs, CheckMode.sampled(samples, seed))
+    if not assoc.ok:
+        return f"failed(class associativity at {assoc.counterexample[0]})", False
     rng = random.Random(seed)
-    for _ in range(samples):
-        t = tuple(rng.choice(cds) for _ in range(2 * n - 1))
-        if _placements_disagree(cs, t) is not None:
-            return f"failed(class associativity at {t})", False
     for _ in range(samples):
         g, h = rng.choice(cds), rng.choice(cds)
         if not _cancels(cs, g, h, mapping[h]):
             return f"failed(cancellation identities at {g},{h})", False
-    slots = "all slots" if all(all(v) for v in slot_ok.values()) else "defining slot only"
-    if len(cds) ** (n + 1) <= 200_000:
-        try:
-            _index_table(cs)
-        except NonMember:
-            pass
-        else:
-            failures, _ = _solvability_scan(cs, max_failures=1)
-            if failures:
-                i, others = failures[0]
-                return f"failed(solvability at slot {i}, {others})", False
-            return f"group(exhaustive solvability; quer at {slots})", True
-    return f"group(diagrammatic on truncated class set; quer at {slots})", True
+    label = "diagrammatic on truncated class set" if truncated else "diagrammatic"
+    return f"group({label}; quer at {slots})", True
 
 
 def reference_completion(s, quiver, dec, quer_mode, canonical, assoc_mode, samples, seed,
@@ -735,7 +798,11 @@ def reference_completion(s, quiver, dec, quer_mode, canonical, assoc_mode, sampl
     else:
         if quer_mode == "auto":
             quer_mode = completion._auto_quer_mode(quiver, s.arity)
-        group, ok, quer = product_backed_group_stage(part, product, s, quer_mode, samples, seed)
+        # the domains here are sets of doubles of the base, so a finite base's
+        # class set is whole exactly when the domain has all k^2 doubles
+        truncated = not s.carrier.is_finite or len(set(domain)) < len(s.carrier.elements()) ** 2
+        group, ok, quer = product_backed_group_stage(part, product, s, quer_mode, samples, seed,
+                                                     truncated)
         group = f"{group[:-1]}; {note})"
     report = CompletionReport(str(assoc), str(wd), group, ok)
     return report, quer
@@ -777,6 +844,26 @@ def random_stage_case(rng):
                 seed=rng.randrange(1000), domain=domain)
 
 
+def past_cutoff_case(rng):
+    """A ternary case past the exhaustive class cutoff: every double of Z4
+    addition or of a projection is its own class, 16 of them (12 on the
+    truncated domain).  A projection has no cancellation, so its formula
+    quers reach the sampled cancellation identities and fail them."""
+    kind = rng.choice(["add", "add", "left", "left", "right"])
+    cells = [sum(t) % 4 if kind == "add" else t[0 if kind == "left" else 2]
+             for t in itertools.product(range(4), repeat=3)]
+    s = parse_table("\n".join(["arity 3", "size 4", *map(str, cells)]) + "\n")
+    domain, canonical = all_doubles(s.carrier), None
+    if rng.random() < 0.3:
+        elems = s.carrier.elements()
+        domain, canonical = [Double(a, b) for a in elems[:3] for b in elems], lambda d: d
+    return dict(s=s, quiver=builtin_quiver(rng.choice(["componentwise-3", "post-ternary"])),
+                dec=ExactRule(operator.eq),
+                quer_mode=rng.choice(["auto", QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH]),
+                canonical=canonical, assoc_mode=CheckMode.sampled(0, 0),
+                samples=rng.choice([1, 3, 10]), seed=rng.randrange(1000), domain=domain)
+
+
 def outcome(run):
     try:
         return run()
@@ -784,7 +871,25 @@ def outcome(run):
         return type(exc), str(exc)
 
 
-def test_table_backed_class_stage_matches_product_backed_reference():
+def test_table_backed_class_stage_matches_product_backed_reference(monkeypatch):
+    # every _assoc_scan of the class stage is recorded as (k, n): none may
+    # scan more than the cutoff's 200,000 tuples
+    scans, stage_scans = [], []
+    scan, group_checks = core._assoc_scan, completion._class_group_checks
+
+    def recording_scan(row, k, n):
+        scans.append((k, n))
+        return scan(row, k, n)
+
+    def recording_group_checks(*args):
+        start = len(scans)
+        try:
+            return group_checks(*args)
+        finally:
+            stage_scans.extend(scans[start:])
+
+    monkeypatch.setattr(core, "_assoc_scan", recording_scan)
+    monkeypatch.setattr(completion, "_class_group_checks", recording_group_checks)
     rng = random.Random(20261018)
     # the quer and zero samples never meet the product that matches no class,
     # so only the group stage's closure check finds it, and the group is unknown
@@ -794,7 +899,9 @@ def test_table_backed_class_stage_matches_product_backed_reference():
         assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0,
         domain=[Double(1, 0), Double(2, 2), Double(2, 1)])
     seen = collections.Counter()
-    for case in [unresolvable] + [random_stage_case(rng) for _ in range(600)]:
+    cases = ([unresolvable] + [random_stage_case(rng) for _ in range(600)]
+             + [past_cutoff_case(rng) for _ in range(40)])
+    for case in cases:
 
         def memoised():
             K = build_completion(case["s"], case["quiver"], case["dec"], case["quer_mode"],
@@ -813,7 +920,8 @@ def test_table_backed_class_stage_matches_product_backed_reference():
                 seen[case["quer_mode"]] += 1
         else:
             seen[want[0].__name__] += 1
-    branches = ["group(exhaustive solvability", "group(diagrammatic on truncated class set",
+    branches = ["group(exhaustive solvability and associativity", "group(diagrammatic;",
+                "group(diagrammatic on truncated class set",
                 "failed(class associativity", "failed(cancellation identities",
                 "failed(solvability", "failed(quer: no querelement for",
                 "failed(quer: querelement of", "failed(quer: quer candidate",
@@ -823,6 +931,7 @@ def test_table_backed_class_stage_matches_product_backed_reference():
         assert sum(n for got, n in seen.items() if got.startswith(branch)) >= 3, (branch, seen)
     for key in ["auto", QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH, "UsageError"]:
         assert seen[key] >= 3, (key, seen)
+    assert max(k ** (2 * n - 1) for k, n in stage_scans) <= 200_000, sorted(set(stage_scans))
 
 
 def test_class_table_multiplies_unlisted_classes_by_the_product():
@@ -1013,6 +1122,12 @@ def test_universal_factorization_into_z6():
     verdict = check_universal_factorization(K, integers_mod_group(6), lambda x: x % 6,
                                             samples=100, seed=11)
     assert verdict.ok
+
+
+def test_universal_rejects_a_finite_target_that_is_not_a_group():
+    K = completion_for("nat0", "componentwise-2", limit=5)
+    with pytest.raises(PolyadicError, match=r"is not a group: not a group \(solvability failures"):
+        check_universal_factorization(K, zmod_mul(4, 2), lambda x: x % 4, samples=10, seed=11)
 
 
 def test_universal_rejects_non_homomorphism():

@@ -30,6 +30,7 @@ from polygroth.errors import (
     ExhaustiveOnInfiniteCarrier,
     QuerNotFound,
     QuerNotUnique,
+    QuerPlacementFailed,
     UsageError,
 )
 from polygroth.structures import MATRIX4, MATRIX_TOLERANCE, get_recipe
@@ -410,6 +411,15 @@ def test_querelement_not_unique_at_absorber():
     assert exc.value.solutions == [0, 1, 2, 3]  # all reported, carrier order
 
 
+def test_querelement_checks_every_placement():
+    # op[0, 0, x] = 0 only for x = 1, which holds at placement 0,
+    # op[1, 0, 0] = 0, but not at placement 1: op[0, 1, 0] = 1
+    s = parse_table("arity 3\nsize 2\n1\n0\n1\n0\n0\n1\n1\n0\n")
+    with pytest.raises(QuerPlacementFailed) as exc:
+        querelement(s, 0)
+    assert (exc.value.element, exc.value.quer, exc.value.placement) == (0, 1, 1)
+
+
 def test_doernte_holds_on_group():
     z5 = zmod_add(5, 3)
     assert all(_cancels(z5, g, h, querelement(z5, h)) for g in range(5) for h in range(5))
@@ -435,10 +445,16 @@ def test_doernte_fails_somewhere_on_corrupted_table():
 
 def test_verify_group():
     assert verify_polyadic_group(zmod_add(5, 3), CheckMode.exhaustive()).is_group
-    odd = get_recipe("odd3").build(41)
-    v = verify_polyadic_group(odd, CheckMode.sampled(200, 7))
-    assert not v.is_group and v.solvability_failures
     assert not verify_polyadic_group(zmod_mul(4, 3), CheckMode.exhaustive()).is_group
+    # a bounded enumeration cannot refute solvability: on a finite carrier or
+    # on the odd naturals, a sampled group check is a usage error, and a rule
+    # carrier has no exhaustive one
+    odd = get_recipe("odd3").build(41)
+    for s in (zmod_add(5, 3), odd):
+        with pytest.raises(UsageError, match="exhaustive"):
+            verify_polyadic_group(s, CheckMode.sampled(200, 7))
+    with pytest.raises(ExhaustiveOnInfiniteCarrier):
+        verify_polyadic_group(odd, CheckMode.exhaustive())
 
 
 def solvability_reference(s):
