@@ -123,7 +123,6 @@ def _build(args) -> CompletionGroup:
     assoc_mode = CheckMode.parse(args.mode) if args.mode else None
     return build_completion(
         s, q, _decision(recipe, s),
-        quer_mode=args.quer_mode,
         canonical=recipe.canonical_double if recipe else None,
         assoc_mode=assoc_mode,
         samples=args.samples,
@@ -254,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} pipeline on the double classes")
         common(p, quiver_required=True)
         p.add_argument("--mode", help="doubles associativity mode override")
-        p.add_argument("--quer-mode", default="auto",
-                       choices=("auto", "componentwise", "post", "search"))
         p.add_argument("--samples", type=_count, default=200)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.set_defaults(func=fn)

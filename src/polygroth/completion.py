@@ -60,10 +60,6 @@ from .errors import (
 GAUGE = "gauge"
 TWIST = "twist"
 
-QUER_COMPONENTWISE = "componentwise"
-QUER_POST = "post"
-QUER_SEARCH = "search"
-
 
 # ---------------------------------------------------------------------------
 # equivalence decisions
@@ -92,18 +88,27 @@ class WitnessSearch:
                              f"{GAUGE!r} or {TWIST!r}")
 
 
+def _gauge_shift(s: PolyadicStructure, d: Double):
+    """The gauge shift of d = (a, b) as a function x -> (op[a^(m-1),x], op[b^(m-1),x])."""
+    fn, k = s.op.fn, s.op.arity - 1
+    a, b = (d.top,) * k, (d.bottom,) * k
+    return lambda x: (fn(a + (x,)), fn(b + (x,)))
+
+
+def _twist_shift(s: PolyadicStructure, a, b):
+    """The twisted shift of (a, b) as a function z -> (op)^o2[a^(m-1), b^(m-1), z]."""
+    op, k = s.op, s.op.arity - 1
+    head = (a,) * k + (b,) * k
+    return lambda z: iterated_eval(op, 2, head + (z,))
+
+
 def gauge_witness(s: PolyadicStructure, d1: Double, d2: Double):
     """First (x, y) with op[a1^(m-1),x] = op[a2^(m-1),y] componentwise, else None."""
-    op, m, eq = s.op, s.arity, s.carrier.eq
-    elems = s.carrier.elements()
-    a1 = (d1.top,) * (m - 1)
-    b1 = (d1.bottom,) * (m - 1)
-    a2 = (d2.top,) * (m - 1)
-    b2 = (d2.bottom,) * (m - 1)
-    rhs = [(y, op.fn(a2 + (y,)), op.fn(b2 + (y,))) for y in elems]
+    eq, elems = s.carrier.eq, s.carrier.elements()
+    shift1, shift2 = _gauge_shift(s, d1), _gauge_shift(s, d2)
+    rhs = [(y, *shift2(y)) for y in elems]
     for x in elems:
-        ax = op.fn(a1 + (x,))
-        bx = op.fn(b1 + (x,))
+        ax, bx = shift1(x)
         for y, ay, by in rhs:
             if eq(ax, ay) and eq(bx, by):
                 return (x, y)
@@ -112,11 +117,10 @@ def gauge_witness(s: PolyadicStructure, d1: Double, d2: Double):
 
 def twist_witness(s: PolyadicStructure, d1: Double, d2: Double):
     """First z with (op)^o2[a1^(m-1), b2^(m-1), z] = (op)^o2[a2^(m-1), b1^(m-1), z]."""
-    op, m, eq = s.op, s.arity, s.carrier.eq
-    h1 = (d1.top,) * (m - 1) + (d2.bottom,) * (m - 1)
-    h2 = (d2.top,) * (m - 1) + (d1.bottom,) * (m - 1)
+    eq = s.carrier.eq
+    shift1, shift2 = _twist_shift(s, d1.top, d2.bottom), _twist_shift(s, d2.top, d1.bottom)
     for z in s.carrier.elements():
-        if eq(iterated_eval(op, 2, h1 + (z,)), iterated_eval(op, 2, h2 + (z,))):
+        if eq(shift1(z), shift2(z)):
             return z
     return None
 
@@ -124,21 +128,18 @@ def twist_witness(s: PolyadicStructure, d1: Double, d2: Double):
 def _finite_shift_test(s: PolyadicStructure, relation: str):
     """Witness test of a shift relation from per-double tables, filled lazily.
 
-    Gauge: d1 ~ d2 iff the sets {(op[a^(m-1),x], op[b^(m-1),x]) : x} of the
-    two doubles meet.  Twist: d1 ~ d2 iff the rows of (a1, b2) and (a2, b1),
-    z -> (op)^o2[a^(m-1), b^(m-1), z], agree somewhere.  Either test is true
-    exactly when gauge_witness / twist_witness finds a witness.
+    Gauge: d1 ~ d2 iff the sets of the two doubles' gauge shifts over x meet.
+    Twist: d1 ~ d2 iff the rows z -> twisted shift of (a1, b2) and of
+    (a2, b1) agree somewhere.  Either test is true exactly when
+    gauge_witness / twist_witness finds a witness.
     """
-    op, m = s.op, s.arity
     elems = s.carrier.elements()
     tables: dict = {}
     if relation == GAUGE:
         def entry(d):
             got = tables.get(d)
             if got is None:
-                tops = [op.fn((d.top,) * (m - 1) + (x,)) for x in elems]
-                bottoms = [op.fn((d.bottom,) * (m - 1) + (x,)) for x in elems]
-                got = tables[d] = frozenset(zip(tops, bottoms))
+                got = tables[d] = frozenset(map(_gauge_shift(s, d), elems))
             return got
 
         return lambda d1, d2: not entry(d1).isdisjoint(entry(d2))
@@ -146,8 +147,7 @@ def _finite_shift_test(s: PolyadicStructure, relation: str):
     def row(a, b):
         got = tables.get((a, b))
         if got is None:
-            h = (a,) * (m - 1) + (b,) * (m - 1)
-            got = tables[a, b] = tuple(iterated_eval(op, 2, h + (z,)) for z in elems)
+            got = tables[a, b] = tuple(map(_twist_shift(s, a, b), elems))
         return got
 
     return lambda d1, d2: any(map(operator.eq, row(d1.top, d2.bottom), row(d2.top, d1.bottom)))
@@ -174,17 +174,13 @@ def decide_equivalent(s, d1, d2, dec) -> bool:
 
 
 def _twist_holds_at(s, d1, d2, z) -> bool:
-    op, m, eq = s.op, s.arity, s.carrier.eq
-    h1 = (d1.top,) * (m - 1) + (d2.bottom,) * (m - 1) + (z,)
-    h2 = (d2.top,) * (m - 1) + (d1.bottom,) * (m - 1) + (z,)
-    return eq(iterated_eval(op, 2, h1), iterated_eval(op, 2, h2))
+    return s.carrier.eq(_twist_shift(s, d1.top, d2.bottom)(z),
+                        _twist_shift(s, d2.top, d1.bottom)(z))
 
 
 def _gauge_holds_at(s, d1, d2, x, y) -> bool:
-    op, m, eq = s.op, s.arity, s.carrier.eq
-    return eq(op.fn((d1.top,) * (m - 1) + (x,)), op.fn((d2.top,) * (m - 1) + (y,))) and eq(
-        op.fn((d1.bottom,) * (m - 1) + (x,)), op.fn((d2.bottom,) * (m - 1) + (y,))
-    )
+    (a1, b1), (a2, b2) = _gauge_shift(s, d1)(x), _gauge_shift(s, d2)(y)
+    return s.carrier.eq(a1, a2) and s.carrier.eq(b1, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +494,7 @@ class WellDefinedness:
 
     def __str__(self):
         if self.ok:
-            return f"well-defined({self.samples})"
+            return f"well-defined({self.samples})" if self.samples else "vacuous(0)"
         members, slot, alt, r1, r2 = self.counterexample
         return (
             f"counterexample(slot {slot}: {members[slot]} -> {alt} "
@@ -538,7 +534,6 @@ def check_well_definedness(partition: Partition, quiver: QuiverSpec,
 class QuerMap:
     """Queroperation on classes plus per-slot quer-equation verdicts."""
 
-    mode: str
     mapping: dict
     slot_ok: dict
 
@@ -570,39 +565,49 @@ def class_structure(partition: Partition, quiver: QuiverSpec,
     )
 
 
+def _quer_formula(quiver: QuiverSpec, base: PolyadicStructure):
+    """The closed-form quer of the class [a;b] as a function (a, b) -> double:
+    [a b^(m-1); a^(m-1) b] for a quiver wired like componentwise-m, and
+    [a a b; a b b] for a ternary one wired like post-ternary.  None for any
+    other wiring, whose quer is searched.  The wiring decides, not the name.
+    """
+    fn, m = base.op.fn, base.arity
+    if quiver == builtin_quiver(f"componentwise-{m}"):
+        def componentwise(a, b):
+            return Double(fn((a,) + (b,) * (m - 1)), fn((a,) * (m - 1) + (b,)))
+        return componentwise
+    if m == 3 and quiver == builtin_quiver("post-ternary"):
+        def post(a, b):
+            return Double(fn((a, a, b)), fn((a, b, b)))
+        return post
+    return None
+
+
 def class_quer(partition: Partition, classes: PolyadicStructure, base: PolyadicStructure,
-               mode: str = QUER_SEARCH) -> QuerMap:
+               quiver: QuiverSpec) -> QuerMap:
     """Compute the quer of every listed class and verify the quer equation.
 
-    `classes` is the class structure (see class_structure).  The defining
+    `classes` is the class structure (see class_structure).  The quer is the
+    wiring's closed form (see _quer_formula) when it has one, and otherwise
+    the unique listed class that solves the defining slot.  The defining
     slot (quer last) must hold, otherwise QuerFormulaFailsVerification; the
     other slots are recorded per class.
     """
-    m = base.arity
+    formula = _quer_formula(quiver, base)
     cds = classes.carrier.elements()
     mapping: dict = {}
     slot_ok: dict = {}
     for c in cds:
-        a, b = c.rep
-        if mode == QUER_COMPONENTWISE:
-            q = partition.resolve(Double(
-                base.op.fn((a,) + (b,) * (m - 1)),
-                base.op.fn((a,) * (m - 1) + (b,)),
-            ))
-        elif mode == QUER_POST:
-            if m != 3:
-                raise UsageError("the Post-style quer formula applies to ternary products")
-            q = partition.resolve(Double(base.op.fn((a, a, b)), base.op.fn((a, b, b))))
-        elif mode == QUER_SEARCH:
+        if formula is None:
             q = _quer_search(classes, c, cds)
         else:
-            raise UsageError(f"unknown quer mode {mode!r}")
+            q = partition.resolve(formula(*c.rep))
         verdicts = tuple(_quer_slots(classes, c, q))
         if not verdicts[-1]:
             raise QuerFormulaFailsVerification(c, f"candidate {q} at the defining slot")
         mapping[c] = q
         slot_ok[c] = verdicts
-    return QuerMap(mode, mapping, slot_ok)
+    return QuerMap(mapping, slot_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -638,15 +643,6 @@ class CompletionGroup:
         return self.partition.class_doubles()
 
 
-def _auto_quer_mode(quiver: QuiverSpec, base_arity: int) -> str:
-    """The quer formula of the built-in quiver wired like this one, else search."""
-    if quiver == builtin_quiver(f"componentwise-{base_arity}"):
-        return QUER_COMPONENTWISE
-    if base_arity == 3 and quiver == builtin_quiver("post-ternary"):
-        return QUER_POST
-    return QUER_SEARCH
-
-
 def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed: int,
                         truncated: bool):
     """Group evidence on the class structure cs (from class_structure), with
@@ -658,8 +654,8 @@ def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed
     it; a group's quers satisfy the cancellation identities.  Otherwise, or
     when a product leaves the listed classes, class associativity and the
     cancellation identities are sampled.  `truncated` says whether the class
-    set may miss classes (a rule carrier or a partial domain); a product
-    outside the listed classes shows that it does.
+    set may miss classes (the base is a rule carrier); a product outside the
+    listed classes shows that it does.
     """
     cds = cs.carrier.elements()
     n = cs.arity
@@ -690,18 +686,19 @@ def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed
     return (f"group({label}; quer at {slots})", True)
 
 
-def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
-                     quer_mode: str = "auto", *, canonical: Callable | None = None,
+def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec, *,
+                     canonical: Callable | None = None,
                      assoc_mode: CheckMode | None = None,
-                     samples: int = 200, seed: int = DEFAULT_SEED,
-                     domain: Sequence | None = None) -> CompletionGroup:
-    """Partition, class product, well-definedness, quer, group checks.
+                     samples: int = 200, seed: int = DEFAULT_SEED) -> CompletionGroup:
+    """Partition every double of the base, then class product,
+    well-definedness, quer (see class_quer) and group checks.
 
     A failed stage leaves later stages unrun (quer stays None) and the report
     marked not ok; callers decide what to do with an honest failure.  A
     canonical form must return a Double (see partition_classes).  When a
-    double met by the quer or group stage matches no class (a truncated
-    domain without a canonical form), the group verdict is unknown.
+    double met by the quer or group stage matches no class (a rule-carrier
+    base without a canonical form, whose products leave its enumeration),
+    the group verdict is unknown.
     """
     power = hetero_power(s, quiver)  # raises ArityMismatch for a wrong base arity
     if assoc_mode is None:
@@ -715,7 +712,7 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
             assoc_mode = CheckMode.sampled(1000, seed)
     assoc = check_total_associativity(power.structure, assoc_mode)
 
-    domain = list(domain) if domain is not None else all_doubles(s.carrier)
+    domain = all_doubles(s.carrier)
     part = partition_classes(s, domain, dec, canonical=canonical)
     classes = class_structure(part, quiver, s)
     wd = check_well_definedness(part, quiver, s, samples=samples, seed=seed)
@@ -728,12 +725,10 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec,
     elif not wd.ok:
         group_str = f"failed(well-definedness; {bound_note})"
     else:
-        if quer_mode == "auto":
-            quer_mode = _auto_quer_mode(quiver, s.arity)
         try:
-            quer = class_quer(part, classes, s, quer_mode)
-            truncated = not s.carrier.is_finite or set(domain) != set(all_doubles(s.carrier))
-            group_str, group_ok = _class_group_checks(classes, quer, samples, seed, truncated)
+            quer = class_quer(part, classes, s, quiver)
+            group_str, group_ok = _class_group_checks(classes, quer, samples, seed,
+                                                      not s.carrier.is_finite)
             group_str = f"{group_str[:-1]}; {bound_note})"
             ok = ok and group_ok
         except (QuerNotFound, QuerNotUnique, QuerFormulaFailsVerification) as exc:

@@ -260,8 +260,10 @@ class CheckMode:
 class Verdict:
     """Outcome of a law check.
 
-    status is one of 'proved-exhaustive', 'passed-sampled', 'failed'.  A
-    failed verdict always carries a replayable counterexample:
+    status is one of 'proved-exhaustive', 'passed-sampled', 'failed' or
+    'vacuous' (a sampled check that drew nothing, so it has no evidence
+    either way).  ok means not failed, so a vacuous verdict is ok.  A failed
+    verdict always carries a replayable counterexample:
     (polyad, placement_i, placement_j, result_i, result_j).
     """
 
@@ -491,7 +493,7 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
             ri = placement_result(op, polyad, i)
             if not eq(ri, r0):
                 return Verdict("failed", c + 1, (polyad, 0, i, r0, ri))
-    return Verdict("passed-sampled", mode.count)
+    return Verdict("passed-sampled" if mode.count else "vacuous", mode.count)
 
 
 # ---------------------------------------------------------------------------

@@ -179,15 +179,14 @@ def residue_recipe(a: int, b: int) -> StructureRecipe:
         p, q = d.top, d.bottom
         g = math.gcd(p, q)
         p0, q0 = p // g, q // g
-        if member(p0) and member(q0):
-            return Double(p0, q0)
-        # smallest rescale putting both components back into the class;
+        # smallest rescale k >= 1 putting both components into the class;
         # membership of k*p0 depends on k mod b only, so k <= b suffices, and
-        # if the two components disagree mod b no k exists and the pair is
-        # kept as given
-        for k in range(1, b + 1):
-            if member(k * p0) and member(k * q0):
-                return Double(k * p0, k * q0)
+        # if no k exists (a component is not positive, or the two disagree
+        # mod b) the pair is kept as given
+        if p0 > 0 and q0 > 0:
+            for k in range(1, b + 1):
+                if k * p0 % b == a and k * q0 % b == a:
+                    return Double(k * p0, k * q0)
         return Double(p, q)
 
     def rule(d1: Double, d2: Double) -> bool:

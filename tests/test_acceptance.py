@@ -42,12 +42,12 @@ def _report(num, desc, failures):
     assert ok, f"criterion {num} ({desc}): " + "; ".join(str(f) for f in failures[:5])
 
 
-def _completion(name, quiver_name, limit, quer_mode="auto", seed=97):
+def _completion(name, quiver_name, limit, seed=97):
     recipe = get_recipe(name)
     s = recipe.build(limit)
     return build_completion(
         s, builtin_quiver(quiver_name), recipe.exact_decision(),
-        quer_mode=quer_mode, canonical=recipe.canonical_double, seed=seed,
+        canonical=recipe.canonical_double, seed=seed,
     )
 
 

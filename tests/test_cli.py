@@ -71,6 +71,9 @@ def test_assoc_check_with_quiver(capsys):
     ["universal-check", "--structure", "nat0", "--target", "integers", "--samples", "0"],
     ["assoc-check", "--structure", "matrix4", "--bound", "0"],
     ["assoc-check", "--structure", "matrix4", "--bound", "-3"],
+    # the quer follows the quiver's wiring; there is no option to pick it
+    ["quer", "--structure", "nat0", "--quiver", "componentwise-2", "--bound", "5",
+     "--quer-mode", "search"],
 ], ids=lambda argv: " ".join(argv))
 def test_counts_and_bounds_below_one_are_usage_errors(capsys, argv):
     code, out, _ = run(capsys, *argv)
@@ -135,7 +138,7 @@ def test_complete_residue_reports_counterexample(capsys):
 def test_complete_accepts_serialized_quiver(capsys):
     code, out, _ = run(capsys, "complete", "--structure", "neg3",
                        "--quiver", "3<-3 intact=0; top=(1,T)(2,T)(3,T); bottom=(1,B)(2,B)(3,B)",
-                       "--bound", "10", "--quer-mode", "componentwise")
+                       "--bound", "10")
     assert code == 0
 
 

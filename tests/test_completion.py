@@ -16,6 +16,7 @@ from polygroth import (
     FiniteCarrier,
     NAryOperation,
     PolyadicStructure,
+    RuleCarrier,
     WitnessSearch,
     all_doubles,
     apply_quiver,
@@ -48,9 +49,6 @@ from polygroth import (
 from polygroth import cli, completion, core
 from polygroth.completion import (
     GAUGE,
-    QUER_COMPONENTWISE,
-    QUER_POST,
-    QUER_SEARCH,
     TWIST,
     CompletionReport,
 )
@@ -74,18 +72,32 @@ from polygroth.errors import (
 )
 
 
-def completion_for(name, quiver_name, limit=None, quer_mode="auto", samples=200, seed=97):
+def completion_for(name, quiver_name, limit=None, samples=200, seed=97):
     recipe = get_recipe(name)
     s = recipe.build(limit if limit is not None else recipe.default_limit)
     return build_completion(
         s, builtin_quiver(quiver_name), recipe.exact_decision(),
-        quer_mode=quer_mode, canonical=recipe.canonical_double,
+        canonical=recipe.canonical_double,
         samples=samples, seed=seed,
     )
 
 
 def cls(a, b):
     return ClassDouble(Double(a, b))
+
+
+def searched_quer(classes):
+    """(quer map, slot verdicts) that the quer search finds over a class
+    structure, whatever its wiring: the reference for the closed forms."""
+    cds = classes.carrier.elements()
+    mapping = {c: _quer_search(classes, c, cds) for c in cds}
+    return mapping, {c: tuple(_quer_slots(classes, c, q)) for c, q in mapping.items()}
+
+
+def quer_kind(quiver, base):
+    """Name of the closed-form quer the wiring picks, or 'search'."""
+    formula = completion._quer_formula(quiver, base)
+    return "search" if formula is None else formula.__name__
 
 
 def unmemoised_product(part, quiver, base):
@@ -450,6 +462,17 @@ def test_post_ternary_products_are_well_defined():
         assert K.report.ok
 
 
+def test_zero_samples_read_vacuous():
+    # a sampled check that draws nothing has no evidence either way: it reads
+    # vacuous(0), also for a wiring that fails, and is not a failure
+    power = hetero_power(get_recipe("nat0").build(6), builtin_quiver("twisted-binary")).structure
+    v = check_total_associativity(power, CheckMode.sampled(0, 1))
+    assert (v.status, str(v), v.ok) == ("vacuous", "vacuous(0)", True)
+    assert not check_total_associativity(power, CheckMode.sampled(50, 1)).ok
+    K = completion_for("nat0", "componentwise-2", limit=6, samples=0)
+    assert K.report.well_defined == "vacuous(0)" and K.report.ok
+
+
 def test_residue_intact_product_not_well_defined_documented_counterexample():
     # hand oracle: with S1=(7,17) ~ S1'=(77,187) and S2=S3=(7,17) the wired
     # tops are 7^3*17^2 and 7^3*17^2*11^2 while both bottoms stay 17, and
@@ -484,25 +507,25 @@ def test_neg_componentwise_quer_swaps_components():
 
 def test_neg_post_quer_fixes_classes():
     K = completion_for("neg3", "post-ternary")
-    assert K.quer.mode == QUER_POST
+    assert quer_kind(K.quiver, K.base) == "post"
     for c in K.classes():
         assert K.quer.mapping[c] == c
 
 
-def test_auto_quer_mode_follows_the_wiring_not_the_name():
+def test_quer_formula_follows_the_wiring_not_the_name():
     scrambled = swap_picks(builtin_quiver("componentwise-3"), ("top", 1), ("bottom", 1))
     post = builtin_quiver("post-ternary")
     assert scrambled == post and scrambled.name != post.name
     K = build_completion(zmod_add(3, 3), scrambled, WitnessSearch())
     want = build_completion(zmod_add(3, 3), post, WitnessSearch())
-    assert K.quer.mode == want.quer.mode == QUER_POST
+    assert quer_kind(scrambled, K.base) == quer_kind(post, K.base) == "post"
     assert K.report == want.report and K.report.ok
     assert K.quer.mapping == want.quer.mapping
-    # a scramble that is wired like no built-in searches; built-ins keep their mode
+    # a scramble that is wired like no built-in searches; built-ins keep their formula
     other = swap_picks(builtin_quiver("componentwise-3"), ("top", 0), ("bottom", 0))
-    assert completion._auto_quer_mode(other, 3) == QUER_SEARCH
-    assert completion._auto_quer_mode(builtin_quiver("componentwise-5"), 5) == QUER_COMPONENTWISE
-    assert completion._auto_quer_mode(builtin_quiver("post-5ary"), 5) == QUER_SEARCH
+    assert quer_kind(other, zmod_add(3, 3)) == "search"
+    assert quer_kind(builtin_quiver("componentwise-5"), zmod_add(3, 5)) == "componentwise"
+    assert quer_kind(builtin_quiver("post-5ary"), zmod_add(3, 5)) == "search"
 
 
 def test_odd_quer_modes():
@@ -516,14 +539,22 @@ def test_odd_quer_modes():
 
 
 def test_quer_search_mode_matches_formula():
-    K = completion_for("nat0", "componentwise-2", limit=12)
-    classes = class_structure(K.partition, K.quiver, K.base)
-    found = class_quer(K.partition, classes, K.base, QUER_SEARCH)
-    formula = class_quer(K.partition, classes, K.base, QUER_COMPONENTWISE)
+    # each wiring with a closed-form quer that the completions here meet:
+    # the search over the class structure finds the formula's quer map
+    for name, quiver, limit in [
+        ("nat0", "componentwise-2", 12), ("neg3", "componentwise-3", 12),
+        ("odd3", "componentwise-3", 21), ("matrix4", "componentwise-4", None),
+        ("neg3", "post-ternary", 12), ("odd3", "post-ternary", 21),
+    ]:
+        K = completion_for(name, quiver, limit=limit)
+        assert K.report.ok and quer_kind(K.quiver, K.base) != "search", name
+        found = searched_quer(class_structure(K.partition, K.quiver, K.base))
+        assert found == (K.quer.mapping, K.quer.slot_ok), name
     # binary quer equation op[c, q] = c forces q to be the neutral class
+    K = completion_for("nat0", "componentwise-2", limit=12)
     neutral = K.partition.resolve(Double(0, 0))
     for c in K.classes():
-        assert found.mapping[c] == formula.mapping[c] == neutral
+        assert K.quer.mapping[c] == neutral
 
 
 def test_symmetric_exponent_quer_candidate_fails_on_residue_intact_product():
@@ -547,7 +578,7 @@ def test_quer_formula_failure_is_reported():
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
                              canonical=recipe.canonical_double)
     with pytest.raises((QuerFormulaFailsVerification, QuerNotFound)):
-        class_quer(part, class_structure(part, q, s), s, QUER_SEARCH)
+        class_quer(part, class_structure(part, q, s), s, q)
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +686,8 @@ def test_group_stage_pass_string_and_quer_are_pinned():
     assert K.report.ok
     assert K.report.group == (
         "group(exhaustive solvability and associativity; quer at all slots; 25-double domain)")
-    searched = class_quer(K.partition, class_structure(K.partition, K.quiver, K.base), K.base,
-                          QUER_SEARCH)
-    assert searched.mapping == K.quer.mapping
-    assert searched.slot_ok == K.quer.slot_ok
+    searched = searched_quer(class_structure(K.partition, K.quiver, K.base))
+    assert searched == (K.quer.mapping, K.quer.slot_ok)
 
 
 def test_class_group_checks_make_one_product_per_class_tuple():
@@ -702,39 +731,33 @@ def test_class_stage_cutoff_bounds_the_associativity_proof(k, m, quiver, exhaust
 
 
 def test_truncated_label_needs_a_truncated_class_set():
-    # past the cutoff, a partial domain of a finite base is truncated (here it
-    # still meets all 13 classes); the whole domain, in any order, is not
-    s, k = zmod_add(13, 3), 13
-    partial = [Double(a, b) for a in range(k - 1) for b in range(k)]
-    for domain, label in [(partial, "diagrammatic on truncated class set"),
-                          (all_doubles(s.carrier)[::-1], "diagrammatic")]:
-        K = build_completion(s, builtin_quiver("post-ternary"), twist_rule(k, 3),
-                             assoc_mode=CheckMode.sampled(3, 1), domain=domain)
-        assert K.partition.class_count() == k
-        assert K.report.group.startswith(f"group({label}; quer at all slots;")
+    # past the cutoff, a finite base lists all its classes; a rule-carrier
+    # base lists only those its enumeration meets
+    K = build_completion(zmod_add(13, 3), builtin_quiver("post-ternary"), twist_rule(13, 3),
+                         assoc_mode=CheckMode.sampled(3, 1))
+    assert K.partition.class_count() == 13
+    assert K.report.group.startswith("group(diagrammatic; quer at all slots;")
+    K = completion_for("nat0", "componentwise-2", limit=30)
+    assert K.partition.class_count() ** 3 > 200_000
+    assert K.report.group.startswith(
+        "group(diagrammatic on truncated class set; quer at all slots;")
 
 
-def product_backed_group_stage(part, product, base, quer_mode, samples, seed, truncated):
+def product_backed_group_stage(part, product, quiver, base, samples, seed):
     """Reference class stage that evaluates the class product on every call,
     and compiles the class table for the group proof under the cutoff:
     (group string, ok, quer).
     A double that matches no class makes the verdict unknown."""
     cs = PolyadicStructure(FiniteCarrier(part.class_doubles()), product)
     cds = cs.carrier.elements()
-    m = base.arity
+    formula = completion._quer_formula(quiver, base)
     mapping, slot_ok = {}, {}
     try:
         for c in cds:
-            a, b = c.rep
-            if quer_mode == QUER_COMPONENTWISE:
-                q = part.resolve(Double(base.op.fn((a,) + (b,) * (m - 1)),
-                                        base.op.fn((a,) * (m - 1) + (b,))))
-            elif quer_mode == QUER_POST:
-                if m != 3:
-                    raise UsageError("the Post-style quer formula applies to ternary products")
-                q = part.resolve(Double(base.op.fn((a, a, b)), base.op.fn((a, b, b))))
-            else:
+            if formula is None:
                 q = _quer_search(cs, c, cds)
+            else:
+                q = part.resolve(formula(*c.rep))
             verdicts = tuple(_quer_slots(cs, c, q))
             if not verdicts[-1]:
                 raise QuerFormulaFailsVerification(c, f"candidate {q} at the defining slot")
@@ -745,7 +768,8 @@ def product_backed_group_stage(part, product, base, quer_mode, samples, seed, tr
         return f"unknown(class product leaves the partition: {exc})", False, None
     quer = (mapping, slot_ok)
     try:
-        group, ok = product_backed_group_checks(cs, mapping, slot_ok, samples, seed, truncated)
+        group, ok = product_backed_group_checks(cs, mapping, slot_ok, samples, seed,
+                                                not base.carrier.is_finite)
     except NoClassMatch as exc:
         group, ok = f"unknown(class product leaves the partition: {exc})", False
     return group, ok, quer
@@ -781,11 +805,11 @@ def product_backed_group_checks(cs, mapping, slot_ok, samples, seed, truncated):
     return f"group({label}; quer at {slots})", True
 
 
-def reference_completion(s, quiver, dec, quer_mode, canonical, assoc_mode, samples, seed,
-                         domain):
+def reference_completion(s, quiver, dec, canonical, assoc_mode, samples, seed):
     """(CompletionReport, (quer mapping, quer slots) or None) of build_completion,
     with the product-backed class stage."""
     assoc = check_total_associativity(hetero_power(s, quiver).structure, assoc_mode)
+    domain = all_doubles(s.carrier)
     part = partition_classes(s, domain, dec, canonical=canonical)
     product = unmemoised_product(part, quiver, s)
     wd = check_well_definedness(part, quiver, s, samples=samples, seed=seed)
@@ -796,16 +820,20 @@ def reference_completion(s, quiver, dec, quer_mode, canonical, assoc_mode, sampl
     elif not wd.ok:
         group, ok = f"failed(well-definedness; {note})", False
     else:
-        if quer_mode == "auto":
-            quer_mode = completion._auto_quer_mode(quiver, s.arity)
-        # the domains here are sets of doubles of the base, so a finite base's
-        # class set is whole exactly when the domain has all k^2 doubles
-        truncated = not s.carrier.is_finite or len(set(domain)) < len(s.carrier.elements()) ** 2
-        group, ok, quer = product_backed_group_stage(part, product, s, quer_mode, samples, seed,
-                                                     truncated)
+        group, ok, quer = product_backed_group_stage(part, product, quiver, s, samples, seed)
         group = f"{group[:-1]}; {note})"
     report = CompletionReport(str(assoc), str(wd), group, ok)
     return report, quer
+
+
+def stage_quiver(rng, m):
+    """A built-in quiver on an m-ary base, sometimes scrambled."""
+    names = (["componentwise-2", "twisted-binary"] if m == 2 else
+             ["componentwise-3", "post-ternary", "ternary-to-binary-a", "ternary-to-binary-b"])
+    quiver = builtin_quiver(rng.choice(names))
+    if rng.random() < 0.15:
+        quiver = swap_picks(quiver, ("top", 0), ("bottom", 0))
+    return quiver
 
 
 def random_stage_case(rng):
@@ -815,53 +843,61 @@ def random_stage_case(rng):
              else (sum(t) if kind == "add" else math.prod(t)) % k
              for t in itertools.product(range(k), repeat=m)]
     s = parse_table("\n".join([f"arity {m}", f"size {k}", *map(str, cells)]) + "\n")
-    names = (["componentwise-2", "twisted-binary"] if m == 2 else
-             ["componentwise-3", "post-ternary", "ternary-to-binary-a", "ternary-to-binary-b"])
-    quiver = builtin_quiver(rng.choice(names))
-    if rng.random() < 0.15:
-        quiver = swap_picks(quiver, ("top", 0), ("bottom", 0))
     dec = rng.choice([
         WitnessSearch(GAUGE), WitnessSearch(TWIST),
         ExactRule(lambda a, b: a.bottom == b.bottom),
         ExactRule(lambda a, b: a.top == b.top),
         ExactRule(lambda a, b, k=k: (a.top - a.bottom - b.top + b.bottom) % k == 0),
     ])
-    elems = s.carrier.elements()
-    domain = all_doubles(s.carrier)
-    canonical = None
-    truncation = rng.choice(["none", "none", "prefix", "prefix", "subset"])
-    if truncation == "prefix":
-        domain = [Double(a, b) for a in elems[:k - 1] for b in elems]
-        canonical = rng.choice([None, lambda d: d])
-    elif truncation == "subset":  # products may match no class at all
-        domain = rng.sample(domain, rng.randrange(2, len(domain)))
-    quer_mode = rng.choice(["auto", QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH])
     # a random table is rarely associative, so most cases skip the doubles'
     # associativity (zero samples) to reach the class stage
     assoc_mode = CheckMode.exhaustive() if rng.random() < 0.2 else CheckMode.sampled(0, 0)
-    return dict(s=s, quiver=quiver, dec=dec, quer_mode=quer_mode, canonical=canonical,
-                assoc_mode=assoc_mode, samples=rng.choice([0, 0, 1, 3, 10, 40]),
-                seed=rng.randrange(1000), domain=domain)
+    return dict(s=s, quiver=stage_quiver(rng, m), dec=dec,
+                canonical=rng.choice([None, None, lambda d: d]), assoc_mode=assoc_mode,
+                samples=rng.choice([0, 0, 1, 3, 10, 40]), seed=rng.randrange(1000))
+
+
+def naturals(k, m, fn=sum):
+    """The naturals under an m-ary operation, enumerated below k: a rule
+    carrier whose products may leave the enumeration."""
+    return PolyadicStructure(RuleCarrier(lambda x: isinstance(x, int) and x >= 0, range(k)),
+                             NAryOperation(m, fn))
+
+
+def rule_stage_case(rng):
+    """A case on a rule carrier, whose class set is truncated.  Without a
+    canonical form, a product that leaves the enumeration may match no
+    class at all."""
+    k, m = rng.choice([2, 3, 4]), rng.choice([2, 3])
+    s = naturals(k, m, rng.choice([sum, sum, max, operator.itemgetter(0)]))
+    dec, canonical = rng.choice([
+        (ExactRule(lambda a, b: a.top - a.bottom == b.top - b.bottom),
+         lambda d: Double(max(d.top - d.bottom, 0), max(d.bottom - d.top, 0))),
+        (ExactRule(lambda a, b: a.bottom == b.bottom), lambda d: Double(0, d.bottom)),
+        (ExactRule(operator.eq), lambda d: d),
+    ])
+    return dict(s=s, quiver=stage_quiver(rng, m), dec=dec,
+                canonical=rng.choice([None, canonical]), assoc_mode=CheckMode.sampled(0, 0),
+                samples=rng.choice([0, 1, 3, 10, 40]), seed=rng.randrange(1000))
 
 
 def past_cutoff_case(rng):
-    """A ternary case past the exhaustive class cutoff: every double of Z4
-    addition or of a projection is its own class, 16 of them (12 on the
-    truncated domain).  A projection has no cancellation, so its formula
-    quers reach the sampled cancellation identities and fail them."""
-    kind = rng.choice(["add", "add", "left", "left", "right"])
-    cells = [sum(t) % 4 if kind == "add" else t[0 if kind == "left" else 2]
-             for t in itertools.product(range(4), repeat=3)]
-    s = parse_table("\n".join(["arity 3", "size 4", *map(str, cells)]) + "\n")
-    domain, canonical = all_doubles(s.carrier), None
-    if rng.random() < 0.3:
-        elems = s.carrier.elements()
-        domain, canonical = [Double(a, b) for a in elems[:3] for b in elems], lambda d: d
+    """A ternary case past the exhaustive class cutoff (C^5 > 200,000 for C
+    classes): the 13 twist classes of Z13 addition, or every double of Z4
+    addition or of a projection as its own class, 16 of them.  Z4 addition
+    fails its formula quers there, and a projection, which has no
+    cancellation, fails the sampled cancellation identities."""
+    kind = rng.choice(["twist", "twist", "add", "left", "left", "right"])
+    if kind == "twist":
+        s, dec = zmod_add(13, 3), twist_rule(13, 3)
+    else:
+        cells = [sum(t) % 4 if kind == "add" else t[0 if kind == "left" else 2]
+                 for t in itertools.product(range(4), repeat=3)]
+        s = parse_table("\n".join(["arity 3", "size 4", *map(str, cells)]) + "\n")
+        dec = ExactRule(operator.eq)
     return dict(s=s, quiver=builtin_quiver(rng.choice(["componentwise-3", "post-ternary"])),
-                dec=ExactRule(operator.eq),
-                quer_mode=rng.choice(["auto", QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH]),
-                canonical=canonical, assoc_mode=CheckMode.sampled(0, 0),
-                samples=rng.choice([1, 3, 10]), seed=rng.randrange(1000), domain=domain)
+                dec=dec, canonical=None, assoc_mode=CheckMode.sampled(0, 0),
+                samples=rng.choice([1, 3, 10]), seed=rng.randrange(1000))
 
 
 def outcome(run):
@@ -891,23 +927,16 @@ def test_table_backed_class_stage_matches_product_backed_reference(monkeypatch):
     monkeypatch.setattr(core, "_assoc_scan", recording_scan)
     monkeypatch.setattr(completion, "_class_group_checks", recording_group_checks)
     rng = random.Random(20261018)
-    # the quer and zero samples never meet the product that matches no class,
-    # so only the group stage's closure check finds it, and the group is unknown
-    unresolvable = dict(
-        s=parse_table(format_table(zmod_add(3, 3))), quiver=builtin_quiver("post-ternary"),
-        dec=WitnessSearch(TWIST), quer_mode=QUER_SEARCH, canonical=None,
-        assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0,
-        domain=[Double(1, 0), Double(2, 2), Double(2, 1)])
     seen = collections.Counter()
-    cases = ([unresolvable] + [random_stage_case(rng) for _ in range(600)]
+    cases = ([random_stage_case(rng) for _ in range(500)]
+             + [rule_stage_case(rng) for _ in range(150)]
              + [past_cutoff_case(rng) for _ in range(40)])
     for case in cases:
 
         def memoised():
-            K = build_completion(case["s"], case["quiver"], case["dec"], case["quer_mode"],
+            K = build_completion(case["s"], case["quiver"], case["dec"],
                                  canonical=case["canonical"], assoc_mode=case["assoc_mode"],
-                                 samples=case["samples"], seed=case["seed"],
-                                 domain=case["domain"])
+                                 samples=case["samples"], seed=case["seed"])
             quer = None if K.quer is None else (K.quer.mapping, K.quer.slot_ok)
             return K.report, quer
 
@@ -917,7 +946,7 @@ def test_table_backed_class_stage_matches_product_backed_reference(monkeypatch):
         if isinstance(want[0], CompletionReport):
             seen[want[0].group] += 1
             if want[1] is not None:
-                seen[case["quer_mode"]] += 1
+                seen[quer_kind(case["quiver"], case["s"])] += 1
         else:
             seen[want[0].__name__] += 1
     branches = ["group(exhaustive solvability and associativity", "group(diagrammatic;",
@@ -929,7 +958,7 @@ def test_table_backed_class_stage_matches_product_backed_reference(monkeypatch):
                 "unknown(class product leaves the partition"]
     for branch in branches:
         assert sum(n for got, n in seen.items() if got.startswith(branch)) >= 3, (branch, seen)
-    for key in ["auto", QUER_COMPONENTWISE, QUER_POST, QUER_SEARCH, "UsageError"]:
+    for key in ["componentwise", "post", "search"]:
         assert seen[key] >= 3, (key, seen)
     assert max(k ** (2 * n - 1) for k, n in stage_scans) <= 200_000, sorted(set(stage_scans))
 
@@ -984,12 +1013,8 @@ def test_quer_row_search_matches_the_per_candidate_search():
         reference = PolyadicStructure(FiniteCarrier(part.class_doubles()),
                                       unmemoised_product(part, quiver, s))
 
-        def quer(classes):
-            q = class_quer(part, classes, s, QUER_SEARCH)
-            return q.mapping, q.slot_ok
-
-        want = outcome(lambda: quer(reference))
-        assert outcome(lambda: quer(cs)) == want
+        want = outcome(lambda: searched_quer(reference))
+        assert outcome(lambda: searched_quer(cs)) == want
         seen["found" if isinstance(want[0], dict) else want[0].__name__] += 1
     for key in ["found", "QuerNotFound", "QuerNotUnique", "NoClassMatch"]:
         assert seen[key] >= 3, (key, seen)
@@ -1011,33 +1036,33 @@ def test_post_5ary_quer_search_memoises_base_values_per_row():
     components = len({x for rep in part.reps for x in rep})
     assert (c, components) == (57, 8) and "quer_row" in cs.facts
     calls.clear()
-    quer = class_quer(part, cs, s, QUER_SEARCH)
+    quer = class_quer(part, cs, s, q)
     assert quer.all_slots_ok()
     assert len(calls) <= c * 2 * components + c * 2 * n
     assert len(calls) < 2 * c * c
 
 
 def test_class_product_leaving_the_partition_reports_unknown():
-    # without a canonical form a truncated domain may not be closed: when a
-    # double met by the group stage or the quer search matches no class, the
-    # completion reports an unknown group instead of raising
-    z3 = zmod_add(3, 3)
-    K = build_completion(parse_table(format_table(z3)), builtin_quiver("post-ternary"),
-                         WitnessSearch(TWIST), QUER_SEARCH, assoc_mode=CheckMode.sampled(0, 0),
-                         samples=0, seed=0, domain=[Double(1, 0), Double(2, 2), Double(2, 1)])
+    # without a canonical form a rule carrier's classes may not be closed:
+    # when a double met by the group stage or the quer search matches no
+    # class, the completion reports an unknown group instead of raising
+    s = naturals(3, 2)
+    diff = ExactRule(lambda a, b: a.top - a.bottom == b.top - b.bottom)
+    K = build_completion(s, builtin_quiver("componentwise-2"), diff,
+                         assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0)
     assert K.report.group == ("unknown(class product leaves the partition: double "
-                              "Double(top=1, bottom=2) matches no class of the partition; "
-                              "3-double domain)")
+                              "Double(top=0, bottom=3) matches no class of the partition; "
+                              "9-double domain)")
     assert not K.report.ok and K.quer is not None
-    K = build_completion(z3, builtin_quiver("componentwise-3"), WitnessSearch(GAUGE),
-                         QUER_SEARCH, assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0,
-                         domain=[Double(0, 0), Double(0, 1)])
+    # a wiring with no closed-form quer: the search meets the double first
+    swapped = swap_picks(builtin_quiver("componentwise-2"), ("top", 0), ("bottom", 0))
+    K = build_completion(s, swapped, diff, assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0)
     assert K.report.group == ("unknown(class product leaves the partition: double "
-                              "Double(top=0, bottom=2) matches no class of the partition; "
-                              "2-double domain)")
+                              "Double(top=3, bottom=0) matches no class of the partition; "
+                              "9-double domain)")
     assert not K.report.ok and K.quer is None
     with pytest.raises(NoClassMatch, match="matches no class"):
-        K.partition.resolve((0, 2))
+        K.partition.resolve((3, 0))
 
 
 def test_witness_search_rejects_unknown_relations():

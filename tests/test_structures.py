@@ -157,10 +157,12 @@ def residue_canonical_by_square_search(a, b, d):
 @pytest.mark.parametrize("a,b", [(7, 10), (0, 4), (0, 6), (3, 4), (1, 9), (5, 12)])
 def test_residue_form_and_product_match_plain_references(a, b):
     # the rescale search stops at k = b; members of the class and other
-    # positive doubles alike get the form of the search up to b^2
+    # positive doubles alike get the form of the search up to b^2, and a
+    # double with a negative component is kept as given
     recipe = get_recipe(f"res-{a}-{b}")
-    for p in range(1, 60):
-        for q in range(1, 60):
+    values = [*range(-12, 0), *range(1, 60)]
+    for p in values:
+        for q in values:
             d = Double(p, q)
             assert recipe.canonical_double(d) == residue_canonical_by_square_search(a, b, d), d
     s = recipe.make()
