@@ -223,7 +223,11 @@ def check_relation_coincidence(s: PolyadicStructure) -> CoincidenceVerdict:
 
 @dataclass(frozen=True)
 class AxiomsVerdict:
-    ok: bool
+    """status is 'hold', 'failed', 'unknown' when samples were drawn but no
+    transitivity triple was decided, or 'vacuous' with no samples.  ok means
+    not failed."""
+
+    status: str
     reflexive_checked: int
     symmetry_checked: int
     transitivity_checked: int
@@ -231,14 +235,18 @@ class AxiomsVerdict:
     skipped: int
     failures: tuple
 
+    @property
+    def ok(self) -> bool:
+        return self.status != "failed"
+
     def __str__(self):
-        if self.ok:
-            return (
-                f"equivalence axioms hold (refl {self.reflexive_checked}, "
-                f"symm {self.symmetry_checked}, trans {self.transitivity_checked}, "
-                f"cross {self.cross_checked}, unknown skipped {self.skipped})"
-            )
-        return f"axioms failed: {self.failures[:3]}"
+        if self.status == "failed":
+            return f"axioms failed: {self.failures[:3]}"
+        return (
+            f"equivalence axioms {self.status} (refl {self.reflexive_checked}, "
+            f"symm {self.symmetry_checked}, trans {self.transitivity_checked}, "
+            f"cross {self.cross_checked}, unknown skipped {self.skipped})"
+        )
 
 
 def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
@@ -326,7 +334,8 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
                 if got != want:
                     failures.append(("cross-check", (search.relation, d1, d2, want, got)))
 
-    return AxiomsVerdict(not failures, refl, symm, trans, cross, skipped, tuple(failures))
+    status = "failed" if failures else "hold" if trans else "unknown" if samples else "vacuous"
+    return AxiomsVerdict(status, refl, symm, trans, cross, skipped, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +662,10 @@ def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed
     product and verify_polyadic_group proves or refutes the n-ary group on
     it; a group's quers satisfy the cancellation identities.  Otherwise, or
     when a product leaves the listed classes, class associativity and the
-    cancellation identities are sampled.  `truncated` says whether the class
-    set may miss classes (the base is a rule carrier); a product outside the
-    listed classes shows that it does.
+    cancellation identities are sampled, and with no samples the verdict is
+    vacuous.  `truncated` says whether the class set may miss classes (the
+    base is a rule carrier); a product outside the listed classes shows that
+    it does.
     """
     cds = cs.carrier.elements()
     n = cs.arity
@@ -674,6 +684,8 @@ def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed
                 i, others = gv.solvability_failures[0]
                 return (f"failed(solvability at slot {i}, {others})", False)
             return (f"group(exhaustive solvability and associativity; quer at {slots})", True)
+    if not samples:  # no class sample drawn: no evidence either way
+        return (f"vacuous(0; quer at {slots})", True)
     assoc = check_total_associativity(cs, CheckMode.sampled(samples, seed))
     if not assoc.ok:
         return (f"failed(class associativity at {assoc.counterexample[0]})", False)

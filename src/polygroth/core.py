@@ -352,7 +352,7 @@ def _index_table(s: PolyadicStructure):
 
 
 def _index_rows(s: PolyadicStructure):
-    """(row, k): row(r) is the tuple of table entries whose first argument has index r.
+    """(row, k): row(r) is the sequence of table entries whose first argument has index r.
 
     Rows come from an "index_row" fact unless the whole table is at hand.
     """
@@ -360,7 +360,7 @@ def _index_rows(s: PolyadicStructure):
     if row is not None and "index_table" not in s.facts:
         return row, len(s.carrier.elements())
     table, k = _index_table(s)
-    table, span = tuple(table), k ** (s.arity - 1)  # rows are compared as tuples
+    span = k ** (s.arity - 1)
     return (lambda r: table[r * span:(r + 1) * span]), k
 
 
@@ -396,16 +396,35 @@ def _assoc_scan(row, k, n):
     of the row of u's digit i.  Only blocks that differ from placement 0 are
     walked, so the scan stops in the first failing block and reports the
     smallest counterexample.
+
+    When k <= 256 every entry fits a byte, so each row is held as bytes: the
+    last placement's runs are single entries, padded to a 256-byte
+    translation table that the row of the window maps through
+    (bytes.translate), the other placements join their runs with b"".join,
+    and blocks compare by memcmp.  Past 256 rows stay tuples, the last
+    placement gathers through an itemgetter per row, and runs are chained.
     """
     if n == 1 or k <= 1:
         return None
     span = k ** (n - 1)
     pw = [k ** e for e in range(n)]
     rows = [None] * k
-    last = [None] * k  # the last placement gathers single entries: a getter per row
+    if k <= 256:
+        held, pad, join = bytes, bytes(256 - k), b"".join
+
+        def last(window, run):
+            return (rows[window] or fetch(window)).translate(run)
+    else:
+        held, pad, join = tuple, (), lambda runs: tuple(itertools.chain.from_iterable(runs))
+        getters = [None] * k  # the last placement gathers single entries: a getter per row
+
+        def last(window, run):
+            if getters[window] is None:
+                getters[window] = itemgetter(*(rows[window] or fetch(window)))
+            return getters[window](run)
 
     def fetch(r):
-        rows[r] = row(r)
+        rows[r] = held(row(r))
         return rows[r]
 
     prefixes = [-1] * n
@@ -421,16 +440,14 @@ def _assoc_scan(row, k, n):
             if pre != prefixes[i]:
                 prefixes[i] = pre
                 lo = pre % pw[i - 1] * k * width
-                runs[i] = head[lo:lo + k] if width == 1 else [
+                runs[i] = head[lo:lo + k] + pad if width == 1 else [
                     head[c:c + width] for c in range(lo, lo + k * width, width)]
             if width == 1:
-                if last[window] is None:
-                    last[window] = itemgetter(*(rows[window] or fetch(window)))
-                block = last[window](runs[i])
+                block = last(window, runs[i])
             else:
                 digit, tail = divmod(window, width)
                 inner = (rows[digit] or fetch(digit))[tail * pw[i]:(tail + 1) * pw[i]]
-                block = tuple(itertools.chain.from_iterable(map(runs[i].__getitem__, inner)))
+                block = join(map(runs[i].__getitem__, inner))
             if block != first:
                 v = next(v for v, (a, b) in enumerate(zip(first, block)) if a != b)
                 hits.append((v, i))

@@ -235,12 +235,15 @@ def test_equivalence_axioms_on_carriers_smaller_than_the_pad(k, arity, relation)
 def test_transitivity_of_an_unknown_partition_counts_as_skipped():
     # on a rule carrier the twist partition meets an unknown decision and
     # aborts, so none of the 50 transitivity triples is drawn: all are
-    # skipped, on top of the 45 unknown reflexivity and symmetry samples
+    # skipped, on top of the 45 unknown reflexivity and symmetry samples,
+    # and with transitivity never decided the axioms read unknown, not hold
     verdict = check_equivalence_axioms(get_recipe("odd3").build(21), WitnessSearch(TWIST),
                                        samples=50, seed=1)
     unknown_pairs = 2 * 50 - verdict.reflexive_checked - verdict.symmetry_checked
     assert verdict.transitivity_checked == 0
     assert (unknown_pairs, verdict.skipped) == (45, 95)
+    assert (verdict.status, verdict.ok, verdict.failures) == ("unknown", True, ())
+    assert str(verdict).startswith("equivalence axioms unknown (")
 
 
 def test_broken_rule_caught_by_cross_check():
@@ -471,6 +474,17 @@ def test_zero_samples_read_vacuous():
     assert not check_total_associativity(power, CheckMode.sampled(50, 1)).ok
     K = completion_for("nat0", "componentwise-2", limit=6, samples=0)
     assert K.report.well_defined == "vacuous(0)" and K.report.ok
+    # its class product leaves the listed classes, so the group stage samples
+    # and, drawing no class, reads vacuous too
+    assert K.report.group == "vacuous(0; quer at all slots; 49-double domain)"
+
+
+def test_axioms_hold_only_with_decided_transitivity():
+    verdict = check_equivalence_axioms(zmod_add(3, 3), WitnessSearch(TWIST), samples=20, seed=3)
+    assert verdict.status == "hold" and verdict.transitivity_checked == 20
+    assert str(verdict).startswith("equivalence axioms hold (")
+    verdict = check_equivalence_axioms(zmod_add(3, 3), WitnessSearch(TWIST), samples=0)
+    assert (verdict.status, verdict.ok) == ("vacuous", True)
 
 
 def test_residue_intact_product_not_well_defined_documented_counterexample():
@@ -794,6 +808,8 @@ def product_backed_group_checks(cs, mapping, slot_ok, samples, seed, truncated):
                 return f"failed(solvability at slot {i}, {others})", False
             return f"group(exhaustive solvability and associativity; quer at {slots})", True
     assoc = check_total_associativity(cs, CheckMode.sampled(samples, seed))
+    if assoc.status == "vacuous":
+        return f"vacuous(0; quer at {slots})", True
     if not assoc.ok:
         return f"failed(class associativity at {assoc.counterexample[0]})", False
     rng = random.Random(seed)

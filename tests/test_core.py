@@ -10,16 +10,20 @@ from polygroth import (
     FiniteCarrier,
     NAryOperation,
     PolyadicStructure,
+    Verdict,
+    builtin_quiver,
     check_total_associativity,
     commutativity_report,
     find_identities,
     find_zeros,
+    hetero_power,
     iterate,
     iterated_arity,
     iterated_eval,
     placement_result,
     querelement,
     structure_report,
+    swap_picks,
     verify_polyadic_group,
     zmod_add,
     zmod_mul,
@@ -174,6 +178,37 @@ def test_assoc_corrupted_table_fails_with_replayable_counterexample():
     assert ri != rj
 
 
+def naive_verdict(s, limit=None):
+    """Exhaustive verdict by placement_result on every tuple in lexicographic order.
+
+    With a limit, only the first `limit` tuples are walked and None means
+    that none of them failed.
+    """
+    n = s.arity
+    polyads = itertools.product(s.carrier.elements(), repeat=2 * n - 1)
+    for checked, polyad in enumerate(itertools.islice(polyads, limit), 1):
+        r0 = placement_result(s.op, polyad, 0)
+        for i in range(1, n):
+            ri = placement_result(s.op, polyad, i)
+            if ri != r0:
+                return Verdict("failed", checked, (polyad, 0, i, r0, ri))
+    return None if limit else Verdict("proved-exhaustive", checked)
+
+
+def flat_table(k, m, flat):
+    return parse_table("\n".join([f"arity {m}", f"size {k}"] + [str(v) for v in flat]))
+
+
+def cyclic_flat(k, m):
+    return [sum(t) % k for t in itertools.product(range(k), repeat=m)]
+
+
+def perturbed_flat(flat, k, code, rng):
+    flat = list(flat)
+    flat[code] = (flat[code] + rng.randrange(1, k)) % k
+    return flat
+
+
 def test_assoc_fast_scan_agrees_with_naive_placements():
     # oracle: evaluate every placement directly, tuple by tuple in
     # lexicographic order, and compare with the block-sliced kernel.  Random
@@ -183,38 +218,61 @@ def test_assoc_fast_scan_agrees_with_naive_placements():
     cases = []
     for k in range(1, 5):
         for m in range(1, 5):
-            cyclic = [sum(t) % k for t in itertools.product(range(k), repeat=m)]
+            cyclic = cyclic_flat(k, m)
             cases.append((k, m, cyclic))
             cases.append((k, m, [rng.randrange(k) for _ in range(k ** m)]))
             for _ in range(3 if k > 1 else 0):
-                flat = list(cyclic)
-                code = rng.randrange(k ** m)
-                flat[code] = (flat[code] + rng.randrange(1, k)) % k
-                cases.append((k, m, flat))
+                cases.append((k, m, perturbed_flat(cyclic, k, rng.randrange(k ** m), rng)))
     for k, m, flat in cases:
         assert k ** (2 * m - 1) <= 20_000
-        text = "\n".join([f"arity {m}", f"size {k}"] + [str(v) for v in flat])
-        s = parse_table(text)
-        naive_bad = None
-        for T, polyad in enumerate(itertools.product(range(k), repeat=2 * m - 1)):
-            results = [placement_result(s.op, polyad, i) for i in range(m)]
-            bad = [i for i in range(1, m) if results[i] != results[0]]
-            if bad:
-                naive_bad = (T, polyad, bad[0])
-                break
-        v = check_total_associativity(s, CheckMode.exhaustive())
-        if naive_bad is None:
-            assert v.status == "proved-exhaustive"
-            assert v.checked == k ** (2 * m - 1)
-            continue
-        T, polyad, i = naive_bad
-        assert v.status == "failed"
-        assert v.checked == T + 1
-        assert v.counterexample[0] == polyad  # lexicographically smallest
-        assert v.counterexample[1:3] == (0, i)  # first placement to disagree
-        _, _, _, r0, ri = v.counterexample
-        assert placement_result(s.op, polyad, 0) == r0
-        assert placement_result(s.op, polyad, i) == ri != r0
+        s = flat_table(k, m, flat)
+        assert check_total_associativity(s, CheckMode.exhaustive()) == naive_verdict(s)
+
+
+def test_assoc_scan_agrees_with_naive_placements_past_the_small_sweep():
+    # k = 5..7 at arity 3 and 4: cyclic tables and one-entry perturbations.
+    # A perturbed entry is read within the first k blocks, so the oracle
+    # stops early on a refutation; a cyclic table is a group, so its proof
+    # is known where the oracle would walk too many tuples.
+    rng = random.Random(43)
+    for k in (5, 6, 7):
+        for m in (3, 4):
+            cyclic = cyclic_flat(k, m)
+            s = flat_table(k, m, cyclic)
+            v = check_total_associativity(s, CheckMode.exhaustive())
+            assert v == Verdict("proved-exhaustive", k ** (2 * m - 1))
+            if m == 3:
+                assert v == naive_verdict(s)
+            for _ in range(3):
+                code = rng.randrange(k ** m)
+                s = flat_table(k, m, perturbed_flat(cyclic, k, code, rng))
+                v = check_total_associativity(s, CheckMode.exhaustive())
+                assert v.status == "failed"
+                assert v == naive_verdict(s, limit=v.checked)
+
+
+@pytest.mark.parametrize("k", [255, 256, 257])
+def test_binary_scan_at_the_byte_boundary(k):
+    # 256 entries fill a byte translation table with no padding, 257 keep
+    # tuple rows: each proves cyclic Z_k and refutes a perturbation in its
+    # first row at the oracle's first failure
+    cyclic = cyclic_flat(k, 2)
+    v = check_total_associativity(flat_table(k, 2, cyclic), CheckMode.exhaustive())
+    assert v == Verdict("proved-exhaustive", k ** 3)
+    rng = random.Random(k)
+    s = flat_table(k, 2, perturbed_flat(cyclic, k, rng.randrange(k), rng))
+    v = check_total_associativity(s, CheckMode.exhaustive())
+    assert v.status == "failed"
+    assert v == naive_verdict(s, limit=v.checked)
+
+
+def test_scrambled_power_past_a_byte_agrees_with_naive_placements():
+    # the 289 doubles of Z17 keep tuple rows, derived by the power's row getter
+    q = swap_picks(builtin_quiver("twisted-binary"), ("top", 0), ("bottom", 0))
+    power = hetero_power(flat_table(17, 2, cyclic_flat(17, 2)), q).structure
+    v = check_total_associativity(power, CheckMode.exhaustive())
+    assert v.status == "failed" and "index_table" not in power.facts
+    assert v == naive_verdict(power, limit=v.checked)
 
 
 # ---------------------------------------------------------------------------

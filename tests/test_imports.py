@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports (standard library only)."""
+"""Every module of the package imports only the standard library and itself,
+and uses each name it imports."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,15 @@ def imported_names(tree):
                 yield alias.asname or alias.name
 
 
+def imported_modules(tree):
+    """Top-level module of each import; a relative import is the package itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "polygroth" if node.level else node.module.split(".")[0]
+
+
 def test_package_modules_are_found():
     assert {"core.py", "completion.py", "cli.py"} <= {p.name for p in MODULES}
 
@@ -29,3 +40,14 @@ def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies
+    outside = {
+        (path.name, name)
+        for path in PACKAGE.glob("*.py")
+        for name in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        if name != "polygroth" and name not in sys.stdlib_module_names
+    }
+    assert sorted(outside) == []
