@@ -67,10 +67,12 @@ def _default_mode(structure) -> CheckMode:
     return CheckMode.sampled(1000, DEFAULT_SEED)
 
 
-def _decision(recipe, structure):
-    if recipe is not None:
-        return recipe.exact_decision()
-    return WitnessSearch()
+def _relation(recipe) -> dict:
+    """The equivalence of doubles: a recipe's exact rule and canonical form,
+    or witness search with no canonical form for a table."""
+    if recipe is None:
+        return {"dec": WitnessSearch(), "canonical": None}
+    return {"dec": recipe.exact_decision(), "canonical": recipe.canonical_double}
 
 
 def _count(text: str) -> int:
@@ -122,8 +124,7 @@ def _build(args) -> CompletionGroup:
     q = _resolve_quiver(args.quiver)
     assoc_mode = CheckMode.parse(args.mode) if args.mode else None
     return build_completion(
-        s, q, _decision(recipe, s),
-        canonical=recipe.canonical_double if recipe else None,
+        s, q, **_relation(recipe),
         assoc_mode=assoc_mode,
         samples=args.samples,
         seed=args.seed,
@@ -147,8 +148,7 @@ def cmd_complete(args) -> int:
 def cmd_classes(args) -> int:
     s, recipe = _resolve_structure(args.structure, args.bound)
     try:
-        part = partition_classes(s, all_doubles(s.carrier), _decision(recipe, s),
-                                 canonical=recipe.canonical_double if recipe else None)
+        part = partition_classes(s, all_doubles(s.carrier), **_relation(recipe))
     except BoundExhausted as exc:
         print(f"cannot partition: {exc}", file=sys.stderr)
         return 1
@@ -195,9 +195,7 @@ def cmd_universal_check(args) -> int:
     if s.arity != 2:
         raise UsageError("universal factorization applies to binary completions only")
     q = builtin_quiver("componentwise-2")
-    K = build_completion(s, q, _decision(recipe, s),
-                         canonical=recipe.canonical_double if recipe else None,
-                         samples=args.samples, seed=args.seed)
+    K = build_completion(s, q, **_relation(recipe), samples=args.samples, seed=args.seed)
     bound = args.bound if args.bound is not None else (recipe.default_limit if recipe else 40)
     target, phi = _resolve_target(args.target, bound)
     try:

@@ -294,6 +294,7 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
             if isinstance(dec, ExactRule):
                 if dec.rule(d1, d2) and dec.rule(d2, d3) and not dec.rule(d1, d3):
                     failures.append(("transitivity-rule", (d1, d2, d3)))
+            decided = False  # a triple counts once, whichever composition decides it
             z1 = twist_witness(s, d1, d2)
             z2 = twist_witness(s, d2, d3)
             if z1 is None or z2 is None:
@@ -305,7 +306,7 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
                 )
                 if not _twist_holds_at(s, d1, d3, z3):
                     failures.append(("transitivity-twist-witness", (d1, d2, d3, z3)))
-                trans += 1
+                decided = True
             w1 = gauge_witness(s, d1, d2)
             w2 = gauge_witness(s, d2, d3)
             if w1 is None or w2 is None:
@@ -317,6 +318,8 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
                 y3 = iterated_eval(s.op, 2, head + (_y1, _y2) + pad)
                 if not _gauge_holds_at(s, d1, d3, x3, y3):
                     failures.append(("transitivity-gauge-witness", (d1, d2, d3)))
+                decided = True
+            trans += decided
 
     cross = 0
     if isinstance(dec, ExactRule):
@@ -511,11 +514,11 @@ class WellDefinedness:
         )
 
 
-def check_well_definedness(partition: Partition, quiver: QuiverSpec,
-                           base: PolyadicStructure, samples: int = 200,
+def check_well_definedness(partition: Partition, quiver: QuiverSpec, samples: int = 200,
                            seed: int = DEFAULT_SEED) -> WellDefinedness:
     """Swap each argument for an equivalent class member and compare results."""
     rng = random.Random(seed)
+    op = partition.structure.op
     n = quiver.output_arity
     classes = partition.classes
     if not any(len(c) >= 2 for c in classes):
@@ -524,7 +527,7 @@ def check_well_definedness(partition: Partition, quiver: QuiverSpec,
     for _ in range(samples):
         chosen = [rng.choice(classes) for _ in range(n)]
         members = [rng.choice(c) for c in chosen]
-        r1 = apply_quiver(quiver, base.op, members)
+        r1 = apply_quiver(quiver, op, members)
         for slot in range(n):
             cls = chosen[slot]
             if len(cls) < 2:
@@ -532,7 +535,7 @@ def check_well_definedness(partition: Partition, quiver: QuiverSpec,
             alt = rng.choice([d for d in cls if d != members[slot]])
             swapped = list(members)
             swapped[slot] = alt
-            r2 = apply_quiver(quiver, base.op, swapped)
+            r2 = apply_quiver(quiver, op, swapped)
             done += 1
             if not decide_equivalent(partition.structure, r1, r2, partition.decision):
                 return WellDefinedness(False, done, (tuple(members), slot, alt, r1, r2))
@@ -550,17 +553,17 @@ class QuerMap:
         return all(all(v) for v in self.slot_ok.values())
 
 
-def class_structure(partition: Partition, quiver: QuiverSpec,
-                    base: PolyadicStructure) -> PolyadicStructure:
+def class_structure(partition: Partition, quiver: QuiverSpec) -> PolyadicStructure:
     """The listed classes as a finite structure under the class product.
 
-    The product applies the quiver to the classes' representatives and
-    resolves the result.  It is memoised by class tuple, so no class-level
-    check multiplies one tuple twice, and a Cayley table compiled from it
-    reuses what the earlier checks computed.  The quer search reads the row
-    evaluator stored as facts["quer_row"] (see _quer_row).
+    The product applies the quiver over the partition's base structure to
+    the classes' representatives and resolves the result.  It is memoised by
+    class tuple, so no class-level check multiplies one tuple twice, and a
+    Cayley table compiled from it reuses what the earlier checks computed.
+    The quer search reads the row evaluator stored as facts["quer_row"] (see
+    _quer_row).
     """
-    op = base.op
+    op = partition.structure.op
 
     @functools.cache
     def product(cds):
@@ -592,8 +595,7 @@ def _quer_formula(quiver: QuiverSpec, base: PolyadicStructure):
     return None
 
 
-def class_quer(partition: Partition, classes: PolyadicStructure, base: PolyadicStructure,
-               quiver: QuiverSpec) -> QuerMap:
+def class_quer(partition: Partition, classes: PolyadicStructure, quiver: QuiverSpec) -> QuerMap:
     """Compute the quer of every listed class and verify the quer equation.
 
     `classes` is the class structure (see class_structure).  The quer is the
@@ -602,7 +604,7 @@ def class_quer(partition: Partition, classes: PolyadicStructure, base: PolyadicS
     slot (quer last) must hold, otherwise QuerFormulaFailsVerification; the
     other slots are recorded per class.
     """
-    formula = _quer_formula(quiver, base)
+    formula = _quer_formula(quiver, partition.structure)
     cds = classes.carrier.elements()
     mapping: dict = {}
     slot_ok: dict = {}
@@ -726,8 +728,8 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec, *,
 
     domain = all_doubles(s.carrier)
     part = partition_classes(s, domain, dec, canonical=canonical)
-    classes = class_structure(part, quiver, s)
-    wd = check_well_definedness(part, quiver, s, samples=samples, seed=seed)
+    classes = class_structure(part, quiver)
+    wd = check_well_definedness(part, quiver, samples=samples, seed=seed)
 
     bound_note = f"{len(domain)}-double domain"
     quer = None
@@ -738,7 +740,7 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec, *,
         group_str = f"failed(well-definedness; {bound_note})"
     else:
         try:
-            quer = class_quer(part, classes, s, quiver)
+            quer = class_quer(part, classes, quiver)
             group_str, group_ok = _class_group_checks(classes, quer, samples, seed,
                                                       not s.carrier.is_finite)
             group_str = f"{group_str[:-1]}; {bound_note})"

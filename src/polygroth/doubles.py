@@ -1,10 +1,12 @@
 """Doubled structures on S x S: componentwise and hetero ("entangled") powers.
 
 A quiver is pure data describing how a product of n doubles is wired from the
-base m-ary operation: each output component is either a pick list of m
-(slot, component) inputs fed to the base operation, or a single input passed
-through intact.  Arities obey n = m - ((m-1)/2) * intact_count, and the
-fraction must be an integer, which quantizes the admissible (m, n) pairs.
+base m-ary operation: each output component is a wire, a tuple of
+(slot, component) picks.  A wire of m picks feeds the base operation, and a
+wire of one pick passes that input through intact.  The picks determine the
+arities: m is the width of the product wires and n = m - ((m-1)/2) *
+intact_count, where the fraction must be an integer, which quantizes the
+admissible (m, n) pairs.
 """
 
 from __future__ import annotations
@@ -46,14 +48,6 @@ class Pick(NamedTuple):
     comp: str        # TOP or BOTTOM
 
 
-class Product(NamedTuple):
-    picks: tuple
-
-
-class Intact(NamedTuple):
-    pick: Pick
-
-
 def arity_after_intact(m: int, ell_id: int) -> int:
     """Output arity n = m - ((m-1)/2) * ell_id; rejects non-integer cases."""
     if m < 2:
@@ -67,10 +61,6 @@ def arity_after_intact(m: int, ell_id: int) -> int:
     return m - (m - 1) // 2
 
 
-def _wire_picks(wire) -> tuple:
-    return (wire.pick,) if isinstance(wire, Intact) else tuple(wire.picks)
-
-
 def _digit(p: Pick) -> int:
     """Position of a pick among the flattened inputs (top_1, bottom_1, ..., bottom_n)."""
     return 2 * (p.slot - 1) + (p.comp == BOTTOM)
@@ -78,47 +68,48 @@ def _digit(p: Pick) -> int:
 
 @dataclass(frozen=True)
 class QuiverSpec:
-    """Wiring of a doubles product; validation makes bad arities unbuildable.
+    """Wiring of a doubles product: the top and bottom wires, tuples of picks.
+
+    The arities and intact count are derived from the picks, which may be
+    given as plain (slot, component) pairs; equality and hashing read the
+    wires only.  A wiring with two intact wires, product wires of different
+    widths, a non-integer n (NotQuantized), a bad pick, or an input not
+    consumed exactly once does not build.
 
     `gathers` holds, per wire (top, bottom), an itemgetter over the flattened
     inputs and whether the wire is intact: an intact wire gathers its one
     input, a product wire the tuple fed to the base operation.
     """
 
-    input_arity: int
-    output_arity: int
-    top: Product | Intact
-    bottom: Product | Intact
+    top: tuple
+    bottom: tuple
     name: str = field(default="", compare=False)
+    input_arity: int = field(init=False, compare=False)
+    output_arity: int = field(init=False, compare=False)
+    intact_count: int = field(init=False, compare=False)
     gathers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m, n = self.input_arity, self.output_arity
-        intact = sum(isinstance(w, Intact) for w in (self.top, self.bottom))
-        expected = arity_after_intact(m, intact)
-        if n != expected:
-            raise InvalidQuiver(
-                f"output arity {n} violates n = m - (m-1)/2 * intact (expected {expected})"
-            )
-        consumed = []
-        for w in (self.top, self.bottom):
-            picks = _wire_picks(w)
-            if isinstance(w, Product) and len(picks) != m:
-                raise InvalidQuiver(f"a product wire must take exactly {m} picks")
-            consumed.extend(picks)
+        wires = tuple(tuple(Pick(*p) for p in w) for w in (self.top, self.bottom))
+        widths = {len(w) for w in wires if len(w) != 1}
+        if len(widths) != 1:
+            raise InvalidQuiver("a quiver needs one product width and at most one intact wire")
+        (m,) = widths
+        intact = sum(len(w) == 1 for w in wires)
+        n = arity_after_intact(m, intact)
+        consumed = wires[0] + wires[1]
         for p in consumed:
             if p.comp not in (TOP, BOTTOM) or not 1 <= p.slot <= n:
                 raise InvalidQuiver(f"bad pick {p!r}")
         if len(consumed) != 2 * n or len(set(consumed)) != 2 * n:
             raise InvalidQuiver("each of the 2n inputs must be consumed exactly once")
-        object.__setattr__(self, "gathers", tuple(
-            (itemgetter(*map(_digit, _wire_picks(w))), isinstance(w, Intact))
-            for w in (self.top, self.bottom)
-        ))
-
-    @property
-    def intact_count(self) -> int:
-        return sum(isinstance(w, Intact) for w in (self.top, self.bottom))
+        derived = {
+            "top": wires[0], "bottom": wires[1],
+            "input_arity": m, "output_arity": n, "intact_count": intact,
+            "gathers": tuple((itemgetter(*map(_digit, w)), len(w) == 1) for w in wires),
+        }
+        for attr, value in derived.items():
+            object.__setattr__(self, attr, value)
 
 
 def apply_quiver(quiver: QuiverSpec, base_op: NAryOperation, doubles: Sequence[Double]) -> Double:
@@ -138,54 +129,43 @@ def apply_quiver(quiver: QuiverSpec, base_op: NAryOperation, doubles: Sequence[D
 # built-in quivers
 
 
-def _prod(*pairs):
-    return Product(tuple(Pick(s, c) for s, c in pairs))
-
-
 def _componentwise(m: int) -> QuiverSpec:
     return QuiverSpec(
-        m, m,
-        _prod(*[(i, TOP) for i in range(1, m + 1)]),
-        _prod(*[(i, BOTTOM) for i in range(1, m + 1)]),
+        [(i, TOP) for i in range(1, m + 1)],
+        [(i, BOTTOM) for i in range(1, m + 1)],
         name=f"componentwise-{m}",
     )
 
 
 _BUILTINS = {
     "twisted-binary": QuiverSpec(
-        2, 2,
-        _prod((1, TOP), (2, BOTTOM)),
-        _prod((2, TOP), (1, BOTTOM)),
+        ((1, TOP), (2, BOTTOM)),
+        ((2, TOP), (1, BOTTOM)),
         name="twisted-binary",
     ),
     "ternary-to-binary-a": QuiverSpec(
-        3, 2,
-        _prod((1, TOP), (1, BOTTOM), (2, TOP)),
-        Intact(Pick(2, BOTTOM)),
+        ((1, TOP), (1, BOTTOM), (2, TOP)),
+        ((2, BOTTOM),),
         name="ternary-to-binary-a",
     ),
     "ternary-to-binary-b": QuiverSpec(
-        3, 2,
-        _prod((1, TOP), (2, BOTTOM), (2, TOP)),
-        Intact(Pick(1, BOTTOM)),
+        ((1, TOP), (2, BOTTOM), (2, TOP)),
+        ((1, BOTTOM),),
         name="ternary-to-binary-b",
     ),
     "post-ternary": QuiverSpec(
-        3, 3,
-        _prod((1, TOP), (2, BOTTOM), (3, TOP)),
-        _prod((1, BOTTOM), (2, TOP), (3, BOTTOM)),
+        ((1, TOP), (2, BOTTOM), (3, TOP)),
+        ((1, BOTTOM), (2, TOP), (3, BOTTOM)),
         name="post-ternary",
     ),
     "post-5ary": QuiverSpec(
-        5, 5,
-        _prod((1, TOP), (2, BOTTOM), (3, TOP), (4, BOTTOM), (5, TOP)),
-        _prod((1, BOTTOM), (2, TOP), (3, BOTTOM), (4, TOP), (5, BOTTOM)),
+        ((1, TOP), (2, BOTTOM), (3, TOP), (4, BOTTOM), (5, TOP)),
+        ((1, BOTTOM), (2, TOP), (3, BOTTOM), (4, TOP), (5, BOTTOM)),
         name="post-5ary",
     ),
     "five-to-three-intact": QuiverSpec(
-        5, 3,
-        _prod((1, TOP), (2, BOTTOM), (3, TOP), (1, BOTTOM), (2, TOP)),
-        Intact(Pick(3, BOTTOM)),
+        ((1, TOP), (2, BOTTOM), (3, TOP), (1, BOTTOM), (2, TOP)),
+        ((3, BOTTOM),),
         name="five-to-three-intact",
     ),
 }
@@ -207,17 +187,11 @@ def swap_picks(q: QuiverSpec, a, b) -> QuiverSpec:
     The result still consumes every input exactly once, so it validates; it
     is the standard way to scramble a wiring for negative controls.
     """
-    sides = {"top": list(_wire_picks(q.top)), "bottom": list(_wire_picks(q.bottom))}
-    kinds = {"top": isinstance(q.top, Intact), "bottom": isinstance(q.bottom, Intact)}
+    sides = {"top": list(q.top), "bottom": list(q.bottom)}
     (sa, ia), (sb, ib) = a, b
     sides[sa][ia], sides[sb][ib] = sides[sb][ib], sides[sa][ia]
-
-    def rebuild(side):
-        picks = sides[side]
-        return Intact(picks[0]) if kinds[side] else Product(tuple(picks))
-
     return QuiverSpec(
-        q.input_arity, q.output_arity, rebuild("top"), rebuild("bottom"),
+        sides["top"], sides["bottom"],
         name=(q.name + "-swapped") if q.name else "swapped",
     )
 
@@ -234,7 +208,7 @@ _PICK_RE = re.compile(r"\((\d+),([TB])\)")
 
 def format_quiver(q: QuiverSpec) -> str:
     def fmt(wire):
-        return "".join(f"({p.slot},{p.comp})" for p in _wire_picks(wire))
+        return "".join(f"({p.slot},{p.comp})" for p in wire)
 
     return (
         f"{q.output_arity}<-{q.input_arity} intact={q.intact_count}; "
@@ -247,15 +221,15 @@ def parse_quiver(text: str, name: str = "") -> QuiverSpec:
     if not mm:
         raise InvalidQuiver(f"unparseable quiver {text!r}")
     n, m, ell = int(mm.group(1)), int(mm.group(2)), int(mm.group(3))
-
-    def wire(spec):
-        picks = [Pick(int(s), c) for s, c in _PICK_RE.findall(spec)]
-        return Intact(picks[0]) if len(picks) == 1 else Product(tuple(picks))
-
-    q = QuiverSpec(m, n, wire(mm.group(4)), wire(mm.group(5)), name=name)
-    if q.intact_count != ell:
-        raise InvalidQuiver(f"declared intact={ell} does not match the wiring")
-    return q
+    wires = [[(int(s), c) for s, c in _PICK_RE.findall(spec)] for spec in mm.group(4, 5)]
+    # the header is checked against the wiring before the quiver is built, so
+    # a mismatch is InvalidQuiver, not an error of the arities the wiring
+    # implies; only an even declared m with an intact wire is NotQuantized
+    intact = sum(len(w) == 1 for w in wires)
+    if (n != arity_after_intact(m, intact) or ell != intact
+            or {len(w) for w in wires} - {1} != {m}):
+        raise InvalidQuiver(f"header {n}<-{m} intact={ell} does not match the wiring")
+    return QuiverSpec(*wires, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +355,10 @@ def _power_rows(quiver: QuiverSpec, s: PolyadicStructure):
         base_table, k = _index_table(s)
         out = []
         for wire, scale in ((quiver.top, k), (quiver.bottom, 1)):
-            picks = _wire_picks(wire)
             weights = [0] * (2 * n)
-            for j, p in enumerate(picks):
-                weights[_digit(p)] = k ** (len(picks) - 1 - j)
-            values = tuple(v * scale for v in (range(k) if isinstance(wire, Intact) else base_table))
+            for j, p in enumerate(wire):
+                weights[_digit(p)] = k ** (len(wire) - 1 - j)
+            values = tuple(v * scale for v in (range(k) if len(wire) == 1 else base_table))
             codes = _digit_codes(weights[2:], k)
             gather = itemgetter(*codes) if len(codes) > 1 else (lambda t, c=codes[0]: (t[c],))
             out.append((values, _digit_codes(weights[:2], k), gather))

@@ -285,7 +285,7 @@ def test_criterion_11_well_definedness_honesty():
         failures.append(f"residue intact product was not flagged: {K.report.well_defined}")
     if K.quer is not None:
         failures.append("quer was built despite the failed pipeline")
-    wd = check_well_definedness(K.partition, K.quiver, K.base, samples=200, seed=97)
+    wd = check_well_definedness(K.partition, K.quiver, samples=200, seed=97)
     if wd.ok:
         failures.append("checker did not reproduce a counterexample")
     else:

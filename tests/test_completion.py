@@ -455,7 +455,7 @@ def test_componentwise_products_are_well_defined():
     for name, quiver in [("neg3", "componentwise-3"), ("odd3", "componentwise-3")]:
         K = completion_for(name, quiver, limit=31 if name == "odd3" else None)
         assert K.report.ok
-        wd = check_well_definedness(K.partition, K.quiver, K.base, samples=150, seed=3)
+        wd = check_well_definedness(K.partition, K.quiver, samples=150, seed=3)
         assert wd.ok and wd.samples > 0
 
 
@@ -487,6 +487,14 @@ def test_axioms_hold_only_with_decided_transitivity():
     assert (verdict.status, verdict.ok) == ("vacuous", True)
 
 
+def test_transitivity_counts_triples_the_gauge_witness_decides(monkeypatch):
+    # with no twist witness only the gauge composition decides each triple,
+    # and a decided triple counts whichever composition decided it
+    monkeypatch.setattr(completion, "twist_witness", lambda *args: None)
+    verdict = check_equivalence_axioms(zmod_add(5, 3), WitnessSearch(GAUGE), samples=20, seed=1)
+    assert (verdict.status, verdict.transitivity_checked) == ("hold", 20)
+
+
 def test_residue_intact_product_not_well_defined_documented_counterexample():
     # hand oracle: with S1=(7,17) ~ S1'=(77,187) and S2=S3=(7,17) the wired
     # tops are 7^3*17^2 and 7^3*17^2*11^2 while both bottoms stay 17, and
@@ -503,7 +511,7 @@ def test_residue_intact_product_not_well_defined_documented_counterexample():
     assert not K.report.ok
     assert K.quer is None
     assert K.report.well_defined.startswith("counterexample")
-    wd = check_well_definedness(K.partition, K.quiver, K.base, samples=200, seed=97)
+    wd = check_well_definedness(K.partition, K.quiver, samples=200, seed=97)
     members, slot, alt, r1, r2 = wd.counterexample
     assert not rule(r1, r2)
 
@@ -562,7 +570,7 @@ def test_quer_search_mode_matches_formula():
     ]:
         K = completion_for(name, quiver, limit=limit)
         assert K.report.ok and quer_kind(K.quiver, K.base) != "search", name
-        found = searched_quer(class_structure(K.partition, K.quiver, K.base))
+        found = searched_quer(class_structure(K.partition, K.quiver))
         assert found == (K.quer.mapping, K.quer.slot_ok), name
     # binary quer equation op[c, q] = c forces q to be the neutral class
     K = completion_for("nat0", "componentwise-2", limit=12)
@@ -592,7 +600,7 @@ def test_quer_formula_failure_is_reported():
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
                              canonical=recipe.canonical_double)
     with pytest.raises((QuerFormulaFailsVerification, QuerNotFound)):
-        class_quer(part, class_structure(part, q, s), s, q)
+        class_quer(part, class_structure(part, q), q)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +708,7 @@ def test_group_stage_pass_string_and_quer_are_pinned():
     assert K.report.ok
     assert K.report.group == (
         "group(exhaustive solvability and associativity; quer at all slots; 25-double domain)")
-    searched = searched_quer(class_structure(K.partition, K.quiver, K.base))
+    searched = searched_quer(class_structure(K.partition, K.quiver))
     assert searched == (K.quer.mapping, K.quer.slot_ok)
 
 
@@ -828,7 +836,7 @@ def reference_completion(s, quiver, dec, canonical, assoc_mode, samples, seed):
     domain = all_doubles(s.carrier)
     part = partition_classes(s, domain, dec, canonical=canonical)
     product = unmemoised_product(part, quiver, s)
-    wd = check_well_definedness(part, quiver, s, samples=samples, seed=seed)
+    wd = check_well_definedness(part, quiver, samples=samples, seed=seed)
     note = f"{len(domain)}-double domain"
     quer = None
     if not assoc.ok:
@@ -988,7 +996,7 @@ def test_class_table_multiplies_unlisted_classes_by_the_product():
                              ExactRule(lambda x, y: (x.top - x.bottom - y.top + y.bottom) % 4 == 0),
                              canonical=lambda d: Double((d.top - d.bottom) % 4, 0))
     quiver = builtin_quiver("componentwise-2")
-    product, cs = unmemoised_product(part, quiver, s), class_structure(part, quiver, s)
+    product, cs = unmemoised_product(part, quiver, s), class_structure(part, quiver)
     listed, outside = cs.carrier.elements(), ClassDouble(Double(1, 0))
     for t in itertools.product(listed + [outside], repeat=2):
         assert cs.op.fn(t) == product.fn(t)
@@ -1024,7 +1032,7 @@ def test_quer_row_search_matches_the_per_candidate_search():
             domain = rng.sample(domain, rng.randrange(least, len(domain)))
         part = partition_classes(s, domain, ExactRule(operator.eq),
                                  canonical=rng.choice([None, lambda d: d]))
-        cs = class_structure(part, quiver, s)
+        cs = class_structure(part, quiver)
         assert "quer_row" in cs.facts and "index_table" not in cs.facts
         reference = PolyadicStructure(FiniteCarrier(part.class_doubles()),
                                       unmemoised_product(part, quiver, s))
@@ -1047,12 +1055,12 @@ def test_post_5ary_quer_search_memoises_base_values_per_row():
     q = builtin_quiver("post-5ary")
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
                              canonical=recipe.canonical_double)
-    cs = class_structure(part, q, s)
+    cs = class_structure(part, q)
     c, n = part.class_count(), q.output_arity
     components = len({x for rep in part.reps for x in rep})
     assert (c, components) == (57, 8) and "quer_row" in cs.facts
     calls.clear()
-    quer = class_quer(part, cs, s, q)
+    quer = class_quer(part, cs, q)
     assert quer.all_slots_ok()
     assert len(calls) <= c * 2 * components + c * 2 * n
     assert len(calls) < 2 * c * c

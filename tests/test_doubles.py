@@ -9,10 +9,8 @@ from polygroth import (
     CheckMode,
     Double,
     FiniteCarrier,
-    Intact,
     NAryOperation,
     Pick,
-    Product,
     QuiverSpec,
     all_doubles,
     apply_quiver,
@@ -33,7 +31,6 @@ from polygroth import (
     zmod_add,
 )
 from polygroth.core import _index_table
-from polygroth.doubles import _wire_picks
 from polygroth.errors import ArityMismatch, InvalidQuiver, NonMember, NotQuantized, UnknownQuiver
 from polygroth.structures import get_recipe
 from polygroth.tables import format_table, parse_table
@@ -68,24 +65,24 @@ def test_arity_after_intact_rejects_non_integer():
 
 def test_post_ternary_wiring():
     q = builtin_quiver("post-ternary")
-    assert q.top.picks == (Pick(1, "T"), Pick(2, "B"), Pick(3, "T"))
-    assert q.bottom.picks == (Pick(1, "B"), Pick(2, "T"), Pick(3, "B"))
+    assert q.top == (Pick(1, "T"), Pick(2, "B"), Pick(3, "T"))
+    assert q.bottom == (Pick(1, "B"), Pick(2, "T"), Pick(3, "B"))
 
 
 def test_ternary_to_binary_wirings():
     qa = builtin_quiver("ternary-to-binary-a")
-    assert qa.top.picks == (Pick(1, "T"), Pick(1, "B"), Pick(2, "T"))
-    assert qa.bottom == Intact(Pick(2, "B"))
+    assert qa.top == (Pick(1, "T"), Pick(1, "B"), Pick(2, "T"))
+    assert qa.bottom == (Pick(2, "B"),)
     qb = builtin_quiver("ternary-to-binary-b")
-    assert qb.top.picks == (Pick(1, "T"), Pick(2, "B"), Pick(2, "T"))
-    assert qb.bottom == Intact(Pick(1, "B"))
+    assert qb.top == (Pick(1, "T"), Pick(2, "B"), Pick(2, "T"))
+    assert qb.bottom == (Pick(1, "B"),)
 
 
 def test_five_to_three_wiring():
     q = builtin_quiver("five-to-three-intact")
-    assert q.top.picks == (Pick(1, "T"), Pick(2, "B"), Pick(3, "T"), Pick(1, "B"), Pick(2, "T"))
-    assert q.bottom == Intact(Pick(3, "B"))
-    assert (q.input_arity, q.output_arity) == (5, 3)
+    assert q.top == (Pick(1, "T"), Pick(2, "B"), Pick(3, "T"), Pick(1, "B"), Pick(2, "T"))
+    assert q.bottom == (Pick(3, "B"),)
+    assert (q.input_arity, q.output_arity, q.intact_count) == (5, 3, 1)
 
 
 def test_unknown_quiver():
@@ -94,22 +91,34 @@ def test_unknown_quiver():
 
 
 def test_quiver_validation_rejects_bad_arity():
-    with pytest.raises(InvalidQuiver):
-        QuiverSpec(3, 3,
-                   Product((Pick(1, "T"), Pick(1, "B"), Pick(2, "T"))),
-                   Intact(Pick(2, "B")))  # intact=1 forces n=2
+    with pytest.raises(InvalidQuiver):  # intact=1 forces n=2
+        parse_quiver("3<-3 intact=1; top=(1,T)(1,B)(2,T); bottom=(2,B)")
 
 
 def test_quiver_validation_rejects_double_consumption():
     with pytest.raises(InvalidQuiver):
-        QuiverSpec(3, 3,
-                   Product((Pick(1, "T"), Pick(1, "T"), Pick(3, "T"))),
-                   Product((Pick(1, "B"), Pick(2, "B"), Pick(3, "B"))))
+        QuiverSpec(((1, "T"), (1, "T"), (3, "T")), ((1, "B"), (2, "B"), (3, "B")))
 
 
 def test_quiver_validation_rejects_short_product():
+    # the wiring alone is a quantization error (m=2 with an intact wire);
+    # against its header it is a mismatch
     with pytest.raises(InvalidQuiver):
-        QuiverSpec(3, 2, Product((Pick(1, "T"), Pick(1, "B"))), Intact(Pick(2, "B")))
+        parse_quiver("2<-3 intact=1; top=(1,T)(1,B); bottom=(2,B)")
+    with pytest.raises(NotQuantized):
+        QuiverSpec(((1, "T"), (1, "B")), ((2, "B"),))
+
+
+@pytest.mark.parametrize("top, bottom", [
+    (((1, "T"),), ((1, "B"),)),                                   # two intact wires
+    (((1, "T"), (2, "B"), (3, "T")), ((1, "B"), (2, "T"))),       # product widths differ
+    (((1, "T"), (2, "B"), (3, "T")), ((1, "B"), (2, "T"), (3, "X"))),  # bad component
+    (((1, "T"), (1, "B"), (2, "T")), ((3, "B"),)),                # slot beyond n
+    ((), ()),                                                     # no picks at all
+])
+def test_quiver_validation_rejects_inconsistent_wirings(top, bottom):
+    with pytest.raises(InvalidQuiver):
+        QuiverSpec(top, bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +205,8 @@ def test_apply_quiver_arity_mismatch():
 def apply_quiver_by_picks(quiver, base_op, doubles):
     """Reference wiring: read every pick from its double, one by one."""
     def wire(w):
-        picks = (w.pick,) if isinstance(w, Intact) else w.picks
-        values = tuple(doubles[p.slot - 1][0 if p.comp == "T" else 1] for p in picks)
-        return values[0] if isinstance(w, Intact) else base_op.fn(values)
+        values = tuple(doubles[p.slot - 1][0 if p.comp == "T" else 1] for p in w)
+        return values[0] if len(w) == 1 else base_op.fn(values)
 
     return Double(wire(quiver.top), wire(quiver.bottom))
 
@@ -220,8 +228,7 @@ def test_gathered_wiring_matches_pick_by_pick_reference():
     rng = random.Random(5)
     quivers = [builtin_quiver(name) for name in BUILTIN_NAMES]
     for q in list(quivers):
-        widths = {side: len(getattr(w, "picks", (w,)))
-                  for side, w in (("top", q.top), ("bottom", q.bottom))}
+        widths = {"top": len(q.top), "bottom": len(q.bottom)}
         for _ in range(4):
             a, b = [(side, rng.randrange(widths[side]))
                     for side in (rng.choice(["top", "bottom"]) for _ in range(2))]
@@ -467,8 +474,7 @@ def test_lifted_associativity_agrees_with_the_scan():
     quivers = {}
     for name in BUILTIN_NAMES:
         q = builtin_quiver(name)
-        swaps = [(i, j) for i in range(len(_wire_picks(q.top)))
-                 for j in range(len(_wire_picks(q.bottom)))]
+        swaps = [(i, j) for i in range(len(q.top)) for j in range(len(q.bottom))]
         quivers.setdefault(q.input_arity, []).append(q)
         quivers[q.input_arity] += [swap_picks(q, ("top", i), ("bottom", j))
                                    for i, j in rng.sample(swaps, 2)]
@@ -522,7 +528,7 @@ def test_noncommutative_5ary_base_falls_back_to_the_scan():
 def every_scramble(q):
     """Each swap_picks of two distinct picks of q, on one wire or across both."""
     addrs = [(side, i) for side, wire in (("top", q.top), ("bottom", q.bottom))
-             for i in range(len(_wire_picks(wire)))]
+             for i in range(len(wire))]
     return [swap_picks(q, a, b) for a, b in itertools.combinations(addrs, 2)]
 
 
@@ -689,24 +695,53 @@ def test_no_identity_candidate_on_odds_power():
     assert find_identities(hetero_power(odd, builtin_quiver("componentwise-3")).structure) == []
 
 
+def every_wiring(m, intact):
+    """Each n<-m wiring with `intact` intact wires, as plain (top, bottom) pick tuples:
+    every input used once, the intact wire on either side, product picks in any order."""
+    n = arity_after_intact(m, intact)
+    inputs = [(slot, comp) for slot in range(1, n + 1) for comp in "TB"]
+    if not intact:
+        return [(order[:m], order[m:]) for order in itertools.permutations(inputs)]
+    wirings = []
+    for kept in inputs:
+        for order in itertools.permutations([p for p in inputs if p != kept]):
+            wirings += [(order, (kept,)), ((kept,), order)]
+    return wirings
+
+
+@pytest.mark.parametrize("m, intact, count", [(3, 0, 720), (3, 1, 48), (5, 1, 1440)])
+def test_wiring_census(m, intact, count):
+    # every wiring of the header validates, derives the header's arities and
+    # round-trips; the same wiring under each header that disagrees with it
+    # is refused as InvalidQuiver, or NotQuantized when the declared m is
+    # even and a wire is intact
+    n = arity_after_intact(m, intact)
+    wirings = every_wiring(m, intact)
+    assert len(set(wirings)) == count
+    for top, bottom in wirings:
+        q = QuiverSpec(top, bottom)
+        assert (q.output_arity, q.input_arity, q.intact_count) == (n, m, intact)
+        text = format_quiver(q)
+        assert parse_quiver(text) == q and format_quiver(parse_quiver(text)) == text
+        header, wiring = text.split("; ", 1)
+        assert header == f"{n}<-{m} intact={intact}"
+        for hn, hm, hl in ((n - 1, m, intact), (n + 1, m, intact), (n, m - 1, intact),
+                           (n, m + 1, intact), (n, m, 1 - intact)):
+            with pytest.raises((InvalidQuiver, NotQuantized)) as exc:
+                parse_quiver(f"{hn}<-{hm} intact={hl}; {wiring}")
+            assert exc.type is (NotQuantized if hm % 2 == 0 and intact else InvalidQuiver)
+
+
 def test_enumerate_all_ternary_to_binary_wirings():
-    # all 48 one-intact binary wirings of a ternary base: every input pick
-    # used once, intact on either side, product picks in any order; report
-    # how many are associative on the Z3-derived base
+    # all 48 one-intact binary wirings of a ternary base; report how many are
+    # associative on the Z3-derived base
     z3 = zmod_add(3, 3)
-    inputs = [Pick(s, c) for s in (1, 2) for c in ("T", "B")]
     associative = []
-    for intact_side in ("top", "bottom"):
-        for intact_pick in inputs:
-            rest = [p for p in inputs if p != intact_pick]
-            for order in itertools.permutations(rest):
-                if intact_side == "top":
-                    q = QuiverSpec(3, 2, Intact(intact_pick), Product(tuple(order)))
-                else:
-                    q = QuiverSpec(3, 2, Product(tuple(order)), Intact(intact_pick))
-                d = hetero_power(z3, q)
-                if check_total_associativity(d.structure, CheckMode.exhaustive()).ok:
-                    associative.append(format_quiver(q))
+    for top, bottom in every_wiring(3, 1):
+        q = QuiverSpec(top, bottom)
+        d = hetero_power(z3, q)
+        if check_total_associativity(d.structure, CheckMode.exhaustive()).ok:
+            associative.append(format_quiver(q))
     # the two known wirings are among them; on a commutative base the pick
     # order inside a product is immaterial (6 orders each) and top/bottom
     # mirroring doubles the count, so the census is 2 * 6 * 2 = 24
@@ -718,7 +753,7 @@ def test_enumerate_all_ternary_to_binary_wirings():
 @given(st.permutations([Pick(s, c) for s in (1, 2, 3) for c in ("T", "B")]))
 @settings(max_examples=40, deadline=None)
 def test_random_intactless_ternary_quivers_round_trip(picks):
-    q = QuiverSpec(3, 3, Product(tuple(picks[:3])), Product(tuple(picks[3:])))
+    q = QuiverSpec(picks[:3], picks[3:])
     assert parse_quiver(format_quiver(q)) == q
 
 
