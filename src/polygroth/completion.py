@@ -24,6 +24,7 @@ from .core import (
     CheckMode,
     DEFAULT_SEED,
     FiniteCarrier,
+    IndexDraws,
     NAryOperation,
     PolyadicStructure,
     _cancels,
@@ -39,7 +40,7 @@ from .doubles import (
     Double,
     QuiverSpec,
     all_doubles,
-    apply_quiver,
+    bound_product,
     builtin_quiver,
     format_quiver,
     hetero_power,
@@ -255,7 +256,7 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
     witness (padding with m-2 spectator elements, repeating the carrier's
     elements when it has fewer); and, for exact rules, a cross-check against
     the witness searches on definite answers."""
-    rng = random.Random(seed)
+    draws = IndexDraws(random.Random(seed))
     domain = all_doubles(s.carrier)
     m = s.arity
     pad = tuple(itertools.islice(itertools.cycle(s.carrier.elements()), m - 2))
@@ -264,14 +265,14 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
 
     refl = symm = 0
     for _ in range(samples):
-        d = rng.choice(domain)
+        d = draws.pick(domain)
         try:
             if decide_equivalent(s, d, d, dec) is not True:
                 failures.append(("reflexivity", d))
             refl += 1
         except BoundExhausted:
             skipped += 1
-        d1, d2 = rng.choice(domain), rng.choice(domain)
+        d1, d2 = draws.pick(domain), draws.pick(domain)
         try:
             if decide_equivalent(s, d1, d2, dec) != decide_equivalent(s, d2, d1, dec):
                 failures.append(("symmetry", (d1, d2)))
@@ -289,8 +290,8 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
         rich = [c for c in part.classes if len(c) >= 3]
     if rich:
         for _ in range(samples):
-            cls = rng.choice(rich)
-            d1, d2, d3 = (rng.choice(cls) for _ in range(3))
+            cls = draws.pick(rich)
+            d1, d2, d3 = (draws.pick(cls) for _ in range(3))
             if isinstance(dec, ExactRule):
                 if dec.rule(d1, d2) and dec.rule(d2, d3) and not dec.rule(d1, d3):
                     failures.append(("transitivity-rule", (d1, d2, d3)))
@@ -325,7 +326,7 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
     if isinstance(dec, ExactRule):
         searches = (WitnessSearch(TWIST), WitnessSearch(GAUGE))
         for _ in range(samples):
-            d1, d2 = rng.choice(domain), rng.choice(domain)
+            d1, d2 = draws.pick(domain), draws.pick(domain)
             want = dec.rule(d1, d2)
             for search in searches:
                 try:
@@ -516,26 +517,32 @@ class WellDefinedness:
 
 def check_well_definedness(partition: Partition, quiver: QuiverSpec, samples: int = 200,
                            seed: int = DEFAULT_SEED) -> WellDefinedness:
-    """Swap each argument for an equivalent class member and compare results."""
-    rng = random.Random(seed)
-    op = partition.structure.op
+    """Swap each argument for an equivalent class member and compare results.
+
+    The replacement is drawn from the class's other members, skipping the
+    drawn member's index; a class lists each double once (partition_classes
+    over a domain without repeats), so these are the members unequal to it.
+    """
+    draws = IndexDraws(random.Random(seed))
+    product = bound_product(quiver, partition.structure.op.fn)
     n = quiver.output_arity
     classes = partition.classes
     if not any(len(c) >= 2 for c in classes):
         return WellDefinedness(True, 0)
     done = 0
     for _ in range(samples):
-        chosen = [rng.choice(classes) for _ in range(n)]
-        members = [rng.choice(c) for c in chosen]
-        r1 = apply_quiver(quiver, op, members)
-        for slot in range(n):
-            cls = chosen[slot]
+        chosen = [draws.pick(classes) for _ in range(n)]
+        picks = [next(draws[len(c)]) for c in chosen]
+        members = [c[j] for c, j in zip(chosen, picks)]
+        r1 = product(members)
+        for slot, (cls, j) in enumerate(zip(chosen, picks)):
             if len(cls) < 2:
                 continue
-            alt = rng.choice([d for d in cls if d != members[slot]])
+            other = next(draws[len(cls) - 1])
+            alt = cls[other + (other >= j)]
             swapped = list(members)
             swapped[slot] = alt
-            r2 = apply_quiver(quiver, op, swapped)
+            r2 = product(swapped)
             done += 1
             if not decide_equivalent(partition.structure, r1, r2, partition.decision):
                 return WellDefinedness(False, done, (tuple(members), slot, alt, r1, r2))
@@ -564,10 +571,11 @@ def class_structure(partition: Partition, quiver: QuiverSpec) -> PolyadicStructu
     _quer_row).
     """
     op = partition.structure.op
+    wired = bound_product(quiver, op.fn)
 
     @functools.cache
     def product(cds):
-        return partition.resolve(apply_quiver(quiver, op, [cd.rep for cd in cds]))
+        return partition.resolve(wired([cd.rep for cd in cds]))
 
     return PolyadicStructure(
         FiniteCarrier(partition.class_doubles()),
@@ -691,9 +699,9 @@ def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed
     assoc = check_total_associativity(cs, CheckMode.sampled(samples, seed))
     if not assoc.ok:
         return (f"failed(class associativity at {assoc.counterexample[0]})", False)
-    rng = random.Random(seed)
+    draws = IndexDraws(random.Random(seed))
     for _ in range(samples):
-        g, h = rng.choice(cds), rng.choice(cds)
+        g, h = draws.pick(cds), draws.pick(cds)
         if not _cancels(cs, g, h, quer.mapping[h]):
             return (f"failed(cancellation identities at {g},{h})", False)
     label = "diagrammatic on truncated class set" if truncated else "diagrammatic"
@@ -868,10 +876,10 @@ def check_universal_factorization(K: CompletionGroup, target: PolyadicStructure,
             inverses[x] = sols[0]
         return inverses[x]
 
-    rng = random.Random(seed)
+    draws = IndexDraws(random.Random(seed))
     base_elems = K.base.carrier.elements()
     for _ in range(samples):
-        a, b = rng.choice(base_elems), rng.choice(base_elems)
+        a, b = draws.pick(base_elems), draws.pick(base_elems)
         if not teq(phi(K.base.op.fn((a, b))), top((phi(a), phi(b)))):
             raise NotAHomomorphism((a, b))
 
@@ -884,17 +892,17 @@ def check_universal_factorization(K: CompletionGroup, target: PolyadicStructure,
     cds = K.partition.class_doubles()
     checked = 0
     for _ in range(samples):
-        c1, c2 = rng.choice(cds), rng.choice(cds)
+        c1, c2 = draws.pick(cds), draws.pick(cds)
         mem = K.partition.members_of(c1.rep)
         if len(mem) > 1:
-            alt = rng.choice(mem)
+            alt = draws.pick(mem)
             if not teq(phi_gg(c1), phi_gg_raw(alt)):
                 return UniversalVerdict(False, checked, f"induced map not class-invariant at {c1}")
         lhs = phi_gg(K.product.fn((c1, c2)))
         rhs = top((phi_gg(c1), phi_gg(c2)))
         if not teq(lhs, rhs):
             return UniversalVerdict(False, checked, f"induced map not a homomorphism at {c1},{c2}")
-        a = rng.choice(base_elems)
+        a = draws.pick(base_elems)
         if not teq(phi_gg(phi_sg(K, a)), phi(a)):
             return UniversalVerdict(False, checked, f"factorization fails at {a!r}")
         checked += 1

@@ -282,6 +282,32 @@ class Verdict:
         return f"{self.status}({self.checked})"
 
 
+class IndexDraws(dict):
+    """The indices random.Random.choice draws, one endless stream per sequence length.
+
+    next(draws[k]) is the index rng.choice(seq) draws for len(seq) == k: the
+    same getrandbits(k.bit_length()) calls, rejecting values >= k, so a seed
+    replays the same indices and leaves rng in the same state, however the
+    lengths interleave.  A stream pulls no value ahead.  Length 0 raises
+    IndexError as rng.choice does (getrandbits(0) is 0, so the rejection
+    would never end).
+    """
+
+    def __init__(self, rng: random.Random):
+        super().__init__()
+        self._bits = rng.getrandbits
+
+    def __missing__(self, k: int):
+        if k < 1:
+            raise IndexError("Cannot choose from an empty sequence")
+        stream = self[k] = filter(k.__gt__, map(self._bits, itertools.repeat(k.bit_length())))
+        return stream
+
+    def pick(self, seq: Sequence):
+        """The element rng.choice(seq) draws."""
+        return seq[next(self[len(seq)])]
+
+
 def placement_result(op: NAryOperation, polyad: Sequence, i: int):
     """Collapse the inner window starting at slot i, then apply the outer op."""
     n = op.arity
@@ -501,13 +527,14 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
     elems = s.carrier.elements()
     if not elems:
         raise UsageError("cannot sample from an empty carrier enumeration")
-    rng = random.Random(mode.seed)
-    op, eq, L = s.op, s.carrier.eq, 2 * n - 1
+    # the placements of placement_result, evaluated inline on each drawn tuple
+    draws = IndexDraws(random.Random(mode.seed))[len(elems)]
+    fn, eq, L = s.op.fn, s.carrier.eq, 2 * n - 1
     for c in range(mode.count):
-        polyad = tuple(rng.choice(elems) for _ in range(L))
-        r0 = placement_result(op, polyad, 0)
+        polyad = tuple(map(elems.__getitem__, itertools.islice(draws, L)))
+        r0 = fn((fn(polyad[:n]),) + polyad[n:])
         for i in range(1, n):
-            ri = placement_result(op, polyad, i)
+            ri = fn(polyad[:i] + (fn(polyad[i:i + n]),) + polyad[i + n:])
             if not eq(ri, r0):
                 return Verdict("failed", c + 1, (polyad, 0, i, r0, ri))
     return Verdict("passed-sampled" if mode.count else "vacuous", mode.count)
@@ -567,8 +594,9 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
             code = next(c for c, (a, b) in enumerate(zip(table, permuted)) if a != b)
             return (_decode_polyad(elems, k, n, code), tuple(perm))
     else:
-        rng = random.Random(mode.seed)
-        pool = [tuple(rng.choice(elems) for _ in range(n)) for _ in range(mode.count)]
+        draws = IndexDraws(random.Random(mode.seed))
+        pool = [tuple(map(elems.__getitem__, itertools.islice(draws[len(elems)], n)))
+                for _ in range(mode.count)]
         checked = len(pool)
 
         def violation(perm):

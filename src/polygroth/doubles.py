@@ -74,7 +74,9 @@ class QuiverSpec:
     given as plain (slot, component) pairs; equality and hashing read the
     wires only.  A wiring with two intact wires, product wires of different
     widths, a non-integer n (NotQuantized), a bad pick, or an input not
-    consumed exactly once does not build.
+    consumed exactly once does not build.  Input of the wrong shape (a wire
+    that is not a sequence of pairs, a slot that is not an integer) raises
+    InvalidQuiver too.
 
     `gathers` holds, per wire (top, bottom), an itemgetter over the flattened
     inputs and whether the wire is intact: an intact wire gathers its one
@@ -90,7 +92,12 @@ class QuiverSpec:
     gathers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        wires = tuple(tuple(Pick(*p) for p in w) for w in (self.top, self.bottom))
+        try:
+            wires = tuple(tuple(Pick(*p) for p in w) for w in (self.top, self.bottom))
+        except TypeError:  # a wire or a pick that is not a sequence of the right length
+            raise InvalidQuiver("each wire must be a sequence of (slot, component) picks") from None
+        if not all(isinstance(p.slot, int) for w in wires for p in w):
+            raise InvalidQuiver("pick slots must be integers")
         widths = {len(w) for w in wires if len(w) != 1}
         if len(widths) != 1:
             raise InvalidQuiver("a quiver needs one product width and at most one intact wire")
@@ -117,12 +124,21 @@ def apply_quiver(quiver: QuiverSpec, base_op: NAryOperation, doubles: Sequence[D
         raise ArityMismatch(
             f"quiver takes {quiver.output_arity} doubles, got {len(doubles)}"
         )
-    flat = tuple(itertools.chain.from_iterable(doubles))
+    return bound_product(quiver, base_op.fn)(doubles)
+
+
+def bound_product(quiver: QuiverSpec, base_fn):
+    """The quiver's product of n doubles as one closure over its gathers and the
+    base evaluator; unlike apply_quiver it does not check the count of doubles."""
     (top, top_intact), (bottom, bottom_intact) = quiver.gathers
-    return Double(
-        top(flat) if top_intact else base_op.fn(top(flat)),
-        bottom(flat) if bottom_intact else base_op.fn(bottom(flat)),
-    )
+    unpack = itertools.chain.from_iterable
+
+    def product(doubles):
+        flat = tuple(unpack(doubles))
+        return Double(top(flat) if top_intact else base_fn(top(flat)),
+                      bottom(flat) if bottom_intact else base_fn(bottom(flat)))
+
+    return product
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +294,9 @@ class DoubledStructure:
 def hetero_power(s: PolyadicStructure, quiver: QuiverSpec) -> DoubledStructure:
     """Wire the square S x S by the quiver.
 
+    The power's operation evaluates the bound product (see bound_product):
+    one closure over the quiver's gathers and the base evaluator, with the
+    count of doubles checked by NAryOperation's call, not on every product.
     Associativity of the result is *not* asserted here; run
     check_total_associativity on .structure before trusting it.  On a finite
     base the power's index table rows are derived from the base's as they are
@@ -290,11 +309,8 @@ def hetero_power(s: PolyadicStructure, quiver: QuiverSpec) -> DoubledStructure:
             f"quiver expects a {quiver.input_arity}-ary base, structure is {s.arity}-ary"
         )
     carrier = double_carrier(s.carrier)
-    op = NAryOperation(
-        quiver.output_arity,
-        lambda ds, _q=quiver, _op=s.op: apply_quiver(_q, _op, ds),
-        name=quiver.name or format_quiver(quiver),
-    )
+    op = NAryOperation(quiver.output_arity, bound_product(quiver, s.op.fn),
+                       name=quiver.name or format_quiver(quiver))
     label = f"{s.name or 'S'} boxtimes {quiver.name or format_quiver(quiver)}"
     power = PolyadicStructure(carrier, op, name=label)
     if s.carrier.is_finite:
@@ -312,8 +328,8 @@ def _placement_words(quiver: QuiverSpec) -> list:
     top of double j and 2j+1 its bottom.
     """
     n = quiver.output_arity
-    concat = NAryOperation(quiver.input_arity, lambda ws: tuple(itertools.chain.from_iterable(ws)))
-    op = NAryOperation(n, lambda ds: apply_quiver(quiver, concat, ds))
+    concat = itertools.chain.from_iterable
+    op = NAryOperation(n, bound_product(quiver, lambda ws: tuple(concat(ws))))
     polyad = tuple(Double((2 * j,), (2 * j + 1,)) for j in range(2 * n - 1))
     return [placement_result(op, polyad, i) for i in range(n)]
 

@@ -12,6 +12,7 @@ witness search.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -175,19 +176,21 @@ def residue_recipe(a: int, b: int) -> StructureRecipe:
                               name=f"[[{a}]]_{b}(<= {limit})")
         return PolyadicStructure(carrier, NAryOperation(m, math.prod, name=f"*{m}"), name=name)
 
+    @functools.cache
+    def rescale(pr: int, qr: int):
+        # smallest k >= 1 putting both components into the class: k*p0 mod b
+        # depends only on k mod b and p0 mod b, so k <= b suffices and the
+        # answer is memoised per residue pair; None when no k exists
+        return next((k for k in range(1, b + 1) if k * pr % b == a and k * qr % b == a), None)
+
     def canonical(d: Double) -> Double:
         p, q = d.top, d.bottom
         g = math.gcd(p, q)
         p0, q0 = p // g, q // g
-        # smallest rescale k >= 1 putting both components into the class;
-        # membership of k*p0 depends on k mod b only, so k <= b suffices, and
-        # if no k exists (a component is not positive, or the two disagree
+        # with no rescale (a component is not positive, or the two disagree
         # mod b) the pair is kept as given
-        if p0 > 0 and q0 > 0:
-            for k in range(1, b + 1):
-                if k * p0 % b == a and k * q0 % b == a:
-                    return Double(k * p0, k * q0)
-        return Double(p, q)
+        k = rescale(p0 % b, q0 % b) if p0 > 0 and q0 > 0 else None
+        return Double(p, q) if k is None else Double(k * p0, k * q0)
 
     def rule(d1: Double, d2: Double) -> bool:
         return d1.top * d2.bottom == d2.top * d1.bottom

@@ -931,6 +931,45 @@ def outcome(run):
         return type(exc), str(exc)
 
 
+def well_definedness_reference(partition, quiver, samples, seed):
+    """check_well_definedness drawn through rng.choice, each replacement from a
+    fresh list of the other members, products through apply_quiver."""
+    rng = random.Random(seed)
+    op, n, classes = partition.structure.op, quiver.output_arity, partition.classes
+    if not any(len(c) >= 2 for c in classes):
+        return completion.WellDefinedness(True, 0)
+    done = 0
+    for _ in range(samples):
+        chosen = [rng.choice(classes) for _ in range(n)]
+        members = [rng.choice(c) for c in chosen]
+        r1 = apply_quiver(quiver, op, members)
+        for slot in range(n):
+            if len(chosen[slot]) < 2:
+                continue
+            alt = rng.choice([d for d in chosen[slot] if d != members[slot]])
+            r2 = apply_quiver(quiver, op, members[:slot] + [alt] + members[slot + 1:])
+            done += 1
+            if not decide_equivalent(partition.structure, r1, r2, partition.decision):
+                return completion.WellDefinedness(False, done, (tuple(members), slot, alt, r1, r2))
+    return completion.WellDefinedness(True, done)
+
+
+def test_well_definedness_matches_a_rng_choice_reference():
+    # seeded random and Z_k tables and rule carriers under gauge, twist and
+    # exact decisions, some wirings scrambled: the whole verdict agrees
+    rng = random.Random(67)
+    seen = collections.Counter()
+    for j in range(160):
+        case = random_stage_case(rng) if j % 4 else rule_stage_case(rng)
+        s, quiver = case["s"], case["quiver"]
+        part = partition_classes(s, all_doubles(s.carrier), case["dec"], case["canonical"])
+        samples, seed = rng.choice([0, 1, 5, 40]), rng.randrange(1000)
+        got = check_well_definedness(part, quiver, samples=samples, seed=seed)
+        assert got == well_definedness_reference(part, quiver, samples, seed)
+        seen[got.ok, got.samples > 0] += 1
+    assert seen[True, True] and seen[False, True]
+
+
 def test_table_backed_class_stage_matches_product_backed_reference(monkeypatch):
     # every _assoc_scan of the class stage is recorded as (k, n): none may
     # scan more than the cutoff's 200,000 tuples

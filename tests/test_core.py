@@ -28,7 +28,7 @@ from polygroth import (
     zmod_add,
     zmod_mul,
 )
-from polygroth.core import _cancels, _is_neutral
+from polygroth.core import IndexDraws, _cancels, _is_neutral
 from polygroth.errors import (
     ArityMismatch,
     ExhaustiveOnInfiniteCarrier,
@@ -273,6 +273,70 @@ def test_scrambled_power_past_a_byte_agrees_with_naive_placements():
     v = check_total_associativity(power, CheckMode.exhaustive())
     assert v.status == "failed" and "index_table" not in power.facts
     assert v == naive_verdict(power, limit=v.checked)
+
+
+# ---------------------------------------------------------------------------
+# sampled draws
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 255, 256, 257, 1000])
+def test_index_draws_replay_rng_choice(k):
+    # single draws, draws interleaved with another length, and a run taken
+    # at once all give rng.choice's indices and leave the generator in its state
+    seq, other = list(range(k)), list(range(5))
+    for seed in (0, 1, 97, 2 ** 40 + 3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        draws = IndexDraws(rng)
+        assert [next(draws[k]) for _ in range(100)] == [ref.choice(seq) for _ in range(100)]
+        got = [draws.pick(seq if j % 3 else other) for j in range(90)]
+        assert got == [ref.choice(seq if j % 3 else other) for j in range(90)]
+        assert tuple(itertools.islice(draws[k], 9)) == tuple(ref.choice(seq) for _ in range(9))
+        assert rng.random() == ref.random()
+
+
+def test_index_draws_refuse_an_empty_sequence():
+    draws = IndexDraws(random.Random(1))
+    with pytest.raises(IndexError):
+        draws.pick([])
+    with pytest.raises(IndexError):
+        draws[0]
+
+
+def sampled_assoc_reference(s, mode):
+    """Sampled associativity drawn through rng.choice, placements by placement_result."""
+    rng = random.Random(mode.seed)
+    elems, n, eq = s.carrier.elements(), s.arity, s.carrier.eq
+    for c in range(mode.count):
+        polyad = tuple(rng.choice(elems) for _ in range(2 * n - 1))
+        r0 = placement_result(s.op, polyad, 0)
+        for i in range(1, n):
+            ri = placement_result(s.op, polyad, i)
+            if not eq(ri, r0):
+                return Verdict("failed", c + 1, (polyad, 0, i, r0, ri))
+    return Verdict("passed-sampled" if mode.count else "vacuous", mode.count)
+
+
+def test_sampled_assoc_matches_a_rng_choice_reference():
+    # seeded random, cyclic and perturbed tables, their scrambled powers and
+    # rule carriers: the whole verdict (status, count, counterexample) agrees
+    rng = random.Random(59)
+    cases = [get_recipe("odd3").build(41), get_recipe("res-7-10").build(97), MATRIX4.build(25)]
+    for k in range(1, 6):
+        for m in range(1, 5):
+            cyclic = cyclic_flat(k, m)
+            cases += [flat_table(k, m, cyclic), flat_table(k, m, [rng.randrange(k) for _ in cyclic])]
+            if k > 1:
+                cases.append(flat_table(k, m, perturbed_flat(cyclic, k, rng.randrange(k ** m), rng)))
+        cases.append(hetero_power(flat_table(k, 3, cyclic_flat(k, 3)), swap_picks(
+            builtin_quiver("post-ternary"), ("top", 0), ("bottom", 1))).structure)
+    statuses = set()
+    for s in cases:
+        for count in (0, 1, 7, 60):
+            mode = CheckMode.sampled(count, rng.randrange(10 ** 6))
+            v = check_total_associativity(s, mode)
+            assert v == sampled_assoc_reference(s, mode), (s.name, mode)
+            statuses.add(v.status)
+    assert statuses == {"failed", "passed-sampled", "vacuous"}
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,16 @@ def test_quiver_validation_rejects_inconsistent_wirings(top, bottom):
         QuiverSpec(top, bottom)
 
 
+@pytest.mark.parametrize("top, bottom", [
+    (((1, "T"), (2, "B"), (3, "T", 0)), ((1, "B"), (2, "T"), (3, "B"))),  # a 3-field pick
+    ((("1", "T"), (2, "B"), (3, "T")), ((1, "B"), (2, "T"), (3, "B"))),  # a string slot
+    (((1, "T"), (2, "B"), (3, "T")), 5),                                 # a wire that is no sequence
+], ids=["three-field-pick", "string-slot", "non-iterable-wire"])
+def test_quiver_validation_rejects_malformed_input(top, bottom):
+    with pytest.raises(InvalidQuiver):
+        QuiverSpec(top, bottom)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

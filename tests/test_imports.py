@@ -1,5 +1,5 @@
 """Every module of the package imports only the standard library and itself,
-and uses each name it imports."""
+uses each name it imports, and draws samples through one helper."""
 
 import ast
 import sys
@@ -51,3 +51,14 @@ def test_package_imports_only_the_standard_library():
         if name != "polygroth" and name not in sys.stdlib_module_names
     }
     assert sorted(outside) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_draws_samples_only_through_index_draws(path):
+    # core.IndexDraws replays rng.choice exactly; a choice call or import
+    # beside it would be a second draw path
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    choices = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "choice"
+               or isinstance(node, ast.alias) and node.name.split(".")[-1] == "choice"]
+    assert choices == []

@@ -176,6 +176,37 @@ def test_residue_form_and_product_match_plain_references(a, b):
         assert s.op.fn(t) == product
 
 
+def residue_canonical_by_loop(a, b, d):
+    """The res-a-b canonical form with the rescale searched afresh over k = 1..b."""
+    p, q = d
+    g = math.gcd(p, q)
+    p0, q0 = p // g, q // g
+    if p0 > 0 and q0 > 0:
+        for k in range(1, b + 1):
+            if k * p0 % b == a and k * q0 % b == a:
+                return Double(k * p0, k * q0)
+    return Double(p, q)
+
+
+@pytest.mark.parametrize("a,b", [(7, 10), (0, 10), (0, 7), (3, 8), (1, 2), (11, 12)])
+def test_residue_form_memoised_per_residue_pair_matches_the_loop(a, b):
+    # one recipe answers every double, so residue pairs repeat through its
+    # memo; doubles with a component <= 0 and pairs with no rescale are kept
+    recipe = get_recipe(f"res-{a}-{b}")
+    rng = random.Random(a * 1000 + b)
+    seen = set()
+    for _ in range(3000):
+        bound = rng.choice([30, 10 ** 6])
+        p, q = rng.randint(-bound // 10, bound), rng.randint(-bound // 10, bound)
+        if p == q == 0:
+            continue
+        d = Double(p, q)
+        want = residue_canonical_by_loop(a, b, d)
+        assert recipe.canonical_double(d) == want, d
+        seen.add("nonpositive" if min(p, q) <= 0 else "kept" if want == d else "rescaled")
+    assert seen == {"nonpositive", "kept", "rescaled"}
+
+
 # ---------------------------------------------------------------------------
 # worked equivalences from the example families
 
