@@ -207,9 +207,9 @@ def cmd_universal_check(args) -> int:
     payload = {
         "structure": args.structure,
         "target": args.target,
-        "samples": verdict.samples,
+        "samples": verdict.checked,
         "ok": verdict.ok,
-        "detail": verdict.detail,
+        "detail": str(verdict),
     }
     _emit(args, payload, [f"universal factorization via {args.target}: {verdict}"])
     return 0 if verdict.ok else 1

@@ -27,6 +27,7 @@ from .core import (
     IndexDraws,
     NAryOperation,
     PolyadicStructure,
+    Verdict,
     _cancels,
     _index_table,
     _quer_search,
@@ -224,9 +225,9 @@ def check_relation_coincidence(s: PolyadicStructure) -> CoincidenceVerdict:
 
 @dataclass(frozen=True)
 class AxiomsVerdict:
-    """status is 'hold', 'failed', 'unknown' when samples were drawn but no
-    transitivity triple was decided, or 'vacuous' with no samples.  ok means
-    not failed."""
+    """status is 'passed-sampled', 'failed', 'unknown' when samples were
+    drawn but no transitivity triple was decided, or 'vacuous' with no
+    samples.  ok means not failed."""
 
     status: str
     reflexive_checked: int
@@ -338,7 +339,8 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
                 if got != want:
                     failures.append(("cross-check", (search.relation, d1, d2, want, got)))
 
-    status = "failed" if failures else "hold" if trans else "unknown" if samples else "vacuous"
+    status = ("failed" if failures else "passed-sampled" if trans
+              else "unknown" if samples else "vacuous")
     return AxiomsVerdict(status, refl, symm, trans, cross, skipped, tuple(failures))
 
 
@@ -417,7 +419,9 @@ def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
     Double (the class representative); other output raises UsageError.
     Without a canonical form, each double is tested against the leaders found
     so far, in discovery order, and joins the first equivalent one.  Unknown
-    verdicts abort (BoundExhausted).
+    verdicts abort (BoundExhausted).  A domain that repeats a double is a
+    UsageError: a decision is reflexive, so a repeat joins the class of the
+    double it repeats, and each class is checked for repeats.
     """
     domain = list(domain)
     root = list(range(len(domain)))
@@ -452,6 +456,10 @@ def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
     classes, reps = [], []
     for L in leaders:
         mem = members[L]
+        if len(set(mem)) < len(mem):
+            seen: set = set()
+            repeat = next(d for d in mem if d in seen or seen.add(d))
+            raise UsageError(f"the domain repeats the double {repeat!r}")
         least = min(mem, key=lexkey)
         if canonical is not None:
             least = canonical(least)
@@ -499,36 +507,22 @@ def _quer_row(partition: Partition, quiver: QuiverSpec, op: NAryOperation):
     return row
 
 
-@dataclass(frozen=True)
-class WellDefinedness:
-    ok: bool
-    samples: int
-    counterexample: tuple | None = None   # (members, slot, replacement, r1, r2)
-
-    def __str__(self):
-        if self.ok:
-            return f"well-defined({self.samples})" if self.samples else "vacuous(0)"
-        members, slot, alt, r1, r2 = self.counterexample
-        return (
-            f"counterexample(slot {slot}: {members[slot]} -> {alt} "
-            f"turns {r1} into inequivalent {r2})"
-        )
-
-
 def check_well_definedness(partition: Partition, quiver: QuiverSpec, samples: int = 200,
-                           seed: int = DEFAULT_SEED) -> WellDefinedness:
+                           seed: int = DEFAULT_SEED) -> Verdict:
     """Swap each argument for an equivalent class member and compare results.
 
     The replacement is drawn from the class's other members, skipping the
     drawn member's index; a class lists each double once (partition_classes
-    over a domain without repeats), so these are the members unequal to it.
+    refuses a domain with repeats), so these are the members unequal to it.
+    checked counts the swaps; with none the verdict is vacuous.  A failure's
+    counterexample is (members, slot, replacement, r1, r2).
     """
     draws = IndexDraws(random.Random(seed))
     product = bound_product(quiver, partition.structure.op.fn)
     n = quiver.output_arity
     classes = partition.classes
     if not any(len(c) >= 2 for c in classes):
-        return WellDefinedness(True, 0)
+        return Verdict("vacuous", 0)
     done = 0
     for _ in range(samples):
         chosen = [draws.pick(classes) for _ in range(n)]
@@ -545,8 +539,9 @@ def check_well_definedness(partition: Partition, quiver: QuiverSpec, samples: in
             r2 = product(swapped)
             done += 1
             if not decide_equivalent(partition.structure, r1, r2, partition.decision):
-                return WellDefinedness(False, done, (tuple(members), slot, alt, r1, r2))
-    return WellDefinedness(True, done)
+                return Verdict("failed", done, (tuple(members), slot, alt, r1, r2), (
+                    f"slot {slot}: {members[slot]} -> {alt} turns {r1} into inequivalent {r2}",))
+    return Verdict("passed-sampled" if done else "vacuous", done)
 
 
 @dataclass(frozen=True)
@@ -633,12 +628,17 @@ def class_quer(partition: Partition, classes: PolyadicStructure, quiver: QuiverS
 # the completion pipeline
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompletionReport:
-    associative: str
-    well_defined: str
-    group: str
-    ok: bool
+    associative: Verdict
+    well_defined: Verdict
+    group: Verdict
+
+    @property
+    def ok(self) -> bool:
+        """No stage failed or was left unknown."""
+        return all(v.status not in ("failed", "unknown")
+                   for v in (self.associative, self.well_defined, self.group))
 
 
 @dataclass(eq=False)
@@ -663,23 +663,28 @@ class CompletionGroup:
 
 
 def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed: int,
-                        truncated: bool):
+                        truncated: bool, domain: str) -> Verdict:
     """Group evidence on the class structure cs (from class_structure), with
     its quer map, by the core checkers.
 
     When the exhaustive associativity proof is small (C^(2n-1) <= 200,000 for
     C classes), the class Cayley table is compiled through the memoised
     product and verify_polyadic_group proves or refutes the n-ary group on
-    it; a group's quers satisfy the cancellation identities.  Otherwise, or
-    when a product leaves the listed classes, class associativity and the
-    cancellation identities are sampled, and with no samples the verdict is
-    vacuous.  `truncated` says whether the class set may miss classes (the
-    base is a rule carrier); a product outside the listed classes shows that
-    it does.
+    it, counting its solvability instances; a group's quers satisfy the
+    cancellation identities.  Otherwise, or when a product leaves the listed
+    classes, class associativity and the cancellation identities are
+    sampled, and with no samples the verdict is vacuous.  `truncated` says
+    whether the class set may miss classes (the base is a rule carrier); a
+    product outside the listed classes shows that it does.  `domain` is the
+    last note of every verdict.
     """
     cds = cs.carrier.elements()
     n = cs.arity
-    slots = "all slots" if quer.all_slots_ok() else "defining slot only"
+    slots = "quer at all slots" if quer.all_slots_ok() else "quer at defining slot only"
+
+    def failed(checked, counterexample, what):
+        return Verdict("failed", checked, counterexample, (what, domain))
+
     if len(cds) ** (2 * n - 1) <= 200_000:
         try:
             _index_table(cs)
@@ -687,25 +692,28 @@ def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed
             truncated = True
         else:
             gv = verify_polyadic_group(cs, CheckMode.exhaustive())
-            if not gv.associativity.ok:
-                return (f"failed(class associativity at {gv.associativity.counterexample[0]})",
-                        False)
+            assoc = gv.associativity
+            if not assoc.ok:
+                cx = assoc.counterexample
+                return failed(assoc.checked, cx, f"class associativity at {cx[0]}")
             if gv.solvability_failures:
                 i, others = gv.solvability_failures[0]
-                return (f"failed(solvability at slot {i}, {others})", False)
-            return (f"group(exhaustive solvability and associativity; quer at {slots})", True)
+                return failed(gv.checked, (i, others), f"solvability at slot {i}, {others}")
+            return Verdict("proved-exhaustive", gv.checked, None,
+                           ("solvability and associativity", slots, domain))
     if not samples:  # no class sample drawn: no evidence either way
-        return (f"vacuous(0; quer at {slots})", True)
+        return Verdict("vacuous", 0, None, (slots, domain))
     assoc = check_total_associativity(cs, CheckMode.sampled(samples, seed))
     if not assoc.ok:
-        return (f"failed(class associativity at {assoc.counterexample[0]})", False)
+        cx = assoc.counterexample
+        return failed(assoc.checked, cx, f"class associativity at {cx[0]}")
     draws = IndexDraws(random.Random(seed))
-    for _ in range(samples):
+    for c in range(samples):
         g, h = draws.pick(cds), draws.pick(cds)
         if not _cancels(cs, g, h, quer.mapping[h]):
-            return (f"failed(cancellation identities at {g},{h})", False)
+            return failed(c + 1, (g, h), f"cancellation identities at {g},{h}")
     label = "diagrammatic on truncated class set" if truncated else "diagrammatic"
-    return (f"group({label}; quer at {slots})", True)
+    return Verdict("passed-sampled", samples, None, (label, slots, domain))
 
 
 def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec, *,
@@ -716,11 +724,13 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec, *,
     well-definedness, quer (see class_quer) and group checks.
 
     A failed stage leaves later stages unrun (quer stays None) and the report
-    marked not ok; callers decide what to do with an honest failure.  A
+    marked not ok; callers decide what to do with an honest failure.  The
+    group verdict then fails with the earlier stage's counterexample.  A
     canonical form must return a Double (see partition_classes).  When a
     double met by the quer or group stage matches no class (a rule-carrier
     base without a canonical form, whose products leave its enumeration),
-    the group verdict is unknown.
+    the group verdict is unknown.  Every group verdict ends with the note
+    "N-double domain".
     """
     power = hetero_power(s, quiver)  # raises ArityMismatch for a wrong base arity
     if assoc_mode is None:
@@ -739,34 +749,23 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec, *,
     classes = class_structure(part, quiver)
     wd = check_well_definedness(part, quiver, samples=samples, seed=seed)
 
-    bound_note = f"{len(domain)}-double domain"
+    note = f"{len(domain)}-double domain"
     quer = None
-    ok = assoc.ok and wd.ok
     if not assoc.ok:
-        group_str = f"failed(doubles associativity; {bound_note})"
+        group = Verdict("failed", 0, assoc.counterexample, ("doubles associativity", note))
     elif not wd.ok:
-        group_str = f"failed(well-definedness; {bound_note})"
+        group = Verdict("failed", 0, wd.counterexample, ("well-definedness", note))
     else:
         try:
             quer = class_quer(part, classes, quiver)
-            group_str, group_ok = _class_group_checks(classes, quer, samples, seed,
-                                                      not s.carrier.is_finite)
-            group_str = f"{group_str[:-1]}; {bound_note})"
-            ok = ok and group_ok
+            group = _class_group_checks(classes, quer, samples, seed,
+                                        not s.carrier.is_finite, note)
         except (QuerNotFound, QuerNotUnique, QuerFormulaFailsVerification) as exc:
-            ok = False
-            group_str = f"failed(quer: {exc}; {bound_note})"
+            group = Verdict("failed", 0, None, (f"quer: {exc}", note))
         except NoClassMatch as exc:
-            ok = False
-            group_str = f"unknown(class product leaves the partition: {exc}; {bound_note})"
-
-    report = CompletionReport(
-        associative=str(assoc),
-        well_defined=str(wd),
-        group=group_str,
-        ok=ok,
-    )
-    return CompletionGroup(s, quiver, part, classes.op, quer, report)
+            group = Verdict("unknown", 0, None,
+                            (f"class product leaves the partition: {exc}", note))
+    return CompletionGroup(s, quiver, part, classes.op, quer, CompletionReport(assoc, wd, group))
 
 
 def completion_to_json(K: CompletionGroup) -> dict:
@@ -792,9 +791,9 @@ def completion_to_json(K: CompletionGroup) -> dict:
         "classes": classes,
         "quer": quer,
         "report": {
-            "associative": K.report.associative,
-            "well_defined": K.report.well_defined,
-            "group": K.report.group,
+            "associative": str(K.report.associative),
+            "well_defined": str(K.report.well_defined),
+            "group": str(K.report.group),
         },
     }
 
@@ -828,16 +827,6 @@ def phi_sg(K: CompletionGroup, a) -> ClassDouble:
     return cls
 
 
-@dataclass(frozen=True)
-class UniversalVerdict:
-    ok: bool
-    samples: int
-    detail: str = ""
-
-    def __str__(self):
-        return f"factorization holds ({self.samples} samples)" if self.ok else self.detail
-
-
 def _require_binary_group(target: PolyadicStructure, seed: int) -> None:
     if target.arity != 2:
         raise UsageError("the factorization target must be binary")
@@ -855,10 +844,11 @@ def _require_binary_group(target: PolyadicStructure, seed: int) -> None:
 
 def check_universal_factorization(K: CompletionGroup, target: PolyadicStructure,
                                   phi: Callable, samples: int = 100,
-                                  seed: int = DEFAULT_SEED) -> UniversalVerdict:
+                                  seed: int = DEFAULT_SEED) -> Verdict:
     """Given a monoid map phi into a binary group, build the induced class map
     [a;b] -> phi(a) * phi(b)^-1 and verify it is a class-invariant
-    homomorphism through which phi factors."""
+    homomorphism through which phi factors.  checked counts the sampled
+    class pairs that passed; with no samples the verdict is vacuous."""
     if K.n != 2 or K.base.arity != 2:
         raise UsageError("the universal property is implemented for the binary case only")
     _require_binary_group(target, seed)
@@ -890,20 +880,20 @@ def check_universal_factorization(K: CompletionGroup, target: PolyadicStructure,
         return phi_gg_raw(c.rep)
 
     cds = K.partition.class_doubles()
-    checked = 0
-    for _ in range(samples):
+    for checked in range(samples):
         c1, c2 = draws.pick(cds), draws.pick(cds)
         mem = K.partition.members_of(c1.rep)
         if len(mem) > 1:
             alt = draws.pick(mem)
             if not teq(phi_gg(c1), phi_gg_raw(alt)):
-                return UniversalVerdict(False, checked, f"induced map not class-invariant at {c1}")
+                return Verdict("failed", checked, (c1, alt),
+                               (f"induced map not class-invariant at {c1}",))
         lhs = phi_gg(K.product.fn((c1, c2)))
         rhs = top((phi_gg(c1), phi_gg(c2)))
         if not teq(lhs, rhs):
-            return UniversalVerdict(False, checked, f"induced map not a homomorphism at {c1},{c2}")
+            return Verdict("failed", checked, (c1, c2),
+                           (f"induced map not a homomorphism at {c1},{c2}",))
         a = draws.pick(base_elems)
         if not teq(phi_gg(phi_sg(K, a)), phi(a)):
-            return UniversalVerdict(False, checked, f"factorization fails at {a!r}")
-        checked += 1
-    return UniversalVerdict(True, checked)
+            return Verdict("failed", checked, (a,), (f"factorization fails at {a!r}",))
+    return Verdict("passed-sampled", samples) if samples > 0 else Verdict("vacuous", 0)

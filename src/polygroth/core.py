@@ -258,28 +258,37 @@ class CheckMode:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a law check.
+    """Outcome of a law check or of a completion stage.
 
-    status is one of 'proved-exhaustive', 'passed-sampled', 'failed' or
-    'vacuous' (a sampled check that drew nothing, so it has no evidence
-    either way).  ok means not failed, so a vacuous verdict is ok.  A failed
-    verdict always carries a replayable counterexample:
-    (polyad, placement_i, placement_j, result_i, result_j).
+    status is one of 'proved-exhaustive', 'passed-sampled', 'failed',
+    'unknown' (a bounded search left the question open) or 'vacuous' (a
+    sampled check that drew nothing, so it has no evidence either way).
+    checked counts what the check decided; notes say what was checked and
+    why a check failed.  ok means not failed, so a vacuous or unknown verdict
+    is ok.  A failed associativity verdict carries a replayable
+    counterexample: (polyad, placement_i, placement_j, result_i, result_j).
+    str() reads status(checked; note; ...), without the count when failed
+    or unknown.
     """
 
     status: str
     checked: int
     counterexample: tuple | None = None
+    notes: tuple = ()
 
     @property
     def ok(self) -> bool:
         return self.status != "failed"
 
     def __str__(self):
-        if self.status == "failed":
-            polyad, i, j, ri, rj = self.counterexample
-            return f"failed(polyad={polyad}, placements {i}/{j} give {ri!r} vs {rj!r})"
-        return f"{self.status}({self.checked})"
+        count = () if self.status in ("failed", "unknown") else (str(self.checked),)
+        return f"{self.status}({'; '.join(count + self.notes)})"
+
+
+def _refutation(checked: int, polyad: tuple, i: int, r0, ri) -> Verdict:
+    """The failed associativity verdict of placements 0 and i at polyad."""
+    return Verdict("failed", checked, (polyad, 0, i, r0, ri),
+                   (f"polyad={polyad}, placements 0/{i} give {r0!r} vs {ri!r}",))
 
 
 class IndexDraws(dict):
@@ -520,9 +529,8 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
             return Verdict("proved-exhaustive", k ** L)
         T, i = hit
         polyad = _decode_polyad(s.carrier.elements(), k, L, T)
-        r0 = placement_result(s.op, polyad, 0)
-        ri = placement_result(s.op, polyad, i)
-        return Verdict("failed", T + 1, (polyad, 0, i, r0, ri))
+        return _refutation(T + 1, polyad, i, placement_result(s.op, polyad, 0),
+                           placement_result(s.op, polyad, i))
 
     elems = s.carrier.elements()
     if not elems:
@@ -536,7 +544,7 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
         for i in range(1, n):
             ri = fn(polyad[:i] + (fn(polyad[i:i + n]),) + polyad[i + n:])
             if not eq(ri, r0):
-                return Verdict("failed", c + 1, (polyad, 0, i, r0, ri))
+                return _refutation(c + 1, polyad, i, r0, ri)
     return Verdict("passed-sampled" if mode.count else "vacuous", mode.count)
 
 

@@ -115,7 +115,7 @@ def test_complete_negatives(capsys):
     payload = json.loads(out)
     assert payload["m"] == 3 and payload["n"] == 3
     assert [["-2", "-3"], ["-3", "-2"]] in payload["quer"]
-    assert payload["report"]["group"].startswith("group")
+    assert payload["report"]["group"].startswith("passed-sampled(200; diagrammatic")
 
 
 def test_complete_matrix_single_class(capsys):
@@ -131,7 +131,7 @@ def test_complete_residue_reports_counterexample(capsys):
                        "--quiver", "five-to-three-intact", "--bound", "200")
     assert code == 1
     payload = json.loads(out)
-    assert payload["report"]["well_defined"].startswith("counterexample")
+    assert payload["report"]["well_defined"].startswith("failed(slot ")
     assert payload["quer"] == []
 
 
@@ -177,7 +177,7 @@ def test_residue_class_of_zero_is_the_positive_multiples(capsys):
     assert code == 0
     payload = json.loads(out)
     assert [[str(p), str(q)] for p, q in reps] == [c["rep"] for c in payload["classes"]]
-    assert payload["report"]["group"].startswith("group")
+    assert payload["report"]["group"].startswith("passed-sampled(200; diagrammatic")
     assert len(reps) == len(ratios) == len({Fraction(p, q) for p, q in reps})
     assert {Fraction(p, q) for p, q in reps} == ratios
     assert all(p > 0 and q > 0 and p % 4 == q % 4 == 0 for p, q in reps)

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import random
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from polygroth import (
     NAryOperation,
     PolyadicStructure,
     RuleCarrier,
+    Verdict,
     WitnessSearch,
     all_doubles,
     apply_quiver,
@@ -236,7 +238,7 @@ def test_transitivity_of_an_unknown_partition_counts_as_skipped():
     # on a rule carrier the twist partition meets an unknown decision and
     # aborts, so none of the 50 transitivity triples is drawn: all are
     # skipped, on top of the 45 unknown reflexivity and symmetry samples,
-    # and with transitivity never decided the axioms read unknown, not hold
+    # and with transitivity never decided the axioms read unknown, not passed-sampled
     verdict = check_equivalence_axioms(get_recipe("odd3").build(21), WitnessSearch(TWIST),
                                        samples=50, seed=1)
     unknown_pairs = 2 * 50 - verdict.reflexive_checked - verdict.symmetry_checked
@@ -298,6 +300,16 @@ def test_partition_aborts_on_unknown():
     s = get_recipe("odd3").build(21)
     with pytest.raises(BoundExhausted):
         partition_classes(s, all_doubles(s.carrier), WitnessSearch())
+
+
+def test_partition_refuses_a_domain_that_repeats_a_double():
+    # with copies in the domain, classes would hold a double twice and the
+    # well-definedness check could swap a double for its own copy
+    D = Double
+    domain = [D(0, 0), D(0, 0), D(1, 2), D(1, 2), D(1, 2), D(2, 2)]
+    for canonical in (None, lambda d: d):
+        with pytest.raises(UsageError, match=r"repeats the double Double\(top=0, bottom=0\)"):
+            partition_classes(zmod_add(3, 2), domain, ExactRule(operator.eq), canonical)
 
 
 def test_partition_without_canonicalizer_uses_least_member():
@@ -456,7 +468,7 @@ def test_componentwise_products_are_well_defined():
         K = completion_for(name, quiver, limit=31 if name == "odd3" else None)
         assert K.report.ok
         wd = check_well_definedness(K.partition, K.quiver, samples=150, seed=3)
-        assert wd.ok and wd.samples > 0
+        assert wd.status == "passed-sampled" and wd.checked > 0
 
 
 def test_post_ternary_products_are_well_defined():
@@ -473,16 +485,16 @@ def test_zero_samples_read_vacuous():
     assert (v.status, str(v), v.ok) == ("vacuous", "vacuous(0)", True)
     assert not check_total_associativity(power, CheckMode.sampled(50, 1)).ok
     K = completion_for("nat0", "componentwise-2", limit=6, samples=0)
-    assert K.report.well_defined == "vacuous(0)" and K.report.ok
+    assert str(K.report.well_defined) == "vacuous(0)" and K.report.ok
     # its class product leaves the listed classes, so the group stage samples
     # and, drawing no class, reads vacuous too
-    assert K.report.group == "vacuous(0; quer at all slots; 49-double domain)"
+    assert str(K.report.group) == "vacuous(0; quer at all slots; 49-double domain)"
 
 
 def test_axioms_hold_only_with_decided_transitivity():
     verdict = check_equivalence_axioms(zmod_add(3, 3), WitnessSearch(TWIST), samples=20, seed=3)
-    assert verdict.status == "hold" and verdict.transitivity_checked == 20
-    assert str(verdict).startswith("equivalence axioms hold (")
+    assert verdict.status == "passed-sampled" and verdict.transitivity_checked == 20
+    assert str(verdict).startswith("equivalence axioms passed-sampled (")
     verdict = check_equivalence_axioms(zmod_add(3, 3), WitnessSearch(TWIST), samples=0)
     assert (verdict.status, verdict.ok) == ("vacuous", True)
 
@@ -492,7 +504,7 @@ def test_transitivity_counts_triples_the_gauge_witness_decides(monkeypatch):
     # and a decided triple counts whichever composition decided it
     monkeypatch.setattr(completion, "twist_witness", lambda *args: None)
     verdict = check_equivalence_axioms(zmod_add(5, 3), WitnessSearch(GAUGE), samples=20, seed=1)
-    assert (verdict.status, verdict.transitivity_checked) == ("hold", 20)
+    assert (verdict.status, verdict.transitivity_checked) == ("passed-sampled", 20)
 
 
 def test_residue_intact_product_not_well_defined_documented_counterexample():
@@ -510,8 +522,9 @@ def test_residue_intact_product_not_well_defined_documented_counterexample():
     K = completion_for("res-7-10", "five-to-three-intact")
     assert not K.report.ok
     assert K.quer is None
-    assert K.report.well_defined.startswith("counterexample")
+    assert str(K.report.well_defined).startswith("failed(slot ")
     wd = check_well_definedness(K.partition, K.quiver, samples=200, seed=97)
+    assert wd == K.report.well_defined
     members, slot, alt, r1, r2 = wd.counterexample
     assert not rule(r1, r2)
 
@@ -623,7 +636,7 @@ def test_matrix_completion_is_trivial_group():
     K = completion_for("matrix4", "componentwise-4")
     assert K.report.ok
     assert K.partition.class_count() == 1
-    assert "exhaustive solvability" in K.report.group
+    assert str(K.report.group).startswith("proved-exhaustive(")
     only = K.classes()[0]
     assert K.quer.mapping[only] == only
 
@@ -637,8 +650,9 @@ def test_completion_with_nonassociative_quiver_reports_failure():
                          canonical=recipe.canonical_double)
     assert not K.report.ok
     assert K.quer is None
-    assert K.report.group.startswith("failed(doubles associativity")
-    assert "failed" in K.report.associative
+    assert str(K.report.group).startswith("failed(doubles associativity")
+    assert K.report.group.counterexample == K.report.associative.counterexample
+    assert str(K.report.associative).startswith("failed(polyad=")
 
 
 def test_completion_arity_mismatch():
@@ -673,7 +687,7 @@ def test_tiny_nat0_completion_golden():
         ["0", "0"], ["0", "1"], ["0", "2"], ["1", "0"], ["2", "0"]]
     assert all(c["size_hint"] == "infinite" for c in j["classes"])
     assert [q for _, q in j["quer"]] == [["0", "0"]] * 5
-    assert j["report"]["group"].startswith("group(diagrammatic")
+    assert j["report"]["group"].startswith("passed-sampled(200; diagrammatic")
 
 
 def binary_table(cells):
@@ -698,7 +712,7 @@ GROUP_STAGE_PINS = [
 def test_group_stage_failure_strings_are_pinned(cells, dec, seed, samples, want):
     K = build_completion(binary_table(cells), builtin_quiver("componentwise-2"), dec,
                          assoc_mode=CheckMode.sampled(3, seed), samples=samples, seed=seed)
-    assert K.report.group == want
+    assert str(K.report.group) == want
     assert not K.report.ok
 
 
@@ -706,8 +720,8 @@ def test_group_stage_pass_string_and_quer_are_pinned():
     K = build_completion(zmod_add(5, 3), builtin_quiver("post-ternary"), WitnessSearch(GAUGE),
                          assoc_mode=CheckMode.sampled(3, 5))
     assert K.report.ok
-    assert K.report.group == (
-        "group(exhaustive solvability and associativity; quer at all slots; 25-double domain)")
+    assert str(K.report.group) == (
+        "proved-exhaustive(75; solvability and associativity; quer at all slots; 25-double domain)")
     searched = searched_quer(class_structure(K.partition, K.quiver))
     assert searched == (K.quer.mapping, K.quer.slot_ok)
 
@@ -720,12 +734,14 @@ def test_class_group_checks_make_one_product_per_class_tuple():
     K = build_completion(zmod_add(7, 3), builtin_quiver("post-ternary"), WitnessSearch(GAUGE),
                          assoc_mode=CheckMode.sampled(10, 1), samples=200)
     assert K.partition.class_count() == 7
-    assert K.report.group == (
-        "group(exhaustive solvability and associativity; quer at all slots; 49-double domain)")
+    assert str(K.report.group) == (
+        "proved-exhaustive(147; solvability and associativity; quer at all slots; "
+        "49-double domain)")
     assert K.product.fn.cache_info().misses == 7 ** 3
     K = completion_for("nat0", "componentwise-2", limit=80)
     assert K.partition.class_count() ** 3 > 200_000
-    assert K.report.group.startswith("group(diagrammatic on truncated class set")
+    assert str(K.report.group).startswith(
+        "passed-sampled(200; diagrammatic on truncated class set")
     assert K.product.fn.cache_info().misses > 1000
 
 
@@ -747,8 +763,10 @@ def test_class_stage_cutoff_bounds_the_associativity_proof(k, m, quiver, exhaust
                          assoc_mode=CheckMode.sampled(3, 1))
     n = K.n
     assert K.partition.class_count() == k and (k ** (2 * n - 1) <= 200_000) == exhaustive
-    label = "exhaustive solvability and associativity" if exhaustive else "diagrammatic"
-    assert K.report.group == f"group({label}; quer at all slots; {k * k}-double domain)"
+    # an exhaustive proof counts its n * k^(n-1) solvability instances
+    head = (f"proved-exhaustive({n * k ** (n - 1)}; solvability and associativity"
+            if exhaustive else "passed-sampled(200; diagrammatic")
+    assert str(K.report.group) == f"{head}; quer at all slots; {k * k}-double domain)"
     assert K.report.ok
 
 
@@ -758,17 +776,17 @@ def test_truncated_label_needs_a_truncated_class_set():
     K = build_completion(zmod_add(13, 3), builtin_quiver("post-ternary"), twist_rule(13, 3),
                          assoc_mode=CheckMode.sampled(3, 1))
     assert K.partition.class_count() == 13
-    assert K.report.group.startswith("group(diagrammatic; quer at all slots;")
+    assert str(K.report.group).startswith("passed-sampled(200; diagrammatic; quer at all slots;")
     K = completion_for("nat0", "componentwise-2", limit=30)
     assert K.partition.class_count() ** 3 > 200_000
-    assert K.report.group.startswith(
-        "group(diagrammatic on truncated class set; quer at all slots;")
+    assert str(K.report.group).startswith(
+        "passed-sampled(200; diagrammatic on truncated class set; quer at all slots;")
 
 
-def product_backed_group_stage(part, product, quiver, base, samples, seed):
+def product_backed_group_stage(part, product, quiver, base, samples, seed, note):
     """Reference class stage that evaluates the class product on every call,
     and compiles the class table for the group proof under the cutoff:
-    (group string, ok, quer).
+    (group verdict, quer).
     A double that matches no class makes the verdict unknown."""
     cs = PolyadicStructure(FiniteCarrier(part.class_doubles()), product)
     cds = cs.carrier.elements()
@@ -785,19 +803,19 @@ def product_backed_group_stage(part, product, quiver, base, samples, seed):
                 raise QuerFormulaFailsVerification(c, f"candidate {q} at the defining slot")
             mapping[c], slot_ok[c] = q, verdicts
     except (QuerNotFound, QuerNotUnique, QuerFormulaFailsVerification) as exc:
-        return f"failed(quer: {exc})", False, None
+        return Verdict("failed", 0, None, (f"quer: {exc}", note)), None
     except NoClassMatch as exc:
-        return f"unknown(class product leaves the partition: {exc})", False, None
+        return Verdict("unknown", 0, None, (f"class product leaves the partition: {exc}", note)), None
     quer = (mapping, slot_ok)
     try:
-        group, ok = product_backed_group_checks(cs, mapping, slot_ok, samples, seed,
-                                                not base.carrier.is_finite)
+        group = product_backed_group_checks(cs, mapping, slot_ok, samples, seed,
+                                            not base.carrier.is_finite, note)
     except NoClassMatch as exc:
-        group, ok = f"unknown(class product leaves the partition: {exc})", False
-    return group, ok, quer
+        group = Verdict("unknown", 0, None, (f"class product leaves the partition: {exc}", note))
+    return group, quer
 
 
-def product_backed_group_checks(cs, mapping, slot_ok, samples, seed, truncated):
+def product_backed_group_checks(cs, mapping, slot_ok, samples, seed, truncated, note):
     cds = cs.carrier.elements()
     n = cs.arity
     slots = "all slots" if all(all(v) for v in slot_ok.values()) else "defining slot only"
@@ -809,24 +827,29 @@ def product_backed_group_checks(cs, mapping, slot_ok, samples, seed, truncated):
         else:
             gv = verify_polyadic_group(cs, CheckMode.exhaustive())
             if not gv.associativity.ok:
-                polyad = gv.associativity.counterexample[0]
-                return f"failed(class associativity at {polyad})", False
+                cx = gv.associativity.counterexample
+                return Verdict("failed", gv.associativity.checked, cx,
+                               (f"class associativity at {cx[0]}", note))
             if gv.solvability_failures:
                 i, others = gv.solvability_failures[0]
-                return f"failed(solvability at slot {i}, {others})", False
-            return f"group(exhaustive solvability and associativity; quer at {slots})", True
+                return Verdict("failed", gv.checked, (i, others),
+                               (f"solvability at slot {i}, {others}", note))
+            assert gv.checked == n * len(cds) ** (n - 1)
+            return Verdict("proved-exhaustive", gv.checked, None,
+                           ("solvability and associativity", f"quer at {slots}", note))
     assoc = check_total_associativity(cs, CheckMode.sampled(samples, seed))
     if assoc.status == "vacuous":
-        return f"vacuous(0; quer at {slots})", True
+        return Verdict("vacuous", 0, None, (f"quer at {slots}", note))
     if not assoc.ok:
-        return f"failed(class associativity at {assoc.counterexample[0]})", False
+        cx = assoc.counterexample
+        return Verdict("failed", assoc.checked, cx, (f"class associativity at {cx[0]}", note))
     rng = random.Random(seed)
-    for _ in range(samples):
+    for c in range(samples):
         g, h = rng.choice(cds), rng.choice(cds)
         if not _cancels(cs, g, h, mapping[h]):
-            return f"failed(cancellation identities at {g},{h})", False
+            return Verdict("failed", c + 1, (g, h), (f"cancellation identities at {g},{h}", note))
     label = "diagrammatic on truncated class set" if truncated else "diagrammatic"
-    return f"group({label}; quer at {slots})", True
+    return Verdict("passed-sampled", samples, None, (label, f"quer at {slots}", note))
 
 
 def reference_completion(s, quiver, dec, canonical, assoc_mode, samples, seed):
@@ -840,14 +863,12 @@ def reference_completion(s, quiver, dec, canonical, assoc_mode, samples, seed):
     note = f"{len(domain)}-double domain"
     quer = None
     if not assoc.ok:
-        group, ok = f"failed(doubles associativity; {note})", False
+        group = Verdict("failed", 0, assoc.counterexample, ("doubles associativity", note))
     elif not wd.ok:
-        group, ok = f"failed(well-definedness; {note})", False
+        group = Verdict("failed", 0, wd.counterexample, ("well-definedness", note))
     else:
-        group, ok, quer = product_backed_group_stage(part, product, quiver, s, samples, seed)
-        group = f"{group[:-1]}; {note})"
-    report = CompletionReport(str(assoc), str(wd), group, ok)
-    return report, quer
+        group, quer = product_backed_group_stage(part, product, quiver, s, samples, seed, note)
+    return CompletionReport(assoc, wd, group), quer
 
 
 def stage_quiver(rng, m):
@@ -937,7 +958,7 @@ def well_definedness_reference(partition, quiver, samples, seed):
     rng = random.Random(seed)
     op, n, classes = partition.structure.op, quiver.output_arity, partition.classes
     if not any(len(c) >= 2 for c in classes):
-        return completion.WellDefinedness(True, 0)
+        return Verdict("vacuous", 0)
     done = 0
     for _ in range(samples):
         chosen = [rng.choice(classes) for _ in range(n)]
@@ -950,8 +971,9 @@ def well_definedness_reference(partition, quiver, samples, seed):
             r2 = apply_quiver(quiver, op, members[:slot] + [alt] + members[slot + 1:])
             done += 1
             if not decide_equivalent(partition.structure, r1, r2, partition.decision):
-                return completion.WellDefinedness(False, done, (tuple(members), slot, alt, r1, r2))
-    return completion.WellDefinedness(True, done)
+                note = f"slot {slot}: {members[slot]} -> {alt} turns {r1} into inequivalent {r2}"
+                return Verdict("failed", done, (tuple(members), slot, alt, r1, r2), (note,))
+    return Verdict("passed-sampled" if done else "vacuous", done)
 
 
 def test_well_definedness_matches_a_rng_choice_reference():
@@ -966,8 +988,8 @@ def test_well_definedness_matches_a_rng_choice_reference():
         samples, seed = rng.choice([0, 1, 5, 40]), rng.randrange(1000)
         got = check_well_definedness(part, quiver, samples=samples, seed=seed)
         assert got == well_definedness_reference(part, quiver, samples, seed)
-        seen[got.ok, got.samples > 0] += 1
-    assert seen[True, True] and seen[False, True]
+        seen[got.status] += 1
+    assert seen["passed-sampled"] and seen["failed"] and seen["vacuous"]
 
 
 def test_table_backed_class_stage_matches_product_backed_reference(monkeypatch):
@@ -1007,13 +1029,14 @@ def test_table_backed_class_stage_matches_product_backed_reference(monkeypatch):
         want = outcome(lambda: reference_completion(**case))
         assert got == want, case
         if isinstance(want[0], CompletionReport):
-            seen[want[0].group] += 1
+            group = want[0].group  # keyed without its count
+            seen[f"{group.status}({'; '.join(group.notes)}"] += 1
             if want[1] is not None:
                 seen[quer_kind(case["quiver"], case["s"])] += 1
         else:
             seen[want[0].__name__] += 1
-    branches = ["group(exhaustive solvability and associativity", "group(diagrammatic;",
-                "group(diagrammatic on truncated class set",
+    branches = ["proved-exhaustive(solvability and associativity", "passed-sampled(diagrammatic;",
+                "passed-sampled(diagrammatic on truncated class set", "vacuous(quer at",
                 "failed(class associativity", "failed(cancellation identities",
                 "failed(solvability", "failed(quer: no querelement for",
                 "failed(quer: querelement of", "failed(quer: quer candidate",
@@ -1113,16 +1136,16 @@ def test_class_product_leaving_the_partition_reports_unknown():
     diff = ExactRule(lambda a, b: a.top - a.bottom == b.top - b.bottom)
     K = build_completion(s, builtin_quiver("componentwise-2"), diff,
                          assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0)
-    assert K.report.group == ("unknown(class product leaves the partition: double "
-                              "Double(top=0, bottom=3) matches no class of the partition; "
-                              "9-double domain)")
+    assert str(K.report.group) == ("unknown(class product leaves the partition: double "
+                                   "Double(top=0, bottom=3) matches no class of the partition; "
+                                   "9-double domain)")
     assert not K.report.ok and K.quer is not None
     # a wiring with no closed-form quer: the search meets the double first
     swapped = swap_picks(builtin_quiver("componentwise-2"), ("top", 0), ("bottom", 0))
     K = build_completion(s, swapped, diff, assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0)
-    assert K.report.group == ("unknown(class product leaves the partition: double "
-                              "Double(top=3, bottom=0) matches no class of the partition; "
-                              "9-double domain)")
+    assert str(K.report.group) == ("unknown(class product leaves the partition: double "
+                                   "Double(top=3, bottom=0) matches no class of the partition; "
+                                   "9-double domain)")
     assert not K.report.ok and K.quer is None
     with pytest.raises(NoClassMatch, match="matches no class"):
         K.partition.resolve((3, 0))
@@ -1146,7 +1169,8 @@ def test_finite_table_completion_has_exact_size_hints():
     K = build_completion(s, builtin_quiver("componentwise-2"), WitnessSearch())
     j = completion_to_json(K)
     assert [c["size_hint"] for c in j["classes"]] == [3, 3, 3]
-    assert K.report.ok and "exhaustive solvability" in K.report.group
+    assert K.report.ok and str(K.report.group).startswith(
+        "proved-exhaustive(6; solvability and associativity;")
 
 
 def test_default_mode_proves_ternary_z5_doubles_exhaustively():
@@ -1156,7 +1180,7 @@ def test_default_mode_proves_ternary_z5_doubles_exhaustively():
     s = zmod_add(5, 3)
     twist = ExactRule(lambda d1, d2: 2 * (d1.top - d1.bottom - d2.top + d2.bottom) % 5 == 0)
     K = build_completion(s, builtin_quiver("post-ternary"), twist)
-    assert K.report.associative == "proved-exhaustive(9765625)"
+    assert str(K.report.associative) == "proved-exhaustive(9765625)"
 
 
 def test_default_mode_lifts_ternary_z7_doubles_past_the_cutoff():
@@ -1166,7 +1190,7 @@ def test_default_mode_lifts_ternary_z7_doubles_past_the_cutoff():
     twist = ExactRule(lambda d1, d2: 2 * (d1.top - d1.bottom - d2.top + d2.bottom) % 7 == 0)
     q = builtin_quiver("post-ternary")
     K = build_completion(zmod_add(7, 3), q, twist)
-    assert K.report.associative == "proved-exhaustive(282475249)"
+    assert str(K.report.associative) == "proved-exhaustive(282475249)"
     assert K.report.ok
 
     lines = format_table(zmod_add(7, 3)).splitlines()
@@ -1174,7 +1198,7 @@ def test_default_mode_lifts_ternary_z7_doubles_past_the_cutoff():
     broken = parse_table("\n".join(lines))
     K = build_completion(broken, q, twist, seed=5)
     sampled = check_total_associativity(hetero_power(broken, q).structure, CheckMode.sampled(2000, 5))
-    assert K.report.associative == str(sampled)
+    assert K.report.associative == sampled
 
 
 # ---------------------------------------------------------------------------
@@ -1202,7 +1226,7 @@ def test_universal_factorization_into_integers():
     K = completion_for("nat0", "componentwise-2", limit=40)
     verdict = check_universal_factorization(K, integers_group(400), lambda x: x,
                                             samples=100, seed=11)
-    assert verdict.ok and verdict.samples == 100
+    assert (verdict.status, verdict.checked) == ("passed-sampled", 100)
 
 
 def test_universal_factorization_into_z6():
@@ -1210,6 +1234,12 @@ def test_universal_factorization_into_z6():
     verdict = check_universal_factorization(K, integers_mod_group(6), lambda x: x % 6,
                                             samples=100, seed=11)
     assert verdict.ok
+
+
+def test_universal_factorization_without_samples_is_vacuous():
+    K = completion_for("nat0", "componentwise-2", limit=10)
+    verdict = check_universal_factorization(K, integers_mod_group(5), lambda x: x % 5, samples=0)
+    assert (verdict.status, str(verdict), verdict.ok) == ("vacuous", "vacuous(0)", True)
 
 
 def test_universal_rejects_a_finite_target_that_is_not_a_group():
@@ -1223,3 +1253,59 @@ def test_universal_rejects_non_homomorphism():
     with pytest.raises(NotAHomomorphism):
         check_universal_factorization(K, integers_group(4000), lambda x: x * x,
                                       samples=100, seed=11)
+
+
+# ---------------------------------------------------------------------------
+# one verdict record for every stage
+
+STATUSES = ("proved-exhaustive", "passed-sampled", "failed", "unknown", "vacuous")
+
+
+def outcome_sweep():
+    """Completions whose stages reach every outcome, each with its group status:
+    the group-stage failures of GROUP_STAGE_PINS, a doubles-associativity and
+    a well-definedness failure among them."""
+    diff = ExactRule(lambda a, b: a.top - a.bottom == b.top - b.bottom)
+    nat0 = get_recipe("nat0")
+    pins = [build_completion(binary_table(cells), builtin_quiver("componentwise-2"), dec,
+                             assoc_mode=CheckMode.sampled(3, seed), samples=samples, seed=seed)
+            for cells, dec, seed, samples, _ in GROUP_STAGE_PINS]
+    return [
+        (build_completion(zmod_add(3, 2), builtin_quiver("componentwise-2"), WitnessSearch()),
+         "proved-exhaustive"),
+        (completion_for("nat0", "componentwise-2", limit=30), "passed-sampled"),
+        (completion_for("nat0", "componentwise-2", limit=6, samples=0), "vacuous"),
+        (build_completion(naturals(3, 2), builtin_quiver("componentwise-2"), diff,
+                          assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0), "unknown"),
+        *[(K, "failed") for K in pins],
+        (build_completion(nat0.build(10), builtin_quiver("twisted-binary"),
+                          nat0.exact_decision(), canonical=nat0.canonical_double), "failed"),
+        (completion_for("res-7-10", "five-to-three-intact"), "failed"),
+    ]
+
+
+def test_every_stage_reports_one_of_five_outcomes():
+    seen = set()
+    for K, group_status in outcome_sweep():
+        report = K.report
+        stages = (report.associative, report.well_defined, report.group)
+        assert report.group.status == group_status, report
+        assert report.ok == all(v.status not in ("failed", "unknown") for v in stages)
+        assert report.group.notes[-1].endswith("-double domain")
+        json_report = completion_to_json(K)["report"]
+        for v, text in zip(stages, json_report.values()):
+            assert v.status in STATUSES and str(v) == text
+            assert text.startswith(f"{v.status}(")
+            assert re.match(r"^(proved-exhaustive|passed-sampled|failed|unknown|vacuous)\(", text)
+            seen.add((v is report.well_defined, v.status))
+        for v in stages[:2]:  # a failed law check carries its counterexample
+            assert (v.counterexample is not None) == (v.status == "failed")
+        # the benchmark reads 'status(count)', or a failure's 'placements i/j'
+        assoc = json_report["associative"]
+        if report.associative.status == "failed":
+            assert re.search(r"\), placements 0/\d+ give ", assoc)
+        else:
+            assert re.match(r"([\w-]+)\((\d+)\)$", assoc).groups() == (
+                report.associative.status, str(report.associative.checked))
+    assert {status for _, status in seen} == set(STATUSES)
+    assert {status for wd, status in seen if wd} == {"passed-sampled", "failed", "vacuous"}

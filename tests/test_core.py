@@ -191,7 +191,8 @@ def naive_verdict(s, limit=None):
         for i in range(1, n):
             ri = placement_result(s.op, polyad, i)
             if ri != r0:
-                return Verdict("failed", checked, (polyad, 0, i, r0, ri))
+                return Verdict("failed", checked, (polyad, 0, i, r0, ri),
+                               (f"polyad={polyad}, placements 0/{i} give {r0!r} vs {ri!r}",))
     return None if limit else Verdict("proved-exhaustive", checked)
 
 
@@ -312,7 +313,8 @@ def sampled_assoc_reference(s, mode):
         for i in range(1, n):
             ri = placement_result(s.op, polyad, i)
             if not eq(ri, r0):
-                return Verdict("failed", c + 1, (polyad, 0, i, r0, ri))
+                return Verdict("failed", c + 1, (polyad, 0, i, r0, ri),
+                               (f"polyad={polyad}, placements 0/{i} give {r0!r} vs {ri!r}",))
     return Verdict("passed-sampled" if mode.count else "vacuous", mode.count)
 
 

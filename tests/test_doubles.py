@@ -554,7 +554,8 @@ def reference_verdict(power, quiver, base):
         for i in range(1, n):
             ri = placement_result(op, polyad, i)
             if ri != r0:
-                return Verdict("failed", checked, (polyad, 0, i, r0, ri))
+                return Verdict("failed", checked, (polyad, 0, i, r0, ri),
+                               (f"polyad={polyad}, placements 0/{i} give {r0!r} vs {ri!r}",))
     return Verdict("proved-exhaustive", checked)
 
 

@@ -1,5 +1,6 @@
 """Every module of the package imports only the standard library and itself,
-uses each name it imports, and draws samples through one helper."""
+uses each name it imports, draws samples through one helper, and adds no
+result class beside core.Verdict."""
 
 import ast
 import sys
@@ -62,3 +63,16 @@ def test_module_draws_samples_only_through_index_draws(path):
                if isinstance(node, ast.Attribute) and node.attr == "choice"
                or isinstance(node, ast.alias) and node.name.split(".")[-1] == "choice"]
     assert choices == []
+
+
+def test_result_classes_only_shrink():
+    # core.Verdict is the one record of a check's outcome; the other
+    # *Verdict classes stay while the benchmark reads their fields, and the
+    # per-stage result classes it replaced must not come back
+    classes = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)}
+    verdicts = {name for name in classes if name.endswith("Verdict")}
+    assert verdicts <= {"Verdict", "GroupVerdict", "CoincidenceVerdict", "AxiomsVerdict"}
+    assert "Verdict" in verdicts
+    assert classes.isdisjoint({"WellDefinedness", "UniversalVerdict"})

@@ -1,5 +1,6 @@
 """The README's examples run as documented: the library tour's commented
-values and the exit codes of the CLI examples."""
+values, the printed report in Verdicts and the exit codes of the CLI
+examples."""
 
 import ast
 import pathlib
@@ -50,3 +51,10 @@ def test_cli_examples_exit_as_documented(line, capsys):
 
 def test_cli_examples_are_found():
     assert len(CLI_EXAMPLES) == 7
+
+
+def test_verdicts_example_prints_as_shown(capsys):
+    command, *want = fenced_block("Verdicts", "text").splitlines()
+    assert command.startswith("$ polygroth ")
+    assert cli.main(shlex.split(command)[2:]) == 0
+    assert capsys.readouterr().out.splitlines() == want
