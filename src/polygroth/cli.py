@@ -22,23 +22,9 @@ from .completion import (
 )
 from .core import DEFAULT_SEED, CheckMode, check_total_associativity
 from .doubles import all_doubles, builtin_quiver, hetero_power, parse_quiver
-from .errors import (
-    ArityMismatch,
-    BoundExhausted,
-    ExhaustiveOnInfiniteCarrier,
-    InvalidQuiver,
-    NoClosedArity,
-    NotAHomomorphism,
-    NotQuantized,
-    PolyadicError,
-    UnknownQuiver,
-    UsageError,
-)
+from .errors import BoundExhausted, NotAHomomorphism, PolyadicError, UsageError
 from .structures import get_recipe, integers_group, integers_mod_group, recipe_names
 from .tables import read_table
-
-_CONFIG_ERRORS = (UsageError, ArityMismatch, UnknownQuiver, NotQuantized,
-                  InvalidQuiver, NoClosedArity, ExhaustiveOnInfiniteCarrier)
 
 
 def _resolve_structure(spec: str, bound: int | None):
@@ -281,7 +267,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PolyadicError as exc:

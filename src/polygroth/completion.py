@@ -17,7 +17,7 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -29,9 +29,10 @@ from .core import (
     PolyadicStructure,
     Verdict,
     _cancels,
+    _check_samples,
     _index_table,
-    _quer_search,
     _quer_slots,
+    _sole_quer,
     check_total_associativity,
     find_identities,
     iterated_eval,
@@ -227,7 +228,7 @@ def check_relation_coincidence(s: PolyadicStructure) -> CoincidenceVerdict:
 class AxiomsVerdict:
     """status is 'passed-sampled', 'failed', 'unknown' when samples were
     drawn but no transitivity triple was decided, or 'vacuous' with no
-    samples.  ok means not failed."""
+    samples.  ok means neither failed nor unknown, as for Verdict."""
 
     status: str
     reflexive_checked: int
@@ -239,7 +240,7 @@ class AxiomsVerdict:
 
     @property
     def ok(self) -> bool:
-        return self.status != "failed"
+        return self.status not in ("failed", "unknown")
 
     def __str__(self):
         if self.status == "failed":
@@ -257,6 +258,7 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
     witness (padding with m-2 spectator elements, repeating the carrier's
     elements when it has fewer); and, for exact rules, a cross-check against
     the witness searches on definite answers."""
+    _check_samples(samples)
     draws = IndexDraws(random.Random(seed))
     domain = all_doubles(s.carrier)
     m = s.arity
@@ -358,15 +360,15 @@ class ClassDouble(NamedTuple):
         return f"[{top};{bottom}]"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Partition:
     structure: PolyadicStructure
     decision: object
     canonical: Callable | None
     domain: list
     classes: list                # member lists, ordered by representative
-    reps: list                   # canonical representative per class
-    _position: dict | None = field(default=None, init=False, repr=False)
+    reps: list                   # representative per class
+    position: dict | None        # domain double -> class index; None with a canonical form
 
     def class_count(self) -> int:
         return len(self.reps)
@@ -389,15 +391,13 @@ class Partition:
     def rep_of(self, double: Double) -> Double:
         """Representative of the class of a double, as resolve names it.
 
-        A domain double is looked up in a double -> class position map built
-        on first use; any other double is decided against each representative,
-        and one that matches none raises NoClassMatch.
+        A canonical form names it.  Otherwise a domain double is looked up in
+        the position map; any other double is decided against each
+        representative, and one that matches none raises NoClassMatch.
         """
         if self.canonical is not None:
             return self.canonical(double)
-        if self._position is None:
-            self._position = {d: i for i, members in enumerate(self.classes) for d in members}
-        i = self._position.get(double)
+        i = self.position.get(double)
         if i is not None:
             return self.reps[i]
         for r in self.reps:
@@ -408,77 +408,61 @@ class Partition:
 
 def partition_classes(s: PolyadicStructure, domain: Sequence, dec,
                       canonical: Callable | None = None) -> Partition:
-    """Disjoint-set partition of the domain under the decision.
+    """Partition of the domain under the decision, in one pass over it.
 
-    Each class is led by its first double in domain order.  With a canonical
-    form, a double joins the class of the first double with the same
-    canonical key, and the decision confirms each such join (N - C decisions
-    in all); a join the decision rejects raises PolyadicError naming both
-    doubles, since the canonical form then merges inequivalent doubles.  The
-    form is trusted to give equivalent doubles one key, and must return a
-    Double (the class representative); other output raises UsageError.
-    Without a canonical form, each double is tested against the leaders found
-    so far, in discovery order, and joins the first equivalent one.  Unknown
-    verdicts abort (BoundExhausted).  A domain that repeats a double is a
-    UsageError: a decision is reflexive, so a repeat joins the class of the
-    double it repeats, and each class is checked for repeats.
+    A dict maps each class key to its members, in discovery order.  With a
+    canonical form the key is the double's canonical key, computed once per
+    double, and the decision confirms each join against the class's first
+    double (N - C decisions in all); a join the decision rejects raises
+    PolyadicError naming both doubles, since the canonical form then merges
+    inequivalent doubles.  The form is trusted to give equivalent doubles one
+    key, and the key names the class, so it must be a Double; other output
+    raises UsageError.  Without a canonical form, a double joins the first
+    class, in discovery order, whose first member the decision accepts, and
+    a class is named by its least member.  Unknown verdicts abort
+    (BoundExhausted).  A domain that repeats a double is a UsageError: a
+    decision is reflexive, so a repeat joins the class of the double it
+    repeats, and each class is checked for repeats.
     """
     domain = list(domain)
-    root = list(range(len(domain)))
-    leaders: list = []
-    if canonical is not None:
-        first: dict = {}
-        for i, d in enumerate(domain):
-            L = first.setdefault(canonical(d), i)
-            if L == i:
-                leaders.append(i)
-            elif decide_equivalent(s, d, domain[L], dec):
-                root[i] = L
-            else:
+    found: dict = {}  # without a canonical form, a class's key is its first member
+    for d in domain:
+        if canonical is None:
+            key = next((first for first in found if decide_equivalent(s, d, first, dec)), d)
+        else:
+            key = canonical(d)
+            if key in found and not decide_equivalent(s, d, found[key][0], dec):
                 raise PolyadicError(
-                    f"canonical form joins inequivalent doubles {domain[L]!r} and {d!r}"
+                    f"canonical form joins inequivalent doubles {found[key][0]!r} and {d!r}"
                 )
-    else:
-        for i, d in enumerate(domain):
-            for L in leaders:
-                if decide_equivalent(s, d, domain[L], dec):
-                    root[i] = L
-                    break
-            else:
-                leaders.append(i)
-    members = {L: [] for L in leaders}
-    for i, d in enumerate(domain):
-        members[root[i]].append(d)
+        found.setdefault(key, []).append(d)
 
     def lexkey(d):
         return (s.carrier.sort_key(d.top), s.carrier.sort_key(d.bottom))
 
-    classes, reps = [], []
-    for L in leaders:
-        mem = members[L]
+    named = []
+    for key, mem in found.items():
         if len(set(mem)) < len(mem):
             seen: set = set()
             repeat = next(d for d in mem if d in seen or seen.add(d))
             raise UsageError(f"the domain repeats the double {repeat!r}")
-        least = min(mem, key=lexkey)
-        if canonical is not None:
-            least = canonical(least)
-            if not isinstance(least, Double):
-                raise UsageError(f"canonical form returned {least!r}, not a Double")
-        reps.append(least)
-        classes.append(mem)
-    order = sorted(range(len(reps)), key=lambda idx: lexkey(reps[idx]))
-    return Partition(
-        s, dec, canonical, domain,
-        [classes[idx] for idx in order], [reps[idx] for idx in order],
-    )
+        if canonical is None:
+            key = min(mem, key=lexkey)
+        elif not isinstance(key, Double):
+            raise UsageError(f"canonical form returned {key!r}, not a Double")
+        named.append((key, mem))
+    named.sort(key=lambda pair: lexkey(pair[0]))
+    reps, classes = [rep for rep, _ in named], [mem for _, mem in named]
+    position = None if canonical is not None else {
+        d: i for i, mem in enumerate(classes) for d in mem}
+    return Partition(s, dec, canonical, domain, classes, reps, position)
 
 
 # ---------------------------------------------------------------------------
 # class product, well-definedness, quer
 
 
-def _quer_row(partition: Partition, quiver: QuiverSpec, op: NAryOperation):
+def _quer_row(partition: Partition, quiver: QuiverSpec):
     """Row evaluator of the quer search: (g, elems) -> the x in elems whose
     class product op[g^(n-1), x] is g, in elems order.
 
@@ -490,7 +474,7 @@ def _quer_row(partition: Partition, quiver: QuiverSpec, op: NAryOperation):
     resolved (NoClassMatch as from the class product) and compared with g.
     """
     (top, top_intact), (bottom, bottom_intact) = quiver.gathers
-    copies = quiver.output_arity - 1
+    copies, op = quiver.output_arity - 1, partition.structure.op
 
     def row(g, elems):
         prefix, want, rep_of = tuple(g.rep) * copies, g.rep, partition.rep_of
@@ -517,6 +501,7 @@ def check_well_definedness(partition: Partition, quiver: QuiverSpec, samples: in
     checked counts the swaps; with none the verdict is vacuous.  A failure's
     counterexample is (members, slot, replacement, r1, r2).
     """
+    _check_samples(samples)
     draws = IndexDraws(random.Random(seed))
     product = bound_product(quiver, partition.structure.op.fn)
     n = quiver.output_arity
@@ -562,11 +547,8 @@ def class_structure(partition: Partition, quiver: QuiverSpec) -> PolyadicStructu
     the classes' representatives and resolves the result.  It is memoised by
     class tuple, so no class-level check multiplies one tuple twice, and a
     Cayley table compiled from it reuses what the earlier checks computed.
-    The quer search reads the row evaluator stored as facts["quer_row"] (see
-    _quer_row).
     """
-    op = partition.structure.op
-    wired = bound_product(quiver, op.fn)
+    wired = bound_product(quiver, partition.structure.op.fn)
 
     @functools.cache
     def product(cds):
@@ -576,7 +558,6 @@ def class_structure(partition: Partition, quiver: QuiverSpec) -> PolyadicStructu
         FiniteCarrier(partition.class_doubles()),
         NAryOperation(quiver.output_arity, product,
                       name=f"classes:{quiver.name or format_quiver(quiver)}"),
-        facts={"quer_row": _quer_row(partition, quiver, op)},
     )
 
 
@@ -603,17 +584,19 @@ def class_quer(partition: Partition, classes: PolyadicStructure, quiver: QuiverS
 
     `classes` is the class structure (see class_structure).  The quer is the
     wiring's closed form (see _quer_formula) when it has one, and otherwise
-    the unique listed class that solves the defining slot.  The defining
-    slot (quer last) must hold, otherwise QuerFormulaFailsVerification; the
-    other slots are recorded per class.
+    the unique listed class that solves the defining slot, searched one row
+    per class (see _quer_row).  The defining slot (quer last) must hold,
+    otherwise QuerFormulaFailsVerification; the other slots are recorded per
+    class.
     """
     formula = _quer_formula(quiver, partition.structure)
+    row = _quer_row(partition, quiver) if formula is None else None
     cds = classes.carrier.elements()
     mapping: dict = {}
     slot_ok: dict = {}
     for c in cds:
         if formula is None:
-            q = _quer_search(classes, c, cds)
+            q = _sole_quer(c, row(c, cds), len(cds))
         else:
             q = partition.resolve(formula(*c.rep))
         verdicts = tuple(_quer_slots(classes, c, q))
@@ -636,9 +619,8 @@ class CompletionReport:
 
     @property
     def ok(self) -> bool:
-        """No stage failed or was left unknown."""
-        return all(v.status not in ("failed", "unknown")
-                   for v in (self.associative, self.well_defined, self.group))
+        """Every stage is ok: none failed or was left unknown."""
+        return all(v.ok for v in (self.associative, self.well_defined, self.group))
 
 
 @dataclass(eq=False)
@@ -732,6 +714,7 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec, *,
     the group verdict is unknown.  Every group verdict ends with the note
     "N-double domain".
     """
+    _check_samples(samples)
     power = hetero_power(s, quiver)  # raises ArityMismatch for a wrong base arity
     if assoc_mode is None:
         if s.carrier.is_finite:
@@ -849,6 +832,7 @@ def check_universal_factorization(K: CompletionGroup, target: PolyadicStructure,
     [a;b] -> phi(a) * phi(b)^-1 and verify it is a class-invariant
     homomorphism through which phi factors.  checked counts the sampled
     class pairs that passed; with no samples the verdict is vacuous."""
+    _check_samples(samples)
     if K.n != 2 or K.base.arity != 2:
         raise UsageError("the universal property is implemented for the binary case only")
     _require_binary_group(target, seed)

@@ -190,9 +190,7 @@ class PolyadicStructure:
     as "index_row".
     A builder that can prove total associativity without the table may store
     a function answering True when it can as "lifted_associativity";
-    exhaustive checks ask it first.  A whole quer-search row may be stored
-    as "quer_row", a function (g, candidates) -> the candidates x with
-    op[g^(n-1), x] = g, in order.
+    exhaustive checks ask it first.
     """
 
     carrier: Carrier
@@ -217,6 +215,12 @@ def derived_structure(carrier: Carrier, binary_op: NAryOperation, arity: int,
 # check modes and verdicts
 
 
+def _check_samples(samples: int) -> None:
+    """A sample count below zero is a UsageError; zero draws nothing and reads vacuous."""
+    if samples < 0:
+        raise UsageError(f"sample count must be >= 0, got {samples}")
+
+
 @dataclass(frozen=True)
 class CheckMode:
     kind: str
@@ -225,6 +229,9 @@ class CheckMode:
 
     EXHAUSTIVE = "exhaustive"
     SAMPLED = "sampled"
+
+    def __post_init__(self):
+        _check_samples(self.count)
 
     @classmethod
     def exhaustive(cls) -> "CheckMode":
@@ -264,8 +271,8 @@ class Verdict:
     'unknown' (a bounded search left the question open) or 'vacuous' (a
     sampled check that drew nothing, so it has no evidence either way).
     checked counts what the check decided; notes say what was checked and
-    why a check failed.  ok means not failed, so a vacuous or unknown verdict
-    is ok.  A failed associativity verdict carries a replayable
+    why a check failed.  ok means neither failed nor unknown, so a vacuous
+    verdict is ok.  A failed associativity verdict carries a replayable
     counterexample: (polyad, placement_i, placement_j, result_i, result_j).
     str() reads status(checked; note; ...), without the count when failed
     or unknown.
@@ -278,7 +285,7 @@ class Verdict:
 
     @property
     def ok(self) -> bool:
-        return self.status != "failed"
+        return self.status not in ("failed", "unknown")
 
     def __str__(self):
         count = () if self.status in ("failed", "unknown") else (str(self.checked),)
@@ -651,19 +658,17 @@ def querelement(s: PolyadicStructure, g):
 
 
 def _quer_search(s: PolyadicStructure, g, elems):
-    """The one x in elems with op[g^(n-1), x] = g; raises QuerNotFound/QuerNotUnique.
+    """The one x in elems with op[g^(n-1), x] = g; raises QuerNotFound/QuerNotUnique."""
+    n, op, eq = s.arity, s.op, s.carrier.eq
+    head = (g,) * (n - 1)
+    return _sole_quer(g, [x for x in elems if eq(op.fn(head + (x,)), g)], len(elems))
 
-    A "quer_row" fact, when present, finds the solving x of the whole row.
-    """
-    row = s.facts.get("quer_row")
-    if row is not None:
-        sols = row(g, elems)
-    else:
-        n, op, eq = s.arity, s.op, s.carrier.eq
-        head = (g,) * (n - 1)
-        sols = [x for x in elems if eq(op.fn(head + (x,)), g)]
+
+def _sole_quer(g, sols, bound: int):
+    """The one solution in sols of g's quer equation, searched among bound
+    candidates; raises QuerNotFound/QuerNotUnique."""
     if not sols:
-        raise QuerNotFound(g, len(elems))
+        raise QuerNotFound(g, bound)
     if len(sols) > 1:
         raise QuerNotUnique(g, sols)
     return sols[0]

@@ -6,10 +6,11 @@ class PolyadicError(Exception):
 
 
 class UsageError(PolyadicError):
-    """Bad configuration or arguments (CLI exit code 2)."""
+    """Bad configuration or arguments (CLI exit code 2); the configuration
+    errors below are its subclasses."""
 
 
-class ArityMismatch(PolyadicError):
+class ArityMismatch(UsageError):
     pass
 
 
@@ -20,7 +21,7 @@ class NonMember(PolyadicError):
         self.element = element
 
 
-class ExhaustiveOnInfiniteCarrier(PolyadicError):
+class ExhaustiveOnInfiniteCarrier(UsageError):
     """Exhaustive checks need a finite enumerated carrier."""
 
 
@@ -65,15 +66,15 @@ class NoClassMatch(PolyadicError):
         self.double = double
 
 
-class NotQuantized(PolyadicError):
+class NotQuantized(UsageError):
     """The intact-element arity formula does not give an integer."""
 
 
-class InvalidQuiver(PolyadicError):
+class InvalidQuiver(UsageError):
     pass
 
 
-class UnknownQuiver(PolyadicError):
+class UnknownQuiver(UsageError):
     def __init__(self, name):
         super().__init__(f"unknown quiver {name!r}")
         self.name = name
@@ -87,7 +88,7 @@ class BoundExhausted(PolyadicError):
         self.bound = bound
 
 
-class NoClosedArity(PolyadicError):
+class NoClosedArity(UsageError):
     def __init__(self, bound):
         super().__init__(f"no arity <= {bound} closes the residue class under products")
         self.bound = bound

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from polygroth.cli import main
+from polygroth import errors
+from polygroth.cli import build_parser, main
 from polygroth.tables import format_table
 from polygroth.structures import zmod_add
 
@@ -106,6 +107,26 @@ def test_quiver_arity_mismatch_is_usage_error(capsys):
     code, _, err = run(capsys, "complete", "--structure", "neg3",
                        "--quiver", "componentwise-2")
     assert code == 2
+
+
+@pytest.mark.parametrize("error, argv", [
+    ("ArityMismatch", ["complete", "--structure", "neg3", "--quiver", "componentwise-2"]),
+    ("UnknownQuiver", ["complete", "--structure", "nat0", "--quiver", "nosuch"]),
+    ("NotQuantized", ["complete", "--structure", "nat0", "--quiver",
+                      "3<-4 intact=1; top=(1,T)(1,B)(2,T)(2,B); bottom=(3,B)"]),
+    ("InvalidQuiver", ["complete", "--structure", "nat0", "--quiver",
+                       "2<-2 intact=0; top=(1,T)(3,T); bottom=(1,B)(2,B)"]),
+    ("NoClosedArity", ["classes", "--structure", "res-2-4"]),
+    ("ExhaustiveOnInfiniteCarrier", ["assoc-check", "--structure", "odd3", "--mode", "exhaustive"]),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_configuration_errors_are_usage_errors(capsys, error, argv):
+    # every configuration error is a UsageError, the one type the CLI maps to exit 2
+    args = build_parser().parse_args(argv)
+    with pytest.raises(getattr(errors, error)):
+        args.func(args)
+    assert issubclass(getattr(errors, error), errors.UsageError)
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (2, "")
 
 
 def test_complete_negatives(capsys):

@@ -59,6 +59,7 @@ from polygroth.core import (
     _index_table,
     _quer_search,
     _quer_slots,
+    _sole_quer,
     verify_polyadic_group,
 )
 from polygroth.errors import (
@@ -238,13 +239,14 @@ def test_transitivity_of_an_unknown_partition_counts_as_skipped():
     # on a rule carrier the twist partition meets an unknown decision and
     # aborts, so none of the 50 transitivity triples is drawn: all are
     # skipped, on top of the 45 unknown reflexivity and symmetry samples,
-    # and with transitivity never decided the axioms read unknown, not passed-sampled
+    # and with transitivity never decided the axioms read unknown, not
+    # passed-sampled, and are not ok
     verdict = check_equivalence_axioms(get_recipe("odd3").build(21), WitnessSearch(TWIST),
                                        samples=50, seed=1)
     unknown_pairs = 2 * 50 - verdict.reflexive_checked - verdict.symmetry_checked
     assert verdict.transitivity_checked == 0
     assert (unknown_pairs, verdict.skipped) == (45, 95)
-    assert (verdict.status, verdict.ok, verdict.failures) == ("unknown", True, ())
+    assert (verdict.status, verdict.ok, verdict.failures) == ("unknown", False, ())
     assert str(verdict).startswith("equivalence axioms unknown (")
 
 
@@ -356,9 +358,11 @@ def test_keyed_partition_matches_leader_scan(name, bounds):
     for bound in bounds:
         s = recipe.build(bound)
         domain = all_doubles(s.carrier)
-        calls = []
+        calls, keyed = [], []
         counted = ExactRule(lambda d1, d2: calls.append((d1, d2)) or recipe.exact_rule(d1, d2))
-        part = partition_classes(s, domain, counted, canonical=recipe.canonical_double)
+        part = partition_classes(s, domain, counted,
+                                 canonical=lambda d: keyed.append(d) or recipe.canonical_double(d))
+        assert len(keyed) == len(domain)  # one canonical key per double
         classes, reps = leader_scan_partition(s, domain, recipe.exact_decision(),
                                               recipe.canonical_double)
         assert part.classes == classes
@@ -367,6 +371,45 @@ def test_keyed_partition_matches_leader_scan(name, bounds):
             for d in members:
                 assert part.resolve(d).rep == rep
         assert len(calls) == len(domain) - part.class_count()
+
+
+def nontransitive_table():
+    """The binary table 0 0 2 / 0 1 2 / 1 0 1.  Under twist [0;0] ~ [0;1] ~
+    [2;2] but [0;0] and [2;2] are unrelated, so its classes depend on the
+    search order."""
+    return parse_table("\n".join(["arity 2", "size 3", *"002012101"]) + "\n")
+
+
+@pytest.mark.parametrize("relation", [GAUGE, TWIST])
+def test_search_partition_matches_leader_scan(relation):
+    # without a canonical form a double joins the first class, in discovery
+    # order, whose first member it is related to; on relations that need not
+    # be transitive the classes must be the reference's exactly
+    rng = random.Random(f"partition/{relation}")
+    tables = [random_table(rng, k, m) for k, m in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
+              for _ in range(3)]
+    dec = WitnessSearch(relation)
+    for s in [nontransitive_table(), *tables]:
+        domain = all_doubles(s.carrier)
+        part = partition_classes(s, domain, dec)
+        classes, reps = leader_scan_partition(s, domain, dec, lambda d: d)
+        assert (part.classes, part.reps) == (classes, reps)
+        for rep, members in zip(reps, classes):
+            for d in members:
+                assert part.resolve(d).rep == rep
+    # the 3x3 table: twist leaves [2;2] alone, gauge {[1;2], [2;1]}
+    s = nontransitive_table()
+    alone = {TWIST: [Double(2, 2)], GAUGE: [Double(1, 2), Double(2, 1)]}[relation]
+    classes = partition_classes(s, all_doubles(s.carrier), dec).classes
+    assert [len(c) for c in classes] == [9 - len(alone), len(alone)] and classes[1] == alone
+
+
+def test_partition_is_frozen_and_complete_when_returned():
+    s = zmod_add(3, 2)
+    part = partition_classes(s, all_doubles(s.carrier), WitnessSearch())
+    assert all(f.init for f in dataclasses.fields(part))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        part.reps = []
 
 
 def test_canonical_form_joining_inequivalent_doubles_is_reported():
@@ -489,6 +532,23 @@ def test_zero_samples_read_vacuous():
     # its class product leaves the listed classes, so the group stage samples
     # and, drawing no class, reads vacuous too
     assert str(K.report.group) == "vacuous(0; quer at all slots; 49-double domain)"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_total_associativity(zmod_add(5, 3), CheckMode.sampled(-5, 1)),
+    lambda: build_completion(get_recipe("neg3").build(20), builtin_quiver("componentwise-3"),
+                             get_recipe("neg3").exact_decision(),
+                             canonical=get_recipe("neg3").canonical_double, samples=-5),
+    lambda: check_equivalence_axioms(zmod_add(5, 2), WitnessSearch(TWIST), samples=-3),
+    lambda: check_well_definedness(completion_for("nat0", "componentwise-2", limit=6).partition,
+                                   builtin_quiver("componentwise-2"), samples=-1),
+    lambda: check_universal_factorization(completion_for("nat0", "componentwise-2", limit=6),
+                                          integers_group(200), lambda x: x, samples=-1),
+], ids=["check-mode", "build-completion", "axioms", "well-definedness", "universal"])
+def test_negative_sample_counts_are_usage_errors(call):
+    # a negative count once drew nothing and read passed-sampled(-5) or unknown
+    with pytest.raises(UsageError, match="sample count must be >= 0, got -"):
+        call()
 
 
 def test_axioms_hold_only_with_decided_transitivity():
@@ -1066,9 +1126,9 @@ def test_class_table_multiplies_unlisted_classes_by_the_product():
 
 
 def test_quer_row_search_matches_the_per_candidate_search():
-    # the class structure's quer search reads the product's row
-    # evaluator; it must give the per-candidate search's quer map, or raise
-    # its error with its message.  Under an equality rule every double of Z8
+    # class_quer searches each class's row with _quer_row; it must give the
+    # per-candidate search's quer map over the unmemoised class product, or
+    # raise its error with its message.  Under an equality rule every double of Z8
     # (binary) or Z5 (ternary) is its own class; truncated domains keep at
     # least the fewest classes past the cutoff, and without a canonical form
     # their products may match no class.
@@ -1094,14 +1154,13 @@ def test_quer_row_search_matches_the_per_candidate_search():
             domain = rng.sample(domain, rng.randrange(least, len(domain)))
         part = partition_classes(s, domain, ExactRule(operator.eq),
                                  canonical=rng.choice([None, lambda d: d]))
-        cs = class_structure(part, quiver)
-        assert "quer_row" in cs.facts and "index_table" not in cs.facts
-        reference = PolyadicStructure(FiniteCarrier(part.class_doubles()),
-                                      unmemoised_product(part, quiver, s))
+        cds = part.class_doubles()
+        reference = PolyadicStructure(FiniteCarrier(cds), unmemoised_product(part, quiver, s))
+        row = completion._quer_row(part, quiver)
 
-        want = outcome(lambda: searched_quer(reference))
-        assert outcome(lambda: searched_quer(cs)) == want
-        seen["found" if isinstance(want[0], dict) else want[0].__name__] += 1
+        want = outcome(lambda: {c: _quer_search(reference, c, cds) for c in cds})
+        assert outcome(lambda: {c: _sole_quer(c, row(c, cds), len(cds)) for c in cds}) == want
+        seen["found" if isinstance(want, dict) else want[0].__name__] += 1
     for key in ["found", "QuerNotFound", "QuerNotUnique", "NoClassMatch"]:
         assert seen[key] >= 3, (key, seen)
 
@@ -1120,7 +1179,7 @@ def test_post_5ary_quer_search_memoises_base_values_per_row():
     cs = class_structure(part, q)
     c, n = part.class_count(), q.output_arity
     components = len({x for rep in part.reps for x in rep})
-    assert (c, components) == (57, 8) and "quer_row" in cs.facts
+    assert (c, components) == (57, 8)
     calls.clear()
     quer = class_quer(part, cs, q)
     assert quer.all_slots_ok()

@@ -1,12 +1,17 @@
 """Every module of the package imports only the standard library and itself,
 uses each name it imports, draws samples through one helper, and adds no
-result class beside core.Verdict."""
+result class beside core.Verdict; and every facts key they use is
+documented on PolyadicStructure."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from polygroth.completion import GAUGE, TWIST
+from polygroth.core import PolyadicStructure
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polygroth"
 # __init__.py imports names to re-export them, not to use them
@@ -76,3 +81,37 @@ def test_result_classes_only_shrink():
     assert verdicts <= {"Verdict", "GroupVerdict", "CoincidenceVerdict", "AxiomsVerdict"}
     assert "Verdict" in verdicts
     assert classes.isdisjoint({"WellDefinedness", "UniversalVerdict"})
+
+
+def facts_keys(tree):
+    """String-literal keys of a `facts` dict: subscripted, read with .get,
+    tested with `in`, or written in a facts={...} argument."""
+    def is_facts(node):
+        return isinstance(node, ast.Attribute) and node.attr == "facts"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_facts(node.value):
+            keys = [node.slice]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and is_facts(node.func.value)):
+            keys = node.args[:1]
+        elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn))
+              and is_facts(node.comparators[0])):
+            keys = [node.left]
+        elif (isinstance(node, ast.keyword) and node.arg == "facts"
+              and isinstance(node.value, ast.Dict)):
+            keys = node.value.keys
+        else:
+            continue
+        yield from (k.value for k in keys
+                    if isinstance(k, ast.Constant) and isinstance(k.value, str))
+
+
+def test_every_facts_key_is_documented():
+    # PolyadicStructure's docstring is the one list of the facts a structure
+    # may carry; decide_equivalent caches its table tests under the relation
+    # names, the only keys that are not literals
+    used = {key for path in PACKAGE.glob("*.py")
+            for key in facts_keys(ast.parse(path.read_text(encoding="utf-8")))}
+    documented = set(re.findall(r'"(\w+)"', PolyadicStructure.__doc__))
+    assert used | {GAUGE, TWIST} == documented
