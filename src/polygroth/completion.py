@@ -6,9 +6,11 @@ mixing the components crosswise).  On cancellative carriers they coincide and
 their classes form the completion; the n-ary class product and queroperation
 are checked, never assumed.
 
-Truth values on rule-based carriers are three-valued: a bounded witness
-search that fails raises BoundExhausted ("unknown") instead of answering
-False.  Partitions demand definite answers and abort otherwise.
+On a finite carrier both relations are read from rows of the base's index
+table (see _ShiftRows), and a miss is a definite False.  Truth values on
+rule-based carriers are three-valued: a bounded witness search that fails
+raises BoundExhausted ("unknown") instead of answering False.  Partitions
+demand definite answers and abort otherwise.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .doubles import (
     hetero_power,
 )
 from .errors import (
+    ArityMismatch,
     BoundExhausted,
     ExhaustiveOnInfiniteCarrier,
     NoClassMatch,
@@ -105,8 +108,92 @@ def _twist_shift(s: PolyadicStructure, a, b):
     return lambda z: iterated_eval(op, 2, head + (z,))
 
 
+class _ShiftRows:
+    """Both shift relations of a finite structure, read from its index table.
+
+    With k elements and arity m, let r = sum(k^j, j < m-1) and
+    r' = sum(k^j, j < m-2).  The gauge shifts op[a^(m-1), x] over x, in
+    carrier order, are the k entries at a*r*k.  The twisted shifts of (a, b)
+    over z are the k entries at (acc*k^(m-2) + b*r')*k, where acc is the
+    entry op[a^(m-1), b] at a*r*k + b.  Entries are element indices.
+
+    Each row is made once per element pair (a, b), on first use: gauge(a, b)
+    codes the double's gauge shift (u, v) at each x as u*k + v, first_y(a, b)
+    maps each of those codes to the first position holding it, and
+    twist(a, b) is the twisted shifts over z.  A double's gauge mask sets
+    the bits of its codes; the twist mask of (a, b) sets bit z*k + v where
+    its twisted shift at z is v.  Two doubles are gauge related when their
+    gauge masks meet; d1 and d2 are twist related when the masks of (a1, b2)
+    and (a2, b1) meet.  An element outside the carrier raises NonMember.
+    """
+
+    def __init__(self, s: PolyadicStructure):
+        if s.arity < 2:
+            raise ArityMismatch(f"shift relations need arity >= 2, got {s.arity}")
+        table, k = _index_table(s)
+        self.k, self.elems, m = k, s.carrier.elements(), s.arity
+        index = {e: i for i, e in enumerate(self.elems)}
+        stride = k * sum(k ** j for j in range(m - 1))          # r*k
+        lead, fill = k ** (m - 1), k * sum(k ** j for j in range(m - 2))
+        bits = (1).__lshift__
+
+        def at(x) -> int:
+            i = index.get(x)
+            if i is None:
+                raise NonMember(x, "the base")
+            return i
+
+        @functools.cache
+        def gauge(a, b):
+            lo, hi = at(a) * stride, at(b) * stride
+            return [u * k + v for u, v in zip(table[lo:lo + k], table[hi:hi + k])]
+
+        @functools.cache
+        def first_y(a, b):
+            first: dict = {}
+            for y, code in enumerate(gauge(a, b)):
+                first.setdefault(code, y)
+            return first
+
+        @functools.cache
+        def twist(a, b):
+            j = at(b)
+            lo = table[at(a) * stride + j] * lead + j * fill
+            return table[lo:lo + k]
+
+        self.at, self.gauge, self.first_y, self.twist = at, gauge, first_y, twist
+        self.masks = {
+            GAUGE: functools.cache(lambda a, b: sum(map(bits, first_y(a, b)))),
+            TWIST: functools.cache(lambda a, b: sum(map(bits, map(
+                operator.add, range(0, k * k, k), twist(a, b))))),
+        }
+
+    def related(self, relation: str, d1: Double, d2: Double) -> bool:
+        mask = self.masks[relation]
+        if relation == GAUGE:
+            return bool(mask(*d1) & mask(*d2))
+        return bool(mask(d1.top, d2.bottom) & mask(d2.top, d1.bottom))
+
+
+def _shift_rows(s: PolyadicStructure) -> _ShiftRows:
+    """The finite structure's shift rows, cached on s.facts."""
+    rows = s.facts.get("shift_rows")
+    if rows is None:
+        rows = s.facts["shift_rows"] = _ShiftRows(s)
+    return rows
+
+
 def gauge_witness(s: PolyadicStructure, d1: Double, d2: Double):
-    """First (x, y) with op[a1^(m-1),x] = op[a2^(m-1),y] componentwise, else None."""
+    """First (x, y) with op[a1^(m-1),x] = op[a2^(m-1),y] componentwise, else None.
+
+    First means the first x in carrier order, then its first y.  A finite
+    carrier reads the shift rows.
+    """
+    if s.carrier.is_finite:
+        rows = _shift_rows(s)
+        first, elems = rows.first_y(*d2), rows.elems
+        return next(((x, elems[first[code]])
+                     for x, code in zip(elems, rows.gauge(*d1)) if code in first), None)
     eq, elems = s.carrier.eq, s.carrier.elements()
     shift1, shift2 = _gauge_shift(s, d1), _gauge_shift(s, d2)
     rhs = [(y, *shift2(y)) for y in elems]
@@ -119,7 +206,14 @@ def gauge_witness(s: PolyadicStructure, d1: Double, d2: Double):
 
 
 def twist_witness(s: PolyadicStructure, d1: Double, d2: Double):
-    """First z with (op)^o2[a1^(m-1), b2^(m-1), z] = (op)^o2[a2^(m-1), b1^(m-1), z]."""
+    """First z with (op)^o2[a1^(m-1), b2^(m-1), z] = (op)^o2[a2^(m-1), b1^(m-1), z].
+
+    A finite carrier reads the shift rows.
+    """
+    if s.carrier.is_finite:
+        rows = _shift_rows(s)
+        row1, row2 = rows.twist(d1.top, d2.bottom), rows.twist(d2.top, d1.bottom)
+        return next(itertools.compress(rows.elems, map(operator.eq, row1, row2)), None)
     eq = s.carrier.eq
     shift1, shift2 = _twist_shift(s, d1.top, d2.bottom), _twist_shift(s, d2.top, d1.bottom)
     for z in s.carrier.elements():
@@ -128,48 +222,18 @@ def twist_witness(s: PolyadicStructure, d1: Double, d2: Double):
     return None
 
 
-def _finite_shift_test(s: PolyadicStructure, relation: str):
-    """Witness test of a shift relation from per-double tables, filled lazily.
-
-    Gauge: d1 ~ d2 iff the sets of the two doubles' gauge shifts over x meet.
-    Twist: d1 ~ d2 iff the rows z -> twisted shift of (a1, b2) and of
-    (a2, b1) agree somewhere.  Either test is true exactly when
-    gauge_witness / twist_witness finds a witness.
-    """
-    elems = s.carrier.elements()
-    tables: dict = {}
-    if relation == GAUGE:
-        def entry(d):
-            got = tables.get(d)
-            if got is None:
-                got = tables[d] = frozenset(map(_gauge_shift(s, d), elems))
-            return got
-
-        return lambda d1, d2: not entry(d1).isdisjoint(entry(d2))
-
-    def row(a, b):
-        got = tables.get((a, b))
-        if got is None:
-            got = tables[a, b] = tuple(map(_twist_shift(s, a, b), elems))
-        return got
-
-    return lambda d1, d2: any(map(operator.eq, row(d1.top, d2.bottom), row(d2.top, d1.bottom)))
-
-
 def decide_equivalent(s, d1, d2, dec) -> bool:
     """Whether d1 ~ d2 under an ExactRule or a WitnessSearch.
 
-    A search on a finite carrier reads the relation's table test, cached on
-    s.facts under the relation name, so a miss is a definite False.  On a
-    rule carrier it runs the witness search, and a miss raises BoundExhausted.
+    A search on a finite carrier reads the shift rows, gathered from the
+    index table and cached on s.facts, so a miss is a definite False; a
+    base whose operation leaves the carrier raises NonMember.  On a rule
+    carrier it runs the witness search, and a miss raises BoundExhausted.
     """
     if isinstance(dec, ExactRule):
         return bool(dec.rule(d1, d2))
     if s.carrier.is_finite:
-        test = s.facts.get(dec.relation)
-        if test is None:
-            test = s.facts[dec.relation] = _finite_shift_test(s, dec.relation)
-        return test(d1, d2)
+        return _shift_rows(s).related(dec.relation, d1, d2)
     witness = gauge_witness if dec.relation == GAUGE else twist_witness
     if witness(s, d1, d2) is not None:
         return True
@@ -177,11 +241,18 @@ def decide_equivalent(s, d1, d2, dec) -> bool:
 
 
 def _twist_holds_at(s, d1, d2, z) -> bool:
+    if s.carrier.is_finite:
+        rows = _shift_rows(s)
+        i = rows.at(z)
+        return rows.twist(d1.top, d2.bottom)[i] == rows.twist(d2.top, d1.bottom)[i]
     return s.carrier.eq(_twist_shift(s, d1.top, d2.bottom)(z),
                         _twist_shift(s, d2.top, d1.bottom)(z))
 
 
 def _gauge_holds_at(s, d1, d2, x, y) -> bool:
+    if s.carrier.is_finite:
+        rows = _shift_rows(s)
+        return rows.gauge(*d1)[rows.at(x)] == rows.gauge(*d2)[rows.at(y)]
     (a1, b1), (a2, b2) = _gauge_shift(s, d1)(x), _gauge_shift(s, d2)(y)
     return s.carrier.eq(a1, a2) and s.carrier.eq(b1, b2)
 
@@ -203,21 +274,27 @@ class CoincidenceVerdict:
 
 
 def check_relation_coincidence(s: PolyadicStructure) -> CoincidenceVerdict:
-    """Compare gauge and twist verdicts on every pair of doubles (finite only)."""
+    """Compare gauge and twist verdicts on every pair of doubles (finite only).
+
+    Pairs (i, j), i <= j, run over the doubles in all_doubles order, where
+    the double (a, b) has position a*k + b; each verdict is an AND of two
+    shift masks (see _ShiftRows).
+    """
     if not s.carrier.is_finite:
         raise ExhaustiveOnInfiniteCarrier("relation coincidence is an exhaustive check")
-    domain = all_doubles(s.carrier)
-    gauge, twist = WitnessSearch(GAUGE), WitnessSearch(TWIST)
+    rows = _shift_rows(s)
+    domain, k = all_doubles(s.carrier), rows.k
+    gauge, twist = ([rows.masks[r](*d) for d in domain] for r in (GAUGE, TWIST))
     bad = []
-    count = 0
-    for i in range(len(domain)):
+    for i, d1 in enumerate(domain):
+        a1, b1 = divmod(i, k)
         for j in range(i, len(domain)):
-            g = decide_equivalent(s, domain[i], domain[j], gauge)
-            t = decide_equivalent(s, domain[i], domain[j], twist)
-            count += 1
+            a2, b2 = divmod(j, k)
+            g = bool(gauge[i] & gauge[j])
+            t = bool(twist[a1 * k + b2] & twist[a2 * k + b1])
             if g != t:
-                bad.append(((domain[i], domain[j]), g, t))
-    return CoincidenceVerdict(not bad, count, tuple(bad))
+                bad.append(((d1, domain[j]), g, t))
+    return CoincidenceVerdict(not bad, len(domain) * (len(domain) + 1) // 2, tuple(bad))
 
 
 # ---------------------------------------------------------------------------

@@ -184,10 +184,10 @@ class PolyadicStructure:
     """A carrier together with one n-ary operation.
 
     `facts` caches what checkers found, each entry reproducible by re-running
-    its checker: "index_table", "zeros", "identities", and completion's
-    "gauge"/"twist" tests.  A builder that knows the Cayley table may store
-    it as "index_table", or a function returning its row r (see _index_rows)
-    as "index_row".
+    its checker: "index_table", "identities", and completion's "shift_rows"
+    (both shift relations, read from the index table).  A builder that
+    knows the Cayley table may store it as "index_table", or a function
+    returning its row r (see _index_rows) as "index_row".
     A builder that can prove total associativity without the table may store
     a function answering True when it can as "lifted_associativity";
     exhaustive checks ask it first.
@@ -231,6 +231,9 @@ class CheckMode:
     SAMPLED = "sampled"
 
     def __post_init__(self):
+        if self.kind not in (self.EXHAUSTIVE, self.SAMPLED):
+            raise UsageError(f"unknown check mode kind {self.kind!r}: expected "
+                             f"{self.EXHAUSTIVE!r} or {self.SAMPLED!r}")
         _check_samples(self.count)
 
     @classmethod
@@ -332,27 +335,7 @@ def placement_result(op: NAryOperation, polyad: Sequence, i: int):
 
 
 # ---------------------------------------------------------------------------
-# zeros and identities
-
-
-def find_zeros(s: PolyadicStructure) -> list:
-    """All absorbing elements, at every placement.
-
-    On rule-based carriers this is a bounded scan: quantifiers range over the
-    generated elements only.  The scan runs once and is cached on s.facts;
-    each call returns a fresh list.
-    """
-    zeros = s.facts.get("zeros")
-    if zeros is None:
-        elems = s.carrier.elements()
-        n, op, eq = s.arity, s.op, s.carrier.eq
-        zeros = s.facts["zeros"] = tuple(
-            z for z in elems
-            if all(eq(op.fn(t[:i] + (z,) + t[i:]), z)
-                   for t in itertools.product(elems, repeat=n - 1)
-                   for i in range(n))
-        )
-    return list(zeros)
+# identities
 
 
 def find_identities(s: PolyadicStructure) -> list:
@@ -750,24 +733,3 @@ def _solvability_scan(s: PolyadicStructure):
                     return failures, checked
     return failures, checked
 
-
-# ---------------------------------------------------------------------------
-# bundled report
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    totally_associative: Verdict
-    identities: tuple
-    zeros: tuple
-    commutativity: CommutativityReport
-
-
-def structure_report(s: PolyadicStructure, mode: CheckMode,
-                     sigma: Sequence[int] | None = None) -> StructureReport:
-    return StructureReport(
-        check_total_associativity(s, mode),
-        tuple(find_identities(s)),
-        tuple(find_zeros(s)),
-        commutativity_report(s, mode, sigma),
-    )

@@ -52,6 +52,7 @@ from polygroth import cli, completion, core
 from polygroth.completion import (
     GAUGE,
     TWIST,
+    CoincidenceVerdict,
     CompletionReport,
 )
 from polygroth.core import (
@@ -63,6 +64,7 @@ from polygroth.core import (
     verify_polyadic_group,
 )
 from polygroth.errors import (
+    ArityMismatch,
     BoundExhausted,
     NoClassMatch,
     NonMember,
@@ -171,35 +173,148 @@ def random_table(rng, k, m):
             return s
 
 
+def relabelled(s, rng):
+    """s on a shuffled carrier of string labels, the operation mapped through them."""
+    names = [f"e{i}" for i in range(len(s.carrier))]
+    number = {name: i for i, name in enumerate(names)}
+    order = rng.sample(names, len(names))
+    fn = s.op.fn
+    return PolyadicStructure(FiniteCarrier(order), NAryOperation(
+        s.arity, lambda t: names[fn(tuple(number[x] for x in t))]))
+
+
+def plain_gauge(s, d, x):
+    head = s.arity - 1
+    return s.op.fn((d.top,) * head + (x,)), s.op.fn((d.bottom,) * head + (x,))
+
+
+def plain_twist(s, a, b, z):
+    m, fn = s.arity, s.op.fn
+    return fn((fn((a,) * (m - 1) + (b,)),) + (b,) * (m - 2) + (z,))
+
+
+def plain_gauge_witness(s, d1, d2):
+    elems = s.carrier.elements()
+    return next(((x, y) for x in elems for y in elems
+                 if plain_gauge(s, d1, x) == plain_gauge(s, d2, y)), None)
+
+
+def plain_twist_witness(s, d1, d2):
+    return next((z for z in s.carrier.elements() if
+                 plain_twist(s, d1.top, d2.bottom, z) == plain_twist(s, d2.top, d1.bottom, z)),
+                None)
+
+
+# The shift relations evaluated through op.fn on every candidate, in carrier
+# order: the reference for the shift rows, patched over completion's names.
+PLAIN = {
+    "gauge_witness": plain_gauge_witness,
+    "twist_witness": plain_twist_witness,
+    "decide_equivalent": lambda s, d1, d2, dec: (
+        plain_gauge_witness if dec.relation == GAUGE else plain_twist_witness)(s, d1, d2) is not None,
+    "_gauge_holds_at": lambda s, d1, d2, x, y: plain_gauge(s, d1, x) == plain_gauge(s, d2, y),
+    "_twist_holds_at": lambda s, d1, d2, z: (
+        plain_twist(s, d1.top, d2.bottom, z) == plain_twist(s, d2.top, d1.bottom, z)),
+}
+
+
+def assert_shift_rows_match_plain(s, monkeypatch):
+    """Witnesses, decisions, equivalence axioms and coincidence on s agree
+    with the plain reference; returns the reference's decisions."""
+    doubles = all_doubles(s.carrier)
+    pairs = list(itertools.product(doubles, repeat=2))
+
+    def results():
+        return {
+            "gauge": [completion.gauge_witness(s, *p) for p in pairs],
+            "twist": [completion.twist_witness(s, *p) for p in pairs],
+            "decisions": {r: [completion.decide_equivalent(s, *p, WitnessSearch(r)) for p in pairs]
+                          for r in (GAUGE, TWIST)},
+            "axioms": [str(check_equivalence_axioms(s, WitnessSearch(r), samples=40, seed=7))
+                       for r in (GAUGE, TWIST)],
+        }
+
+    got = results()
+    with monkeypatch.context() as patch:
+        for name, fn in PLAIN.items():
+            patch.setattr(completion, name, fn)
+        want = results()
+    assert got == want
+    gauge, twist = want["decisions"][GAUGE], want["decisions"][TWIST]
+    n = len(doubles)
+    bad = tuple(((doubles[i], doubles[j]), gauge[i * n + j], twist[i * n + j])
+                for i in range(n) for j in range(i, n) if gauge[i * n + j] != twist[i * n + j])
+    assert check_relation_coincidence(s) == CoincidenceVerdict(not bad, n * (n + 1) // 2, bad)
+    return want["decisions"]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_table_decisions_agree_with_witness_search(k, m):
-    # on a finite carrier the witness search covers the whole carrier, so
-    # its miss is a definite False
-    s = random_table(random.Random(f"shift/{k}/{m}"), k, m)
-    doubles = all_doubles(s.carrier)
-    outcomes = set()
-    for relation, witness in ((GAUGE, gauge_witness), (TWIST, twist_witness)):
-        dec = WitnessSearch(relation)
-        for d1, d2 in itertools.product(doubles, repeat=2):
-            want = witness(s, d1, d2) is not None
-            assert decide_equivalent(s, d1, d2, dec) is want, (relation, d1, d2)
-            outcomes.add(want)
-    if k >= 4:
-        assert outcomes == {True, False}
+def test_table_decisions_agree_with_witness_search(k, m, monkeypatch):
+    # on a finite carrier the relations read the index table; the plain
+    # search over the whole carrier is the reference, a miss a definite False
+    rng = random.Random(f"shift/{k}/{m}")
+    s = random_table(rng, k, m)
+    for structure in (s, relabelled(s, rng)):
+        decisions = assert_shift_rows_match_plain(structure, monkeypatch)
+        if k >= 4:
+            assert {*decisions[GAUGE], *decisions[TWIST]} == {True, False}
+
+
+def test_coincidence_reports_where_the_relations_differ(monkeypatch):
+    s = parse_table("\n".join(["arity 2", "size 3", *"020112002"]) + "\n")
+    assert_shift_rows_match_plain(s, monkeypatch)
+    verdict = check_relation_coincidence(s)
+    assert not verdict.identical and verdict.pairs_checked == 45
+    assert str(verdict).startswith("partitions differ at (((Double(top=0, bottom=0)")
+
+
+def count_calls(s):
+    """The polyads s.op.fn is called with from now on."""
+    calls, fn = [], s.op.fn
+    s.op = NAryOperation(s.arity, lambda t: calls.append(t) or fn(t), name=s.op.name)
+    return calls
 
 
 def test_finite_decisions_run_no_witness_search(monkeypatch):
+    # the shift relations read the index table: partitions, coincidence and
+    # witnesses evaluate no operation on a parse_table base, and a base with
+    # no stored table pays its k^m calls once, for the table compile
     def refuse(*args):
-        raise AssertionError("witness search on a finite carrier")
+        raise AssertionError("operation or witness search evaluated")
 
-    monkeypatch.setattr(completion, "gauge_witness", refuse)
-    monkeypatch.setattr(completion, "twist_witness", refuse)
-    s = zmod_add(6, 3)
-    for relation in (GAUGE, TWIST):
-        part = partition_classes(s, all_doubles(s.carrier), WitnessSearch(relation))
-        assert part.class_count() == 3          # classes of 2(a-b) mod 6
-    assert set(s.facts) == {GAUGE, TWIST}
+    monkeypatch.setattr(completion, "iterated_eval", refuse)
+    for s, compiled in ((parse_table(format_table(zmod_add(6, 3))), 0), (zmod_add(6, 3), 6 ** 3)):
+        calls = count_calls(s)
+        with monkeypatch.context() as patch:
+            patch.setattr(completion, "gauge_witness", refuse)
+            patch.setattr(completion, "twist_witness", refuse)
+            for relation in (GAUGE, TWIST):
+                part = partition_classes(s, all_doubles(s.carrier), WitnessSearch(relation))
+                assert part.class_count() == 3          # classes of 2(a-b) mod 6
+            assert check_relation_coincidence(s).identical
+        assert gauge_witness(s, Double(1, 0), Double(3, 2)) == (0, 2)
+        assert twist_witness(s, Double(1, 0), Double(3, 2)) == 0
+        assert len(calls) == compiled
+
+
+def test_shift_relations_need_a_binary_or_wider_base():
+    # a unary operation has no op[a^(m-1), b] slot for the twisted shift
+    s = PolyadicStructure(FiniteCarrier(range(3)), NAryOperation(1, lambda t: t[0]))
+    with pytest.raises(ArityMismatch, match="arity >= 2"):
+        decide_equivalent(s, Double(0, 1), Double(1, 2), WitnessSearch(GAUGE))
+
+
+def test_an_unclosed_finite_base_raises_non_member():
+    # the shift rows compile the base's table, so an operation that leaves
+    # the carrier raises NonMember, as every exhaustive check does; it once
+    # partitioned by values outside the carrier and read unknown
+    s = PolyadicStructure(FiniteCarrier(range(3)), NAryOperation(2, lambda t: t[0] + t[1]))
+    with pytest.raises(NonMember, match="operation is not closed"):
+        build_completion(s, builtin_quiver("componentwise-2"), WitnessSearch(TWIST),
+                         assoc_mode=CheckMode.sampled(10, 1))
+    with pytest.raises(NonMember, match="operation is not closed"):
+        check_relation_coincidence(s)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +831,6 @@ def test_completion_with_nonassociative_quiver_reports_failure():
 
 
 def test_completion_arity_mismatch():
-    from polygroth.errors import ArityMismatch
 
     recipe = get_recipe("neg3")
     with pytest.raises(ArityMismatch):

@@ -15,14 +15,12 @@ from polygroth import (
     check_total_associativity,
     commutativity_report,
     find_identities,
-    find_zeros,
     hetero_power,
     iterate,
     iterated_arity,
     iterated_eval,
     placement_result,
     querelement,
-    structure_report,
     swap_picks,
     verify_polyadic_group,
     zmod_add,
@@ -110,39 +108,15 @@ def test_polyadic_power():
 
 
 # ---------------------------------------------------------------------------
-# zeros and nilpotency
-
-
-def test_find_zeros():
-    assert find_zeros(zmod_mul(4, 3)) == [0]
-    assert find_zeros(zmod_add(5, 3)) == []
-    assert find_zeros(get_recipe("neg3").build(10)) == []
-
-
-def test_find_zeros_scans_once():
-    base = zmod_mul(4, 3)
-    calls = []
-
-    def fn(t):
-        calls.append(t)
-        return base.op.fn(t)
-
-    s = PolyadicStructure(base.carrier, NAryOperation(3, fn))
-    first = find_zeros(s)
-    assert first == [0] and calls
-    first.append("mutated")
-    calls.clear()
-    assert find_zeros(s) == [0]
-    assert calls == []
+# nilpotency
 
 
 def test_is_nilpotent():
     z4 = zmod_mul(4, 3)
-    assert find_zeros(z4) == [0]
+    assert all(z4.op(t) == 0 for t in itertools.product(range(4), repeat=3) if 0 in t)
     assert iterated_eval(z4.op, 1, (2,) * 3) == 0  # 2*2*2 = 8 = 0 mod 4
     assert iterated_eval(z4.op, 1, (0,) * 3) == 0
     assert iterated_eval(z4.op, 2, (1,) * 5) == 1
-    assert find_zeros(zmod_add(5, 3)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +316,7 @@ def test_sampled_assoc_matches_a_rng_choice_reference():
 
 
 # ---------------------------------------------------------------------------
-# identities, zeros, neutral polyads
+# identities, neutral polyads
 
 
 def test_find_identities():
@@ -649,12 +623,11 @@ def test_group_members_have_unique_quers_and_doernte():
             assert _cancels(z5, g, h, querelement(z5, h))
 
 
-def test_structure_report_bundle():
-    rep = structure_report(zmod_add(5, 3), CheckMode.exhaustive())
-    assert rep.totally_associative.ok
-    assert rep.identities == (0,)
-    assert rep.zeros == ()
-    assert rep.commutativity.level == "full"
+@pytest.mark.parametrize("kind", ["bogus", "exhaustive "])
+def test_check_mode_rejects_an_unknown_kind(kind):
+    # an unknown kind once ran the sampled path and read passed-sampled(10)
+    with pytest.raises(UsageError, match="unknown check mode kind"):
+        check_total_associativity(zmod_add(5, 3), CheckMode(kind, 10, 1))
 
 
 def test_operation_rejects_bad_arity():

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from polygroth.completion import GAUGE, TWIST
 from polygroth.core import PolyadicStructure
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polygroth"
@@ -109,9 +108,8 @@ def facts_keys(tree):
 
 def test_every_facts_key_is_documented():
     # PolyadicStructure's docstring is the one list of the facts a structure
-    # may carry; decide_equivalent caches its table tests under the relation
-    # names, the only keys that are not literals
+    # may carry
     used = {key for path in PACKAGE.glob("*.py")
             for key in facts_keys(ast.parse(path.read_text(encoding="utf-8")))}
     documented = set(re.findall(r'"(\w+)"', PolyadicStructure.__doc__))
-    assert used | {GAUGE, TWIST} == documented
+    assert used == documented
