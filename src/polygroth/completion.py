@@ -94,48 +94,35 @@ class WitnessSearch:
                              f"{GAUGE!r} or {TWIST!r}")
 
 
-def _gauge_shift(s: PolyadicStructure, d: Double):
-    """The gauge shift of d = (a, b) as a function x -> (op[a^(m-1),x], op[b^(m-1),x])."""
-    fn, k = s.op.fn, s.op.arity - 1
-    a, b = (d.top,) * k, (d.bottom,) * k
-    return lambda x: (fn(a + (x,)), fn(b + (x,)))
-
-
-def _twist_shift(s: PolyadicStructure, a, b):
-    """The twisted shift of (a, b) as a function z -> (op)^o2[a^(m-1), b^(m-1), z]."""
-    op, k = s.op, s.op.arity - 1
-    head = (a,) * k + (b,) * k
-    return lambda z: iterated_eval(op, 2, head + (z,))
+def _sides(relation: str, d1: Double, d2: Double):
+    """The pairs a shift relation compares: d1, d2 or (a1, b2), (a2, b1)."""
+    return (d1, d2) if relation == GAUGE else ((d1.top, d2.bottom), (d2.top, d1.bottom))
 
 
 class _ShiftRows:
     """Both shift relations of a finite structure, read from its index table.
 
-    With k elements and arity m, let r = sum(k^j, j < m-1) and
-    r' = sum(k^j, j < m-2).  The gauge shifts op[a^(m-1), x] over x, in
-    carrier order, are the k entries at a*r*k.  The twisted shifts of (a, b)
-    over z are the k entries at (acc*k^(m-2) + b*r')*k, where acc is the
-    entry op[a^(m-1), b] at a*r*k + b.  Entries are element indices.
+    rows[relation](a, b) codes the side (a, b) (see _sides) at each position:
+    gauge codes its shift (op[a^(m-1), x], op[b^(m-1), x]) = (u, v) at x as
+    u*k + v, twist codes its twisted shift v at z as z*k + v, so twist codes
+    meet only at equal z.  first maps a side's codes to their first
+    positions; sides are related when their masks (code bits) meet.  Each is
+    made once per side; an element outside the carrier raises NonMember.
 
-    Each row is made once per element pair (a, b), on first use: gauge(a, b)
-    codes the double's gauge shift (u, v) at each x as u*k + v, first_y(a, b)
-    maps each of those codes to the first position holding it, and
-    twist(a, b) is the twisted shifts over z.  A double's gauge mask sets
-    the bits of its codes; the twist mask of (a, b) sets bit z*k + v where
-    its twisted shift at z is v.  Two doubles are gauge related when their
-    gauge masks meet; d1 and d2 are twist related when the masks of (a1, b2)
-    and (a2, b1) meet.  An element outside the carrier raises NonMember.
+    With k elements and arity m, let r = sum(k^j, j < m-1) and
+    r' = sum(k^j, j < m-2).  The gauge shifts op[a^(m-1), x] over x are the
+    k entries at a*r*k, and the twisted shifts of (a, b) over z the k
+    entries at (acc*k^(m-2) + b*r')*k, where acc = op[a^(m-1), b] is the
+    entry at a*r*k + b.  Entries are element indices in carrier order.
     """
 
     def __init__(self, s: PolyadicStructure):
-        if s.arity < 2:
-            raise ArityMismatch(f"shift relations need arity >= 2, got {s.arity}")
         table, k = _index_table(s)
-        self.k, self.elems, m = k, s.carrier.elements(), s.arity
+        self.elems, m = s.carrier.elements(), s.arity
         index = {e: i for i, e in enumerate(self.elems)}
         stride = k * sum(k ** j for j in range(m - 1))          # r*k
         lead, fill = k ** (m - 1), k * sum(k ** j for j in range(m - 2))
-        bits = (1).__lshift__
+        bits, back = (1).__lshift__, range(k - 1, -1, -1)  # back: so a code keeps its first y
 
         def at(x) -> int:
             i = index.get(x)
@@ -143,118 +130,115 @@ class _ShiftRows:
                 raise NonMember(x, "the base")
             return i
 
-        @functools.cache
         def gauge(a, b):
             lo, hi = at(a) * stride, at(b) * stride
             return [u * k + v for u, v in zip(table[lo:lo + k], table[hi:hi + k])]
 
-        @functools.cache
-        def first_y(a, b):
-            first: dict = {}
-            for y, code in enumerate(gauge(a, b)):
-                first.setdefault(code, y)
-            return first
-
-        @functools.cache
         def twist(a, b):
             j = at(b)
             lo = table[at(a) * stride + j] * lead + j * fill
-            return table[lo:lo + k]
+            return list(map(operator.add, range(0, k * k, k), table[lo:lo + k]))
 
-        self.at, self.gauge, self.first_y, self.twist = at, gauge, first_y, twist
-        self.masks = {
-            GAUGE: functools.cache(lambda a, b: sum(map(bits, first_y(a, b)))),
-            TWIST: functools.cache(lambda a, b: sum(map(bits, map(
-                operator.add, range(0, k * k, k), twist(a, b))))),
-        }
+        self.at = at
+        self.rows = {GAUGE: functools.cache(gauge), TWIST: functools.cache(twist)}
+        self.first = {r: functools.cache(lambda a, b, row=row: dict(zip(row(a, b)[::-1], back)))
+                      for r, row in self.rows.items()}
+        self.masks = {r: functools.cache(lambda a, b, row=row: sum(map(bits, set(row(a, b)))))
+                      for r, row in self.rows.items()}
 
     def related(self, relation: str, d1: Double, d2: Double) -> bool:
-        mask = self.masks[relation]
+        mask = self.masks[relation]  # _sides, written out: decisions are the hot path
         if relation == GAUGE:
             return bool(mask(*d1) & mask(*d2))
         return bool(mask(d1.top, d2.bottom) & mask(d2.top, d1.bottom))
 
+    def witness(self, relation: str, d1: Double, d2: Double):
+        side1, side2 = _sides(relation, d1, d2)
+        row, first = self.rows[relation](*side1), self.first[relation](*side2)
+        code = next(filter(first.__contains__, row), None)
+        if code is None:
+            return None
+        return self.elems[row.index(code)], self.elems[first[code]]
 
-def _shift_rows(s: PolyadicStructure) -> _ShiftRows:
-    """The finite structure's shift rows, cached on s.facts."""
-    rows = s.facts.get("shift_rows")
-    if rows is None:
-        rows = s.facts["shift_rows"] = _ShiftRows(s)
-    return rows
+    def holds_at(self, relation: str, d1: Double, d2: Double, x, y) -> bool:
+        side1, side2 = _sides(relation, d1, d2)
+        row = self.rows[relation]
+        return row(*side1)[self.at(x)] == row(*side2)[self.at(y)]
+
+
+class _RuleShifts:
+    """Both shift relations of a rule-carrier structure, searched over its
+    enumeration with s.op as it is at call time; shifts are value tuples,
+    compared componentwise by carrier.eq.  A miss is no definite False, so
+    related raises BoundExhausted.  It searches through the module's
+    gauge_witness and twist_witness, so a wrapper around those sees every
+    search.
+    """
+
+    def __init__(self, s: PolyadicStructure):
+        self.s = s
+
+    def _shift(self, relation: str, a, b, x) -> tuple:
+        """(op[a^(m-1), x], op[b^(m-1), x]), or (x, (op)^o2[a^(m-1), b^(m-1), x])
+        so that, as in _ShiftRows, twist shifts meet only at equal x."""
+        op, k = self.s.op, self.s.arity - 1
+        if relation == GAUGE:
+            return op.fn((a,) * k + (x,)), op.fn((b,) * k + (x,))
+        return x, iterated_eval(op, 2, (a,) * k + (b,) * k + (x,))
+
+    def _meet(self, u: tuple, v: tuple) -> bool:
+        return all(map(self.s.carrier.eq, u, v))
+
+    def related(self, relation: str, d1: Double, d2: Double) -> bool:
+        if (gauge_witness if relation == GAUGE else twist_witness)(self.s, d1, d2) is not None:
+            return True
+        raise BoundExhausted(len(self.s.carrier.elements()))
+
+    def witness(self, relation: str, d1: Double, d2: Double):
+        (a1, b1), (a2, b2) = _sides(relation, d1, d2)
+        shift, elems = self._shift, self.s.carrier.elements()
+        rhs = [(y, shift(relation, a2, b2, y)) for y in elems] if relation == GAUGE else None
+        for x in elems:
+            u = shift(relation, a1, b1, x)
+            for y, v in rhs if rhs is not None else [(x, shift(relation, a2, b2, x))]:
+                if self._meet(u, v):
+                    return x, y
+        return None
+
+    def holds_at(self, relation: str, d1: Double, d2: Double, x, y) -> bool:
+        (a1, b1), (a2, b2) = _sides(relation, d1, d2)
+        return self._meet(self._shift(relation, a1, b1, x), self._shift(relation, a2, b2, y))
+
+
+def _shift_kernel(s: PolyadicStructure):
+    """The shift relations' kernel of s, cached on s.facts: _ShiftRows when
+    finite, else _RuleShifts.  Its witness is (x, y), y = x under twist."""
+    kernel = s.facts.get("shift_rows")
+    if kernel is None:
+        if s.arity < 2:
+            raise ArityMismatch(f"shift relations need arity >= 2, got {s.arity}")
+        kernel = s.facts["shift_rows"] = (_ShiftRows if s.carrier.is_finite else _RuleShifts)(s)
+    return kernel
 
 
 def gauge_witness(s: PolyadicStructure, d1: Double, d2: Double):
-    """First (x, y) with op[a1^(m-1),x] = op[a2^(m-1),y] componentwise, else None.
-
-    First means the first x in carrier order, then its first y.  A finite
-    carrier reads the shift rows.
-    """
-    if s.carrier.is_finite:
-        rows = _shift_rows(s)
-        first, elems = rows.first_y(*d2), rows.elems
-        return next(((x, elems[first[code]])
-                     for x, code in zip(elems, rows.gauge(*d1)) if code in first), None)
-    eq, elems = s.carrier.eq, s.carrier.elements()
-    shift1, shift2 = _gauge_shift(s, d1), _gauge_shift(s, d2)
-    rhs = [(y, *shift2(y)) for y in elems]
-    for x in elems:
-        ax, bx = shift1(x)
-        for y, ay, by in rhs:
-            if eq(ax, ay) and eq(bx, by):
-                return (x, y)
-    return None
+    """First (x, y), by x in carrier order and then y, with
+    op[a1^(m-1),x] = op[a2^(m-1),y] componentwise, else None."""
+    return _shift_kernel(s).witness(GAUGE, d1, d2)
 
 
 def twist_witness(s: PolyadicStructure, d1: Double, d2: Double):
-    """First z with (op)^o2[a1^(m-1), b2^(m-1), z] = (op)^o2[a2^(m-1), b1^(m-1), z].
-
-    A finite carrier reads the shift rows.
-    """
-    if s.carrier.is_finite:
-        rows = _shift_rows(s)
-        row1, row2 = rows.twist(d1.top, d2.bottom), rows.twist(d2.top, d1.bottom)
-        return next(itertools.compress(rows.elems, map(operator.eq, row1, row2)), None)
-    eq = s.carrier.eq
-    shift1, shift2 = _twist_shift(s, d1.top, d2.bottom), _twist_shift(s, d2.top, d1.bottom)
-    for z in s.carrier.elements():
-        if eq(shift1(z), shift2(z)):
-            return z
-    return None
+    """First z with (op)^o2[a1^(m-1), b2^(m-1), z] = (op)^o2[a2^(m-1), b1^(m-1), z], else None."""
+    w = _shift_kernel(s).witness(TWIST, d1, d2)
+    return None if w is None else w[0]
 
 
 def decide_equivalent(s, d1, d2, dec) -> bool:
-    """Whether d1 ~ d2 under an ExactRule or a WitnessSearch.
-
-    A search on a finite carrier reads the shift rows, gathered from the
-    index table and cached on s.facts, so a miss is a definite False; a
-    base whose operation leaves the carrier raises NonMember.  On a rule
-    carrier it runs the witness search, and a miss raises BoundExhausted.
-    """
+    """Whether d1 ~ d2 under an ExactRule, or a WitnessSearch through the
+    shift kernel: a miss is False when finite, else it raises BoundExhausted."""
     if isinstance(dec, ExactRule):
         return bool(dec.rule(d1, d2))
-    if s.carrier.is_finite:
-        return _shift_rows(s).related(dec.relation, d1, d2)
-    witness = gauge_witness if dec.relation == GAUGE else twist_witness
-    if witness(s, d1, d2) is not None:
-        return True
-    raise BoundExhausted(len(s.carrier.elements()))
-
-
-def _twist_holds_at(s, d1, d2, z) -> bool:
-    if s.carrier.is_finite:
-        rows = _shift_rows(s)
-        i = rows.at(z)
-        return rows.twist(d1.top, d2.bottom)[i] == rows.twist(d2.top, d1.bottom)[i]
-    return s.carrier.eq(_twist_shift(s, d1.top, d2.bottom)(z),
-                        _twist_shift(s, d2.top, d1.bottom)(z))
-
-
-def _gauge_holds_at(s, d1, d2, x, y) -> bool:
-    if s.carrier.is_finite:
-        rows = _shift_rows(s)
-        return rows.gauge(*d1)[rows.at(x)] == rows.gauge(*d2)[rows.at(y)]
-    (a1, b1), (a2, b2) = _gauge_shift(s, d1)(x), _gauge_shift(s, d2)(y)
-    return s.carrier.eq(a1, a2) and s.carrier.eq(b1, b2)
+    return _shift_kernel(s).related(dec.relation, d1, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +266,9 @@ def check_relation_coincidence(s: PolyadicStructure) -> CoincidenceVerdict:
     """
     if not s.carrier.is_finite:
         raise ExhaustiveOnInfiniteCarrier("relation coincidence is an exhaustive check")
-    rows = _shift_rows(s)
-    domain, k = all_doubles(s.carrier), rows.k
-    gauge, twist = ([rows.masks[r](*d) for d in domain] for r in (GAUGE, TWIST))
+    masks = _shift_kernel(s).masks
+    domain, k = all_doubles(s.carrier), len(s.carrier)
+    gauge, twist = ([masks[r](*d) for d in domain] for r in (GAUGE, TWIST))
     bad = []
     for i, d1 in enumerate(domain):
         a1, b1 = divmod(i, k)
@@ -376,28 +360,22 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
                 if dec.rule(d1, d2) and dec.rule(d2, d3) and not dec.rule(d1, d3):
                     failures.append(("transitivity-rule", (d1, d2, d3)))
             decided = False  # a triple counts once, whichever composition decides it
-            z1 = twist_witness(s, d1, d2)
-            z2 = twist_witness(s, d2, d3)
+            z1, z2 = twist_witness(s, d1, d2), twist_witness(s, d2, d3)
             if z1 is None or z2 is None:
                 skipped += 1
             else:
-                z3 = iterated_eval(
-                    s.op, 3,
-                    (d2.top,) * (m - 1) + (d2.bottom,) * (m - 1) + (z1, z2) + pad,
-                )
-                if not _twist_holds_at(s, d1, d3, z3):
+                z3 = iterated_eval(s.op, 3, (d2.top,) * (m - 1) + (d2.bottom,) * (m - 1)
+                                   + (z1, z2) + pad)
+                if not _shift_kernel(s).holds_at(TWIST, d1, d3, z3, z3):
                     failures.append(("transitivity-twist-witness", (d1, d2, d3, z3)))
                 decided = True
-            w1 = gauge_witness(s, d1, d2)
-            w2 = gauge_witness(s, d2, d3)
+            w1, w2 = gauge_witness(s, d1, d2), gauge_witness(s, d2, d3)
             if w1 is None or w2 is None:
                 skipped += 1
             else:
-                (x1, _y1), (x2, _y2) = w1, w2
-                head = (d2.top,) * (m - 1)
-                x3 = iterated_eval(s.op, 2, head + (x1, x2) + pad)
-                y3 = iterated_eval(s.op, 2, head + (_y1, _y2) + pad)
-                if not _gauge_holds_at(s, d1, d3, x3, y3):
+                head = (d2.top,) * (m - 1)  # composed per coordinate: (x1, x2), then (y1, y2)
+                x3, y3 = (iterated_eval(s.op, 2, head + pair + pad) for pair in zip(w1, w2))
+                if not _shift_kernel(s).holds_at(GAUGE, d1, d3, x3, y3):
                     failures.append(("transitivity-gauge-witness", (d1, d2, d3)))
                 decided = True
             trans += decided

@@ -185,9 +185,10 @@ class PolyadicStructure:
 
     `facts` caches what checkers found, each entry reproducible by re-running
     its checker: "index_table", "identities", and completion's "shift_rows"
-    (both shift relations, read from the index table).  A builder that
-    knows the Cayley table may store it as "index_table", or a function
-    returning its row r (see _index_rows) as "index_row".
+    (the kernel of both shift relations, on a finite or a rule carrier).  A
+    builder that knows the Cayley table may store it as "index_table", or a
+    function returning its row r (see _index_rows) as "index_row", as
+    derived_structure does on a finite carrier.
     A builder that can prove total associativity without the table may store
     a function answering True when it can as "lifted_associativity";
     exhaustive checks ask it first.
@@ -205,10 +206,31 @@ class PolyadicStructure:
 
 def derived_structure(carrier: Carrier, binary_op: NAryOperation, arity: int,
                       name: str = "") -> PolyadicStructure:
-    """Structure whose operation iterates a binary one up to `arity`."""
+    """Structure whose operation iterates a binary one up to `arity`.
+
+    On a finite carrier it stores its index table rows as "index_row": row r,
+    the left-nested products op[r, x2, ..., xm] in order, is folded from the
+    binary table, each further argument replacing every entry e by the
+    binary row of e.  The binary table is compiled on first use, so the
+    table costs k^2 binary calls, not (m-1)*k^m.
+    """
     if binary_op.arity != 2:
         raise ArityMismatch("derived structures iterate a binary operation")
-    return PolyadicStructure(carrier, iterate(binary_op, arity - 1), name=name)
+    s = PolyadicStructure(carrier, iterate(binary_op, arity - 1), name=name)
+    if not carrier.is_finite:
+        return s
+    binary = PolyadicStructure(carrier, binary_op, name=name)
+
+    def row(r):
+        table, k = _index_table(binary)
+        rows = [table[e * k:(e + 1) * k] for e in range(k)]
+        entries = (r,)
+        for _ in range(arity - 1):
+            entries = tuple(itertools.chain.from_iterable(map(rows.__getitem__, entries)))
+        return entries
+
+    s.facts["index_row"] = row
+    return s
 
 
 # ---------------------------------------------------------------------------

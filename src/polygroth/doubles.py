@@ -75,8 +75,8 @@ class QuiverSpec:
     wires only.  A wiring with two intact wires, product wires of different
     widths, a non-integer n (NotQuantized), a bad pick, or an input not
     consumed exactly once does not build.  Input of the wrong shape (a wire
-    that is not a sequence of pairs, a slot that is not an integer) raises
-    InvalidQuiver too.
+    that is not a sequence of pairs, a slot that is not an integer or is a
+    bool) raises InvalidQuiver too.
 
     `gathers` holds, per wire (top, bottom), an itemgetter over the flattened
     inputs and whether the wire is intact: an intact wire gathers its one
@@ -96,7 +96,8 @@ class QuiverSpec:
             wires = tuple(tuple(Pick(*p) for p in w) for w in (self.top, self.bottom))
         except TypeError:  # a wire or a pick that is not a sequence of the right length
             raise InvalidQuiver("each wire must be a sequence of (slot, component) picks") from None
-        if not all(isinstance(p.slot, int) for w in wires for p in w):
+        if not all(isinstance(p.slot, int) and not isinstance(p.slot, bool)
+                   for w in wires for p in w):
             raise InvalidQuiver("pick slots must be integers")
         widths = {len(w) for w in wires if len(w) != 1}
         if len(widths) != 1:

@@ -289,8 +289,6 @@ def integers_group(limit: int = 200) -> PolyadicStructure:
 def integers_mod_group(k: int) -> PolyadicStructure:
     if k < 1:
         raise UsageError("modulus must be >= 1")
-    return PolyadicStructure(
-        FiniteCarrier(range(k)),
-        NAryOperation(2, lambda t: (t[0] + t[1]) % k, name=f"+mod{k}"),
-        name=f"integers-mod-{k}",
-    )
+    return derived_structure(FiniteCarrier(range(k)),
+                             NAryOperation(2, lambda t: (t[0] + t[1]) % k, name=f"+mod{k}"),
+                             2, name=f"integers-mod-{k}")

@@ -74,12 +74,18 @@ def read_table(path: str) -> PolyadicStructure:
 
 
 def format_table(s: PolyadicStructure) -> str:
-    """Serialize a finite structure; round-trips through parse_table."""
+    """Serialize a finite structure; round-trips through parse_table, so a
+    label that is not a string, is empty or holds whitespace raises ValueError."""
     if not s.carrier.is_finite:
         raise ValueError("only finite structures can be written as tables")
+    labels = getattr(s.carrier, "labels", None)
+    bad = [label for label in labels or ()
+           if not isinstance(label, str) or label.split() != [label]]
+    if bad:
+        raise ValueError(f"labels {bad!r} do not survive the whitespace-separated labels line")
     table, k = _index_table(s)
     lines = [f"arity {s.arity}", f"size {k}"]
     lines.extend(str(v) for v in table)
-    if getattr(s.carrier, "labels", None):
-        lines.append("labels " + " ".join(s.carrier.labels))
+    if labels:
+        lines.append("labels " + " ".join(labels))
     return "\n".join(lines) + "\n"

@@ -34,6 +34,7 @@ from polygroth import (
     class_structure,
     completion_to_json,
     decide_equivalent,
+    derived_structure,
     format_table,
     gauge_witness,
     get_recipe,
@@ -193,29 +194,29 @@ def plain_twist(s, a, b, z):
     return fn((fn((a,) * (m - 1) + (b,)),) + (b,) * (m - 2) + (z,))
 
 
-def plain_gauge_witness(s, d1, d2):
-    elems = s.carrier.elements()
-    return next(((x, y) for x in elems for y in elems
-                 if plain_gauge(s, d1, x) == plain_gauge(s, d2, y)), None)
+class PlainShifts:
+    """The shift relations evaluated through op.fn on every candidate, in
+    carrier order: the reference for the shift kernel, patched over
+    completion's _shift_kernel."""
 
+    def __init__(self, s):
+        self.s = s
 
-def plain_twist_witness(s, d1, d2):
-    return next((z for z in s.carrier.elements() if
-                 plain_twist(s, d1.top, d2.bottom, z) == plain_twist(s, d2.top, d1.bottom, z)),
-                None)
+    def holds_at(self, relation, d1, d2, x, y):
+        s = self.s
+        if relation == GAUGE:
+            return plain_gauge(s, d1, x) == plain_gauge(s, d2, y)
+        # twisted shifts are compared at one position z
+        return x == y and (plain_twist(s, d1.top, d2.bottom, x)
+                           == plain_twist(s, d2.top, d1.bottom, y))
 
+    def witness(self, relation, d1, d2):
+        elems = self.s.carrier.elements()
+        pairs = itertools.product(elems, elems) if relation == GAUGE else zip(elems, elems)
+        return next((p for p in pairs if self.holds_at(relation, d1, d2, *p)), None)
 
-# The shift relations evaluated through op.fn on every candidate, in carrier
-# order: the reference for the shift rows, patched over completion's names.
-PLAIN = {
-    "gauge_witness": plain_gauge_witness,
-    "twist_witness": plain_twist_witness,
-    "decide_equivalent": lambda s, d1, d2, dec: (
-        plain_gauge_witness if dec.relation == GAUGE else plain_twist_witness)(s, d1, d2) is not None,
-    "_gauge_holds_at": lambda s, d1, d2, x, y: plain_gauge(s, d1, x) == plain_gauge(s, d2, y),
-    "_twist_holds_at": lambda s, d1, d2, z: (
-        plain_twist(s, d1.top, d2.bottom, z) == plain_twist(s, d2.top, d1.bottom, z)),
-}
+    def related(self, relation, d1, d2):
+        return self.witness(relation, d1, d2) is not None
 
 
 def assert_shift_rows_match_plain(s, monkeypatch):
@@ -236,8 +237,7 @@ def assert_shift_rows_match_plain(s, monkeypatch):
 
     got = results()
     with monkeypatch.context() as patch:
-        for name, fn in PLAIN.items():
-            patch.setattr(completion, name, fn)
+        patch.setattr(completion, "_shift_kernel", PlainShifts)
         want = results()
     assert got == want
     gauge, twist = want["decisions"][GAUGE], want["decisions"][TWIST]
@@ -261,6 +261,29 @@ def test_table_decisions_agree_with_witness_search(k, m, monkeypatch):
             assert {*decisions[GAUGE], *decisions[TWIST]} == {True, False}
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_rule_carrier_search_agrees_with_the_table(m):
+    # the same table on a rule carrier takes the witness-search kernel: it
+    # finds the table kernel's witnesses, holds where it holds, and reads a
+    # miss as unknown, not False
+    rng = random.Random(f"rule/{m}")
+    s = random_table(rng, 4, m)
+    elems = s.carrier.elements()
+    r = PolyadicStructure(RuleCarrier(lambda x: x in elems, elems), s.op)
+    for d1, d2 in itertools.product(all_doubles(s.carrier), repeat=2):
+        assert gauge_witness(r, d1, d2) == gauge_witness(s, d1, d2)
+        assert twist_witness(r, d1, d2) == twist_witness(s, d1, d2)
+        x, y = rng.choice(elems), rng.choice(elems)
+        for relation in (GAUGE, TWIST):
+            assert (completion._shift_kernel(r).holds_at(relation, d1, d2, x, y)
+                    == completion._shift_kernel(s).holds_at(relation, d1, d2, x, y))
+            if decide_equivalent(s, d1, d2, WitnessSearch(relation)):
+                assert decide_equivalent(r, d1, d2, WitnessSearch(relation))
+            else:
+                with pytest.raises(BoundExhausted):
+                    decide_equivalent(r, d1, d2, WitnessSearch(relation))
+
+
 def test_coincidence_reports_where_the_relations_differ(monkeypatch):
     s = parse_table("\n".join(["arity 2", "size 3", *"020112002"]) + "\n")
     assert_shift_rows_match_plain(s, monkeypatch)
@@ -276,16 +299,25 @@ def count_calls(s):
     return calls
 
 
+def counted_zmod_add(k, m):
+    """zmod_add(k, m) derived from a binary operation that records its calls."""
+    calls = []
+    op2 = NAryOperation(2, lambda t: calls.append(t) or (t[0] + t[1]) % k)
+    return derived_structure(FiniteCarrier(range(k)), op2, m), calls
+
+
 def test_finite_decisions_run_no_witness_search(monkeypatch):
     # the shift relations read the index table: partitions, coincidence and
-    # witnesses evaluate no operation on a parse_table base, and a base with
-    # no stored table pays its k^m calls once, for the table compile
+    # witnesses evaluate no operation on a parse_table base, and a derived
+    # base pays its k^2 binary calls once, for its binary table (a ternary
+    # product would add binary calls)
     def refuse(*args):
         raise AssertionError("operation or witness search evaluated")
 
     monkeypatch.setattr(completion, "iterated_eval", refuse)
-    for s, compiled in ((parse_table(format_table(zmod_add(6, 3))), 0), (zmod_add(6, 3), 6 ** 3)):
-        calls = count_calls(s)
+    parsed = parse_table(format_table(zmod_add(6, 3)))
+    derived, binary = counted_zmod_add(6, 3)
+    for s, calls, compiled in ((parsed, count_calls(parsed), 0), (derived, binary, 6 ** 2)):
         with monkeypatch.context() as patch:
             patch.setattr(completion, "gauge_witness", refuse)
             patch.setattr(completion, "twist_witness", refuse)
@@ -296,6 +328,14 @@ def test_finite_decisions_run_no_witness_search(monkeypatch):
         assert gauge_witness(s, Double(1, 0), Double(3, 2)) == (0, 2)
         assert twist_witness(s, Double(1, 0), Double(3, 2)) == 0
         assert len(calls) == compiled
+
+
+def test_derived_twist_partition_compiles_only_the_binary_table():
+    # a derived base folds its index rows from the k x k binary table, so a
+    # 5-ary partition costs 13^2 binary calls, not 4 * 13^5
+    s, calls = counted_zmod_add(13, 5)
+    assert partition_classes(s, all_doubles(s.carrier), WitnessSearch(TWIST)).class_count() == 13
+    assert len(calls) <= 13 ** 2
 
 
 def test_shift_relations_need_a_binary_or_wider_base():

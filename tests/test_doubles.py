@@ -18,6 +18,7 @@ from polygroth import (
     builtin_quiver,
     check_total_associativity,
     commutativity_report,
+    derived_structure,
     double_carrier,
     find_identities,
     format_quiver,
@@ -125,7 +126,8 @@ def test_quiver_validation_rejects_inconsistent_wirings(top, bottom):
     (((1, "T"), (2, "B"), (3, "T", 0)), ((1, "B"), (2, "T"), (3, "B"))),  # a 3-field pick
     ((("1", "T"), (2, "B"), (3, "T")), ((1, "B"), (2, "T"), (3, "B"))),  # a string slot
     (((1, "T"), (2, "B"), (3, "T")), 5),                                 # a wire that is no sequence
-], ids=["three-field-pick", "string-slot", "non-iterable-wire"])
+    (((True, "T"), (2, "B")), ((2, "T"), (1, "B"))),                     # a bool slot
+], ids=["three-field-pick", "string-slot", "non-iterable-wire", "bool-slot"])
 def test_quiver_validation_rejects_malformed_input(top, bottom):
     with pytest.raises(InvalidQuiver):
         QuiverSpec(top, bottom)
@@ -364,13 +366,18 @@ def counting(s, calls):
 
 
 def test_power_evaluates_no_base_operation_until_an_exhaustive_check():
-    for base, compiles in ((zmod_add(3, 3), 27), (parse_table(format_table(zmod_add(3, 3))), 0)):
-        calls = []
-        d = hetero_power(counting(base, calls), builtin_quiver("post-ternary"))
+    binary, ternary = [], []
+    derived = derived_structure(FiniteCarrier(range(3)), NAryOperation(
+        2, lambda t: binary.append(t) or sum(t) % 3), 3)
+    parsed = counting(parse_table(format_table(zmod_add(3, 3))), ternary)
+    for base, calls, compiles in ((derived, binary, 9), (parsed, ternary, 0)):
+        d = hetero_power(base, builtin_quiver("post-ternary"))
         assert calls == []
         assert check_total_associativity(d.structure, CheckMode.exhaustive()).ok
-        # the base table is compiled once (a parsed table arrives compiled);
-        # the proof is lifted from it, so the power's table is never derived
+        # the base table is compiled once: a derived base folds it from its
+        # 3x3 binary table (a ternary product would add binary calls), and a
+        # parsed table arrives compiled; the proof is lifted from it, so the
+        # power's table is never derived
         assert len(calls) == compiles
         assert "index_table" not in d.structure.facts
 

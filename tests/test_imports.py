@@ -1,7 +1,7 @@
 """Every module of the package imports only the standard library and itself,
 uses each name it imports, draws samples through one helper, and adds no
-result class beside core.Verdict; and every facts key they use is
-documented on PolyadicStructure."""
+result class beside core.Verdict; every facts key they use is documented on
+PolyadicStructure; and the shift relations choose their kernel in one place."""
 
 import ast
 import re
@@ -113,3 +113,14 @@ def test_every_facts_key_is_documented():
             for key in facts_keys(ast.parse(path.read_text(encoding="utf-8")))}
     documented = set(re.findall(r'"(\w+)"', PolyadicStructure.__doc__))
     assert used == documented
+
+
+def test_shift_relation_entry_points_do_not_branch_on_the_carrier():
+    # completion._shift_kernel picks the finite or the rule kernel once; the
+    # witness functions and decide_equivalent only call it
+    tree = ast.parse((PACKAGE / "completion.py").read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    entry = ("gauge_witness", "twist_witness", "decide_equivalent")
+    assert {name: [node.lineno for node in ast.walk(bodies[name])
+                   if isinstance(node, ast.Attribute) and node.attr == "is_finite"]
+            for name in entry} == {name: [] for name in entry}

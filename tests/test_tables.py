@@ -1,6 +1,13 @@
 import pytest
 
-from polygroth import CheckMode, check_total_associativity, zmod_add
+from polygroth import (
+    CheckMode,
+    FiniteCarrier,
+    NAryOperation,
+    PolyadicStructure,
+    check_total_associativity,
+    zmod_add,
+)
 from polygroth.tables import format_table, parse_table, read_table
 
 
@@ -29,6 +36,14 @@ def test_labels_block():
     assert s.carrier.render(0) == "e"
     assert s.carrier.render(1) == "a"
     assert format_table(s) == text
+
+
+@pytest.mark.parametrize("labels", [["a b", "c"], ["", "c"], ["a", "c\t"], ["a", 7]])
+def test_format_refuses_labels_the_labels_line_cannot_carry(labels):
+    s = PolyadicStructure(FiniteCarrier(range(2), labels=labels),
+                          NAryOperation(2, lambda t: t[0] ^ t[1]))
+    with pytest.raises(ValueError, match="labels"):
+        format_table(s)
 
 
 def test_comments_and_blanks_ignored():
