@@ -32,8 +32,9 @@ from .core import (
     Verdict,
     _cancels,
     _check_samples,
+    _checked_quer,
     _index_table,
-    _quer_slots,
+    _sample_source,
     _sole_quer,
     check_total_associativity,
     find_identities,
@@ -57,9 +58,9 @@ from .errors import (
     NonMember,
     NotAHomomorphism,
     PolyadicError,
-    QuerFormulaFailsVerification,
     QuerNotFound,
     QuerNotUnique,
+    QuerPlacementFailed,
     UsageError,
 )
 
@@ -320,10 +321,11 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
     elements when it has fewer); and, for exact rules, a cross-check against
     the witness searches on definite answers."""
     _check_samples(samples)
+    kernel = _shift_kernel(s)  # raises ArityMismatch below arity 2, before the pad's m - 2
+    m = s.arity
+    pad = tuple(itertools.islice(itertools.cycle(_sample_source(s.carrier)), m - 2))
     draws = IndexDraws(random.Random(seed))
     domain = all_doubles(s.carrier)
-    m = s.arity
-    pad = tuple(itertools.islice(itertools.cycle(s.carrier.elements()), m - 2))
     failures = []
     skipped = 0
 
@@ -366,7 +368,7 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
             else:
                 z3 = iterated_eval(s.op, 3, (d2.top,) * (m - 1) + (d2.bottom,) * (m - 1)
                                    + (z1, z2) + pad)
-                if not _shift_kernel(s).holds_at(TWIST, d1, d3, z3, z3):
+                if not kernel.holds_at(TWIST, d1, d3, z3, z3):
                     failures.append(("transitivity-twist-witness", (d1, d2, d3, z3)))
                 decided = True
             w1, w2 = gauge_witness(s, d1, d2), gauge_witness(s, d2, d3)
@@ -375,7 +377,7 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
             else:
                 head = (d2.top,) * (m - 1)  # composed per coordinate: (x1, x2), then (y1, y2)
                 x3, y3 = (iterated_eval(s.op, 2, head + pair + pad) for pair in zip(w1, w2))
-                if not _shift_kernel(s).holds_at(GAUGE, d1, d3, x3, y3):
+                if not kernel.holds_at(GAUGE, d1, d3, x3, y3):
                     failures.append(("transitivity-gauge-witness", (d1, d2, d3)))
                 decided = True
             trans += decided
@@ -586,13 +588,9 @@ def check_well_definedness(partition: Partition, quiver: QuiverSpec, samples: in
 
 @dataclass(frozen=True)
 class QuerMap:
-    """Queroperation on classes plus per-slot quer-equation verdicts."""
+    """Queroperation on classes: each class's quer, checked at every slot."""
 
     mapping: dict
-    slot_ok: dict
-
-    def all_slots_ok(self) -> bool:
-        return all(all(v) for v in self.slot_ok.values())
 
 
 def class_structure(partition: Partition, quiver: QuiverSpec) -> PolyadicStructure:
@@ -640,26 +638,20 @@ def class_quer(partition: Partition, classes: PolyadicStructure, quiver: QuiverS
     `classes` is the class structure (see class_structure).  The quer is the
     wiring's closed form (see _quer_formula) when it has one, and otherwise
     the unique listed class that solves the defining slot, searched one row
-    per class (see _quer_row).  The defining slot (quer last) must hold,
-    otherwise QuerFormulaFailsVerification; the other slots are recorded per
-    class.
+    per class (see _quer_row).  Either way it must solve the quer equation
+    at every slot (see core._checked_quer), otherwise QuerPlacementFailed.
     """
     formula = _quer_formula(quiver, partition.structure)
     row = _quer_row(partition, quiver) if formula is None else None
     cds = classes.carrier.elements()
     mapping: dict = {}
-    slot_ok: dict = {}
     for c in cds:
         if formula is None:
             q = _sole_quer(c, row(c, cds), len(cds))
         else:
             q = partition.resolve(formula(*c.rep))
-        verdicts = tuple(_quer_slots(classes, c, q))
-        if not verdicts[-1]:
-            raise QuerFormulaFailsVerification(c, f"candidate {q} at the defining slot")
-        mapping[c] = q
-        slot_ok[c] = verdicts
-    return QuerMap(mapping, slot_ok)
+        mapping[c] = _checked_quer(classes, c, q)
+    return QuerMap(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +709,7 @@ def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed
     """
     cds = cs.carrier.elements()
     n = cs.arity
-    slots = "quer at all slots" if quer.all_slots_ok() else "quer at defining slot only"
+    slots = "quer at all slots"  # class_quer checked every slot of every quer
 
     def failed(checked, counterexample, what):
         return Verdict("failed", checked, counterexample, (what, domain))
@@ -798,7 +790,10 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec, *,
             quer = class_quer(part, classes, quiver)
             group = _class_group_checks(classes, quer, samples, seed,
                                         not s.carrier.is_finite, note)
-        except (QuerNotFound, QuerNotUnique, QuerFormulaFailsVerification) as exc:
+        except QuerPlacementFailed as exc:  # replays as one class product
+            group = Verdict("failed", 0, (exc.element, exc.quer, exc.placement),
+                            (f"quer: {exc}", note))
+        except (QuerNotFound, QuerNotUnique) as exc:
             group = Verdict("failed", 0, None, (f"quer: {exc}", note))
         except NoClassMatch as exc:
             group = Verdict("unknown", 0, None,

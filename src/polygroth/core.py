@@ -243,6 +243,14 @@ def _check_samples(samples: int) -> None:
         raise UsageError(f"sample count must be >= 0, got {samples}")
 
 
+def _sample_source(carrier: Carrier) -> list:
+    """The enumeration a sampled check draws from; an empty one is a UsageError."""
+    elems = carrier.elements()
+    if not elems:
+        raise UsageError("cannot sample from an empty carrier enumeration")
+    return elems
+
+
 @dataclass(frozen=True)
 class CheckMode:
     kind: str
@@ -544,9 +552,7 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
         return _refutation(T + 1, polyad, i, placement_result(s.op, polyad, 0),
                            placement_result(s.op, polyad, i))
 
-    elems = s.carrier.elements()
-    if not elems:
-        raise UsageError("cannot sample from an empty carrier enumeration")
+    elems = _sample_source(s.carrier)
     # the placements of placement_result, evaluated inline on each drawn tuple
     draws = IndexDraws(random.Random(mode.seed))[len(elems)]
     fn, eq, L = s.op.fn, s.carrier.eq, 2 * n - 1
@@ -588,7 +594,6 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
     sigma: a caller-supplied permutation, reported only when full and semi fail.
     """
     n, op, eq = s.arity, s.op, s.carrier.eq
-    elems = s.carrier.elements()
     if sigma is not None and sorted(sigma) != list(range(n)):
         raise UsageError(f"sigma {tuple(sigma)} is not a permutation of the {n} slots")
     if n == 1:
@@ -598,6 +603,7 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
             raise ExhaustiveOnInfiniteCarrier(
                 "exhaustive commutativity needs a finite enumerated carrier"
             )
+        elems = s.carrier.elements()
         table, k = _index_table(s)
         table = tuple(table)  # compared as a tuple; no copy if it is one
         checked = k ** n
@@ -614,6 +620,7 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
             code = next(c for c, (a, b) in enumerate(zip(table, permuted)) if a != b)
             return (_decode_polyad(elems, k, n, code), tuple(perm))
     else:
+        elems = _sample_source(s.carrier)
         draws = IndexDraws(random.Random(mode.seed))
         pool = [tuple(map(elems.__getitem__, itertools.islice(draws[len(elems)], n)))
                 for _ in range(mode.count)]
@@ -655,11 +662,7 @@ def querelement(s: PolyadicStructure, g):
     """
     if g not in s.carrier:
         raise NonMember(g, s.name or s.carrier.name)
-    q = _quer_search(s, g, s.carrier.elements())
-    for i, ok in enumerate(itertools.islice(_quer_slots(s, g, q), s.arity - 1)):
-        if not ok:
-            raise QuerPlacementFailed(g, q, i)
-    return q
+    return _checked_quer(s, g, _quer_search(s, g, s.carrier.elements()))
 
 
 def _quer_search(s: PolyadicStructure, g, elems):
@@ -679,10 +682,14 @@ def _sole_quer(g, sols, bound: int):
     return sols[0]
 
 
-def _quer_slots(s: PolyadicStructure, g, q):
-    """Lazy verdicts of op[g^i, q, g^(n-1-i)] = g for slots i = 0..n-1 (the last defines q)."""
-    n, op, eq = s.arity, s.op, s.carrier.eq
-    return (eq(op.fn((g,) * i + (q,) + (g,) * (n - 1 - i)), g) for i in range(n))
+def _checked_quer(s: PolyadicStructure, g, q):
+    """q if op[g^i, q, g^(n-1-i)] = g at every slot i, as a group's quer must
+    (Doernte); else QuerPlacementFailed at the first slot that fails."""
+    n, fn, eq = s.arity, s.op.fn, s.carrier.eq
+    for i in range(n):
+        if not eq(fn((g,) * i + (q,) + (g,) * (n - 1 - i)), g):
+            raise QuerPlacementFailed(g, q, i)
+    return q
 
 
 def _cancels(s: PolyadicStructure, g, h, hq) -> bool:

@@ -40,7 +40,7 @@ class QuerNotUnique(PolyadicError):
 
 
 class QuerPlacementFailed(PolyadicError):
-    """The defining-slot solution exists but fails at another placement."""
+    """A quer candidate fails the quer equation op[g^i, q, g^(n-1-i)] = g at slot i."""
 
     def __init__(self, element, quer, placement):
         super().__init__(
@@ -49,13 +49,6 @@ class QuerPlacementFailed(PolyadicError):
         self.element = element
         self.quer = quer
         self.placement = placement
-
-
-class QuerFormulaFailsVerification(PolyadicError):
-    def __init__(self, cls, detail=""):
-        suffix = f": {detail}" if detail else ""
-        super().__init__(f"quer candidate for class {cls!r} fails the quer equation{suffix}")
-        self.cls = cls
 
 
 class NoClassMatch(PolyadicError):

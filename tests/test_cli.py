@@ -19,10 +19,65 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv):
+    """A fresh interpreter on the package source, run with argv, so the
+    default warning filters apply."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def write_table(tmp_path, s, name="s.tbl"):
+    path = tmp_path / name
+    path.write_text(format_table(s))
+    return f"table:{path}"
+
+
 def test_structures_list(capsys):
     code, out, _ = run(capsys, "structures", "list")
     assert code == 0
     assert out.split() == ["nat0", "neg3", "odd3", "res-a-b", "matrix4"]
+
+
+def test_module_entry_point_exit_codes():
+    proc = run_fresh("-m", "polygroth.cli", "structures")
+    assert (proc.returncode, proc.stdout.split(), proc.stderr) == (
+        0, ["nat0", "neg3", "odd3", "res-a-b", "matrix4"], "")
+    proc = run_fresh("-m", "polygroth.cli", "nosuch")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "invalid choice: 'nosuch'" in proc.stderr
+
+
+def test_table_structure_through_every_command(tmp_path, capsys):
+    # a table has no recipe: witness search decides the classes, and
+    # assoc-check with no --mode proves it exhaustively
+    structure = write_table(tmp_path, zmod_add(5, 3))
+    code, out, _ = run(capsys, "complete", "--structure", structure, "--quiver", "post-ternary")
+    payload = json.loads(out)
+    assert code == 0 and len(payload["classes"]) == 5
+    assert payload["report"]["group"] == (
+        "proved-exhaustive(75; solvability and associativity; quer at all slots; "
+        "25-double domain)")
+    code, out, _ = run(capsys, "assoc-check", "--structure", structure)
+    assert code == 0
+    assert (json.loads(out)["mode"], json.loads(out)["verdict"]) == (
+        "exhaustive", "proved-exhaustive(3125)")
+    code, out, _ = run(capsys, "classes", "--structure", structure)
+    assert code == 0 and json.loads(out)["classes"] == [["0", str(b)] for b in range(5)]
+    code, out, _ = run(capsys, "quer", "--structure", structure, "--quiver", "post-ternary")
+    assert code == 0 and json.loads(out)["quer"] == payload["quer"]
+    assert [rep for rep, _ in payload["quer"]] == [["0", str(b)] for b in range(5)]
+
+
+def test_quer_text_reports_why_the_quer_is_unavailable(tmp_path, capsys):
+    structure = write_table(tmp_path, zmod_add(5, 3))
+    code, out, _ = run(capsys, "quer", "--structure", structure, "--output", "text", "--quiver",
+                       "3<-3 intact=0; top=(3,B)(2,B)(3,T); bottom=(1,B)(2,T)(1,T)")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "  unavailable: failed(doubles associativity; 25-double domain)"]
 
 
 def test_assoc_check_sampled_passes(capsys):
@@ -164,15 +219,9 @@ def test_complete_accepts_serialized_quiver(capsys):
 
 
 def test_failed_associativity_exits_1_with_nothing_on_stderr():
-    # a fresh interpreter, so the default warning filters apply: the failed
-    # verdict is in the report and the exit code, and nothing is logged
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from polygroth.cli import entry; entry()", "complete",
-         "--structure", "nat0", "--quiver", "twisted-binary", "--bound", "6"],
-        capture_output=True, text=True, env=env, timeout=120)
+    # the failed verdict is in the report and the exit code, and nothing is logged
+    proc = run_fresh("-c", "from polygroth.cli import entry; entry()", "complete",
+                     "--structure", "nat0", "--quiver", "twisted-binary", "--bound", "6")
     assert proc.returncode == 1
     assert "failed(doubles associativity" in proc.stdout
     assert proc.stderr == ""
@@ -223,6 +272,15 @@ def test_universal_check(capsys):
     code, _, _ = run(capsys, "universal-check", "--structure", "nat0",
                      "--target", "integers", "--bound", "30")
     assert code == 0
+
+
+def test_universal_check_exits_1_on_a_map_that_is_no_homomorphism(tmp_path, capsys):
+    # x mod 2 is no homomorphism from Z3: (2 + 1) mod 3 = 0, but 0 + 1 = 1 mod 2
+    structure = write_table(tmp_path, zmod_add(3, 2))
+    code, out, err = run(capsys, "universal-check", "--structure", structure,
+                         "--target", "integers-mod-2")
+    assert (code, out) == (1, "")
+    assert err == "not a homomorphism: mapping is not a homomorphism, witness (2, 1)\n"
 
 
 def test_universal_check_rejects_nonbinary(capsys):

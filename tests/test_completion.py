@@ -32,6 +32,7 @@ from polygroth import (
     class_inverse,
     class_quer,
     class_structure,
+    commutativity_report,
     completion_to_json,
     decide_equivalent,
     derived_structure,
@@ -60,7 +61,6 @@ from polygroth.core import (
     _cancels,
     _index_table,
     _quer_search,
-    _quer_slots,
     _sole_quer,
     verify_polyadic_group,
 )
@@ -71,9 +71,9 @@ from polygroth.errors import (
     NonMember,
     NotAHomomorphism,
     PolyadicError,
-    QuerFormulaFailsVerification,
     QuerNotFound,
     QuerNotUnique,
+    QuerPlacementFailed,
     UsageError,
 )
 
@@ -92,12 +92,21 @@ def cls(a, b):
     return ClassDouble(Double(a, b))
 
 
+def quer_slot_failure(classes, g, q):
+    """The first slot i at which op[g^i, q, g^(n-1-i)] = g fails, else None."""
+    n = classes.arity
+    return next((i for i in range(n)
+                 if classes.op.fn((g,) * i + (q,) + (g,) * (n - 1 - i)) != g), None)
+
+
 def searched_quer(classes):
-    """(quer map, slot verdicts) that the quer search finds over a class
-    structure, whatever its wiring: the reference for the closed forms."""
+    """The quer map that the quer search finds over a class structure,
+    whatever its wiring, each quer solving every slot: the reference for
+    the closed forms."""
     cds = classes.carrier.elements()
     mapping = {c: _quer_search(classes, c, cds) for c in cds}
-    return mapping, {c: tuple(_quer_slots(classes, c, q)) for c, q in mapping.items()}
+    assert all(quer_slot_failure(classes, c, q) is None for c, q in mapping.items())
+    return mapping
 
 
 def quer_kind(quiver, base):
@@ -388,6 +397,28 @@ def test_equivalence_axioms_on_carriers_smaller_than_the_pad(k, arity, relation)
                                        samples=50, seed=3)
     assert verdict.ok, verdict.failures[:3]
     assert verdict.transitivity_checked == 50
+
+
+@pytest.mark.parametrize("dec", [WitnessSearch(TWIST), ExactRule(operator.eq)],
+                         ids=["witness-search", "exact-rule"])
+def test_equivalence_axioms_need_a_shift_relation(dec):
+    # a unary operation has no shift relations, and no m - 2 spectators to pad with
+    s = PolyadicStructure(FiniteCarrier(range(3)), NAryOperation(1, lambda t: t[0]))
+    with pytest.raises(ArityMismatch, match="shift relations need arity >= 2, got 1"):
+        check_equivalence_axioms(s, dec, samples=5, seed=1)
+
+
+@pytest.mark.parametrize("carrier", [FiniteCarrier([]), RuleCarrier(lambda x: False, [])],
+                         ids=["finite", "rule"])
+@pytest.mark.parametrize("check", [
+    lambda s: check_equivalence_axioms(s, WitnessSearch(GAUGE), samples=5, seed=1),
+    lambda s: commutativity_report(s, CheckMode.sampled(5, 1)),
+    lambda s: check_total_associativity(s, CheckMode.sampled(5, 1)),
+], ids=["axioms", "commutativity", "associativity"])
+def test_sampling_an_empty_enumeration_is_a_usage_error(carrier, check):
+    s = PolyadicStructure(carrier, NAryOperation(3, lambda t: t[0]))
+    with pytest.raises(UsageError, match="cannot sample from an empty carrier enumeration"):
+        check(s)
 
 
 def test_transitivity_of_an_unknown_partition_counts_as_skipped():
@@ -752,7 +783,8 @@ def test_neg_componentwise_quer_swaps_components():
     K = completion_for("neg3", "componentwise-3")
     for p, q in [(2, 3), (1, 2), (5, 4), (1, 1)]:
         assert K.quer.mapping[cls(-p, -q)] == cls(-q, -p)
-    assert K.quer.all_slots_ok()
+    assert str(K.report.group).startswith("passed-sampled(200; diagrammatic on truncated "
+                                          "class set; quer at all slots;")
 
 
 def test_neg_post_quer_fixes_classes():
@@ -799,7 +831,7 @@ def test_quer_search_mode_matches_formula():
         K = completion_for(name, quiver, limit=limit)
         assert K.report.ok and quer_kind(K.quiver, K.base) != "search", name
         found = searched_quer(class_structure(K.partition, K.quiver))
-        assert found == (K.quer.mapping, K.quer.slot_ok), name
+        assert found == K.quer.mapping, name
     # binary quer equation op[c, q] = c forces q to be the neutral class
     K = completion_for("nat0", "componentwise-2", limit=12)
     neutral = K.partition.resolve(Double(0, 0))
@@ -827,7 +859,7 @@ def test_quer_formula_failure_is_reported():
     q = builtin_quiver("five-to-three-intact")
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
                              canonical=recipe.canonical_double)
-    with pytest.raises((QuerFormulaFailsVerification, QuerNotFound)):
+    with pytest.raises((QuerPlacementFailed, QuerNotFound)):
         class_quer(part, class_structure(part, q), q)
 
 
@@ -909,16 +941,29 @@ def binary_table(cells):
     return parse_table("\n".join(["arity 2", f"size {size}", *map(str, cells)]) + "\n")
 
 
+LEFT_PROJECTION_8 = [a for a in range(8) for _ in range(8)]
+
 GROUP_STAGE_PINS = [
-    # left projection on 8 elements, each double its own class: 64 classes
-    # are past the exhaustive cutoff, and the formula quer has no cancellation
-    ([a for a in range(8) for _ in range(8)], ExactRule(operator.eq), 307, 50,
-     "failed(cancellation identities at [4;6],[4;5]; 64-double domain)"),
-    ([1, 0, 1, 1], ExactRule(lambda a, b: a.bottom == b.bottom), 2848, 50,
-     "failed(class associativity at ([0;0], [0;0], [0;0]); 4-double domain)"),
+    # max on 59 elements, one class per bottom: past the exhaustive cutoff,
+    # each class is its own quer at every slot, but max has no cancellation
+    ([max(a, b) for a in range(59) for b in range(59)],
+     ExactRule(lambda a, b: a.bottom == b.bottom), 307, 50,
+     "failed(cancellation identities at [0;19],[0;48]; 3481-double domain)"),
+    # one class per top of this 3x3 table: the quers solve every slot, but
+    # the class product is not associative
+    ([0, 0, 0, 1, 1, 0, 2, 2, 2], ExactRule(lambda a, b: a.top == b.top), 2848, 50,
+     "failed(class associativity at ([1;0], [0;0], [2;0]); 9-double domain)"),
     # left projection on 2 elements: the exhaustive proof refutes solvability
     ([0, 0, 1, 1], WitnessSearch(TWIST), 0, 1,
      "failed(solvability at slot 1, ([0;0],); 4-double domain)"),
+    # left projection on 8 elements, each double its own class: the formula
+    # quer of [0;1] fails its first slot, before any class sample is drawn
+    (LEFT_PROJECTION_8, ExactRule(operator.eq), 307, 50,
+     "failed(quer: querelement candidate [0;0] for [0;1] fails at placement 0; "
+     "64-double domain)"),
+    ([1, 0, 1, 1], ExactRule(lambda a, b: a.bottom == b.bottom), 2848, 50,
+     "failed(quer: querelement candidate [0;1] for [0;0] fails at placement 0; "
+     "4-double domain)"),
 ]
 
 
@@ -930,14 +975,40 @@ def test_group_stage_failure_strings_are_pinned(cells, dec, seed, samples, want)
     assert not K.report.ok
 
 
+@pytest.mark.parametrize("samples, seed", [(0, 97), (1, 67), (50, 307)])
+def test_a_quer_failing_any_slot_fails_the_completion(samples, seed):
+    # the left projection is no group however many class samples are drawn:
+    # its quer of [0;1] fails slot 0, so no sample can pass or leave it vacuous
+    K = build_completion(binary_table(LEFT_PROJECTION_8), builtin_quiver("componentwise-2"),
+                         ExactRule(operator.eq), samples=samples, seed=seed)
+    assert str(K.report.group) == ("failed(quer: querelement candidate [0;0] for [0;1] "
+                                   "fails at placement 0; 64-double domain)")
+    assert not K.report.ok and K.quer is None
+
+
+@pytest.mark.parametrize("arity, k, cells, slot", [
+    (2, 8, LEFT_PROJECTION_8, 0),
+    # right projection on 4 elements: the formula quer fails its defining slot
+    (3, 4, [t[2] for t in itertools.product(range(4), repeat=3)], 2),
+])
+def test_quer_failure_replays_as_one_class_product(arity, k, cells, slot):
+    s = parse_table("\n".join([f"arity {arity}", f"size {k}", *map(str, cells)]) + "\n")
+    K = build_completion(s, builtin_quiver(f"componentwise-{arity}"), ExactRule(operator.eq),
+                         samples=3, seed=1)
+    g, q, i = K.report.group.counterexample
+    assert i == slot and str(K.report.group).startswith(
+        f"failed(quer: querelement candidate {q} for {g} fails at placement {i};")
+    assert K.product.fn((g,) * i + (q,) + (g,) * (arity - 1 - i)) != g
+    assert all(K.product.fn((g,) * j + (q,) + (g,) * (arity - 1 - j)) == g for j in range(i))
+
+
 def test_group_stage_pass_string_and_quer_are_pinned():
     K = build_completion(zmod_add(5, 3), builtin_quiver("post-ternary"), WitnessSearch(GAUGE),
                          assoc_mode=CheckMode.sampled(3, 5))
     assert K.report.ok
     assert str(K.report.group) == (
         "proved-exhaustive(75; solvability and associativity; quer at all slots; 25-double domain)")
-    searched = searched_quer(class_structure(K.partition, K.quiver))
-    assert searched == (K.quer.mapping, K.quer.slot_ok)
+    assert searched_quer(class_structure(K.partition, K.quiver)) == K.quer.mapping
 
 
 def test_class_group_checks_make_one_product_per_class_tuple():
@@ -1000,39 +1071,38 @@ def test_truncated_label_needs_a_truncated_class_set():
 def product_backed_group_stage(part, product, quiver, base, samples, seed, note):
     """Reference class stage that evaluates the class product on every call,
     and compiles the class table for the group proof under the cutoff:
-    (group verdict, quer).
+    (group verdict, quer map or None).  Every quer must solve every slot.
     A double that matches no class makes the verdict unknown."""
     cs = PolyadicStructure(FiniteCarrier(part.class_doubles()), product)
     cds = cs.carrier.elements()
     formula = completion._quer_formula(quiver, base)
-    mapping, slot_ok = {}, {}
+    mapping = {}
     try:
         for c in cds:
             if formula is None:
                 q = _quer_search(cs, c, cds)
             else:
                 q = part.resolve(formula(*c.rep))
-            verdicts = tuple(_quer_slots(cs, c, q))
-            if not verdicts[-1]:
-                raise QuerFormulaFailsVerification(c, f"candidate {q} at the defining slot")
-            mapping[c], slot_ok[c] = q, verdicts
-    except (QuerNotFound, QuerNotUnique, QuerFormulaFailsVerification) as exc:
+            slot = quer_slot_failure(cs, c, q)
+            if slot is not None:
+                note_q = f"quer: querelement candidate {q!r} for {c!r} fails at placement {slot}"
+                return Verdict("failed", 0, (c, q, slot), (note_q, note)), None
+            mapping[c] = q
+    except (QuerNotFound, QuerNotUnique) as exc:
         return Verdict("failed", 0, None, (f"quer: {exc}", note)), None
     except NoClassMatch as exc:
         return Verdict("unknown", 0, None, (f"class product leaves the partition: {exc}", note)), None
-    quer = (mapping, slot_ok)
     try:
-        group = product_backed_group_checks(cs, mapping, slot_ok, samples, seed,
+        group = product_backed_group_checks(cs, mapping, samples, seed,
                                             not base.carrier.is_finite, note)
     except NoClassMatch as exc:
         group = Verdict("unknown", 0, None, (f"class product leaves the partition: {exc}", note))
-    return group, quer
+    return group, mapping
 
 
-def product_backed_group_checks(cs, mapping, slot_ok, samples, seed, truncated, note):
+def product_backed_group_checks(cs, mapping, samples, seed, truncated, note):
     cds = cs.carrier.elements()
     n = cs.arity
-    slots = "all slots" if all(all(v) for v in slot_ok.values()) else "defining slot only"
     if len(cds) ** (2 * n - 1) <= 200_000:
         try:
             _index_table(cs)
@@ -1050,10 +1120,10 @@ def product_backed_group_checks(cs, mapping, slot_ok, samples, seed, truncated, 
                                (f"solvability at slot {i}, {others}", note))
             assert gv.checked == n * len(cds) ** (n - 1)
             return Verdict("proved-exhaustive", gv.checked, None,
-                           ("solvability and associativity", f"quer at {slots}", note))
+                           ("solvability and associativity", "quer at all slots", note))
     assoc = check_total_associativity(cs, CheckMode.sampled(samples, seed))
     if assoc.status == "vacuous":
-        return Verdict("vacuous", 0, None, (f"quer at {slots}", note))
+        return Verdict("vacuous", 0, None, ("quer at all slots", note))
     if not assoc.ok:
         cx = assoc.counterexample
         return Verdict("failed", assoc.checked, cx, (f"class associativity at {cx[0]}", note))
@@ -1063,12 +1133,12 @@ def product_backed_group_checks(cs, mapping, slot_ok, samples, seed, truncated, 
         if not _cancels(cs, g, h, mapping[h]):
             return Verdict("failed", c + 1, (g, h), (f"cancellation identities at {g},{h}", note))
     label = "diagrammatic on truncated class set" if truncated else "diagrammatic"
-    return Verdict("passed-sampled", samples, None, (label, f"quer at {slots}", note))
+    return Verdict("passed-sampled", samples, None, (label, "quer at all slots", note))
 
 
 def reference_completion(s, quiver, dec, canonical, assoc_mode, samples, seed):
-    """(CompletionReport, (quer mapping, quer slots) or None) of build_completion,
-    with the product-backed class stage."""
+    """(CompletionReport, quer mapping or None) of build_completion, with the
+    product-backed class stage."""
     assoc = check_total_associativity(hetero_power(s, quiver).structure, assoc_mode)
     domain = all_doubles(s.carrier)
     part = partition_classes(s, domain, dec, canonical=canonical)
@@ -1142,13 +1212,19 @@ def rule_stage_case(rng):
 
 def past_cutoff_case(rng):
     """A ternary case past the exhaustive class cutoff (C^5 > 200,000 for C
-    classes): the 13 twist classes of Z13 addition, or every double of Z4
-    addition or of a projection as its own class, 16 of them.  Z4 addition
-    fails its formula quers there, and a projection, which has no
-    cancellation, fails the sampled cancellation identities."""
-    kind = rng.choice(["twist", "twist", "add", "left", "left", "right"])
+    classes): the 13 twist classes of Z13 addition, the 12 bottom classes
+    of max on 12 elements, or every double of Z4 addition or of a projection
+    as its own class, 16 of them.  Z4 addition and the projections fail
+    their formula quers there; under componentwise-3 each max class is its
+    own quer at every slot, and max, which has no cancellation, fails the
+    sampled cancellation identities."""
+    kind = rng.choice(["twist", "twist", "add", "left", "right", "max", "max"])
     if kind == "twist":
         s, dec = zmod_add(13, 3), twist_rule(13, 3)
+    elif kind == "max":
+        cells = [max(t) for t in itertools.product(range(12), repeat=3)]
+        s = parse_table("\n".join(["arity 3", "size 12", *map(str, cells)]) + "\n")
+        dec = ExactRule(lambda a, b: a.bottom == b.bottom)
     else:
         cells = [sum(t) % 4 if kind == "add" else t[0 if kind == "left" else 2]
                  for t in itertools.product(range(4), repeat=3)]
@@ -1236,7 +1312,7 @@ def test_table_backed_class_stage_matches_product_backed_reference(monkeypatch):
             K = build_completion(case["s"], case["quiver"], case["dec"],
                                  canonical=case["canonical"], assoc_mode=case["assoc_mode"],
                                  samples=case["samples"], seed=case["seed"])
-            quer = None if K.quer is None else (K.quer.mapping, K.quer.slot_ok)
+            quer = None if K.quer is None else K.quer.mapping
             return K.report, quer
 
         got = outcome(memoised)
@@ -1253,7 +1329,7 @@ def test_table_backed_class_stage_matches_product_backed_reference(monkeypatch):
                 "passed-sampled(diagrammatic on truncated class set", "vacuous(quer at",
                 "failed(class associativity", "failed(cancellation identities",
                 "failed(solvability", "failed(quer: no querelement for",
-                "failed(quer: querelement of", "failed(quer: quer candidate",
+                "failed(quer: querelement of", "failed(quer: querelement candidate",
                 "failed(well-definedness", "failed(doubles associativity",
                 "unknown(class product leaves the partition"]
     for branch in branches:
@@ -1335,8 +1411,7 @@ def test_post_5ary_quer_search_memoises_base_values_per_row():
     components = len({x for rep in part.reps for x in rep})
     assert (c, components) == (57, 8)
     calls.clear()
-    quer = class_quer(part, cs, q)
-    assert quer.all_slots_ok()
+    class_quer(part, cs, q)
     assert len(calls) <= c * 2 * components + c * 2 * n
     assert len(calls) < 2 * c * c
 
@@ -1459,6 +1534,51 @@ def test_universal_rejects_a_finite_target_that_is_not_a_group():
     K = completion_for("nat0", "componentwise-2", limit=5)
     with pytest.raises(PolyadicError, match=r"is not a group: not a group \(solvability failures"):
         check_universal_factorization(K, zmod_mul(4, 2), lambda x: x % 4, samples=10, seed=11)
+
+
+def difference(c):
+    """The induced map into the integers under phi = id: [a;b] -> a - b."""
+    return c.rep.top - c.rep.bottom
+
+
+def test_universal_factorization_failures_replay():
+    nat0 = get_recipe("nat0")
+    # one class for every double: the induced map differs on two members
+    K = build_completion(nat0.build(12), builtin_quiver("componentwise-2"),
+                         ExactRule(lambda a, b: True))
+    verdict = check_universal_factorization(K, integers_group(200), lambda x: x,
+                                            samples=100, seed=97)
+    assert str(verdict) == "failed(induced map not class-invariant at [0;0])"
+    c, alt = verdict.counterexample
+    assert alt in K.partition.members_of(c.rep)
+    assert difference(c) != alt.top - alt.bottom
+    # the crosswise product is no homomorphism onto the differences
+    K = build_completion(nat0.build(12), builtin_quiver("twisted-binary"),
+                         nat0.exact_decision(), canonical=nat0.canonical_double)
+    verdict = check_universal_factorization(K, integers_group(200), lambda x: x,
+                                            samples=100, seed=97)
+    assert str(verdict) == "failed(induced map not a homomorphism at [0;3],[0;4])"
+    c1, c2 = verdict.counterexample
+    assert difference(K.product((c1, c2))) != difference(c1) + difference(c2)
+    # on {0, 1} in one class, every drawn member is invariant and the one
+    # class multiplies to itself, but it embeds 1 as the identity of Z5
+    K = build_completion(nat0.build(1), builtin_quiver("componentwise-2"),
+                         ExactRule(lambda a, b: True))
+    verdict = check_universal_factorization(K, integers_mod_group(5), lambda x: x % 5,
+                                            samples=5, seed=1)
+    assert (str(verdict), verdict.counterexample) == ("failed(factorization fails at 1)", (1,))
+    assert difference(phi_sg(K, 1)) % 5 != 1
+
+
+def test_phi_sg_checks_the_identity_form():
+    # under equality (2, 1) and (1, 0) are different classes, though both embed 1
+    nat0 = get_recipe("nat0")
+    K = build_completion(nat0.build(6), builtin_quiver("componentwise-2"),
+                         ExactRule(operator.eq), canonical=lambda d: d)
+    assert phi_sg(K, 0) == cls(0, 0)
+    with pytest.raises(PolyadicError, match=r"identity form \(a,e\) disagrees with "
+                                            r"\(a\*a,a\) at a=1"):
+        phi_sg(K, 1)
 
 
 def test_universal_rejects_non_homomorphism():

@@ -82,6 +82,15 @@ def test_result_classes_only_shrink():
     assert classes.isdisjoint({"WellDefinedness", "UniversalVerdict"})
 
 
+def test_retired_quer_checks_stay_gone():
+    # core._checked_quer is the one quer-law check for every structure
+    names = {node.name for path in PACKAGE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert "_checked_quer" in names
+    assert names.isdisjoint({"QuerFormulaFailsVerification", "_quer_slots", "all_slots_ok"})
+
+
 def facts_keys(tree):
     """String-literal keys of a `facts` dict: subscripted, read with .get,
     tested with `in`, or written in a facts={...} argument."""
