@@ -190,8 +190,9 @@ class PolyadicStructure:
     function returning its row r (see _index_rows) as "index_row", as
     derived_structure does on a finite carrier.
     A builder that can prove total associativity without the table may store
-    a function answering True when it can as "lifted_associativity";
-    exhaustive checks ask it first.
+    a function answering True when it can as "lifted_associativity":
+    exhaustive checks call it with no argument, sampled checks with their
+    draw count, which lets it decline (False) when a proof would cost more.
     """
 
     carrier: Carrier
@@ -531,7 +532,9 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
 
     Exhaustive mode covers every (2n-1)-tuple of a finite carrier and reports
     the lexicographically smallest counterexample; sampled mode draws tuples
-    deterministically from the seed.
+    deterministically from the seed.  Both ask a "lifted_associativity" fact
+    first, the sampled mode with its count, and a lifted proof passes every
+    draw unevaluated.
     """
     n = s.arity
     if mode.kind == CheckMode.EXHAUSTIVE:
@@ -553,10 +556,13 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
                            placement_result(s.op, polyad, i))
 
     elems = _sample_source(s.carrier)
+    lifted = s.facts.get("lifted_associativity")
+    # a lifted proof decides every draw, so then none is evaluated; otherwise
     # the placements of placement_result, evaluated inline on each drawn tuple
+    count = 0 if lifted is not None and lifted(mode.count) else mode.count
     draws = IndexDraws(random.Random(mode.seed))[len(elems)]
     fn, eq, L = s.op.fn, s.carrier.eq, 2 * n - 1
-    for c in range(mode.count):
+    for c in range(count):
         polyad = tuple(map(elems.__getitem__, itertools.islice(draws, L)))
         r0 = fn((fn(polyad[:n]),) + polyad[n:])
         for i in range(1, n):

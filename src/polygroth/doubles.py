@@ -32,7 +32,7 @@ from .core import (
     commutativity_report,
     placement_result,
 )
-from .errors import ArityMismatch, InvalidQuiver, NotQuantized, UnknownQuiver
+from .errors import ArityMismatch, InvalidQuiver, NonMember, NotQuantized, UnknownQuiver
 
 TOP = "T"
 BOTTOM = "B"
@@ -301,9 +301,8 @@ def hetero_power(s: PolyadicStructure, quiver: QuiverSpec) -> DoubledStructure:
     Associativity of the result is *not* asserted here; run
     check_total_associativity on .structure before trusting it.  On a finite
     base the power's index table rows are derived from the base's as they are
-    read, and an exhaustive check first tries to lift the base's associativity
-    (see _lifts_associativity), so nothing is evaluated until an exhaustive
-    checker asks for it.
+    read, and a check first tries to lift the base's associativity (see
+    _lift_fact), so nothing is evaluated until a checker asks for it.
     """
     if quiver.input_arity != s.arity:
         raise ArityMismatch(
@@ -316,8 +315,7 @@ def hetero_power(s: PolyadicStructure, quiver: QuiverSpec) -> DoubledStructure:
     power = PolyadicStructure(carrier, op, name=label)
     if s.carrier.is_finite:
         power.facts["index_row"] = _power_rows(quiver, s)
-        power.facts["lifted_associativity"] = functools.cache(
-            lambda: _lifts_associativity(quiver, s))
+        power.facts["lifted_associativity"] = _lift_fact(quiver, s)
     return DoubledStructure(s, quiver, power)
 
 
@@ -346,13 +344,36 @@ def _lifts_associativity(quiver: QuiverSpec, s: PolyadicStructure) -> bool:
     the lift does not apply.  The words are compared first, so a scrambled
     wiring never pays for a scan of the base.
     """
-    words = _placement_words(quiver)
-    if len(set(words)) > 1:
-        if len({tuple(tuple(sorted(c)) for c in w) for w in words}) > 1:
-            return False
-        if commutativity_report(s, CheckMode.exhaustive()).level != "full":
-            return False
-    return _assoc_scan(*_index_rows(s), s.arity) is None
+    words = set(_placement_words(quiver))
+    if len(words) > 1 and len({tuple(tuple(sorted(c)) for c in w) for w in words}) > 1:
+        return False
+    try:
+        return ((len(words) == 1
+                 or commutativity_report(s, CheckMode.exhaustive()).level == "full")
+                and _assoc_scan(*_index_rows(s), s.arity) is None)
+    except NonMember:  # the base is not closed; a scan of the power raises it again
+        return False
+
+
+def _lift_fact(quiver: QuiverSpec, s: PolyadicStructure):
+    """The power's "lifted_associativity" fact: lifted() decides
+    _lifts_associativity once and keeps the answer.  lifted(draws), asked by
+    a sampled check, declines with False, keeping nothing, while the lift
+    costs more than the draws' 2n products each: about one pass over the
+    k^m base table per slot (compile, then scan blocks), plus the k^(2m-2)
+    row pieces the scan joins, each about a sixteenth of a product."""
+    known = []
+
+    def lifted(draws=None):
+        if not known:
+            if draws is not None:
+                k, m = len(s.carrier.elements()), s.arity
+                if k ** m * m + k ** (2 * m - 2) / 16 > 2 * quiver.output_arity * draws:
+                    return False
+            known.append(_lifts_associativity(quiver, s))
+        return known[0]
+
+    return lifted
 
 
 def _power_rows(quiver: QuiverSpec, s: PolyadicStructure):

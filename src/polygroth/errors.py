@@ -85,9 +85,3 @@ class NoClosedArity(UsageError):
     def __init__(self, bound):
         super().__init__(f"no arity <= {bound} closes the residue class under products")
         self.bound = bound
-
-
-class NotAHomomorphism(PolyadicError):
-    def __init__(self, witness):
-        super().__init__(f"mapping is not a homomorphism, witness {witness!r}")
-        self.witness = witness

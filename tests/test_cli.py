@@ -275,12 +275,15 @@ def test_universal_check(capsys):
 
 
 def test_universal_check_exits_1_on_a_map_that_is_no_homomorphism(tmp_path, capsys):
-    # x mod 2 is no homomorphism from Z3: (2 + 1) mod 3 = 0, but 0 + 1 = 1 mod 2
+    # x mod 2 is no homomorphism from Z3: (2 + 1) mod 3 = 0, but 0 + 1 = 1 mod 2;
+    # the report is still emitted, after the 7 sampled pairs that passed
     structure = write_table(tmp_path, zmod_add(3, 2))
     code, out, err = run(capsys, "universal-check", "--structure", structure,
                          "--target", "integers-mod-2")
-    assert (code, out) == (1, "")
-    assert err == "not a homomorphism: mapping is not a homomorphism, witness (2, 1)\n"
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"structure": structure, "target": "integers-mod-2",
+                               "samples": 7, "ok": False,
+                               "detail": "failed(phi not a homomorphism at (2, 1))"}
 
 
 def test_universal_check_rejects_nonbinary(capsys):
@@ -310,8 +313,10 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_te
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
-def test_stdout_matches_golden_bytes(capsys, case):
-    """Exact stdout and exit code of recorded runs: a speedup must not move a byte."""
+def test_stdout_matches_golden_bytes(capsys, monkeypatch, case):
+    """Exact stdout and exit code of recorded runs: a speedup must not move a byte.
+    Table paths are relative to the repository root, and the output names them."""
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit_code"]
     assert out == case["stdout"]

@@ -42,6 +42,7 @@ from polygroth import (
     hetero_power,
     integers_group,
     integers_mod_group,
+    iterated_eval,
     parse_table,
     partition_classes,
     phi_sg,
@@ -69,7 +70,6 @@ from polygroth.errors import (
     BoundExhausted,
     NoClassMatch,
     NonMember,
-    NotAHomomorphism,
     PolyadicError,
     QuerNotFound,
     QuerNotUnique,
@@ -227,6 +227,9 @@ class PlainShifts:
     def related(self, relation, d1, d2):
         return self.witness(relation, d1, d2) is not None
 
+    def compose(self, polyad):
+        return iterated_eval(self.s.op, (len(polyad) - 1) // (self.s.arity - 1), polyad)
+
 
 def assert_shift_rows_match_plain(s, monkeypatch):
     """Witnesses, decisions, equivalence axioms and coincidence on s agree
@@ -336,6 +339,9 @@ def test_finite_decisions_run_no_witness_search(monkeypatch):
             assert check_relation_coincidence(s).identical
         assert gauge_witness(s, Double(1, 0), Double(3, 2)) == (0, 2)
         assert twist_witness(s, Double(1, 0), Double(3, 2)) == 0
+        # the axioms compose their transitivity witnesses through the table too
+        for relation in (GAUGE, TWIST):
+            assert check_equivalence_axioms(s, WitnessSearch(relation), samples=30, seed=3).ok
         assert len(calls) == compiled
 
 
@@ -1582,10 +1588,14 @@ def test_phi_sg_checks_the_identity_form():
 
 
 def test_universal_rejects_non_homomorphism():
+    # x -> x^2 is no homomorphism of (N, +): the verdict fails at the first
+    # sampled pair, and its counterexample replays
     K = completion_for("nat0", "componentwise-2", limit=20)
-    with pytest.raises(NotAHomomorphism):
-        check_universal_factorization(K, integers_group(4000), lambda x: x * x,
-                                      samples=100, seed=11)
+    target, phi = integers_group(4000), lambda x: x * x
+    verdict = check_universal_factorization(K, target, phi, samples=100, seed=11)
+    a, b = verdict.counterexample
+    assert verdict == Verdict("failed", 0, (a, b), (f"phi not a homomorphism at {(a, b)}",))
+    assert phi(K.base.op.fn((a, b))) != target.op.fn((phi(a), phi(b)))
 
 
 # ---------------------------------------------------------------------------

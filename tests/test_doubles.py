@@ -32,7 +32,9 @@ from polygroth import (
     zmod_add,
 )
 from polygroth.core import _index_table
-from polygroth.errors import ArityMismatch, InvalidQuiver, NonMember, NotQuantized, UnknownQuiver
+from polygroth.errors import (
+    ArityMismatch, InvalidQuiver, NonMember, NotQuantized, UnknownQuiver, UsageError,
+)
 from polygroth.structures import get_recipe
 from polygroth.tables import format_table, parse_table
 
@@ -400,8 +402,9 @@ def test_power_runs_its_base_proof_at_most_once(monkeypatch):
 
 
 def test_power_of_unclosed_base_raises_on_exhaustive_check():
-    # the lift compiles the base table for a word-identical wiring, the scan
-    # for a scrambled one; either way the compile meets 2+2+2 = 6, not in Z3
+    # the compile of the base table meets 2+2+2 = 6, not in Z3: the lift
+    # declines on it for a word-identical wiring, and the scan of the power's
+    # rows, which compiles it for either wiring, raises
     carrier = FiniteCarrier(range(3))
     unclosed = PolyadicStructure(carrier, NAryOperation(3, sum))
     q = builtin_quiver("post-ternary")
@@ -536,6 +539,98 @@ def test_noncommutative_5ary_base_falls_back_to_the_scan():
         assert v == check_total_associativity(without_lift(base, q), CheckMode.exhaustive())
         # the scan reads the power's rows; it never assembles the whole table
         assert "index_table" not in power.facts
+
+
+def relabelled_base(k, m, flat, rng):
+    """The table's structure on a shuffled carrier of string labels."""
+    names = [f"e{i}" for i in range(k)]
+    number = {name: i for i, name in enumerate(names)}
+    code = table_structure(k, m, flat).op.fn
+    return PolyadicStructure(FiniteCarrier(rng.sample(names, k)), NAryOperation(
+        m, lambda t: names[code(tuple(number[x] for x in t))]))
+
+
+def test_sampled_verdicts_with_the_lift_match_the_draws():
+    # seeded random, perturbed and Z_k tables and the right-zero band, which
+    # is associative but not commutative (k = 2..5, m = 2..4, and the 5-ary
+    # multiset wiring on k = 2, 3), half of them relabelled, through
+    # every built-in wiring of their arity and two scrambles of it: the whole
+    # sampled verdict is the one drawn without the lift, at counts on either
+    # side of the lift's budget
+    rng = random.Random(67)
+    wirings = {}
+    for name in BUILTIN_NAMES + ["componentwise-4"]:
+        q = builtin_quiver(name)
+        wirings.setdefault(q.input_arity, []).extend(
+            [q] + rng.sample(every_scramble(q), 2))
+    answers = set()
+    for k, m in itertools.product(range(2, 6), range(2, 6)):
+        if m == 5 and k > 3:
+            continue
+        group = [sum(t) % k for t in itertools.product(range(k), repeat=m)]
+        band = [t[-1] for t in itertools.product(range(k), repeat=m)]
+        for i, flat in enumerate((group, perturbed(k, group, rng),
+                                  [rng.randrange(k) for _ in group], band)):
+            base = (relabelled_base(k, m, flat, rng) if (i + k) % 2
+                    else table_structure(k, m, flat))
+            for q in wirings[m]:
+                for count in (0, 1, 7, 500):
+                    mode = CheckMode.sampled(count, rng.randrange(10_000))
+                    power = hetero_power(base, q).structure
+                    v = check_total_associativity(power, mode)
+                    assert v == check_total_associativity(without_lift(base, q), mode), (
+                        k, m, flat, format_quiver(q), mode)
+                    answers.add((power.facts["lifted_associativity"](count), v.status))
+    assert answers == {(True, "passed-sampled"), (False, "passed-sampled"),
+                       (False, "failed"), (False, "vacuous")}
+
+
+def test_a_lifted_sampled_check_evaluates_no_base_operation():
+    # within the budget (3^3 * 3 + 3^4 / 16 <= 2 * 3 * 50) the lift decides
+    # every draw from the parsed table; a scrambled wiring draws, and fails
+    calls = []
+    base = counting(parse_table(format_table(zmod_add(3, 3))), calls)
+    q = builtin_quiver("post-ternary")
+    v = check_total_associativity(hetero_power(base, q).structure, CheckMode.sampled(50, 5))
+    assert (str(v), calls) == ("passed-sampled(50)", [])
+    scrambled = hetero_power(base, swap_picks(q, ("top", 0), ("bottom", 0))).structure
+    assert check_total_associativity(scrambled, CheckMode.sampled(50, 5)).status == "failed"
+    assert calls
+
+
+def test_a_declined_budget_keeps_the_lift_for_an_exhaustive_check():
+    # Z12 ternary with one draw: the lift would compile 12^3 entries, the
+    # draw makes 6 products, so the check draws and compiles nothing; the
+    # exhaustive check then proves the (144)^5 tuples by the lift
+    calls = []
+    base = PolyadicStructure(FiniteCarrier(range(12)), NAryOperation(
+        3, lambda t: calls.append(t) or sum(t) % 12))
+    power = hetero_power(base, builtin_quiver("post-ternary")).structure
+    assert str(check_total_associativity(power, CheckMode.sampled(1, 9))) == "passed-sampled(1)"
+    assert len(calls) == 12 and "index_table" not in base.facts
+    assert power.facts["lifted_associativity"](1) is False
+    v = check_total_associativity(power, CheckMode.exhaustive())
+    assert (v.status, v.checked) == ("proved-exhaustive", 144 ** 5)
+    assert len(calls) == 12 + 12 ** 3
+    assert power.facts["lifted_associativity"](1) is True
+
+
+def test_sampled_lift_edges():
+    # an unclosed base: the lift declines on the compile's NonMember and the
+    # draws pass, as they do without it
+    unclosed = PolyadicStructure(FiniteCarrier(range(3)), NAryOperation(2, lambda t: t[0] + t[1]))
+    q, mode = builtin_quiver("componentwise-2"), CheckMode.sampled(50, 1)
+    v = check_total_associativity(hetero_power(unclosed, q).structure, mode)
+    assert str(v) == "passed-sampled(50)"
+    assert v == check_total_associativity(without_lift(unclosed, q), mode)
+    # an empty carrier is a usage error before the lift is asked
+    empty = PolyadicStructure(FiniteCarrier([]), NAryOperation(2, lambda t: t[0]))
+    with pytest.raises(UsageError, match="empty carrier enumeration"):
+        check_total_associativity(hetero_power(empty, q).structure, mode)
+    # no draws read vacuous, even once the lift has proved the power
+    power = hetero_power(zmod_add(3, 2), q).structure
+    assert power.facts["lifted_associativity"]() is True
+    assert str(check_total_associativity(power, CheckMode.sampled(0, 1))) == "vacuous(0)"
 
 
 # ---------------------------------------------------------------------------
