@@ -188,7 +188,7 @@ def cmd_universal_check(args) -> int:
     payload = {
         "structure": args.structure,
         "target": args.target,
-        "samples": verdict.checked,
+        "samples": args.samples,
         "ok": verdict.ok,
         "detail": str(verdict),
     }

@@ -437,80 +437,158 @@ def _compile_table(s: PolyadicStructure):
     return tuple(table), k
 
 
+_SCAN_BLOCK = 1 << 20  # most tuples one block of the associativity scan holds
+
+
+class _Derived(dict):
+    """key -> fn(key), derived on the first lookup and kept."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
 def _assoc_scan(row, k, n):
     """(tuple code, placement) of the first disagreement with placement 0, or None.
 
     `row(r)` gives the table row of first argument r (see _index_rows).  Each
-    row is fetched once, on first use, so an early exit reads few rows.
+    row is derived once, on first use, so an early exit reads few rows.
 
-    A (2n-1)-tuple with code T splits as T = u*k^(n-1) + v: u codes the leading
-    n-tuple and v the trailing (n-1)-tuple.  For each u in lexicographic order
-    the results of one placement over every v form a block built by slicing:
-    placement 0 is the row of table[u]; placement i gathers runs of length
-    k^(n-1-i) from the row of u's first digit, fixed by u[:i], through the
-    inner results, which for the window u[i:] + v[:i] are a contiguous slice
-    of the row of u's digit i.  Only blocks that differ from placement 0 are
-    walked, so the scan stops in the first failing block and reports the
-    smallest counterexample.
+    The (2n-1)-tuples are walked in lexicographic order in prefix blocks: the
+    all-zero leading n-tuple, its k-1 siblings, then the k-1 siblings at each
+    shorter prefix down to one digit, 1 + n(k-1) blocks in all; a block of
+    more than _SCAN_BLOCK tuples is split into the blocks of its longer
+    prefixes, which bounds the memory a block takes.  Placement 0 over the
+    block of a q-digit prefix joins the rows of table[u] for its leading
+    n-tuples u.  Placement i is a gather out[c*w + t] = S[inner[c]*w + t] with
+    w = k^(n-1-i): S is the table slice fixed by the first i digits, and
+    inner the inner product's results, a table slice while i < q and the
+    whole table past it (then each value of the digits q..i-1 has its own
+    S).  The smallest failing offset of the first failing block, with the
+    smallest placement failing there, is the smallest counterexample.
 
-    When k <= 256 every entry fits a byte, so each row is held as bytes: the
-    last placement's runs are single entries, padded to a 256-byte
-    translation table that the row of the window maps through
-    (bytes.translate), the other placements join their runs with b"".join,
-    and blocks compare by memcmp.  Past 256 rows stay tuples, the last
-    placement gathers through an itemgetter per row, and runs are chained.
+    When k <= 256 rows are bytes: a gather with w < len(inner) is w column
+    gathers inner.translate(S[t::w] + pad), each compared with the column of
+    placement 0, and otherwise a b"".join of the k runs of S.  Past 256 rows
+    are tuples, placement 0 is a list of rows, and a gather is a list of one
+    piece per leading n-tuple: the itemgetter of an inner row (built once)
+    called on S when w = 1, else joined runs.
     """
     if n == 1 or k <= 1:
         return None
-    span = k ** (n - 1)
-    pw = [k ** e for e in range(n)]
-    rows = [None] * k
+    pw = [k ** e for e in range(n + 1)]
+    span = pw[n - 1]
+    rows = _Derived(lambda r: held(row(r)))
+    whole = []  # the flat table of bytes rows, joined once a placement runs past a prefix
+
+    def cut(lo, size):
+        """table[lo:lo + size] of an aligned slice: part of one row, or the whole table."""
+        if size > span:
+            if not whole:
+                whole.append(b"".join(map(rows.__getitem__, range(k))))
+            return whole[0]
+        r, lo = divmod(lo, span)
+        return rows[r][lo:lo + size]
+
+    def keys(at, w, column):
+        """What a gather through S = table[at:at + k*w] maps by: the w columns
+        of S as translation tables, or its k runs of length w."""
+        S = cut(at, k * w)
+        if column:
+            return [S[t::w] + pad for t in range(w)]
+        return [S[j:j + w] for j in range(0, k * w, w)]
+
     if k <= 256:
-        held, pad, join = bytes, bytes(256 - k), b"".join
+        held, pad, lead = bytes, bytes(256 - k), b"".join
 
-        def last(window, run):
-            return (rows[window] or fetch(window)).translate(run)
+        def check(first, off, lo, size, w, column, by):
+            """Smallest offset at which the gather through table[lo:lo + size]
+            differs from placement 0's results, which start at first[off]; or None."""
+            inner = cut(lo, size)
+            if not column or w == 1:
+                out = inner.translate(by[0]) if column else b"".join(map(by.__getitem__, inner))
+                ref = first[off:off + len(out)]
+                return None if out == ref else off + _first_difference(out, ref)
+            miss, end = None, off + size * w
+            for t, key in enumerate(by):
+                col, ref = inner.translate(key), first[off + t:end:w]
+                if col != ref:
+                    c = off + t + w * _first_difference(col, ref)
+                    miss = c if miss is None else min(miss, c)
+            return miss
     else:
-        held, pad, join = tuple, (), lambda runs: tuple(itertools.chain.from_iterable(runs))
-        getters = [None] * k  # the last placement gathers single entries: a getter per row
+        held, pad, lead = tuple, (), list
+        getters = _Derived(lambda r: itemgetter(*rows[r]))
 
-        def last(window, run):
-            if getters[window] is None:
-                getters[window] = itemgetter(*(rows[window] or fetch(window)))
-            return getters[window](run)
-
-    def fetch(r):
-        rows[r] = held(row(r))
-        return rows[r]
-
-    prefixes = [-1] * n
-    runs = [None] * n
-    for u in range(k ** n):
-        head = rows[u // span] or fetch(u // span)
-        r = head[u % span]
-        first = rows[r] or fetch(r)
-        hits = []
-        for i in range(1, n):
-            pre, window = divmod(u, pw[n - i])
-            width = pw[n - 1 - i]
-            if pre != prefixes[i]:
-                prefixes[i] = pre
-                lo = pre % pw[i - 1] * k * width
-                runs[i] = head[lo:lo + k] + pad if width == 1 else [
-                    head[c:c + width] for c in range(lo, lo + k * width, width)]
-            if width == 1:
-                block = last(window, runs[i])
+        def check(first, off, lo, size, w, column, by):
+            """The same, built one leading n-tuple at a time from the rows: a
+            column gather (w = 1) calls the getters of the inner rows, a wider
+            one joins runs."""
+            if column:
+                r = lo // span
+                inner_getters = map(getters.__getitem__, range(r, r + size // span))
+                out = list(map(itemgetter.__call__, inner_getters, itertools.repeat(by[0])))
             else:
-                digit, tail = divmod(window, width)
-                inner = (rows[digit] or fetch(digit))[tail * pw[i]:(tail + 1) * pw[i]]
-                block = join(map(runs[i].__getitem__, inner))
-            if block != first:
-                v = next(v for v, (a, b) in enumerate(zip(first, block)) if a != b)
-                hits.append((v, i))
-        if hits:
-            v, i = min(hits)
-            return u * span + v, i
+                q = span // w
+                out = [tuple(itertools.chain.from_iterable(map(by.__getitem__, cut(c, q))))
+                       for c in range(lo, lo + size, q)]
+            ref = first[off // span:off // span + len(out)]
+            if out == ref:
+                return None
+            j = _first_difference(out, ref)
+            return off + j * span + _first_difference(out[j], ref[j])
+
+    for p in range(n, 0, -1):
+        q = p  # blocks of more than _SCAN_BLOCK tuples are split into blocks of prefix length q
+        while q < n and k ** (2 * n - 1 - q) > _SCAN_BLOCK:
+            q += 1
+        count, split = pw[n - q], pw[q - p]
+        steps = []
+        for i in range(1, n):
+            w = pw[n - 1 - i]
+            size = pw[n - q + i] if i < q else pw[n]
+            column = w < size if k <= 256 else w == 1
+            # S = table[0:k*w] while the first i digits are the prefix's zeros
+            steps.append((i, w, size, column, keys(0, w, column) if i < p else None))
+        for pre in range(0 if p == n else split, k * split):
+            u = pre * count  # the first leading n-tuple of the block whose prefix codes to pre
+            first = lead(map(rows.__getitem__, cut(u, count)))
+            hits = []
+            for i, w, size, column, by in steps:
+                if i < q:  # S fixed by the prefix's first i digits, inner by the rest
+                    by = by or keys(pre // pw[q - i] * k * w, w, column)
+                    v = check(first, 0, pre % pw[q - i] * size, size, w, column, by)
+                else:  # the digits q..i-1 run free: one S for each of their values
+                    subs = pw[i - q]
+                    for j in range(subs):
+                        by = keys((pre * subs + j) * k * w, w, column)
+                        v = check(first, j * size * w, 0, size, w, column, by)
+                        if v is not None:
+                            break
+                if v is not None:
+                    hits.append((v, i))
+            if hits:
+                v, i = min(hits)
+                return u * span + v, i
     return None
+
+
+def _first_difference(a, b) -> int:
+    """Index of the first entry at which two sequences of one length differ:
+    double an agreeing prefix, halve the last step, then walk what is left."""
+    lo, hi = 0, 16
+    while a[lo:hi] == b[lo:hi]:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 16:
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return next(j for j in range(lo, hi) if a[j] != b[j])
 
 
 def _digit_codes(weights: list, k: int) -> list:

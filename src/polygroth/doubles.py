@@ -360,15 +360,14 @@ def _lift_fact(quiver: QuiverSpec, s: PolyadicStructure):
     _lifts_associativity once and keeps the answer.  lifted(draws), asked by
     a sampled check, declines with False, keeping nothing, while the lift
     costs more than the draws' 2n products each: about one pass over the
-    k^m base table per slot (compile, then scan blocks), plus the k^(2m-2)
-    row pieces the scan joins, each about a sixteenth of a product."""
+    k^m base table per slot (compile, then the scan's gathers)."""
     known = []
 
     def lifted(draws=None):
         if not known:
             if draws is not None:
                 k, m = len(s.carrier.elements()), s.arity
-                if k ** m * m + k ** (2 * m - 2) / 16 > 2 * quiver.output_arity * draws:
+                if k ** m * m > 2 * quiver.output_arity * draws:
                     return False
             known.append(_lifts_associativity(quiver, s))
         return known[0]

@@ -276,13 +276,14 @@ def test_universal_check(capsys):
 
 def test_universal_check_exits_1_on_a_map_that_is_no_homomorphism(tmp_path, capsys):
     # x mod 2 is no homomorphism from Z3: (2 + 1) mod 3 = 0, but 0 + 1 = 1 mod 2;
-    # the report is still emitted, after the 7 sampled pairs that passed
+    # the report is still emitted and names the samples asked for (the
+    # default 100), not the 7 pairs that passed before the failing one
     structure = write_table(tmp_path, zmod_add(3, 2))
     code, out, err = run(capsys, "universal-check", "--structure", structure,
                          "--target", "integers-mod-2")
     assert (code, err) == (1, "")
     assert json.loads(out) == {"structure": structure, "target": "integers-mod-2",
-                               "samples": 7, "ok": False,
+                               "samples": 100, "ok": False,
                                "detail": "failed(phi not a homomorphism at (2, 1))"}
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from polygroth import (
     zmod_add,
     zmod_mul,
 )
+from polygroth import core
 from polygroth.core import IndexDraws, _cancels, _is_neutral
 from polygroth.errors import (
     ArityMismatch,
@@ -206,7 +208,7 @@ def test_assoc_fast_scan_agrees_with_naive_placements():
 
 def test_assoc_scan_agrees_with_naive_placements_past_the_small_sweep():
     # k = 5..7 at arity 3 and 4: cyclic tables and one-entry perturbations.
-    # A perturbed entry is read within the first k blocks, so the oracle
+    # A perturbed entry is read within the first k leading tuples, so the oracle
     # stops early on a refutation; a cyclic table is a group, so its proof
     # is known where the oracle would walk too many tuples.
     rng = random.Random(43)
@@ -248,6 +250,114 @@ def test_scrambled_power_past_a_byte_agrees_with_naive_placements():
     v = check_total_associativity(power, CheckMode.exhaustive())
     assert v.status == "failed" and "index_table" not in power.facts
     assert v == naive_verdict(power, limit=v.checked)
+
+
+def scan_block(T, k, n):
+    """(prefix length p, last prefix digit) of the scan block that holds tuple
+    code T: the first leading n-tuple is (n, 0), a sibling of it (n, d), and a
+    block of every tuple starting with 0^(p-1) d is (p, d)."""
+    u = T // k ** (n - 1)
+    digits = [u // k ** (n - 1 - j) % k for j in range(n)]
+    p = next((j + 1 for j, x in enumerate(digits) if x), n)
+    return p, digits[p - 1]
+
+
+def left_projection_changed_in_last_row(k, n):
+    # the first argument, except one entry of row k-1: a tuple that starts
+    # with any other element never reaches it, so the first failure is in
+    # the last block of level 1
+    flat = [t[0] for t in itertools.product(range(k), repeat=n)]
+    flat[(k - 1) * k ** (n - 1) + 1] = 0
+    return flat
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("n, k", [(2, 4), (3, 4), (4, 3), (5, 3)])
+def test_a_first_failure_in_every_block_level_agrees_with_naive_placements(monkeypatch, n, k,
+                                                                          split):
+    # f = the first argument, or 1 where it is 0: one changed entry puts the
+    # first failure in any block level, so keep the first change that lands
+    # in each block and compare it with the oracle; split, every block of
+    # more than k^n tuples is cut into the blocks of its longer prefixes
+    if split:
+        monkeypatch.setattr(core, "_SCAN_BLOCK", k ** n)
+    base = [t[0] or 1 for t in itertools.product(range(k), repeat=n)]
+    found = {}
+    for code, y in itertools.product(range(k ** n), range(k)):
+        if y != base[code]:
+            s = flat_table(k, n, base[:code] + [y] + base[code + 1:])
+            v = check_total_associativity(s, CheckMode.exhaustive())
+            if v.status == "failed":
+                found.setdefault(scan_block(v.checked - 1, k, n), (s, v))
+    s = flat_table(k, n, left_projection_changed_in_last_row(k, n))
+    v = check_total_associativity(s, CheckMode.exhaustive())
+    assert scan_block(v.checked - 1, k, n) == (1, k - 1)
+    found[1, k - 1] = s, v
+    assert {p for p, _ in found} == set(range(1, n + 1))
+    assert (n, 0) in found and any(p == n and d for p, d in found)
+    for s, v in found.values():
+        assert v == naive_verdict(s, limit=v.checked)
+
+
+def test_a_level_one_block_past_a_byte_agrees_with_naive_placements():
+    # left projection of Z257 changed in row 1: the first failure is in the
+    # block of every tuple that starts with 1, gathered through tuple rows
+    k = 257
+    flat = [t[0] for t in itertools.product(range(k), repeat=2)]
+    flat[k + 1] = 0
+    s = flat_table(k, 2, flat)
+    v = check_total_associativity(s, CheckMode.exhaustive())
+    assert scan_block(v.checked - 1, k, 2) == (1, 1)
+    assert v == naive_verdict(s, limit=v.checked)
+
+
+def test_a_large_block_is_split_into_blocks_of_its_longer_prefixes():
+    # ternary left projection with (1, 0, 1) changed to 0: the first failure
+    # is (1, 0, 0, 0, 1) at placement 2, in the block of every tuple that
+    # starts with 1.  On 64 elements that block's 64^4 tuples are more than
+    # _SCAN_BLOCK, so the scan walks the 64^3-tuple blocks of (1, x) instead
+    # and holds far less memory than one unsplit block would take.
+    def changed_left_projection(k):
+        flat = [t[0] for t in itertools.product(range(k), repeat=3)]
+        flat[k * k + 1] = 0
+        return flat_table(k, 3, flat)
+
+    small = changed_left_projection(3)
+    v = check_total_associativity(small, CheckMode.exhaustive())
+    assert v == naive_verdict(small, limit=v.checked)
+    assert (v.checked, v.counterexample[0], v.counterexample[2]) == (3 ** 4 + 2, (1, 0, 0, 0, 1), 2)
+    large = changed_left_projection(64)
+    assert 64 ** 4 > core._SCAN_BLOCK
+    tracemalloc.start()
+    v = check_total_associativity(large, CheckMode.exhaustive())
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (v.checked, v.counterexample[0], v.counterexample[2]) == (64 ** 4 + 2, (1, 0, 0, 0, 1), 2)
+    assert peak < 64 ** 4 / 4
+
+
+def counting_rows(row):
+    reads = []
+    return (lambda r: reads.append(r) or row(r)), reads
+
+
+def test_a_refutation_in_the_first_leading_tuple_reads_one_row():
+    # a Z6 ternary scramble fails at its first leading tuple of doubles, so
+    # the scan reads the one row it needs, as many as the row-at-a-time
+    # kernel it replaced, out of the 36 rows of the power
+    q = swap_picks(builtin_quiver("post-ternary"), ("top", 1), ("bottom", 2))
+    power = hetero_power(flat_table(6, 3, cyclic_flat(6, 3)), q).structure
+    row, reads = counting_rows(core._index_rows(power)[0])
+    T, i = core._assoc_scan(row, 36, 3)
+    assert scan_block(T, 36, 3) == (3, 0)
+    assert reads == [0]
+
+
+@pytest.mark.parametrize("k, n", [(6, 3), (4, 5), (257, 2)])
+def test_a_proof_derives_each_row_once(k, n):
+    row, reads = counting_rows(core._index_rows(flat_table(k, n, cyclic_flat(k, n)))[0])
+    assert core._assoc_scan(row, k, n) is None
+    assert sorted(reads) == list(range(k))
 
 
 # ---------------------------------------------------------------------------

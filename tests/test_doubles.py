@@ -586,7 +586,7 @@ def test_sampled_verdicts_with_the_lift_match_the_draws():
 
 
 def test_a_lifted_sampled_check_evaluates_no_base_operation():
-    # within the budget (3^3 * 3 + 3^4 / 16 <= 2 * 3 * 50) the lift decides
+    # within the budget (3^3 * 3 <= 2 * 3 * 50) the lift decides
     # every draw from the parsed table; a scrambled wiring draws, and fails
     calls = []
     base = counting(parse_table(format_table(zmod_add(3, 3))), calls)
@@ -613,6 +613,15 @@ def test_a_declined_budget_keeps_the_lift_for_an_exhaustive_check():
     assert (v.status, v.checked) == ("proved-exhaustive", 144 ** 5)
     assert len(calls) == 12 + 12 ** 3
     assert power.facts["lifted_associativity"](1) is True
+
+
+def test_the_lift_is_asked_from_one_pass_over_the_base_table_per_slot():
+    # Z7 ternary through post-ternary: 7^3 * 3 = 1029 <= 2 * 3 * 172, so 172
+    # draws ask the lift and 171 do not
+    lifted = hetero_power(parse_table(format_table(zmod_add(7, 3))),
+                          builtin_quiver("post-ternary")).structure.facts["lifted_associativity"]
+    assert lifted(171) is False
+    assert lifted(172) is True
 
 
 def test_sampled_lift_edges():
