@@ -33,6 +33,7 @@ from .core import (
     _cancels,
     _check_samples,
     _checked_quer,
+    _digit_codes,
     _index_table,
     _sample_source,
     _sole_quer,
@@ -50,6 +51,7 @@ from .doubles import (
     format_quiver,
     hetero_power,
 )
+from .doubles import _wire_weights
 from .errors import (
     ArityMismatch,
     BoundExhausted,
@@ -561,6 +563,25 @@ def _quer_row(partition: Partition, quiver: QuiverSpec):
     return row
 
 
+def _code_product(partition: Partition, quiver: QuiverSpec):
+    """(codes, wires): codes maps each double of the finite base to its code,
+    in code order, and wires holds per wire its values and per slot the term
+    each code adds to its index (see doubles._wire_weights).  None, so
+    doubles are multiplied, unless the partition holds exactly those doubles
+    and the base is closed."""
+    s, position = partition.structure, partition.position
+    dom = all_doubles(s.carrier) if position is not None and s.carrier.is_finite else None
+    if dom is None or len(position) != len(dom) or not all(map(position.__contains__, dom)):
+        return None
+    try:
+        wires = _wire_weights(quiver, s)
+    except NonMember:
+        return None
+    k = len(s.carrier)
+    return {d: c for c, d in enumerate(dom)}, [
+        (values, [_digit_codes(w[j:j + 2], k) for j in range(0, len(w), 2)]) for values, w in wires]
+
+
 def check_well_definedness(partition: Partition, quiver: QuiverSpec, samples: int = 200,
                            seed: int = DEFAULT_SEED) -> Verdict:
     """Swap each argument for an equivalent class member and compare results.
@@ -568,16 +589,27 @@ def check_well_definedness(partition: Partition, quiver: QuiverSpec, samples: in
     The replacement is drawn from the class's other members, skipping the
     drawn member's index; a class lists each double once (partition_classes
     refuses a domain with repeats), so these are the members unequal to it.
-    checked counts the swaps; with none the verdict is vacuous.  A failure's
-    counterexample is (members, slot, replacement, r1, r2).
+    Where the partition has double codes (see _code_product), the draws
+    multiply codes and decode the results to decide them.  checked counts
+    the swaps; with none the verdict is vacuous.  A failure's counterexample
+    is (members, slot, replacement, r1, r2), as doubles.
     """
     _check_samples(samples)
     draws = IndexDraws(random.Random(seed))
-    product = bound_product(quiver, partition.structure.op.fn)
     n = quiver.output_arity
     classes = partition.classes
     if not any(len(c) >= 2 for c in classes):
         return Verdict("vacuous", 0)
+    coded = _code_product(partition, quiver)
+    if coded is None:
+        product, double = bound_product(quiver, partition.structure.op.fn), (lambda d: d)
+    else:
+        codes, ((top_values, top_terms), (bottom_values, bottom_terms)) = coded
+        classes, double = [[*map(codes.__getitem__, c)] for c in classes], [*codes].__getitem__
+
+        def product(cs):
+            return (top_values[sum(map(operator.getitem, top_terms, cs))]
+                    + bottom_values[sum(map(operator.getitem, bottom_terms, cs))])
     done = 0
     for _ in range(samples):
         chosen = [draws.pick(classes) for _ in range(n)]
@@ -593,7 +625,9 @@ def check_well_definedness(partition: Partition, quiver: QuiverSpec, samples: in
             swapped[slot] = alt
             r2 = product(swapped)
             done += 1
-            if not decide_equivalent(partition.structure, r1, r2, partition.decision):
+            if not decide_equivalent(partition.structure, double(r1), double(r2),
+                                     partition.decision):
+                members, alt, r1, r2 = [*map(double, members)], double(alt), double(r1), double(r2)
                 return Verdict("failed", done, (tuple(members), slot, alt, r1, r2), (
                     f"slot {slot}: {members[slot]} -> {alt} turns {r1} into inequivalent {r2}",))
     return Verdict("passed-sampled" if done else "vacuous", done)
@@ -611,8 +645,11 @@ def class_structure(partition: Partition, quiver: QuiverSpec) -> PolyadicStructu
 
     The product applies the quiver over the partition's base structure to
     the classes' representatives and resolves the result.  It is memoised by
-    class tuple, so no class-level check multiplies one tuple twice, and a
-    Cayley table compiled from it reuses what the earlier checks computed.
+    class tuple, so no class-level check multiplies one tuple twice.  Where
+    the partition has double codes (see _code_product), the "index_row" fact
+    gathers the Cayley table instead: row r adds class r's term to the sums
+    of the representatives' terms of slots 2..n, in lexicographic order,
+    reads each wire's values there and maps each product code to its class.
     """
     wired = bound_product(quiver, partition.structure.op.fn)
 
@@ -620,11 +657,25 @@ def class_structure(partition: Partition, quiver: QuiverSpec) -> PolyadicStructu
     def product(cds):
         return partition.resolve(wired([cd.rep for cd in cds]))
 
-    return PolyadicStructure(
+    cs = PolyadicStructure(
         FiniteCarrier(partition.class_doubles()),
         NAryOperation(quiver.output_arity, product,
                       name=f"classes:{quiver.name or format_quiver(quiver)}"),
     )
+    coded = _code_product(partition, quiver)
+    if coded is not None:
+        codes, wires = coded
+        to_class, reps = [partition.position[d] for d in codes], [codes[r] for r in partition.reps]
+        rests = [[*map(sum, itertools.product(*[[t[c] for c in reps] for t in terms[1:]]))]
+                 for _, terms in wires]
+
+        def row(r):
+            top, bottom = (map(values[terms[0][reps[r]]:].__getitem__, rest)
+                           for (values, terms), rest in zip(wires, rests))
+            return tuple(map(to_class.__getitem__, map(operator.add, top, bottom)))
+
+        cs.facts["index_row"] = row
+    return cs
 
 
 def _quer_formula(quiver: QuiverSpec, base: PolyadicStructure):
@@ -710,15 +761,15 @@ def _class_group_checks(cs: PolyadicStructure, quer: QuerMap, samples: int, seed
     its quer map, by the core checkers.
 
     When the exhaustive associativity proof is small (C^(2n-1) <= 200,000 for
-    C classes), the class Cayley table is compiled through the memoised
-    product and verify_polyadic_group proves or refutes the n-ary group on
-    it, counting its solvability instances; a group's quers satisfy the
-    cancellation identities.  Otherwise, or when a product leaves the listed
-    classes, class associativity and the cancellation identities are
-    sampled, and with no samples the verdict is vacuous.  `truncated` says
-    whether the class set may miss classes (the base is a rule carrier); a
-    product outside the listed classes shows that it does.  `domain` is the
-    last note of every verdict.
+    C classes), the class Cayley table is gathered (see class_structure) or
+    compiled through the memoised product, and verify_polyadic_group proves
+    or refutes the n-ary group on it, counting its solvability instances; a
+    group's quers satisfy the cancellation identities.  Otherwise, or when a
+    product leaves the listed classes, class associativity and the
+    cancellation identities are sampled, and with no samples the verdict is
+    vacuous.  `truncated` says whether the class set may miss classes (the
+    base is a rule carrier); a product outside the listed classes shows that
+    it does.  `domain` is the last note of every verdict.
     """
     cds = cs.carrier.elements()
     n = cs.arity

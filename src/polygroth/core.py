@@ -8,6 +8,7 @@ search otherwise.  Whenever a search is bounded, a negative outcome means
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -188,7 +189,7 @@ class PolyadicStructure:
     (the kernel of both shift relations, on a finite or a rule carrier).  A
     builder that knows the Cayley table may store it as "index_table", or a
     function returning its row r (see _index_rows) as "index_row", as
-    derived_structure does on a finite carrier.
+    derived_structure, hetero_power and class_structure do on finite bases.
     A builder that can prove total associativity without the table may store
     a function answering True when it can as "lifted_associativity":
     exhaustive checks call it with no argument, sampled checks with their
@@ -212,8 +213,8 @@ def derived_structure(carrier: Carrier, binary_op: NAryOperation, arity: int,
     On a finite carrier it stores its index table rows as "index_row": row r,
     the left-nested products op[r, x2, ..., xm] in order, is folded from the
     binary table, each further argument replacing every entry e by the
-    binary row of e.  The binary table is compiled on first use, so the
-    table costs k^2 binary calls, not (m-1)*k^m.
+    binary row of e.  The binary table is compiled and cut into its k rows
+    once, on first use, so the table costs k^2 binary calls, not (m-1)*k^m.
     """
     if binary_op.arity != 2:
         raise ArityMismatch("derived structures iterate a binary operation")
@@ -222,12 +223,15 @@ def derived_structure(carrier: Carrier, binary_op: NAryOperation, arity: int,
         return s
     binary = PolyadicStructure(carrier, binary_op, name=name)
 
-    def row(r):
+    @functools.cache
+    def rows():
         table, k = _index_table(binary)
-        rows = [table[e * k:(e + 1) * k] for e in range(k)]
+        return [table[e * k:(e + 1) * k] for e in range(k)].__getitem__
+
+    def row(r):
         entries = (r,)
         for _ in range(arity - 1):
-            entries = tuple(itertools.chain.from_iterable(map(rows.__getitem__, entries)))
+            entries = tuple(itertools.chain.from_iterable(map(rows(), entries)))
         return entries
 
     s.facts["index_row"] = row

@@ -375,27 +375,39 @@ def _lift_fact(quiver: QuiverSpec, s: PolyadicStructure):
     return lifted
 
 
+def _wire_weights(quiver: QuiverSpec, s: PolyadicStructure):
+    """(values, weights) per wire (top, bottom) of the quiver over the finite base s.
+
+    Double (a, b) has code a*k + b by element indices.  A wire reads values,
+    the base's index table (range(k) if intact) times k on the top wire, at
+    sum(weights[j] * d_j) over the 2n digits (top_1, bottom_1, ..., bottom_n)
+    of n doubles, and the product's code is the sum of the two wires' values.
+    """
+    base_table, k = _index_table(s)
+    out = []
+    for wire, scale in ((quiver.top, k), (quiver.bottom, 1)):
+        weights = [0] * (2 * quiver.output_arity)
+        for j, p in enumerate(wire):
+            weights[_digit(p)] = k ** (len(wire) - 1 - j)
+        values = range(k) if len(wire) == 1 else base_table
+        out.append((tuple([v * scale for v in values]) if scale > 1 else values, weights))
+    return out
+
+
 def _power_rows(quiver: QuiverSpec, s: PolyadicStructure):
     """Rows of the power's index table, derived from the base's without evaluating it.
 
-    Double (a, b) has index a*k + b, so a tuple of n doubles is coded by the
-    2n base digits (top_1, bottom_1, ..., top_n, bottom_n).  Each wire's value
-    is a digit (intact) or the base table entry coded by its picks' digits:
-    an offset fixed by the row's double plus a code over the other 2n-2
-    digits, which are computed once per power.  Each row is derived once per
-    power, so a scan followed by a table assembly derives none twice.
+    Row r multiplies the double of code r by every n-1 doubles (see
+    _wire_weights): each wire gathers its values at the offset of r's digits
+    plus the code of the other 2n-2 digits, computed once per power.  Each
+    row is derived once per power, so a scan followed by a table assembly
+    derives none twice.
     """
-    n = quiver.output_arity
 
     @functools.cache
     def wires():
-        base_table, k = _index_table(s)
-        out = []
-        for wire, scale in ((quiver.top, k), (quiver.bottom, 1)):
-            weights = [0] * (2 * n)
-            for j, p in enumerate(wire):
-                weights[_digit(p)] = k ** (len(wire) - 1 - j)
-            values = tuple(v * scale for v in (range(k) if len(wire) == 1 else base_table))
+        k, out = len(s.carrier), []
+        for values, weights in _wire_weights(quiver, s):
             codes = _digit_codes(weights[2:], k)
             gather = itemgetter(*codes) if len(codes) > 1 else (lambda t, c=codes[0]: (t[c],))
             out.append((values, _digit_codes(weights[:2], k), gather))

@@ -345,6 +345,21 @@ def test_finite_decisions_run_no_witness_search(monkeypatch):
         assert len(calls) == compiled
 
 
+def test_finite_well_definedness_and_class_table_evaluate_no_operation():
+    # on a finite base whose doubles the partition covers, well-definedness
+    # multiplies double codes and the class table is gathered from the base's
+    # index table: neither calls the base operation
+    s = parse_table(format_table(zmod_add(7, 3)))
+    calls, quiver = count_calls(s), builtin_quiver("post-ternary")
+    for relation in (GAUGE, TWIST):
+        part = partition_classes(s, all_doubles(s.carrier), WitnessSearch(relation))
+        assert check_well_definedness(part, quiver, samples=200, seed=5).status == "passed-sampled"
+        cs = class_structure(part, quiver)
+        assert "index_row" in cs.facts and len(_index_table(cs)[0]) == 7 ** 3
+        assert verify_polyadic_group(cs, CheckMode.exhaustive()).is_group
+    assert calls == []
+
+
 def test_derived_twist_partition_compiles_only_the_binary_table():
     # a derived base folds its index rows from the k x k binary table, so a
     # 5-ary partition costs 13^2 binary calls, not 4 * 13^5
@@ -1019,21 +1034,82 @@ def test_group_stage_pass_string_and_quer_are_pinned():
 
 def test_class_group_checks_make_one_product_per_class_tuple():
     # the class structure memoises the class product, so no class-level check
-    # multiplies a class tuple twice: a whole exhaustive completion evaluates
-    # the product once per tuple, C^n = 7^3, however many samples it draws,
-    # and past the table cutoff the sampled checks share the memo too
+    # multiplies a class tuple twice.  On a finite base the class table is
+    # gathered by double code, so a whole exhaustive completion multiplies
+    # only the quer stage's slot checks, at most n * C tuples, however many
+    # samples it draws; past the table cutoff the sampled checks share the
+    # memo too
     K = build_completion(zmod_add(7, 3), builtin_quiver("post-ternary"), WitnessSearch(GAUGE),
                          assoc_mode=CheckMode.sampled(10, 1), samples=200)
     assert K.partition.class_count() == 7
     assert str(K.report.group) == (
         "proved-exhaustive(147; solvability and associativity; quer at all slots; "
         "49-double domain)")
-    assert K.product.fn.cache_info().misses == 7 ** 3
+    assert K.product.fn.cache_info().misses <= 3 * 7
     K = completion_for("nat0", "componentwise-2", limit=80)
     assert K.partition.class_count() ** 3 > 200_000
     assert str(K.report.group).startswith(
         "passed-sampled(200; diagrammatic on truncated class set")
     assert K.product.fn.cache_info().misses > 1000
+
+
+def builtins_of_arity(m):
+    """Every built-in quiver on an m-ary base, each followed by a scramble."""
+    names = {2: ["componentwise-2", "twisted-binary"],
+             3: ["componentwise-3", "post-ternary", "ternary-to-binary-a", "ternary-to-binary-b"],
+             5: ["componentwise-5", "post-5ary", "five-to-three-intact"]}[m]
+    for name in names:
+        yield builtin_quiver(name)
+        yield swap_picks(builtin_quiver(name), ("top", 0), ("bottom", 0))
+
+
+def test_gathered_class_table_matches_the_compiled_one():
+    # on a finite base the class table is gathered by double code; compiled
+    # through the memoised class product instead, it must be the same table
+    rng = random.Random(20261020)
+    bases = [random_table(rng, k, m) for k in range(2, 7) for m in (2, 3)]
+    bases.append(parse_table(format_table(zmod_add(3, 5))))
+    for s in bases:
+        k, m = len(s.carrier), s.arity
+        rule = ExactRule(lambda a, b, k=k: (a.top - a.bottom - b.top + b.bottom) % k == 0)
+        for dec in (WitnessSearch(GAUGE), WitnessSearch(TWIST), rule):
+            part = partition_classes(s, all_doubles(s.carrier), dec)
+            for quiver in builtins_of_arity(m):
+                cs = class_structure(part, quiver)
+                assert "index_row" in cs.facts
+                assert _index_table(cs) == core._compile_table(cs), (s, dec, quiver)
+
+
+def test_partitions_without_double_codes_keep_the_product_of_doubles():
+    # a canonical form, a sub-domain, or k^2 doubles one of which is foreign
+    # (a partition built by hand, since partition_classes cannot sort a
+    # foreign double of a finite carrier): the class table is compiled
+    # through the product of doubles, and well-definedness multiplies
+    # doubles, as the reference does
+    s, quiver = zmod_add(5, 3), builtin_quiver("post-ternary")
+    rule, doubles = twist_rule(5, 3), all_doubles(s.carrier)
+    whole = partition_classes(s, doubles, rule)
+    swap = {Double(4, 4): Double(9, 9)}  # (4, 4) is no representative
+    foreign = dataclasses.replace(
+        whole, domain=[swap.get(d, d) for d in doubles],
+        classes=[[swap.get(d, d) for d in c] for c in whole.classes],
+        position={swap.get(d, d): i for d, i in whole.position.items()})
+
+    def canonical(d):
+        return Double((d.top - d.bottom) % 5, 0)
+
+    parts = [partition_classes(s, doubles, rule, canonical=canonical),
+             partition_classes(s, doubles[:20], rule), foreign]
+    for part in parts:
+        assert completion._code_product(part, quiver) is None
+        cs = class_structure(part, quiver)
+        assert "index_row" not in cs.facts
+        reference = PolyadicStructure(cs.carrier, unmemoised_product(part, quiver, s))
+        assert (outcome(lambda: _index_table(cs))
+                == outcome(lambda: core._compile_table(reference)))
+        for seed in range(5):
+            assert (check_well_definedness(part, quiver, samples=30, seed=seed)
+                    == well_definedness_reference(part, quiver, 30, seed))
 
 
 def twist_rule(k, m):

@@ -384,6 +384,23 @@ def test_power_evaluates_no_base_operation_until_an_exhaustive_check():
         assert "index_table" not in d.structure.facts
 
 
+def test_derived_rows_read_the_binary_table_once(monkeypatch):
+    # a derived structure cuts its binary table into rows once, so deriving
+    # every row, twice over, reads that table once and pays k^2 binary calls
+    from polygroth import core
+
+    binary, reads = [], []
+    s = derived_structure(FiniteCarrier(range(5)), NAryOperation(
+        2, lambda t: binary.append(t) or sum(t) % 5), 4)
+    index_table = core._index_table
+    monkeypatch.setattr(core, "_index_table", lambda t: reads.append(t) or index_table(t))
+    row = s.facts["index_row"]
+    rows = [row(r) for r in range(5)] + [row(r) for r in range(5)]
+    assert rows[:5] == rows[5:] == [tuple((r + sum(t)) % 5 for t in itertools.product(
+        range(5), repeat=3)) for r in range(5)]
+    assert len(reads) == 1 and len(binary) == 5 ** 2
+
+
 def test_power_runs_its_base_proof_at_most_once(monkeypatch):
     from polygroth import doubles
 
