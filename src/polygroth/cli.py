@@ -12,7 +12,6 @@ import json
 import sys
 
 from .completion import (
-    ClassDouble,
     CompletionGroup,
     WitnessSearch,
     build_completion,
@@ -153,14 +152,7 @@ def cmd_quer(args) -> int:
     lines = [f"quer table for {args.structure} through {K.quiver.name or 'quiver'}:"]
     if K.quer is None:
         lines.append(f"  unavailable: {K.report.group}")
-    else:
-        carrier = K.base.carrier
-        for rep in K.partition.reps:
-            q = K.quer.mapping[ClassDouble(rep)]
-            lines.append(
-                f"  quer[{carrier.render(rep.top)};{carrier.render(rep.bottom)}]"
-                f" = [{carrier.render(q.rep.top)};{carrier.render(q.rep.bottom)}]"
-            )
+    lines.extend(f"  quer[{a};{b}] = [{c};{d}]" for (a, b), (c, d) in payload["quer"])
     _emit(args, payload, lines)
     return 0 if K.report.ok else 1
 

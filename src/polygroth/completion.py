@@ -104,12 +104,13 @@ def _sides(relation: str, d1: Double, d2: Double):
 class _ShiftRows:
     """Both shift relations of a finite structure, read from its index table.
 
-    rows[relation](a, b) codes the side (a, b) (see _sides) at each position:
-    gauge codes its shift (op[a^(m-1), x], op[b^(m-1), x]) = (u, v) at x as
-    u*k + v, twist codes its twisted shift v at z as z*k + v, so twist codes
-    meet only at equal z.  first maps a side's codes to their first
-    positions; sides are related when their masks (code bits) meet.  Each is
-    made once per side; an element outside the carrier raises NonMember.
+    Positions are read from the carrier's index (at), so an element outside
+    the carrier raises NonMember.  rows[relation](a, b) codes the side
+    (a, b) (see _sides) at each position: gauge codes its shift
+    (op[a^(m-1), x], op[b^(m-1), x]) = (u, v) at x as u*k + v, twist codes
+    its twisted shift v at z as z*k + v, so twist codes meet only at equal
+    z.  first maps a side's codes to their first positions; sides are
+    related when their masks (code bits) meet.  Each is made once per side.
     compose(polyad) is the left-nested product iterated_eval gives of
     carrier elements, folded through the table.
 
@@ -123,16 +124,10 @@ class _ShiftRows:
     def __init__(self, s: PolyadicStructure):
         table, k = _index_table(s)
         self.elems, m = s.carrier.elements(), s.arity
-        index = {e: i for i, e in enumerate(self.elems)}
+        self.at = at = s.carrier.index.__getitem__
         stride = k * sum(k ** j for j in range(m - 1))          # r*k
         lead, fill = k ** (m - 1), k * sum(k ** j for j in range(m - 2))
         bits, back = (1).__lshift__, range(k - 1, -1, -1)  # back: so a code keeps its first y
-
-        def at(x) -> int:
-            i = index.get(x)
-            if i is None:
-                raise NonMember(x, "the base")
-            return i
 
         def gauge(a, b):
             lo, hi = at(a) * stride, at(b) * stride
@@ -144,7 +139,7 @@ class _ShiftRows:
             return list(map(operator.add, range(0, k * k, k), table[lo:lo + k]))
 
         def compose(polyad):
-            codes = map(index.__getitem__, polyad)
+            codes = map(at, polyad)
             acc = next(codes)
             for j, c in enumerate(codes, 1):  # a product closes every m-1 further codes
                 acc = acc * k + c
@@ -152,7 +147,7 @@ class _ShiftRows:
                     acc = table[acc]
             return self.elems[acc]
 
-        self.at, self.compose = at, compose
+        self.compose = compose
         self.rows = {GAUGE: functools.cache(gauge), TWIST: functools.cache(twist)}
         self.first = {r: functools.cache(lambda a, b, row=row: dict(zip(row(a, b)[::-1], back)))
                       for r, row in self.rows.items()}
@@ -377,23 +372,21 @@ def check_equivalence_axioms(s: PolyadicStructure, dec, samples: int = 200,
             if isinstance(dec, ExactRule):
                 if dec.rule(d1, d2) and dec.rule(d2, d3) and not dec.rule(d1, d3):
                     failures.append(("transitivity-rule", (d1, d2, d3)))
-            decided = False  # a triple counts once, whichever composition decides it
-            z1, z2 = twist_witness(s, d1, d2), twist_witness(s, d2, d3)
-            if z1 is None or z2 is None:
-                skipped += 1
-            else:
-                z3 = kernel.compose((d2.top,) * (m - 1) + (d2.bottom,) * (m - 1) + (z1, z2) + pad)
-                if not kernel.holds_at(TWIST, d1, d3, z3, z3):
-                    failures.append(("transitivity-twist-witness", (d1, d2, d3, z3)))
-                decided = True
-            w1, w2 = gauge_witness(s, d1, d2), gauge_witness(s, d2, d3)
-            if w1 is None or w2 is None:
-                skipped += 1
-            else:
-                head = (d2.top,) * (m - 1)  # composed per coordinate: (x1, x2), then (y1, y2)
-                x3, y3 = (kernel.compose(head + pair + pad) for pair in zip(w1, w2))
-                if not kernel.holds_at(GAUGE, d1, d3, x3, y3):
-                    failures.append(("transitivity-gauge-witness", (d1, d2, d3)))
+            decided = False  # a triple counts once, whichever relation decides it
+            lead = (d2.top,) * (m - 1)
+            for relation, search, head in ((TWIST, twist_witness, lead + (d2.bottom,) * (m - 1)),
+                                           (GAUGE, gauge_witness, lead)):
+                w1, w2 = search(s, d1, d2), search(s, d2, d3)
+                if w1 is None or w2 is None:
+                    skipped += 1
+                    continue
+                # composed per coordinate, (x1, x2) then (y1, y2); twist's z is both
+                xs, ys = zip(w1, w2) if relation == GAUGE else ((w1, w2),) * 2
+                x3 = kernel.compose(head + xs + pad)
+                y3 = x3 if ys == xs else kernel.compose(head + ys + pad)
+                if not kernel.holds_at(relation, d1, d3, x3, y3):
+                    failures.append((f"transitivity-{relation}-witness",
+                                     (d1, d2, d3) + ((x3,) if relation == TWIST else ())))
                 decided = True
             trans += decided
 
@@ -564,21 +557,24 @@ def _quer_row(partition: Partition, quiver: QuiverSpec):
 
 
 def _code_product(partition: Partition, quiver: QuiverSpec):
-    """(codes, wires): codes maps each double of the finite base to its code,
-    in code order, and wires holds per wire its values and per slot the term
-    each code adds to its index (see doubles._wire_weights).  None, so
-    doubles are multiplied, unless the partition holds exactly those doubles
-    and the base is closed."""
+    """(codes, wires): codes maps each double (a, b) of the finite base to its
+    code index[a]*k + index[b], in code order, and wires holds per wire its
+    values and per slot the term each code adds to its index (see
+    doubles._wire_weights).  None, so doubles are multiplied, unless the
+    partition holds k^2 doubles of the base, which are then all of them, and
+    the base is closed: a foreign double's NonMember returns None."""
     s, position = partition.structure, partition.position
-    dom = all_doubles(s.carrier) if position is not None and s.carrier.is_finite else None
-    if dom is None or len(position) != len(dom) or not all(map(position.__contains__, dom)):
+    if position is None or not s.carrier.is_finite or len(position) != len(s.carrier) ** 2:
         return None
+    index, k = s.carrier.index, len(s.carrier)
+    dom = [None] * (k * k)  # the doubles in code order
     try:
+        for d in position:
+            dom[index[d.top] * k + index[d.bottom]] = d
         wires = _wire_weights(quiver, s)
     except NonMember:
         return None
-    k = len(s.carrier)
-    return {d: c for c, d in enumerate(dom)}, [
+    return dict(zip(dom, range(k * k))), [
         (values, [_digit_codes(w[j:j + 2], k) for j in range(0, len(w), 2)]) for values, w in wires]
 
 
@@ -830,7 +826,7 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec, *,
     if assoc_mode is None:
         if s.carrier.is_finite:
             # past the cutoff, a proof lifted from a base scan within it still counts
-            k, cutoff = len(s.carrier.elements()), 20_000_000
+            k, cutoff = len(s.carrier), 20_000_000
             exhaustive = (k * k) ** (2 * quiver.output_arity - 1) <= cutoff or (
                 k ** (2 * s.arity - 1) <= cutoff and power.structure.facts["lifted_associativity"]())
             assoc_mode = CheckMode.exhaustive() if exhaustive else CheckMode.sampled(2000, seed)
@@ -838,7 +834,7 @@ def build_completion(s: PolyadicStructure, quiver: QuiverSpec, dec, *,
             assoc_mode = CheckMode.sampled(1000, seed)
     assoc = check_total_associativity(power.structure, assoc_mode)
 
-    domain = all_doubles(s.carrier)
+    domain = power.structure.carrier.elements()  # all_doubles order
     part = partition_classes(s, domain, dec, canonical=canonical)
     classes = class_structure(part, quiver)
     wd = check_well_definedness(part, quiver, samples=samples, seed=seed)

@@ -55,25 +55,37 @@ class Carrier:
         return x
 
 
+class _ElementIndex(dict):
+    """element -> position in a carrier's enumeration; a missing element
+    raises NonMember naming the carrier (`where`)."""
+
+    def __missing__(self, x):
+        raise NonMember(x, self.where)
+
+
 class FiniteCarrier(Carrier):
-    """Duplicate-free ordered element list; supports exhaustive checks."""
+    """Duplicate-free ordered element list; supports exhaustive checks.
+
+    `index` is its one element -> position map: membership, render, sort_key
+    and the finite kernels read it, and a non-member raises NonMember.
+    """
 
     is_finite = True
 
     def __init__(self, elements: Iterable, labels: Sequence[str] | None = None, name: str = ""):
         self._elements = list(elements)
-        self._index: dict = {}
-        for i, e in enumerate(self._elements):
-            if e in self._index:
-                raise ValueError(f"duplicate carrier element {e!r}")
-            self._index[e] = i
+        self.index = _ElementIndex(zip(self._elements, itertools.count()))
+        self.index.where = name or "the carrier"
+        if len(self.index) < len(self._elements):
+            repeat = next(e for i, e in enumerate(self._elements) if self.index[e] != i)
+            raise ValueError(f"duplicate carrier element {repeat!r}")
         if labels is not None and not len(labels) == len(set(labels)) == len(self._elements):
             raise ValueError("labels must list exactly one distinct name per element")
         self.labels = list(labels) if labels is not None else None
         self.name = name
 
     def __contains__(self, x):
-        return x in self._index
+        return x in self.index
 
     def __len__(self):
         return len(self._elements)
@@ -82,10 +94,11 @@ class FiniteCarrier(Carrier):
         return list(self._elements)
 
     def render(self, x):
-        return self.labels[self._index[x]] if self.labels else str(x)
+        i = self.index[x]
+        return self.labels[i] if self.labels else str(x)
 
     def sort_key(self, x):
-        return self._index[x]
+        return self.index[x]
 
 
 class RuleCarrier(Carrier):
@@ -405,7 +418,7 @@ def _index_table(s: PolyadicStructure):
     if row is None:
         table = _compile_table(s)
     else:
-        k = len(s.carrier.elements())
+        k = len(s.carrier)
         table = tuple(itertools.chain.from_iterable(map(row, range(k)))), k
     s.facts["index_table"] = table
     return table
@@ -418,27 +431,22 @@ def _index_rows(s: PolyadicStructure):
     """
     row = s.facts.get("index_row")
     if row is not None and "index_table" not in s.facts:
-        return row, len(s.carrier.elements())
+        return row, len(s.carrier)
     table, k = _index_table(s)
     span = k ** (s.arity - 1)
     return (lambda r: table[r * span:(r + 1) * span]), k
 
 
 def _compile_table(s: PolyadicStructure):
-    """Evaluate the operation on every tuple; raises NonMember if not closed."""
-    elems = s.carrier.elements()
-    k = len(elems)
-    n = s.arity
-    index = {e: i for i, e in enumerate(elems)}
-    table = [0] * (k ** n)
-    flat = 0
-    for t in itertools.product(elems, repeat=n):
-        r = s.op.fn(t)
-        if r not in index:
-            raise NonMember(r, f"{s.name or 'structure'} (operation is not closed)")
-        table[flat] = index[r]
-        flat += 1
-    return tuple(table), k
+    """Evaluate the operation on every tuple and read each result's position
+    from the carrier's index; raises NonMember if not closed."""
+    elems, n = s.carrier.elements(), s.arity
+    try:
+        table = tuple(map(s.carrier.index.__getitem__,
+                          map(s.op.fn, itertools.product(elems, repeat=n))))
+    except NonMember as exc:
+        raise NonMember(exc.element, f"{s.name or 'structure'} (operation is not closed)") from None
+    return table, len(elems)
 
 
 _SCAN_BLOCK = 1 << 20  # most tuples one block of the associativity scan holds
@@ -627,7 +635,7 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
         L = 2 * n - 1
         lifted = s.facts.get("lifted_associativity")
         if lifted is not None and lifted():
-            return Verdict("proved-exhaustive", len(s.carrier.elements()) ** L)
+            return Verdict("proved-exhaustive", len(s.carrier) ** L)
         row, k = _index_rows(s)
         hit = _assoc_scan(row, k, n)
         if hit is None:

@@ -366,7 +366,7 @@ def _lift_fact(quiver: QuiverSpec, s: PolyadicStructure):
     def lifted(draws=None):
         if not known:
             if draws is not None:
-                k, m = len(s.carrier.elements()), s.arity
+                k, m = len(s.carrier), s.arity
                 if k ** m * m > 2 * quiver.output_arity * draws:
                     return False
             known.append(_lifts_associativity(quiver, s))

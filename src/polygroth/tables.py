@@ -29,6 +29,8 @@ def _header(line: str, key: str) -> int:
 
 
 def parse_table(text: str, name: str = "table") -> PolyadicStructure:
+    """The structure of a table file on the carrier 0..k-1; its operation folds
+    positions read from the carrier's index, so a non-member raises NonMember."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 2:
@@ -57,10 +59,10 @@ def parse_table(text: str, name: str = "table") -> PolyadicStructure:
     flat = tuple(flat)
     carrier = FiniteCarrier(range(k), labels=labels, name=name)
 
-    def fn(polyad, _flat=flat, _k=k):
+    def fn(polyad, _flat=flat, _k=k, _index=carrier.index):
         idx = 0
         for d in polyad:
-            idx = idx * _k + d
+            idx = idx * _k + _index[d]
         return _flat[idx]
 
     structure = PolyadicStructure(carrier, NAryOperation(m, fn, name=name), name=name)

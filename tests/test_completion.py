@@ -774,6 +774,23 @@ def test_transitivity_counts_triples_the_gauge_witness_decides(monkeypatch):
     assert (verdict.status, verdict.transitivity_checked) == ("passed-sampled", 20)
 
 
+def test_transitivity_composes_each_distinct_witness_pair_once(monkeypatch):
+    # twist's one witness z is both coordinates of its check, so it costs one
+    # composition; gauge composes (x1, x2) and (y1, y2), once when they agree
+    s = zmod_add(5, 3)
+    kernel, gauge = completion._shift_kernel(s), completion.gauge_witness
+    composed, witnesses = [], []
+    monkeypatch.setattr(kernel, "compose",
+                        lambda polyad, compose=kernel.compose: composed.append(polyad) or compose(polyad))
+    monkeypatch.setattr(completion, "gauge_witness",
+                        lambda *args: witnesses.append(gauge(*args)) or witnesses[-1])
+    verdict = check_equivalence_axioms(s, WitnessSearch(GAUGE), samples=100, seed=3)
+    assert (verdict.status, verdict.transitivity_checked, verdict.skipped) == ("passed-sampled", 100, 0)
+    distinct = [len({*zip(w1, w2)}) for w1, w2 in zip(witnesses[::2], witnesses[1::2])]
+    assert len(distinct) == 100 and 1 in distinct and 2 in distinct
+    assert len(composed) == 100 + sum(distinct)
+
+
 def test_residue_intact_product_not_well_defined_documented_counterexample():
     # hand oracle: with S1=(7,17) ~ S1'=(77,187) and S2=S3=(7,17) the wired
     # tops are 7^3*17^2 and 7^3*17^2*11^2 while both bottoms stay 17, and
@@ -1110,6 +1127,16 @@ def test_partitions_without_double_codes_keep_the_product_of_doubles():
         for seed in range(5):
             assert (check_well_definedness(part, quiver, samples=30, seed=seed)
                     == well_definedness_reference(part, quiver, 30, seed))
+
+
+def test_a_foreign_double_in_a_finite_domain_raises_non_member():
+    # the classes are sorted by element positions, and a double outside the
+    # carrier has none: NonMember, a PolyadicError as build_completion and
+    # the CLI expect, where it once died with a bare KeyError
+    s = zmod_add(5, 3)
+    domain = [Double(7, 0)] + all_doubles(s.carrier)[1:]
+    with pytest.raises(NonMember, match="7 is not a carrier member"):
+        partition_classes(s, domain, twist_rule(5, 3))
 
 
 def twist_rule(k, m):

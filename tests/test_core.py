@@ -32,6 +32,7 @@ from polygroth.core import IndexDraws, _cancels, _is_neutral
 from polygroth.errors import (
     ArityMismatch,
     ExhaustiveOnInfiniteCarrier,
+    NonMember,
     QuerNotFound,
     QuerNotUnique,
     QuerPlacementFailed,
@@ -48,6 +49,26 @@ def corrupted_z3_ternary():
     assert lines[2] == "0"
     lines[2] = "1"
     return parse_table("\n".join(lines), name="corrupted")
+
+
+# ---------------------------------------------------------------------------
+# finite carriers
+
+
+def test_a_finite_carrier_indexes_its_members_and_names_itself_for_others():
+    # one element -> position map serves membership, render and sort_key; a
+    # non-member raises NonMember, where render and sort_key once raised a
+    # bare KeyError, or render of an unlabelled carrier printed it
+    labelled = FiniteCarrier("abc", labels=["x", "y", "z"], name="letters")
+    assert labelled.index == {"a": 0, "b": 1, "c": 2}
+    assert ("b" in labelled, "d" in labelled) == (True, False)
+    assert (labelled.render("b"), labelled.sort_key("c")) == ("y", 2)
+    for carrier, where in [(labelled, "letters"), (FiniteCarrier(range(3)), "the carrier")]:
+        for look_up in (carrier.render, carrier.sort_key, carrier.index.__getitem__):
+            with pytest.raises(NonMember, match=f"'d' is not a carrier member of {where}"):
+                look_up("d")
+    with pytest.raises(ValueError, match="duplicate carrier element 'a'"):
+        FiniteCarrier("aba")
 
 
 # ---------------------------------------------------------------------------

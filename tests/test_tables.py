@@ -8,6 +8,7 @@ from polygroth import (
     check_total_associativity,
     zmod_add,
 )
+from polygroth.errors import NonMember
 from polygroth.tables import format_table, parse_table, read_table
 
 
@@ -28,6 +29,17 @@ def test_round_trip_through_file(tmp_path):
     path.write_text(format_table(s))
     back = read_table(str(path))
     assert check_total_associativity(back, CheckMode.exhaustive()).ok
+
+
+def test_an_argument_outside_the_table_raises_non_member():
+    # the operation reads each argument's position from the carrier's index,
+    # so an argument off the carrier lands on no other entry's code: on Z3,
+    # (1, 4) once read (2, 1), (0, 5) read (1, 2) and (-1, 2) wrapped to (2, 2)
+    s = parse_table(format_table(zmod_add(3, 2)))
+    assert s.op((2, 1)) == 0
+    for args in [(1, 4), (0, 5), (-1, 2)]:
+        with pytest.raises(NonMember, match="is not a carrier member of table"):
+            s.op(args)
 
 
 def test_labels_block():
