@@ -435,6 +435,11 @@ class Partition:
     reps: list                   # representative per class
     position: dict | None        # domain double -> class index; None with a canonical form
 
+    @functools.cached_property
+    def _coded(self) -> dict:
+        """quiver -> the double codes of _code_product, filled on first use."""
+        return {}
+
     def class_count(self) -> int:
         return len(self.reps)
 
@@ -557,6 +562,15 @@ def _quer_row(partition: Partition, quiver: QuiverSpec):
 
 
 def _code_product(partition: Partition, quiver: QuiverSpec):
+    """_double_codes(partition, quiver), made once per quiver and kept on the
+    partition, so class_structure and check_well_definedness share it."""
+    coded = partition._coded
+    if quiver not in coded:
+        coded[quiver] = _double_codes(partition, quiver)
+    return coded[quiver]
+
+
+def _double_codes(partition: Partition, quiver: QuiverSpec):
     """(codes, wires): codes maps each double (a, b) of the finite base to its
     code index[a]*k + index[b], in code order, and wires holds per wire its
     values and per slot the term each code adds to its index (see

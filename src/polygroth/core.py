@@ -824,13 +824,78 @@ def verify_polyadic_group(s: PolyadicStructure, mode: CheckMode) -> GroupVerdict
     and the scan stops at the third failure.  A sampled mode is a UsageError,
     since a bounded enumeration cannot refute solvability; a rule carrier
     raises ExhaustiveOnInfiniteCarrier.
+
+    For n >= 3 on at most 256 elements the table's Hosszu-Gluskin
+    decomposition is tried first (see _hosszu_gluskin): an operation
+    f(x1, ..., xn) = x1 o phi(x2) o ... o phi^(n-1)(xn) o b over a binary
+    group (G, o), with phi an automorphism, phi(b) = b and
+    phi^(n-1)(x) o b = b o x, is an n-ary group (Hosszu 1963, Gluskin 1965;
+    see Dudek and Glazek, Discrete Math. 308, 2008).  The candidates are
+    read off the table at the first element a, in six steps on table rows:
+    f(a^(n-1), x) = a has one solution abar; the retract x o y =
+    f(x, a^(n-2), y) is k rows; it is a group; phi(x) = f(abar, x, a^(n-2))
+    is an automorphism of it; b = f(abar^n) meets its two conditions; the
+    table is the formula.  When all hold, the theorem decides every tuple
+    and every solvability instance, so the verdict counts them all, as the
+    scans would.  A table that does not decompose falls to the scans, which
+    name its smallest counterexample and its solvability failures.
     """
     if mode.kind != CheckMode.EXHAUSTIVE:
         raise UsageError("group verification is exhaustive: a bounded enumeration "
                          "cannot refute solvability")
+    n = s.arity
+    if s.carrier.is_finite and n >= 3:
+        table, k = _index_table(s)
+        if k <= 256 and _hosszu_gluskin(table, k, n):
+            a = s.carrier.render(s.carrier.elements()[0])
+            assoc = Verdict("proved-exhaustive", k ** (2 * n - 1), None,
+                            (f"Hosszu-Gluskin decomposition, retract at {a}",))
+            return GroupVerdict(True, assoc, (), n * k ** (n - 1))
     assoc = check_total_associativity(s, mode)
     failures, checked = _solvability_scan(s)
     return GroupVerdict(assoc.ok and not failures, assoc, tuple(failures), checked)
+
+
+def _hosszu_gluskin(table, k: int, n: int, a: int = 0) -> bool:
+    """Whether the flat index table of an n-ary operation (n >= 3, k <= 256)
+    decomposes over the retract at index a (see verify_polyadic_group).
+
+    The retract's row R[x] is a k-slice of bytes and phi a strided slice; o
+    is a group when its rows and columns are permutations and _assoc_scan
+    finds it associative.  The formula's table is built one argument at a
+    time, level j+1 joining the rows u o phi^j(x) of the values u of level
+    j, then mapped by o b.  The first check that fails returns False.
+    """
+    T, pad, span = bytes(table), bytes(256 - k), k ** (n - 1)
+    ones = [sum(k ** e for e in range(j)) for j in range(n + 1)]  # code of a^j is a*ones[j]
+    lo = a * k * ones[n - 1]
+    head = T[lo:lo + k]  # f(a^(n-1), x) for every x
+    if head.count(a) != 1:
+        return False
+    abar = head.index(a)
+    R = [T[c:c + k] for c in range(a * k * ones[n - 2], k * span, span)]
+    flat = b"".join(R)
+    if any(len(set(r)) < k for r in R) or any(len(set(flat[y::k])) < k for y in range(k)):
+        return False
+    if _assoc_scan(R.__getitem__, k, 2) is not None:
+        return False
+    phi = T[abar * span + a * ones[n - 2]:(abar + 1) * span:k ** (n - 2)]
+    Rp = [r + pad for r in R]
+    if len(set(phi)) < k or any(R[x].translate(phi + pad) != phi.translate(Rp[phi[x]])
+                                for x in range(k)):
+        return False
+    b = T[abar * ones[n]]
+    powers = [bytes(range(k))]  # phi^j as bytes
+    for _ in range(n - 1):
+        powers.append(powers[-1].translate(phi + pad))
+    times_b = flat[b::k] + pad  # x -> x o b
+    if phi[b] != b or powers[n - 1].translate(times_b) != R[b]:
+        return False
+    level = powers[0]
+    for j in range(1, n):
+        rows = [powers[j].translate(Rp[u]) for u in range(k)]
+        level = b"".join(map(rows.__getitem__, level))
+    return level.translate(times_b) == T
 
 
 def _solvability_scan(s: PolyadicStructure):
@@ -839,22 +904,65 @@ def _solvability_scan(s: PolyadicStructure):
     A failure (slot, others) says that fixing the other n-1 arguments to
     `others` does not make the slot a bijection; the scan stops after three
     of them.  The column of slot i is the strided slice of the table with
-    stride k^(n-1-i), starting where that slot reads 0.
+    stride w = k^(n-1-i), starting where that slot reads 0: the w columns of
+    each block of k*w entries, in code order.  On at most 64 elements the
+    columns are checked all at once (see _short_columns) on the table read as
+    one integer of one-hot fields of k bits, value v setting bit v; past 64
+    each column is made a set.
     """
     table, k = _index_table(s)
     elems = s.carrier.elements()
     n = s.arity
+    count = k ** (n - 1)
     failures: list = []
-    checked = 0
+    if not k:  # no columns: every slot is vacuously solvable
+        return failures, n * count
+    if k <= 64:
+        size = (k + 7) // 8  # bytes per field
+        onehot, flat = bytearray(size * k ** n), bytes(table)
+        for j in range(size):
+            onehot[j::size] = flat.translate(bytes((1 << v >> 8 * j) & 255 for v in range(256)))
+        fields = int.from_bytes(onehot, "little")
     for i in range(n):
-        stride = k ** (n - 1 - i)
-        for code in range(k ** (n - 1)):
-            checked += 1
-            pre, post = divmod(code, stride)
-            start = pre * stride * k + post
-            if len(set(table[start:start + k * stride:stride])) < k:
-                failures.append((i, _decode_polyad(elems, k, n - 1, code)))
-                if len(failures) == 3:
-                    return failures, checked
-    return failures, checked
+        w = k ** (n - 1 - i)
+        if k <= 64:
+            short = _short_columns(fields, k, w, size, k ** i)
+        else:
+            starts = list(itertools.chain.from_iterable(map(range, range(0, k * count, k * w),
+                                                            range(w, k * count + w, k * w))))
+            columns = map(table.__getitem__, map(slice, starts, map(add, starts, itertools.repeat(k * w)),
+                                                 itertools.repeat(w)))
+            short = itertools.compress(range(count), map(k.__gt__, map(len, map(set, columns))))
+        for code in short:
+            failures.append((i, _decode_polyad(elems, k, n - 1, code)))
+            if len(failures) == 3:
+                return failures, i * count + code + 1
+    return failures, n * count
+
+
+def _short_columns(fields: int, k: int, w: int, size: int, blocks: int):
+    """Codes, in order, of the columns of stride w that are no permutation.
+
+    `fields` holds the table as one-hot fields of `size` bytes.  OR-ing its
+    shifts by c*w fields for every c < k (in doubling steps, then one step
+    that overlaps them) leaves at the first entry of each column the union of
+    the column's values, which has all k bits exactly when the column's k
+    values are distinct; the first w fields of each of the `blocks` blocks of
+    k*w are those entries.
+    """
+    width = 8 * size
+    union, m = fields, 1
+    while 2 * m <= k:
+        union |= union >> m * w * width
+        m *= 2
+    union |= union >> (k - m) * w * width
+    full = ((1 << k) - 1).to_bytes(size, "little")
+    wanted = int.from_bytes((full * w + bytes(size * w * (k - 1))) * blocks, "little")
+    short, base = wanted & ~union, 0
+    while short:
+        field = base + ((short & -short).bit_length() - 1) // width
+        p, t = divmod(field, k * w)
+        yield p * w + t
+        short >>= (field + 1 - base) * width
+        base = field + 1
 

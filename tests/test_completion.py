@@ -1129,6 +1129,19 @@ def test_partitions_without_double_codes_keep_the_product_of_doubles():
                     == well_definedness_reference(part, quiver, 30, seed))
 
 
+def test_a_finite_completion_codes_its_doubles_once(monkeypatch):
+    # class_structure and check_well_definedness share one _code_product
+    # result, so the wire weights are made once per completion
+    calls = []
+    weights = completion._wire_weights
+    monkeypatch.setattr(completion, "_wire_weights",
+                        lambda *args: calls.append(args) or weights(*args))
+    for quiver in ("post-ternary", "componentwise-3"):
+        calls.clear()
+        K = build_completion(zmod_add(5, 3), builtin_quiver(quiver), twist_rule(5, 3))
+        assert K.report.ok and len(calls) == 1
+
+
 def test_a_foreign_double_in_a_finite_domain_raises_non_member():
     # the classes are sorted by element positions, and a double outside the
     # carrier has none: NonMember, a PolyadicError as build_completion and

@@ -1,4 +1,8 @@
+import collections
+import dataclasses
+import functools
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from polygroth import (
     CheckMode,
     FiniteCarrier,
+    GroupVerdict,
     NAryOperation,
     PolyadicStructure,
     Verdict,
@@ -744,6 +749,26 @@ def test_exhaustive_solvability_matches_per_column_reference():
     assert seen == {0, 2, 3}
 
 
+def test_the_solvability_scan_matches_the_reference_across_field_widths():
+    # up to 64 elements the columns are one-hot fields of one to eight bytes,
+    # past 64 they are sets; each size runs Z_k, two one-entry perturbations
+    # of it (failures in every slot) and a random table
+    rng = random.Random(59)
+    seen = set()
+    for k, n in [(1, 3), (3, 1), (8, 3), (9, 3), (16, 2), (17, 3), (33, 2), (64, 2), (65, 2)]:
+        cyclic = cyclic_flat(k, n)
+        flats = [cyclic, [rng.randrange(k) for _ in range(k ** n)]]
+        if k > 1:
+            once = perturbed_flat(cyclic, k, rng.randrange(k ** n), rng)
+            flats += [once, perturbed_flat(once, k, rng.randrange(k ** n), rng)]
+        for flat in flats:
+            s = flat_table(k, n, flat)
+            failures, checked = core._solvability_scan(s)
+            assert (tuple(failures), checked) == solvability_reference(s), (k, n, flat)
+            seen.add(len(failures))
+    assert seen == {0, 1, 2, 3}
+
+
 def test_group_members_have_unique_quers_and_doernte():
     z5 = zmod_add(5, 3)
     assert verify_polyadic_group(z5, CheckMode.exhaustive()).is_group
@@ -752,6 +777,109 @@ def test_group_members_have_unique_quers_and_doernte():
         assert z5.op((g, g, q)) == g
         for h in range(5):
             assert _cancels(z5, g, h, querelement(z5, h))
+
+
+def scans_group_verdict(s):
+    """The group verdict of the associativity and solvability scans alone."""
+    assoc = check_total_associativity(s, CheckMode.exhaustive())
+    failures, checked = core._solvability_scan(s)
+    return GroupVerdict(assoc.ok and not failures, assoc, tuple(failures), checked)
+
+
+def relabelled_flat(k, n, combine, perm):
+    """Z_k under combine, iterated to n arguments, with x written perm[x]."""
+    inverse = sorted(range(k), key=perm.__getitem__)
+    return [perm[functools.reduce(combine, map(inverse.__getitem__, t)) % k]
+            for t in itertools.product(range(k), repeat=n)]
+
+
+def s3_group(n, c):
+    """x1 c x2 c ... c xn over the permutations of three points: an n-ary
+    group with a non-abelian retract."""
+    def mul(p, q):
+        return tuple(p[q[i]] for i in range(3))
+
+    def fn(t):
+        return functools.reduce(lambda acc, x: mul(mul(acc, c), x), t)
+
+    return PolyadicStructure(FiniteCarrier(itertools.permutations(range(3))), NAryOperation(n, fn))
+
+
+def group_check_cases():
+    """(k, n, structure) on seeded tables: two relabellings of Z_k under + and
+    under x, a one-entry perturbation of each, and a random table, for k 1-8 and n 3-5
+    within 2.1M tuples of the scan; then the S3-derived ternary and 4-ary
+    groups for every c."""
+    rng = random.Random(2028)
+    for k in range(1, 9):
+        for n in range(3, 6):
+            if k ** (2 * n - 1) > 2_100_000:
+                continue
+            flats = []
+            for combine in (operator.add, operator.add, operator.mul, operator.mul):
+                flat = relabelled_flat(k, n, combine, rng.sample(range(k), k))
+                flats.append(flat)
+                if k > 1:
+                    flats.append(perturbed_flat(flat, k, rng.randrange(k ** n), rng))
+            flats.append([rng.randrange(k) for _ in range(k ** n)])
+            for flat in flats:
+                yield k, n, flat_table(k, n, flat)
+    for n in (3, 4):
+        for c in itertools.permutations(range(3)):
+            yield 6, n, s3_group(n, c)
+
+
+def test_the_decomposition_agrees_with_the_scans_on_seeded_tables():
+    # a group is proved by its Hosszu-Gluskin decomposition, with the scans'
+    # counts; every other table gets the scans' verdict, whole
+    seen = collections.Counter()
+    for k, n, s in group_check_cases():
+        got = verify_polyadic_group(s, CheckMode.exhaustive())
+        want = scans_group_verdict(PolyadicStructure(s.carrier, s.op))
+        if want.is_group:
+            assert got.associativity.notes == ("Hosszu-Gluskin decomposition, retract at "
+                                               f"{s.carrier.render(s.carrier.elements()[0])}",)
+            got = dataclasses.replace(
+                got, associativity=dataclasses.replace(got.associativity, notes=()))
+        assert got == want, (k, n, format_table(s))
+        seen[want.is_group, want.associativity.ok] += 1
+    assert seen == {(True, True): 63, (False, True): 36, (False, False): 90}
+
+
+def test_the_decomposition_proves_a_group_at_every_retract():
+    # all retracts of an n-ary group are isomorphic, so the element the
+    # retract is taken at does not matter; a non-group never decomposes
+    for k, n, s in group_check_cases():
+        table, _ = core._index_table(s)
+        is_group = scans_group_verdict(PolyadicStructure(s.carrier, s.op)).is_group
+        assert [core._hosszu_gluskin(table, k, n, a) for a in range(k)] == [is_group] * k, (
+            k, n, format_table(s))
+
+
+def test_a_decomposed_group_scans_only_its_retract(monkeypatch):
+    calls = []
+    assoc_scan, solvability_scan = core._assoc_scan, core._solvability_scan
+
+    def recording_assoc_scan(row, k, n):
+        calls.append(("associativity", k, n))
+        return assoc_scan(row, k, n)
+
+    def recording_solvability_scan(s):
+        calls.append(("solvability",))
+        return solvability_scan(s)
+
+    monkeypatch.setattr(core, "_assoc_scan", recording_assoc_scan)
+    monkeypatch.setattr(core, "_solvability_scan", recording_solvability_scan)
+    z7 = cyclic_flat(7, 4)
+    gv = verify_polyadic_group(flat_table(7, 4, z7), CheckMode.exhaustive())
+    assert gv.is_group and gv.checked == 4 * 7 ** 3
+    assert gv.associativity.status == "proved-exhaustive" and gv.associativity.checked == 7 ** 7
+    assert calls == [("associativity", 7, 2)]
+    calls.clear()
+    bad = flat_table(7, 4, perturbed_flat(z7, 7, 1234, random.Random(3)))
+    gv = verify_polyadic_group(bad, CheckMode.exhaustive())
+    assert not gv.is_group and gv.solvability_failures
+    assert calls[-2:] == [("associativity", 7, 4), ("solvability",)]
 
 
 @pytest.mark.parametrize("kind", ["bogus", "exhaustive "])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from polygroth import (
@@ -75,3 +77,29 @@ def test_comments_and_blanks_ignored():
 def test_parse_errors(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_table(text)
+
+
+@pytest.mark.parametrize("lines,msg", [
+    (["0", "x", "7", "0"], "bad result line 'x'"),
+    (["0", "7", "x", "0"], "result index 7 out of range 0..1"),
+    (["0", "-1", "x", "0"], "result index -1 out of range 0..1"),
+    (["0", "1", "1", "0 1"], "bad result line '0 1'"),
+])
+def test_the_first_bad_result_line_in_file_order_is_named(lines, msg):
+    # the body is converted in one pass, and only a failing one is walked
+    # line by line, so the message names the first offending line
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        parse_table("\n".join(["arity 2", "size 2", *lines]))
+
+
+def test_blank_comment_and_labels_lines_parse_around_the_body():
+    text = "# xor\narity 2\n  \nsize 2\n0\n \t\n# the second row\n1\n1\n  0  \nlabels e a\n"
+    s = parse_table(text)
+    assert s.facts["index_table"] == ((0, 1, 1, 0), 2)
+    assert s.carrier.labels == ["e", "a"] and s.op((1, 1)) == 0
+
+
+@pytest.mark.parametrize("body", [["0", "1", "1"], ["0", "1", "1", "0", "1"]])
+def test_a_body_of_the_wrong_length_names_the_count(body):
+    with pytest.raises(ValueError, match=rf"^expected 4 result lines, got {len(body)}$"):
+        parse_table("\n".join(["arity 2", "size 2", *body]))
