@@ -177,7 +177,7 @@ class _ShiftRows:
 class _RuleShifts:
     """Both shift relations of a rule-carrier structure, searched over its
     enumeration with s.op as it is at call time; shifts are value tuples,
-    compared componentwise by carrier.eq.  A miss is no definite False, so
+    compared with ==.  A miss is no definite False, so
     related raises BoundExhausted.  It searches through the module's
     gauge_witness and twist_witness, so a wrapper around those sees every
     search.
@@ -198,9 +198,6 @@ class _RuleShifts:
         """The left-nested product of a polyad of ell*(m-1)+1 elements."""
         return iterated_eval(self.s.op, (len(polyad) - 1) // (self.s.arity - 1), polyad)
 
-    def _meet(self, u: tuple, v: tuple) -> bool:
-        return all(map(self.s.carrier.eq, u, v))
-
     def related(self, relation: str, d1: Double, d2: Double) -> bool:
         if (gauge_witness if relation == GAUGE else twist_witness)(self.s, d1, d2) is not None:
             return True
@@ -213,13 +210,13 @@ class _RuleShifts:
         for x in elems:
             u = shift(relation, a1, b1, x)
             for y, v in rhs if rhs is not None else [(x, shift(relation, a2, b2, x))]:
-                if self._meet(u, v):
+                if u == v:
                     return x, y
         return None
 
     def holds_at(self, relation: str, d1: Double, d2: Double, x, y) -> bool:
         (a1, b1), (a2, b2) = _sides(relation, d1, d2)
-        return self._meet(self._shift(relation, a1, b1, x), self._shift(relation, a2, b2, y))
+        return self._shift(relation, a1, b1, x) == self._shift(relation, a2, b2, y)
 
 
 def _shift_kernel(s: PolyadicStructure):
@@ -962,14 +959,13 @@ def check_universal_factorization(K: CompletionGroup, target: PolyadicStructure,
         raise UsageError("the universal property is implemented for the binary case only")
     _require_binary_group(target, seed)
     e = find_identities(target)[0]
-    teq = target.carrier.eq
     top = target.op.fn
     inverses: dict = {}
 
     def inverse(x):
         if x not in inverses:
             sols = [y for y in target.carrier.elements()
-                    if teq(top((x, y)), e) and teq(top((y, x)), e)]
+                    if top((x, y)) == e and top((y, x)) == e]
             if len(sols) != 1:
                 raise PolyadicError(f"no unique inverse for {x!r} within the target bound")
             inverses[x] = sols[0]
@@ -979,7 +975,7 @@ def check_universal_factorization(K: CompletionGroup, target: PolyadicStructure,
     base_elems = K.base.carrier.elements()
     for checked in range(samples):
         a, b = draws.pick(base_elems), draws.pick(base_elems)
-        if not teq(phi(K.base.op.fn((a, b))), top((phi(a), phi(b)))):
+        if phi(K.base.op.fn((a, b))) != top((phi(a), phi(b))):
             return Verdict("failed", checked, (a, b), (f"phi not a homomorphism at {(a, b)}",))
 
     def phi_gg_raw(d):
@@ -994,15 +990,15 @@ def check_universal_factorization(K: CompletionGroup, target: PolyadicStructure,
         mem = K.partition.members_of(c1.rep)
         if len(mem) > 1:
             alt = draws.pick(mem)
-            if not teq(phi_gg(c1), phi_gg_raw(alt)):
+            if phi_gg(c1) != phi_gg_raw(alt):
                 return Verdict("failed", checked, (c1, alt),
                                (f"induced map not class-invariant at {c1}",))
         lhs = phi_gg(K.product.fn((c1, c2)))
         rhs = top((phi_gg(c1), phi_gg(c2)))
-        if not teq(lhs, rhs):
+        if lhs != rhs:
             return Verdict("failed", checked, (c1, c2),
                            (f"induced map not a homomorphism at {c1},{c2}",))
         a = draws.pick(base_elems)
-        if not teq(phi_gg(phi_sg(K, a)), phi(a)):
+        if phi_gg(phi_sg(K, a)) != phi(a):
             return Verdict("failed", checked, (a,), (f"factorization fails at {a!r}",))
     return Verdict("passed-sampled", samples) if samples > 0 else Verdict("vacuous", 0)

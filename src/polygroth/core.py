@@ -41,9 +41,6 @@ class Carrier:
     def __contains__(self, x) -> bool:
         raise NotImplementedError
 
-    def eq(self, x, y) -> bool:
-        return x == y
-
     def elements(self) -> list:
         """Deterministic element list."""
         raise NotImplementedError
@@ -105,25 +102,22 @@ class RuleCarrier(Carrier):
     """Membership rule plus a deterministic truncated enumeration.
 
     The enumeration feeds witness searches and partition domains; it is never
-    treated as the whole carrier.
+    treated as the whole carrier.  Elements compare by == and hash, as on
+    every carrier.
     """
 
     is_finite = False
 
-    def __init__(self, member: Callable, universe: Iterable, eq=None,
+    def __init__(self, member: Callable, universe: Iterable,
                  render=None, sort_key=None, name: str = ""):
         self._member = member
         self._universe = list(universe)
-        self._eq = eq
         self._render = render
         self._sort_key = sort_key
         self.name = name
 
     def __contains__(self, x):
         return bool(self._member(x))
-
-    def eq(self, x, y):
-        return self._eq(x, y) if self._eq else x == y
 
     def elements(self):
         return list(self._universe)
@@ -401,8 +395,8 @@ def find_identities(s: PolyadicStructure) -> list:
 
 
 def _is_neutral(s: PolyadicStructure, polyad: tuple, elems) -> bool:
-    fn, eq, slots = s.op.fn, s.carrier.eq, range(len(polyad) + 1)
-    return all(eq(fn(polyad[:i] + (g,) + polyad[i:]), g) for g in elems for i in slots)
+    fn, slots = s.op.fn, range(len(polyad) + 1)
+    return all(fn(polyad[:i] + (g,) + polyad[i:]) == g for g in elems for i in slots)
 
 
 # ---------------------------------------------------------------------------
@@ -651,13 +645,13 @@ def check_total_associativity(s: PolyadicStructure, mode: CheckMode) -> Verdict:
     # the placements of placement_result, evaluated inline on each drawn tuple
     count = 0 if lifted is not None and lifted(mode.count) else mode.count
     draws = IndexDraws(random.Random(mode.seed))[len(elems)]
-    fn, eq, L = s.op.fn, s.carrier.eq, 2 * n - 1
+    fn, L = s.op.fn, 2 * n - 1
     for c in range(count):
         polyad = tuple(map(elems.__getitem__, itertools.islice(draws, L)))
         r0 = fn((fn(polyad[:n]),) + polyad[n:])
         for i in range(1, n):
             ri = fn(polyad[:i] + (fn(polyad[i:i + n]),) + polyad[i + n:])
-            if not eq(ri, r0):
+            if ri != r0:
                 return _refutation(c + 1, polyad, i, r0, ri)
     return Verdict("passed-sampled" if mode.count else "vacuous", mode.count)
 
@@ -689,7 +683,7 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
     semi: first/last swap with every fixed middle polyad;
     sigma: a caller-supplied permutation, reported only when full and semi fail.
     """
-    n, op, eq = s.arity, s.op, s.carrier.eq
+    n, op = s.arity, s.op
     if sigma is not None and sorted(sigma) != list(range(n)):
         raise UsageError(f"sigma {tuple(sigma)} is not a permutation of the {n} slots")
     if n == 1:
@@ -725,7 +719,7 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
         def violation(perm):
             for t in pool:
                 pt = tuple(t[p] for p in perm)
-                if not eq(op.fn(t), op.fn(pt)):
+                if op.fn(t) != op.fn(pt):
                     return (t, tuple(perm))
             return None
 
@@ -763,9 +757,8 @@ def querelement(s: PolyadicStructure, g):
 
 def _quer_search(s: PolyadicStructure, g, elems):
     """The one x in elems with op[g^(n-1), x] = g; raises QuerNotFound/QuerNotUnique."""
-    n, op, eq = s.arity, s.op, s.carrier.eq
-    head = (g,) * (n - 1)
-    return _sole_quer(g, [x for x in elems if eq(op.fn(head + (x,)), g)], len(elems))
+    head = (g,) * (s.arity - 1)
+    return _sole_quer(g, [x for x in elems if s.op.fn(head + (x,)) == g], len(elems))
 
 
 def _sole_quer(g, sols, bound: int):
@@ -781,9 +774,9 @@ def _sole_quer(g, sols, bound: int):
 def _checked_quer(s: PolyadicStructure, g, q):
     """q if op[g^i, q, g^(n-1-i)] = g at every slot i, as a group's quer must
     (Doernte); else QuerPlacementFailed at the first slot that fails."""
-    n, fn, eq = s.arity, s.op.fn, s.carrier.eq
+    n, fn = s.arity, s.op.fn
     for i in range(n):
-        if not eq(fn((g,) * i + (q,) + (g,) * (n - 1 - i)), g):
+        if fn((g,) * i + (q,) + (g,) * (n - 1 - i)) != g:
             raise QuerPlacementFailed(g, q, i)
     return q
 
@@ -791,12 +784,10 @@ def _checked_quer(s: PolyadicStructure, g, q):
 def _cancels(s: PolyadicStructure, g, h, hq) -> bool:
     """Cancellation identities: op[g, n_h] = op[n_h, g] = g where
     n_h = (h^(n-2), hq), hq the quer of h, with the quer at any slot."""
-    n, op, eq = s.arity, s.op, s.carrier.eq
+    n, fn = s.arity, s.op.fn
     for i in range(n - 1):
         polyad = (h,) * i + (hq,) + (h,) * (n - 2 - i)
-        if not eq(op.fn((g,) + polyad), g):
-            return False
-        if not eq(op.fn(polyad + (g,)), g):
+        if fn((g,) + polyad) != g or fn(polyad + (g,)) != g:
             return False
     return True
 
@@ -864,7 +855,9 @@ def _hosszu_gluskin(table, k: int, n: int, a: int = 0) -> bool:
     is a group when its rows and columns are permutations and _assoc_scan
     finds it associative.  The formula's table is built one argument at a
     time, level j+1 joining the rows u o phi^j(x) of the values u of level
-    j, then mapped by o b.  The first check that fails returns False.
+    j, then mapped by o b.  Every step is defined whatever an earlier one
+    found, so the formula is compared first: a table that is not it fails
+    before the group checks.  The first check that fails returns False.
     """
     T, pad, span = bytes(table), bytes(256 - k), k ** (n - 1)
     ones = [sum(k ** e for e in range(j)) for j in range(n + 1)]  # code of a^j is a*ones[j]
@@ -874,28 +867,28 @@ def _hosszu_gluskin(table, k: int, n: int, a: int = 0) -> bool:
         return False
     abar = head.index(a)
     R = [T[c:c + k] for c in range(a * k * ones[n - 2], k * span, span)]
-    flat = b"".join(R)
-    if any(len(set(r)) < k for r in R) or any(len(set(flat[y::k])) < k for y in range(k)):
-        return False
-    if _assoc_scan(R.__getitem__, k, 2) is not None:
-        return False
-    phi = T[abar * span + a * ones[n - 2]:(abar + 1) * span:k ** (n - 2)]
     Rp = [r + pad for r in R]
-    if len(set(phi)) < k or any(R[x].translate(phi + pad) != phi.translate(Rp[phi[x]])
-                                for x in range(k)):
-        return False
+    flat = b"".join(R)
+    phi = T[abar * span + a * ones[n - 2]:(abar + 1) * span:k ** (n - 2)]
     b = T[abar * ones[n]]
     powers = [bytes(range(k))]  # phi^j as bytes
     for _ in range(n - 1):
         powers.append(powers[-1].translate(phi + pad))
     times_b = flat[b::k] + pad  # x -> x o b
-    if phi[b] != b or powers[n - 1].translate(times_b) != R[b]:
-        return False
     level = powers[0]
     for j in range(1, n):
         rows = [powers[j].translate(Rp[u]) for u in range(k)]
         level = b"".join(map(rows.__getitem__, level))
-    return level.translate(times_b) == T
+    if level.translate(times_b) != T:
+        return False
+    if any(len(set(r)) < k for r in R) or any(len(set(flat[y::k])) < k for y in range(k)):
+        return False
+    if _assoc_scan(R.__getitem__, k, 2) is not None:
+        return False
+    if len(set(phi)) < k or any(R[x].translate(phi + pad) != phi.translate(Rp[phi[x]])
+                                for x in range(k)):
+        return False
+    return phi[b] == b and powers[n - 1].translate(times_b) == R[b]
 
 
 def _solvability_scan(s: PolyadicStructure):

@@ -261,13 +261,12 @@ def all_doubles(carrier: Carrier) -> list:
 
 def double_carrier(base: Carrier) -> Carrier:
     """S x S: the pairs over the base's enumeration, with componentwise
-    membership and equality on a rule carrier."""
+    membership on a rule carrier."""
     if base.is_finite:
         return FiniteCarrier(all_doubles(base))
     return RuleCarrier(
         member=lambda d: isinstance(d, tuple) and len(d) == 2 and d[0] in base and d[1] in base,
         universe=all_doubles(base),
-        eq=lambda d1, d2: base.eq(d1[0], d2[0]) and base.eq(d1[1], d2[1]),
     )
 
 

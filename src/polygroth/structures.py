@@ -11,7 +11,6 @@ witness search.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import re
@@ -199,44 +198,48 @@ def residue_recipe(a: int, b: int) -> StructureRecipe:
 
 
 # ---------------------------------------------------------------------------
-# rank-one complex matrices under a cube-root-of-unity mix (4-ary)
-
-EPSILON = cmath.exp(2j * cmath.pi / 3)
-_EPS2 = EPSILON * EPSILON
-MATRIX_TOLERANCE = 1e-12
-
-_GRID = [complex(re_, im_) for re_ in (-1.0, -0.5, 0.0, 0.5, 1.0)
-         for im_ in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+# rank-one complex matrices under a cube-root-of-unity mix (4-ary), on the
+# Eisenstein integers a + bw held as int pairs (a, b), with w^2 = -1 - w
 
 
-def _cfmt(z: complex) -> str:
-    if abs(z.imag) <= MATRIX_TOLERANCE:
-        return f"{z.real:g}"
-    return f"{z.real:g}{z.imag:+g}i"
+def _eisenstein_block(limit: int) -> list:
+    """The first `limit` pairs (a, b) by max(|a|, |b|), then by (a, b)."""
+    r = math.isqrt(limit) // 2 + 1
+    span = range(-r, r + 1)
+    return sorted(((a, b) for a in span for b in span),
+                  key=lambda z: (max(abs(z[0]), abs(z[1])), z))[:limit]
+
+
+def _eisenstein_render(z: tuple) -> str:
+    a, b = z
+    return str(a) if b == 0 else f"{b}w" if a == 0 else f"{a}{b:+d}w"
+
+
+def _eps_mix(t: tuple) -> tuple:
+    """t0 + w*t1 + w^2*t2 + t3, as w(a+bw) = -b + (a-b)w and
+    w^2(a+bw) = (b-a) - aw."""
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = t
+    return a0 - b1 + b2 - a2 + a3, b0 + a1 - b1 - a2 + b3
 
 
 def _matrix_build(limit: int = 25) -> PolyadicStructure:
     if limit < 1:
         raise UsageError("limit must be >= 1")
     carrier = RuleCarrier(
-        member=lambda x: isinstance(x, (int, float, complex)),
-        universe=_GRID[:limit],
-        eq=lambda x, y: abs(complex(x) - complex(y)) <= MATRIX_TOLERANCE,
-        render=_cfmt,
-        sort_key=lambda z: (complex(z).real, complex(z).imag),
-        name="C-scalars",
+        member=lambda x: (isinstance(x, tuple) and len(x) == 2
+                          and all(type(c) is int for c in x)),
+        universe=_eisenstein_block(limit),
+        render=_eisenstein_render,
+        name="Z[w]",
     )
-    op = NAryOperation(
-        4, lambda t: t[0] + EPSILON * t[1] + _EPS2 * t[2] + t[3], name="eps-mix",
-    )
-    return PolyadicStructure(carrier, op, name="matrix4")
+    return PolyadicStructure(carrier, NAryOperation(4, _eps_mix, name="eps-mix"), name="matrix4")
 
 
 MATRIX4 = StructureRecipe(
     "matrix4", _matrix_build,
     # every pair of doubles is equivalent (the twisted shift collapses to
     # z = z), so one fixed representative names the single class
-    canonical_double=lambda d: Double(0j, 0j),
+    canonical_double=lambda d: Double((0, 0), (0, 0)),
     exact_rule=lambda d1, d2: True,
     default_limit=25,
 )

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria execute.  Each criterion states its bounds explicitly and uses exact
-arithmetic except the complex-scalar structure, whose tolerance is 1e-12.
+arithmetic.
 """
 
 import itertools
@@ -33,7 +33,6 @@ from polygroth import (
 )
 from polygroth.completion import check_relation_coincidence, class_inverse
 from polygroth.errors import NotQuantized
-from polygroth.structures import MATRIX_TOLERANCE
 
 
 def _report(num, desc, failures):
@@ -157,18 +156,15 @@ def test_criterion_05_matrix_structure():
     s = recipe.build(25)
     rng = random.Random(2024)
 
-    def disk():
-        while True:
-            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            if abs(z) <= 1:
-                return z
+    def eisenstein():
+        return rng.randint(-50, 50), rng.randint(-50, 50)
 
     for _ in range(100):
-        a, b = disk(), disk()
-        if abs(s.op((a, a, a, a)) - a) > MATRIX_TOLERANCE:
+        a, b = eisenstein(), eisenstein()
+        if s.op((a, a, a, a)) != a:
             failures.append(f"idempotence fails at {a}")
             break
-        if abs(s.op((a, a, a, b)) - b) > MATRIX_TOLERANCE:
+        if s.op((a, a, a, b)) != b:
             failures.append(f"three-plus-one identity fails at {a},{b}")
             break
     domain = all_doubles(s.carrier)
@@ -177,7 +173,7 @@ def test_criterion_05_matrix_structure():
                              canonical=recipe.canonical_double)
     if part.class_count() != 1:
         failures.append(f"{part.class_count()} classes, expected 1")
-    _report(5, "matrix-style 4-ary structure: idempotent mix, one class (tol 1e-12)", failures)
+    _report(5, "matrix-style 4-ary structure: idempotent mix, one class", failures)
 
 
 def test_criterion_06_residue_arity():

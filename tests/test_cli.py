@@ -127,6 +127,8 @@ def test_assoc_check_with_quiver(capsys):
     ["universal-check", "--structure", "nat0", "--target", "integers", "--samples", "0"],
     ["assoc-check", "--structure", "matrix4", "--bound", "0"],
     ["assoc-check", "--structure", "matrix4", "--bound", "-3"],
+    ["classes", "--structure", "matrix4", "--bound", "0"],
+    ["classes", "--structure", "matrix4", "--bound", "-3"],
     # the quer follows the quiver's wiring; there is no option to pick it
     ["quer", "--structure", "nat0", "--quiver", "componentwise-2", "--bound", "5",
      "--quer-mode", "search"],
@@ -200,6 +202,13 @@ def test_complete_matrix_single_class(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["classes"]) == 1
+
+
+def test_matrix_bound_past_the_default_block_sets_the_element_count(capsys):
+    code, out, _ = run(capsys, "classes", "--structure", "matrix4", "--bound", "30")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["domain_size"], payload["classes"]) == (30 * 30, [["0", "0"]])
 
 
 def test_complete_residue_reports_counterexample(capsys):

@@ -166,7 +166,7 @@ def test_exact_rule_dispatch():
 
 def test_matrix_every_pair_equivalent_by_search():
     s = get_recipe("matrix4").build(25)
-    d1, d2 = Double(1 + 0j, -0.5j), Double(-1 + 0j, 0.5 + 0.5j)
+    d1, d2 = Double((1, 0), (0, -1)), Double((-1, 0), (2, 1))
     assert decide_equivalent(s, d1, d2, WitnessSearch(TWIST))
 
 

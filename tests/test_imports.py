@@ -133,3 +133,17 @@ def test_shift_relation_entry_points_do_not_branch_on_the_carrier():
     assert {name: [node.lineno for node in ast.walk(bodies[name])
                    if isinstance(node, ast.Attribute) and node.attr == "is_finite"]
             for name in entry} == {name: [] for name in entry}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_carriers_have_one_equality(path):
+    # every carrier compares elements with == and hash, as the dicts, sets
+    # and memos keyed on them do; an `eq` method, a read of one, or complex
+    # arithmetic that would want a tolerance would be a second equality
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    methods = [node.lineno for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "eq"]
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "eq"]
+    assert (methods, reads) == ([], [])
+    assert "cmath" not in set(imported_modules(tree))

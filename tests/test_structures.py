@@ -21,7 +21,6 @@ from polygroth import (
     verify_polyadic_group,
 )
 from polygroth.errors import BoundExhausted, NoClosedArity, UsageError
-from polygroth.structures import EPSILON, MATRIX_TOLERANCE
 
 RECIPES = ["nat0", "neg3", "odd3", "res-7-10", "matrix4"]
 
@@ -135,7 +134,7 @@ def test_canonical_spot_values():
     r = get_recipe("res-7-10")
     assert r.canonical_double(Double(77, 187)) == Double(7, 17)
     assert r.canonical_double(Double(77, 77)) == Double(7, 7)
-    assert get_recipe("matrix4").canonical_double(Double(1 + 1j, -1j)) == Double(0j, 0j)
+    assert get_recipe("matrix4").canonical_double(Double((1, 1), (0, -1))) == Double((0, 0), (0, 0))
 
 
 def residue_canonical_by_square_search(a, b, d):
@@ -299,20 +298,26 @@ def test_matrix_operation_identities():
     rng = random.Random(13)
     op = s.op
     for _ in range(100):
-        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert abs(op((a, a, a, a)) - a) <= MATRIX_TOLERANCE
-        assert abs(op((a, a, a, b)) - b) <= MATRIX_TOLERANCE
+        a = (rng.randint(-50, 50), rng.randint(-50, 50))
+        b = (rng.randint(-50, 50), rng.randint(-50, 50))
+        assert op((a, a, a, a)) == a
+        assert op((a, a, a, b)) == b
 
 
 def test_matrix_epsilon_is_cube_root_of_unity():
-    assert abs(EPSILON ** 3 - 1) <= MATRIX_TOLERANCE
-    assert abs(1 + EPSILON + EPSILON ** 2) <= MATRIX_TOLERANCE
+    # op[0, z, 0, 0] = w*z and op[0, 0, z, 0] = w^2*z on pairs (a, b) = a + bw
+    _, s = build("matrix4")
+    zero, one = (0, 0), (1, 0)
+    w = s.op((zero, one, zero, zero))
+    w2 = s.op((zero, zero, one, zero))
+    assert w == (0, 1) and w2 == (-1, -1)  # w^2 = -1 - w
+    assert s.op((zero, w2, zero, zero)) == one  # w^3 = w * w^2 = 1
+    assert s.op((one, one, one, zero)) == zero  # 1 + w + w^2 = 0
 
 
 def test_matrix_rule_is_constant_true():
     r, s = build("matrix4")
-    assert r.exact_rule(Double(1 + 2j, 3), Double(-5j, 0.25))
+    assert r.exact_rule(Double((1, 2), (3, 0)), Double((0, -5), (-4, 1)))
 
 
 # ---------------------------------------------------------------------------
