@@ -195,8 +195,9 @@ class PolyadicStructure:
     its checker: "index_table", "identities", and completion's "shift_rows"
     (the kernel of both shift relations, on a finite or a rule carrier).  A
     builder that knows the Cayley table may store it as "index_table", or a
-    function returning its row r (see _index_rows) as "index_row", as
-    derived_structure, hetero_power and class_structure do on finite bases.
+    function returning its row r (see _index_rows), a tuple or bytes, as
+    "index_row", as derived_structure, hetero_power and class_structure do
+    on finite bases.
     A builder that can prove total associativity without the table may store
     a function answering True when it can as "lifted_associativity":
     exhaustive checks call it with no argument, sampled checks with their
@@ -421,7 +422,8 @@ def _index_table(s: PolyadicStructure):
 def _index_rows(s: PolyadicStructure):
     """(row, k): row(r) is the sequence of table entries whose first argument has index r.
 
-    Rows come from an "index_row" fact unless the whole table is at hand.
+    Rows come from an "index_row" fact unless the whole table is at hand; a
+    row is a tuple or bytes, which _assoc_scan holds without a copy.
     """
     row = s.facts.get("index_row")
     if row is not None and "index_table" not in s.facts:
@@ -834,17 +836,22 @@ def verify_polyadic_group(s: PolyadicStructure, mode: CheckMode) -> GroupVerdict
     if mode.kind != CheckMode.EXHAUSTIVE:
         raise UsageError("group verification is exhaustive: a bounded enumeration "
                          "cannot refute solvability")
-    n = s.arity
-    if s.carrier.is_finite and n >= 3:
-        table, k = _index_table(s)
-        if k <= 256 and _hosszu_gluskin(table, k, n):
-            a = s.carrier.render(s.carrier.elements()[0])
-            assoc = Verdict("proved-exhaustive", k ** (2 * n - 1), None,
-                            (f"Hosszu-Gluskin decomposition, retract at {a}",))
-            return GroupVerdict(True, assoc, (), n * k ** (n - 1))
+    if _decomposes(s):
+        n, k = s.arity, len(s.carrier)
+        a = s.carrier.render(s.carrier.elements()[0])
+        assoc = Verdict("proved-exhaustive", k ** (2 * n - 1), None,
+                        (f"Hosszu-Gluskin decomposition, retract at {a}",))
+        return GroupVerdict(True, assoc, (), n * k ** (n - 1))
     assoc = check_total_associativity(s, mode)
     failures, checked = _solvability_scan(s)
     return GroupVerdict(assoc.ok and not failures, assoc, tuple(failures), checked)
+
+
+def _decomposes(s: PolyadicStructure) -> bool:
+    """Whether s is a finite n-ary group (n >= 3, at most 256 elements) by its
+    Hosszu-Gluskin decomposition, so totally associative (see verify_polyadic_group)."""
+    return (s.carrier.is_finite and s.arity >= 3 and len(s.carrier) <= 256
+            and _hosszu_gluskin(*_index_table(s), s.arity))
 
 
 def _hosszu_gluskin(table, k: int, n: int, a: int = 0) -> bool:

@@ -26,6 +26,7 @@ from .core import (
     PolyadicStructure,
     RuleCarrier,
     _assoc_scan,
+    _decomposes,
     _digit_codes,
     _index_rows,
     _index_table,
@@ -318,18 +319,20 @@ def hetero_power(s: PolyadicStructure, quiver: QuiverSpec) -> DoubledStructure:
     return DoubledStructure(s, quiver, power)
 
 
-def _placement_words(quiver: QuiverSpec) -> list:
+@functools.lru_cache(maxsize=64)
+def _placement_words(quiver: QuiverSpec) -> tuple:
     """(top word, bottom word) of each placement of 2n-1 symbolic doubles.
 
     The base operation concatenates its arguments, so each component becomes
     the word of base variables it multiplies, in order: variable 2j is the
-    top of double j and 2j+1 its bottom.
+    top of double j and 2j+1 its bottom.  The words depend on the wires
+    alone, so they are kept per wiring, an equal re-parsed quiver included.
     """
     n = quiver.output_arity
     concat = itertools.chain.from_iterable
     op = NAryOperation(n, bound_product(quiver, lambda ws: tuple(concat(ws))))
     polyad = tuple(Double((2 * j,), (2 * j + 1,)) for j in range(2 * n - 1))
-    return [placement_result(op, polyad, i) for i in range(n)]
+    return tuple(placement_result(op, polyad, i) for i in range(n))
 
 
 def _lifts_associativity(quiver: QuiverSpec, s: PolyadicStructure) -> bool:
@@ -341,7 +344,8 @@ def _lifts_associativity(quiver: QuiverSpec, s: PolyadicStructure) -> bool:
     the same words and the base is totally associative, or the same words up
     to order and the base is also fully commutative.  False means only that
     the lift does not apply.  The words are compared first, so a scrambled
-    wiring never pays for a scan of the base.
+    wiring never pays for a proof of the base, which is its Hosszu-Gluskin
+    decomposition (see _decomposes) for a group and the scan otherwise.
     """
     words = set(_placement_words(quiver))
     if len(words) > 1 and len({tuple(tuple(sorted(c)) for c in w) for w in words}) > 1:
@@ -349,7 +353,7 @@ def _lifts_associativity(quiver: QuiverSpec, s: PolyadicStructure) -> bool:
     try:
         return ((len(words) == 1
                  or commutativity_report(s, CheckMode.exhaustive()).level == "full")
-                and _assoc_scan(*_index_rows(s), s.arity) is None)
+                and (_decomposes(s) or _assoc_scan(*_index_rows(s), s.arity) is None))
     except NonMember:  # the base is not closed; a scan of the power raises it again
         return False
 
@@ -398,23 +402,48 @@ def _power_rows(quiver: QuiverSpec, s: PolyadicStructure):
 
     Row r multiplies the double of code r by every n-1 doubles (see
     _wire_weights): each wire gathers its values at the offset of r's digits
-    plus the code of the other 2n-2 digits, computed once per power.  Each
-    row is derived once per power, so a scan followed by a table assembly
-    derives none twice.
+    plus the code of the other 2n-2 digits, computed once per power.  A power
+    of at most 256 elements whose rest codes stay below 256, (k-1) times the
+    sum of the rest weights, has bytes rows: a wire's gather translates its
+    rest codes by the 256 values from r's offset, and since top*k + bottom <
+    k^2 <= 256 the two gathers add as big ints without a carry.  Other rows
+    are tuples.  Each row is derived once per power, so a scan followed by a
+    table assembly derives none twice.
     """
 
     @functools.cache
     def wires():
-        k, out = len(s.carrier), []
-        for values, weights in _wire_weights(quiver, s):
-            codes = _digit_codes(weights[2:], k)
-            gather = itemgetter(*codes) if len(codes) > 1 else (lambda t, c=codes[0]: (t[c],))
-            out.append((values, _digit_codes(weights[:2], k), gather))
+        k, wired, out = len(s.carrier), _wire_weights(quiver, s), []
+        small = k * k <= 256 and all((k - 1) * sum(w[2:]) < 256 for _, w in wired)
+        for values, weights in wired:
+            if small:  # padded, so the 256 values from any offset translate the rest codes
+                values, span = bytes(values) + bytes(256), 256
+                gather = _byte_codes(weights[2:], k).translate
+            else:
+                codes, span = _digit_codes(weights[2:], k), len(values)
+                gather = itemgetter(*codes) if len(codes) > 1 else (lambda t, c=codes[0]: (t[c],))
+            out.append((values, _digit_codes(weights[:2], k), span, gather))
         return out
 
     @functools.cache
     def row(r):
-        top, bottom = (gather(values[lead[r]:]) for values, lead, gather in wires())
+        top, bottom = (gather(values[lead[r]:lead[r] + span])
+                       for values, lead, span, gather in wires())
+        if type(top) is bytes:
+            return (int.from_bytes(top, "big")
+                    + int.from_bytes(bottom, "big")).to_bytes(len(top), "big")
         return tuple(map(add, top, bottom))
 
     return row
+
+
+_RAMP = bytes(range(256)) * 2  # _RAMP[s:s + 256] translates x to (x + s) % 256
+
+
+def _byte_codes(weights: list, k: int) -> bytes:
+    """_digit_codes(weights, k) as bytes, when every code is below 256: the
+    codes of the digits from j on are k shifted copies of those from j+1 on."""
+    codes = b"\0"
+    for w in reversed(weights):
+        codes = b"".join([codes.translate(_RAMP[d * w:d * w + 256]) for d in range(k)])
+    return codes

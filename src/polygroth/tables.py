@@ -31,7 +31,9 @@ def _header(line: str, key: str) -> int:
 def parse_table(text: str, name: str = "table") -> PolyadicStructure:
     """The structure of a table file on the carrier 0..k-1; its operation folds
     positions read from the carrier's index, so a non-member raises NonMember."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+    lines = list(map(str.strip, text.splitlines()))
+    if "#" in text or not all(lines):
+        lines = [ln for ln in lines if ln and ln[0] != "#"]
     if len(lines) < 2:
         raise ValueError("table file is missing its header lines")
     m = _header(lines[0], "arity")
@@ -46,12 +48,9 @@ def parse_table(text: str, name: str = "table") -> PolyadicStructure:
     need = k ** m
     if len(body) != need:
         raise ValueError(f"expected {need} result lines, got {len(body)}")
-    try:
-        flat = tuple(map(int, body))
-        ok = 0 <= min(flat) and max(flat) < k
-    except ValueError:
-        ok = False
-    if not ok:  # name the first bad line, in file order
+    try:  # canonical digits by lookup, which is also the range check
+        flat = tuple(map({str(v): v for v in range(k)}.__getitem__, body))
+    except KeyError:  # name the first bad line, in file order
         for ln in body:
             try:
                 v = int(ln)
@@ -59,6 +58,7 @@ def parse_table(text: str, name: str = "table") -> PolyadicStructure:
                 raise ValueError(f"bad result line {ln!r}") from None
             if not 0 <= v < k:
                 raise ValueError(f"result index {v} out of range 0..{k - 1}")
+        flat = tuple(map(int, body))
     carrier = FiniteCarrier(range(k), labels=labels, name=name)
 
     def fn(polyad, _flat=flat, _k=k, _index=carrier.index):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from polygroth import (
     zmod_add,
 )
 from polygroth.core import _index_table
+from polygroth.doubles import bound_product
 from polygroth.errors import (
     ArityMismatch, InvalidQuiver, NonMember, NotQuantized, UnknownQuiver, UsageError,
 )
@@ -401,21 +403,81 @@ def test_derived_rows_read_the_binary_table_once(monkeypatch):
     assert len(reads) == 1 and len(binary) == 5 ** 2
 
 
-def test_power_runs_its_base_proof_at_most_once(monkeypatch):
+def counting_base_proofs(monkeypatch):
+    """The steps of the lift's base proof, logged as they run: the
+    Hosszu-Gluskin decomposition first, then the scan if it fails."""
     from polygroth import doubles
 
-    scans = []
-    monkeypatch.setattr(doubles, "_assoc_scan", lambda *a: scans.append(a) or None)
-    z3 = zmod_add(3, 3)
-    d = hetero_power(z3, builtin_quiver("post-ternary"))
-    for _ in range(3):
-        assert check_total_associativity(d.structure, CheckMode.exhaustive()).ok
-    assert len(scans) == 1
-    # a scrambled wiring fails the word check and never scans the base
-    scrambled = hetero_power(z3, swap_picks(builtin_quiver("post-ternary"),
-                                            ("top", 0), ("bottom", 0)))
-    assert check_total_associativity(scrambled.structure, CheckMode.exhaustive()).status == "failed"
-    assert len(scans) == 1
+    steps = []
+    decomposes, scan = doubles._decomposes, doubles._assoc_scan
+    monkeypatch.setattr(doubles, "_decomposes",
+                        lambda s: steps.append("decomposition") or decomposes(s))
+    monkeypatch.setattr(doubles, "_assoc_scan", lambda *a: steps.append("scan") or scan(*a))
+    return steps
+
+
+def test_power_runs_its_base_proof_at_most_once(monkeypatch):
+    # Z3 addition is proved by its decomposition, Z4 multiplication (no
+    # group) by the scan after it; either proof runs once over three checks
+    steps = counting_base_proofs(monkeypatch)
+    z4 = table_structure(4, 3, [math.prod(t) % 4 for t in itertools.product(range(4), repeat=3)])
+    for base, proof in ((zmod_add(3, 3), ["decomposition"]), (z4, ["decomposition", "scan"])):
+        del steps[:]
+        d = hetero_power(base, builtin_quiver("post-ternary"))
+        for _ in range(3):
+            assert check_total_associativity(d.structure, CheckMode.exhaustive()).ok
+        assert steps == proof
+        # a scrambled wiring fails the word check and never proves the base
+        scrambled = hetero_power(base, swap_picks(builtin_quiver("post-ternary"),
+                                                  ("top", 0), ("bottom", 0)))
+        assert check_total_associativity(scrambled.structure, CheckMode.exhaustive()).status == "failed"
+        assert steps == proof
+
+
+def test_group_bases_lift_by_their_decomposition_without_a_scan(monkeypatch):
+    # Z5 ternary, Z7 4-ary and Z3 5-ary addition are n-ary groups, proved by
+    # their Hosszu-Gluskin decomposition with no scan of the base; Z4 ternary
+    # multiplication and a one-entry perturbation of Z5 ternary are not, and
+    # are scanned.  The lift's answer is the base scan's, and the power's
+    # verdict that of a fact-free structure on the same product, whose table
+    # is compiled by evaluation (except Z7 4-ary: 49^4 entries)
+    from polygroth.core import _assoc_scan, _index_rows
+
+    rng = random.Random(67)
+    steps = counting_base_proofs(monkeypatch)
+    z5 = [sum(t) % 5 for t in itertools.product(range(5), repeat=3)]
+    z4 = [math.prod(t) % 4 for t in itertools.product(range(4), repeat=3)]
+    cases = [(zmod_add(5, 3), "post-ternary", 0), (zmod_add(7, 4), "componentwise-4", 0),
+             (zmod_add(3, 5), "five-to-three-intact", 0),
+             (table_structure(4, 3, z4), "post-ternary", 1),
+             (table_structure(5, 3, perturbed(5, z5, rng)), "post-ternary", 1)]
+    for base, name, scans in cases:
+        del steps[:]
+        power = hetero_power(base, builtin_quiver(name)).structure
+        lifted = power.facts["lifted_associativity"]()
+        assert steps == ["decomposition"] + ["scan"] * scans, name
+        assert lifted == (_assoc_scan(*_index_rows(base), base.arity) is None)
+        if len(power.carrier) ** power.arity <= 20_000:
+            fresh = PolyadicStructure(power.carrier, power.op)
+            v = check_total_associativity(power, CheckMode.exhaustive())
+            assert v == check_total_associativity(fresh, CheckMode.exhaustive())
+            assert v.ok == lifted
+
+
+def test_placement_words_are_decided_once_per_wiring(monkeypatch):
+    # the words depend on the wires alone, so a second power over an equal
+    # wiring, re-parsed under another object, evaluates no symbolic placement
+    from polygroth import doubles
+
+    calls = []
+    monkeypatch.setattr(doubles, "placement_result",
+                        lambda *a: calls.append(a) or placement_result(*a))
+    doubles._placement_words.cache_clear()
+    text = format_quiver(swap_picks(builtin_quiver("post-ternary"), ("top", 0), ("bottom", 1)))
+    for _ in range(2):
+        power = hetero_power(zmod_add(3, 3), parse_quiver(text, name="custom")).structure
+        assert check_total_associativity(power, CheckMode.exhaustive()).status == "failed"
+    assert len(calls) == 3
 
 
 def test_power_of_unclosed_base_raises_on_exhaustive_check():
@@ -715,6 +777,55 @@ def test_row_kernel_on_powers_agrees_with_placements_and_the_assembled_table():
                     assert v == reference_verdict(power, wiring, base), (flat, format_quiver(wiring))
                     statuses.add(v.status)
     assert statuses == {"proved-exhaustive", "failed"}
+
+
+def reference_row_entries(quiver, base, r, positions):
+    """Row r of the power's index table at the given positions, by
+    bound_product over all_doubles."""
+    ds = all_doubles(base.carrier)
+    product, index = bound_product(quiver, base.op.fn), double_carrier(base.carrier).index
+    n, kk = quiver.output_arity, len(ds)
+    return [index[product([ds[r]] + [ds[c // kk ** (n - 2 - j) % kk] for j in range(n - 1)])]
+            for c in positions]
+
+
+def test_power_rows_match_bound_product_on_both_sides_of_the_byte_path():
+    # seeded random bases of 2..17 elements and arity 2, 3 and 5, each under
+    # every built-in quiver of its arity and two scrambles of it, and
+    # post-ternary with its top picks 1 and 2 swapped.  A power of at most 256
+    # elements whose rest codes, (k-1) times the weight of the picks off
+    # double 1, stay below 256 has bytes rows (Z16 ternary does; Z5 5-ary and
+    # Z7 under that swap, whose top wire (2B, 1T, 3T) reaches 6 * 50 = 300,
+    # are past the bound), and every row read is the reference's; past
+    # 2^14 table entries three rows are read, at 500 positions each.  Where
+    # the table is at most 2^14 entries, the exhaustive verdict is that of a
+    # fact-free structure on the same product
+    rng = random.Random(71)
+    cases = ([(k, 2) for k in (2, 3, 5, 9, 16, 17)] + [(k, 3) for k in (2, 3, 6, 7, 16, 17)]
+             + [(k, 5) for k in (2, 4, 5)])
+    swapped = {"post-ternary": [swap_picks(builtin_quiver("post-ternary"), ("top", 0), ("top", 1))]}
+    paths = set()
+    for k, m in cases:
+        base = table_structure(k, m, [rng.randrange(k) for _ in range(k ** m)])
+        for q0 in [q for q in map(builtin_quiver, BUILTIN_NAMES) if q.input_arity == m]:
+            for q in [q0] + rng.sample(every_scramble(q0), 2) + swapped.get(q0.name, []):
+                power = hetero_power(base, q).structure
+                row, kk, n = power.facts["index_row"], k * k, q.output_arity
+                rest = max(sum(k ** (len(w) - 1 - j) for j, p in enumerate(w) if p.slot != 1)
+                           for w in (q.top, q.bottom))
+                small = kk <= 256 and (k - 1) * rest < 256
+                assert (type(row(0)) is bytes) == small, (k, format_quiver(q))
+                paths.add((small, k, m))
+                width, full = kk ** (n - 1), kk ** n <= 2 ** 14
+                for r in range(kk) if full else rng.sample(range(kk), 3):
+                    positions = range(width) if full else rng.sample(range(width), min(width, 500))
+                    got = tuple(row(r))
+                    assert [got[c] for c in positions] == reference_row_entries(q, base, r, positions)
+                if full:
+                    fresh = PolyadicStructure(power.carrier, power.op)
+                    assert check_total_associativity(power, CheckMode.exhaustive()) == \
+                        check_total_associativity(fresh, CheckMode.exhaustive())
+    assert {(True, 16, 3), (True, 4, 5), (False, 5, 5), (False, 7, 3), (False, 17, 3)} <= paths
 
 
 def test_power_of_a_one_element_base_has_a_one_entry_table():

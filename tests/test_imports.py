@@ -1,7 +1,8 @@
 """Every module of the package imports only the standard library and itself,
 uses each name it imports, draws samples through one helper, and adds no
 result class beside core.Verdict; every facts key they use is documented on
-PolyadicStructure; and the shift relations choose their kernel in one place."""
+PolyadicStructure; the shift relations choose their kernel in one place; and
+every int/bytes conversion names its byte order."""
 
 import ast
 import re
@@ -147,3 +148,15 @@ def test_carriers_have_one_equality(path):
              if isinstance(node, ast.Attribute) and node.attr == "eq"]
     assert (methods, reads) == ([], [])
     assert "cmath" not in set(imported_modules(tree))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_int_byte_conversions_name_their_byte_order(path):
+    # the byte order of int.from_bytes and int.to_bytes is optional only
+    # from Python 3.11, and the package supports 3.10
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bare = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("from_bytes", "to_bytes")
+            and len(node.args) + len(node.keywords) < 2]
+    assert bare == []

@@ -103,3 +103,42 @@ def test_blank_comment_and_labels_lines_parse_around_the_body():
 def test_a_body_of_the_wrong_length_names_the_count(body):
     with pytest.raises(ValueError, match=rf"^expected 4 result lines, got {len(body)}$"):
         parse_table("\n".join(["arity 2", "size 2", *body]))
+
+
+def per_line_index_table(text):
+    """The index table as the per-line parser read it: strip every line, drop
+    blank and '#' lines, and convert each body line with int()."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    m, k = int(lines[0].split()[1]), int(lines[1].split()[1])
+    return tuple(int(ln) for ln in lines[2:2 + k ** m]), k
+
+
+def edited(text, edits):
+    """text with body line i (0-based, after the two header lines) replaced."""
+    lines = text.split("\n")
+    for i, line in edits.items():
+        lines[2 + i] = line
+    return "\n".join(lines)
+
+
+Z12 = format_table(zmod_add(12, 2))
+
+
+@pytest.mark.parametrize("text", [
+    format_table(zmod_add(3, 3)),
+    Z12,
+    edited(Z12, {0: "00", 1: "01", 2: "+2", 3: " 3 ", 10: "1_0", 143: "\t11"}),
+    Z12.replace("\n", "\r\n"),
+    edited(Z12, {5: "5\n\n# between body lines\n  \n", 6: "# 6 is not a line\n6"}),
+    format_table(zmod_add(3, 2)) + "labels a# b #c\n",
+])
+def test_the_lookup_parse_reads_what_the_per_line_parse_read(text):
+    # canonical digits are read by lookup; any other valid line (a leading
+    # zero or sign, an underscore, surrounding blanks) falls back to int(),
+    # and blank and comment lines are dropped, so each table reads as before
+    s = parse_table(text)
+    assert s.facts["index_table"] == per_line_index_table(text)
+    assert all(type(v) is int for v in s.facts["index_table"][0])
+    if "labels" in text:
+        assert s.carrier.labels == ["a#", "b", "#c"]
