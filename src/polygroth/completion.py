@@ -568,24 +568,22 @@ def _code_product(partition: Partition, quiver: QuiverSpec):
 
 
 def _double_codes(partition: Partition, quiver: QuiverSpec):
-    """(codes, wires): codes maps each double (a, b) of the finite base to its
-    code index[a]*k + index[b], in code order, and wires holds per wire its
-    values and per slot the term each code adds to its index (see
-    doubles._wire_weights).  None, so doubles are multiplied, unless the
-    partition holds k^2 doubles of the base, which are then all of them, and
-    the base is closed: a foreign double's NonMember returns None."""
+    """(codes, wires): codes maps each double of the finite base to its code,
+    its position in all_doubles(base), and wires holds per wire its values
+    and per slot the term each code adds to its index (see _wire_weights).
+    None, so doubles are multiplied, unless the partition holds every double
+    of the base, in any order, and nothing else, and the base is closed."""
     s, position = partition.structure, partition.position
-    if position is None or not s.carrier.is_finite or len(position) != len(s.carrier) ** 2:
+    if position is None or not s.carrier.is_finite:
         return None
-    index, k = s.carrier.index, len(s.carrier)
-    dom = [None] * (k * k)  # the doubles in code order
+    dom, k = all_doubles(s.carrier), len(s.carrier)
+    if len(position) != len(dom) or not all(map(position.__contains__, dom)):
+        return None
     try:
-        for d in position:
-            dom[index[d.top] * k + index[d.bottom]] = d
         wires = _wire_weights(quiver, s)
-    except NonMember:
+    except NonMember:  # the base is not closed
         return None
-    return dict(zip(dom, range(k * k))), [
+    return dict(zip(dom, itertools.count())), [
         (values, [_digit_codes(w[j:j + 2], k) for j in range(0, len(w), 2)]) for values, w in wires]
 
 

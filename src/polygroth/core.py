@@ -599,8 +599,18 @@ def _first_difference(a, b) -> int:
     return next(j for j in range(lo, hi) if a[j] != b[j])
 
 
-def _digit_codes(weights: list, k: int) -> list:
-    """sum(w_j * d_j) for every base-k digit tuple d, in lexicographic order."""
+_RAMP = bytes(range(256)) * 2  # _RAMP[s:s + 256] translates x to (x + s) % 256
+
+
+def _digit_codes(weights: list, k: int) -> bytes | list:
+    """sum(w_j * d_j) for every base-k digit tuple d, in lexicographic order:
+    bytes when every code is below 256, (k-1) * sum(weights) < 256, built
+    from the last digit back as k shifted copies per digit, else a list."""
+    if (k - 1) * sum(weights) < 256:
+        codes = b"\0"
+        for w in reversed(weights):
+            codes = b"".join([codes.translate(_RAMP[d * w:d * w + 256]) for d in range(k)])
+        return codes
     codes = [0]
     for w in weights:
         spread = itertools.chain.from_iterable(zip(*[codes] * k))
@@ -684,6 +694,8 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
     full: all permutations (checked through adjacent transpositions);
     semi: first/last swap with every fixed middle polyad;
     sigma: a caller-supplied permutation, reported only when full and semi fail.
+    Exhaustively, the table is gathered at each permutation's digit codes:
+    one bytes.translate on at most 256 entries, a tuple map past that.
     """
     n, op = s.arity, s.op
     if sigma is not None and sorted(sigma) != list(range(n)):
@@ -697,8 +709,10 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
             )
         elems = s.carrier.elements()
         table, k = _index_table(s)
-        table = tuple(table)  # compared as a tuple; no copy if it is one
         checked = k ** n
+        small = checked <= 256  # then the codes are bytes, gathered by one translate
+        table = bytes(table) if small else tuple(table)  # no copy if it is a tuple
+        padded = table + bytes(256 - checked) if small else None  # translate reads 256
 
         def violation(perm):
             # t permuted has digit t[perm[q]] at slot q, so its code weighs
@@ -706,10 +720,11 @@ def commutativity_report(s: PolyadicStructure, mode: CheckMode,
             weights = [0] * n
             for q, p in enumerate(perm):
                 weights[p] += k ** (n - 1 - q)
-            permuted = tuple(map(table.__getitem__, _digit_codes(weights, k)))
+            codes = _digit_codes(weights, k)
+            permuted = codes.translate(padded) if small else tuple(map(table.__getitem__, codes))
             if permuted == table:
                 return None
-            code = next(c for c, (a, b) in enumerate(zip(table, permuted)) if a != b)
+            code = _first_difference(table, permuted)
             return (_decode_polyad(elems, k, n, code), tuple(perm))
     else:
         elems = _sample_source(s.carrier)
@@ -904,11 +919,10 @@ def _solvability_scan(s: PolyadicStructure):
     A failure (slot, others) says that fixing the other n-1 arguments to
     `others` does not make the slot a bijection; the scan stops after three
     of them.  The column of slot i is the strided slice of the table with
-    stride w = k^(n-1-i), starting where that slot reads 0: the w columns of
-    each block of k*w entries, in code order.  On at most 64 elements the
-    columns are checked all at once (see _short_columns) on the table read as
-    one integer of one-hot fields of k bits, value v setting bit v; past 64
-    each column is made a set.
+    stride w = k^(n-1-i), starting at the digit code of the other n-1 slots,
+    in code order.  On at most 64 elements the columns are checked all at
+    once (see _short_columns) on the table read as one integer of one-hot
+    fields of k bits, value v setting bit v; past 64 each column is made a set.
     """
     table, k = _index_table(s)
     elems = s.carrier.elements()
@@ -928,10 +942,8 @@ def _solvability_scan(s: PolyadicStructure):
         if k <= 64:
             short = _short_columns(fields, k, w, size, k ** i)
         else:
-            starts = list(itertools.chain.from_iterable(map(range, range(0, k * count, k * w),
-                                                            range(w, k * count + w, k * w))))
-            columns = map(table.__getitem__, map(slice, starts, map(add, starts, itertools.repeat(k * w)),
-                                                 itertools.repeat(w)))
+            starts = _digit_codes([k ** (n - 1 - j) for j in range(n) if j != i], k)
+            columns = (table[c:c + k * w:w] for c in starts)
             short = itertools.compress(range(count), map(k.__gt__, map(len, map(set, columns))))
         for code in short:
             failures.append((i, _decode_polyad(elems, k, n - 1, code)))

@@ -402,28 +402,27 @@ def _power_rows(quiver: QuiverSpec, s: PolyadicStructure):
 
     Row r multiplies the double of code r by every n-1 doubles (see
     _wire_weights): each wire gathers its values at the offset of r's digits
-    plus the code of the other 2n-2 digits, computed once per power.  A power
-    of at most 256 elements whose rest codes stay below 256, (k-1) times the
-    sum of the rest weights, has bytes rows: a wire's gather translates its
-    rest codes by the 256 values from r's offset, and since top*k + bottom <
-    k^2 <= 256 the two gathers add as big ints without a carry.  Other rows
-    are tuples.  Each row is derived once per power, so a scan followed by a
-    table assembly derives none twice.
+    plus the code of the other 2n-2 digits, computed once per power by
+    _digit_codes.  A power of at most 256 elements whose rest codes came back
+    as bytes has bytes rows: a wire's gather translates its rest codes by the
+    256 values from r's offset, and since top*k + bottom < k^2 <= 256 the two
+    gathers add as big ints without a carry.  Other rows are tuples.  Each
+    row is derived once per power, so a scan followed by a table assembly
+    derives none twice.
     """
 
     @functools.cache
     def wires():
-        k, wired, out = len(s.carrier), _wire_weights(quiver, s), []
-        small = k * k <= 256 and all((k - 1) * sum(w[2:]) < 256 for _, w in wired)
-        for values, weights in wired:
-            if small:  # padded, so the 256 values from any offset translate the rest codes
-                values, span = bytes(values) + bytes(256), 256
-                gather = _byte_codes(weights[2:], k).translate
-            else:
-                codes, span = _digit_codes(weights[2:], k), len(values)
-                gather = itemgetter(*codes) if len(codes) > 1 else (lambda t, c=codes[0]: (t[c],))
-            out.append((values, _digit_codes(weights[:2], k), span, gather))
-        return out
+        k = len(s.carrier)
+        wired = [(values, _digit_codes(w[:2], k), _digit_codes(w[2:], k))
+                 for values, w in _wire_weights(quiver, s)]
+        if k * k <= 256 and all(type(rest) is bytes for _, _, rest in wired):
+            # padded, so the 256 values from any offset translate the rest codes
+            return [(bytes(values) + bytes(256), lead, 256, rest.translate)
+                    for values, lead, rest in wired]
+        return [(values, lead, len(values),
+                 itemgetter(*rest) if len(rest) > 1 else (lambda t, c=rest[0]: (t[c],)))
+                for values, lead, rest in wired]
 
     @functools.cache
     def row(r):
@@ -435,15 +434,3 @@ def _power_rows(quiver: QuiverSpec, s: PolyadicStructure):
         return tuple(map(add, top, bottom))
 
     return row
-
-
-_RAMP = bytes(range(256)) * 2  # _RAMP[s:s + 256] translates x to (x + s) % 256
-
-
-def _byte_codes(weights: list, k: int) -> bytes:
-    """_digit_codes(weights, k) as bytes, when every code is below 256: the
-    codes of the digits from j on are k shifted copies of those from j+1 on."""
-    codes = b"\0"
-    for w in reversed(weights):
-        codes = b"".join([codes.translate(_RAMP[d * w:d * w + 256]) for d in range(k)])
-    return codes

@@ -1098,14 +1098,26 @@ def test_gathered_class_table_matches_the_compiled_one():
 
 
 def test_partitions_without_double_codes_keep_the_product_of_doubles():
-    # a canonical form, a sub-domain, or k^2 doubles one of which is foreign
-    # (a partition built by hand, since partition_classes cannot sort a
-    # foreign double of a finite carrier): the class table is compiled
-    # through the product of doubles, and well-definedness multiplies
-    # doubles, as the reference does
+    # a canonical form, a sub-domain, a domain missing one double, or k^2
+    # doubles one of which is foreign (a partition built by hand, since
+    # partition_classes cannot sort a foreign double of a finite carrier):
+    # the class table is compiled through the product of doubles, and
+    # well-definedness multiplies doubles, as the reference does.  A
+    # shuffled full domain is coded, as the ordered one is, and gives the
+    # same class table and well-definedness verdicts
     s, quiver = zmod_add(5, 3), builtin_quiver("post-ternary")
     rule, doubles = twist_rule(5, 3), all_doubles(s.carrier)
     whole = partition_classes(s, doubles, rule)
+    shuffled = partition_classes(s, random.Random(5).sample(doubles, len(doubles)), rule)
+    assert shuffled.domain != doubles
+    for part in (whole, shuffled):
+        assert completion._code_product(part, quiver) is not None
+        assert "index_row" in class_structure(part, quiver).facts
+    assert (_index_table(class_structure(shuffled, quiver))
+            == _index_table(class_structure(whole, quiver)))
+    for seed in range(5):
+        assert (check_well_definedness(shuffled, quiver, samples=30, seed=seed)
+                == check_well_definedness(whole, quiver, samples=30, seed=seed))
     swap = {Double(4, 4): Double(9, 9)}  # (4, 4) is no representative
     foreign = dataclasses.replace(
         whole, domain=[swap.get(d, d) for d in doubles],
@@ -1116,7 +1128,8 @@ def test_partitions_without_double_codes_keep_the_product_of_doubles():
         return Double((d.top - d.bottom) % 5, 0)
 
     parts = [partition_classes(s, doubles, rule, canonical=canonical),
-             partition_classes(s, doubles[:20], rule), foreign]
+             partition_classes(s, doubles[:20], rule),
+             partition_classes(s, doubles[:12] + doubles[13:], rule), foreign]
     for part in parts:
         assert completion._code_product(part, quiver) is None
         cs = class_structure(part, quiver)

@@ -518,6 +518,31 @@ def test_commutativity_sigma_level():
     assert rep2.level == "sigma" and rep2.sigma == (0, 1)
 
 
+def digit_codes_reference(weights, k):
+    return [sum(w * d for w, d in zip(weights, ds))
+            for ds in itertools.product(range(k), repeat=len(weights))]
+
+
+def test_digit_codes_match_a_plain_reference_across_the_byte_bound():
+    # seeded weights with zeros, and weights whose largest code,
+    # (k-1) * sum(weights), is exactly 255 or 256: the codes are bytes
+    # exactly when every code is below 256, and a list otherwise
+    rng = random.Random(37)
+    cases = [(k, [rng.choice((0, 0, 1, 2, 3, 7, 16, 40, 300)) for _ in range(length)])
+             for k in (0, 1, 2, 3, 15, 16, 17) for length in range(4) for _ in range(4)]
+    for k, top in ((2, 255), (2, 256), (4, 255), (3, 256), (16, 255), (17, 256)):
+        cut = sorted(rng.sample(range(top // (k - 1) + 1), 2))
+        cases.append((k, [cut[0], 0, cut[1] - cut[0], top // (k - 1) - cut[1]]))
+    kinds = collections.Counter()
+    for k, weights in cases:
+        codes, want = core._digit_codes(weights, k), digit_codes_reference(weights, k)
+        assert list(codes) == want, (k, weights)
+        assert (type(codes) is bytes) == all(c < 256 for c in want), (k, weights)
+        kinds[type(codes), max(want, default=None)] += 1
+    assert kinds[bytes, 255] and kinds[list, 256]
+    assert kinds[bytes, None] and kinds[bytes, 0]
+
+
 def commutativity_reference(s, sigma=None, pool=None):
     """(level, sigma, checked, full_failure) by evaluating the operation on
     every tuple of the pool (by default every tuple, in lexicographic order)
@@ -570,6 +595,22 @@ def test_exhaustive_commutativity_matches_op_evaluating_reference():
                     assert (rep.level, rep.sigma, rep.checked, rep.full_failure) == want, \
                         (k, n, flat, sigma)
                     seen.add(rep.level)
+    # Z3 5-ary, Z2 8-ary and Z17 binary sums: tables of 243 and 256 entries
+    # are gathered by one translate, 289 by a tuple map; each beside a copy
+    # with one entry perturbed
+    for k, n in ((3, 5), (2, 8), (17, 2)):
+        flat = [sum(t) % k for t in itertools.product(range(k), repeat=n)]
+        bad = list(flat)
+        bad[rng.randrange(k ** n)] += 1
+        bad = [v % k for v in bad]
+        for table in (flat, bad):
+            s = parse_table("\n".join([f"arity {n}", f"size {k}", *map(str, table)]))
+            for sigma in (None, tuple(rng.sample(range(n), n)), (1, 0) + tuple(range(2, n))):
+                rep = commutativity_report(s, CheckMode.exhaustive(), sigma=sigma)
+                want = commutativity_reference(s, sigma)
+                assert (rep.level, rep.sigma, rep.checked, rep.full_failure) == want, \
+                    (k, n, table, sigma)
+                seen.add(rep.level)
     assert seen == {"full", "semi", "sigma", "none"}
 
 

@@ -92,6 +92,23 @@ def test_retired_quer_checks_stay_gone():
     assert names.isdisjoint({"QuerFormulaFailsVerification", "_quer_slots", "all_slots_ok"})
 
 
+def test_digit_codes_have_one_builder():
+    # core._digit_codes builds every digit-code list, as bytes when they fit:
+    # no module defines a second byte builder, and only core holds the ramp
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                yield node.name
+            elif isinstance(node, ast.Assign):
+                yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+    defined = {path.stem: set(names(ast.parse(path.read_text(encoding="utf-8"))))
+               for path in PACKAGE.glob("*.py")}
+    assert "_digit_codes" in defined["core"]
+    assert not any("_byte_codes" in found for found in defined.values())
+    assert [module for module, found in defined.items() if "_RAMP" in found] == ["core"]
+
+
 def facts_keys(tree):
     """String-literal keys of a `facts` dict: subscripted, read with .get,
     tested with `in`, or written in a facts={...} argument."""
