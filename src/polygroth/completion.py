@@ -43,11 +43,11 @@ from .core import (
     verify_polyadic_group,
 )
 from .doubles import (
+    TOP,
     Double,
     QuiverSpec,
     all_doubles,
     bound_product,
-    builtin_quiver,
     format_quiver,
     hetero_power,
 )
@@ -684,41 +684,47 @@ def class_structure(partition: Partition, quiver: QuiverSpec) -> PolyadicStructu
 
 
 def _quer_formula(quiver: QuiverSpec, base: PolyadicStructure):
-    """The closed-form quer of the class [a;b] as a function (a, b) -> double:
-    [a b^(m-1); a^(m-1) b] for a quiver wired like componentwise-m, and
-    [a a b; a b b] for a ternary one wired like post-ternary.  None for any
-    other wiring, whose quer is searched.  The wiring decides, not the name.
+    """The quer candidate of the class [a;b] as a function (a, b) -> double,
+    read off the picks; None unless both wires are product wires that each
+    pick one component of the last slot's double x.
+
+    If the top wire reads alpha top components of slots 1..n-1, it picks
+    a^(m-alpha) b^alpha of x and the bottom wire a^alpha b^(m-alpha), a's
+    first: [a b^(m-1); a^(m-1) b] under componentwise-m.  Over a commutative
+    base op[g^(n-1), x] then reads [a C; b C], C the 2(m-1) letters of
+    g^(n-1), gauge-equivalent to [a;b]; class_quer checks this per class.
     """
-    fn, m = base.op.fn, base.arity
-    if quiver == builtin_quiver(f"componentwise-{m}"):
-        def componentwise(a, b):
-            return Double(fn((a,) + (b,) * (m - 1)), fn((a,) * (m - 1) + (b,)))
-        return componentwise
-    if m == 3 and quiver == builtin_quiver("post-ternary"):
-        def post(a, b):
-            return Double(fn((a, a, b)), fn((a, b, b)))
-        return post
-    return None
+    n, m, fn = quiver.output_arity, quiver.input_arity, base.op.fn
+    top = [p.comp for p in quiver.top if p.slot == n]
+    if quiver.intact_count or len(top) != 1:
+        return None
+    alpha = sum(p.comp == TOP and p.slot < n for p in quiver.top)
+    i = m - alpha if top == [TOP] else alpha  # the a's of x's top component
+
+    def formula(a, b):
+        return Double(fn((a,) * i + (b,) * (m - i)), fn((a,) * (m - i) + (b,) * i))
+    return formula
 
 
 def class_quer(partition: Partition, classes: PolyadicStructure, quiver: QuiverSpec) -> QuerMap:
     """Compute the quer of every listed class and verify the quer equation.
 
-    `classes` is the class structure (see class_structure).  The quer is the
-    wiring's closed form (see _quer_formula) when it has one, and otherwise
-    the unique listed class that solves the defining slot, searched one row
-    per class (see _quer_row).  Either way it must solve the quer equation
-    at every slot (see core._checked_quer), otherwise QuerPlacementFailed.
+    `classes` is the class structure (see class_structure).  A class's quer
+    is the wiring's candidate (see _quer_formula) if it solves the defining
+    slot op[g^(n-1), q] = g, else the unique listed class that does,
+    searched one row per class (see _quer_row).  Either way it must solve
+    the quer equation at every slot (see core._checked_quer), otherwise
+    QuerPlacementFailed, which refutes it: any quer solves the defining slot.
     """
     formula = _quer_formula(quiver, partition.structure)
-    row = _quer_row(partition, quiver) if formula is None else None
-    cds = classes.carrier.elements()
+    cds, fn, head = classes.carrier.elements(), classes.op.fn, classes.arity - 1
+    row = None
     mapping: dict = {}
     for c in cds:
-        if formula is None:
+        q = None if formula is None else partition.resolve(formula(*c.rep))
+        if q is None or fn((c,) * head + (q,)) != c:
+            row = row or _quer_row(partition, quiver)
             q = _sole_quer(c, row(c, cds), len(cds))
-        else:
-            q = partition.resolve(formula(*c.rep))
         mapping[c] = _checked_quer(classes, c, q)
     return QuerMap(mapping)
 

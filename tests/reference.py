@@ -17,6 +17,7 @@ from polygroth import (
     PolyadicStructure,
     Verdict,
     apply_quiver,
+    arity_after_intact,
     build_completion,
     builtin_quiver,
     decide_equivalent,
@@ -27,7 +28,7 @@ from polygroth import (
     parse_table,
     placement_result,
 )
-from polygroth.errors import PolyadicError
+from polygroth.errors import PolyadicError, QuerNotFound, QuerNotUnique, QuerPlacementFailed
 
 # ---------------------------------------------------------------------------
 # seeded tables and structures
@@ -200,6 +201,13 @@ def solvability_reference(s):
 # powers
 
 
+BUILTIN_NAMES = [
+    "componentwise-2", "componentwise-3", "componentwise-5", "twisted-binary",
+    "ternary-to-binary-a", "ternary-to-binary-b", "post-ternary", "post-5ary",
+    "five-to-three-intact",
+]
+
+
 def apply_quiver_by_picks(quiver, base_op, doubles):
     """Reference wiring: read every pick from its double, one by one."""
     def wire(w):
@@ -207,6 +215,20 @@ def apply_quiver_by_picks(quiver, base_op, doubles):
         return values[0] if len(w) == 1 else base_op.fn(values)
 
     return Double(wire(quiver.top), wire(quiver.bottom))
+
+
+def every_wiring(m, intact):
+    """Each n<-m wiring with `intact` intact wires, as plain (top, bottom) pick tuples:
+    every input used once, the intact wire on either side, product picks in any order."""
+    n = arity_after_intact(m, intact)
+    inputs = [(slot, comp) for slot in range(1, n + 1) for comp in "TB"]
+    if not intact:
+        return [(order[:m], order[m:]) for order in itertools.permutations(inputs)]
+    wirings = []
+    for kept in inputs:
+        for order in itertools.permutations([p for p in inputs if p != kept]):
+            wirings += [(order, (kept,)), ((kept,), order)]
+    return wirings
 
 
 def plain_power(base, quiver):
@@ -326,3 +348,32 @@ def well_definedness_reference(partition, quiver, samples, seed):
                 note = f"slot {slot}: {members[slot]} -> {alt} turns {r1} into inequivalent {r2}"
                 return Verdict("failed", done, (tuple(members), slot, alt, r1, r2), (note,))
     return Verdict("passed-sampled" if done else "vacuous", done)
+
+
+def quer_search_reference(partition, quiver, unlisted=()):
+    """Each listed class's quer by a plain search: the one candidate x whose
+    class product op[g^(n-1), x] is g, then checked at every slot in order.
+    The candidates are the listed classes, then the unlisted ones given (a
+    truncated class set may miss a quer).  A class product wires the
+    representatives pick by pick and resolves the result.  Raises as
+    class_quer does."""
+    cds, n = partition.class_doubles(), quiver.output_arity
+    candidates = cds + list(unlisted)
+
+    def product(classes):
+        return partition.resolve(apply_quiver_by_picks(
+            quiver, partition.structure.op, [c.rep for c in classes]))
+
+    mapping = {}
+    for g in cds:
+        sols = [x for x in candidates if product((g,) * (n - 1) + (x,)) == g]
+        if not sols:
+            raise QuerNotFound(g, len(candidates))
+        if len(sols) > 1:
+            raise QuerNotUnique(g, sols)
+        q = sols[0]
+        for i in range(n):
+            if product((g,) * i + (q,) + (g,) * (n - 1 - i)) != g:
+                raise QuerPlacementFailed(g, q, i)
+        mapping[g] = q
+    return mapping

@@ -17,6 +17,7 @@ from polygroth import (
     FiniteCarrier,
     NAryOperation,
     PolyadicStructure,
+    QuiverSpec,
     RuleCarrier,
     Verdict,
     WitnessSearch,
@@ -35,6 +36,7 @@ from polygroth import (
     commutativity_report,
     completion_to_json,
     decide_equivalent,
+    derived_structure,
     format_table,
     gauge_witness,
     get_recipe,
@@ -75,8 +77,9 @@ from polygroth.errors import (
     UsageError,
 )
 from reference import (
-    PlainShifts, completion_for, count_calls, counted_zmod_add, flat_table, leader_scan_partition,
-    relabelled, relabelled_flat, scan_resolve, well_definedness_reference,
+    BUILTIN_NAMES, PlainShifts, completion_for, count_calls, counted_zmod_add, every_wiring,
+    flat_table, leader_scan_partition, quer_search_reference, relabelled, relabelled_flat,
+    scan_resolve, well_definedness_reference,
 )
 
 
@@ -91,20 +94,31 @@ def quer_slot_failure(classes, g, q):
                  if classes.op.fn((g,) * i + (q,) + (g,) * (n - 1 - i)) != g), None)
 
 
-def searched_quer(classes):
-    """The quer map that the quer search finds over a class structure,
-    whatever its wiring, each quer solving every slot: the reference for
-    the closed forms."""
-    cds = classes.carrier.elements()
-    mapping = {c: _quer_search(classes, c, cds) for c in cds}
-    assert all(quer_slot_failure(classes, c, q) is None for c, q in mapping.items())
-    return mapping
-
-
 def quer_kind(quiver, base):
-    """Name of the closed-form quer the wiring picks, or 'search'."""
-    formula = completion._quer_formula(quiver, base)
-    return "search" if formula is None else formula.__name__
+    """'formula' when the wiring has a closed-form quer candidate, else 'search'."""
+    return "search" if completion._quer_formula(quiver, base) is None else "formula"
+
+
+def counting_quer_rows(monkeypatch):
+    """The classes whose quer class_quer searches a row for, logged as it runs."""
+    searched, quer_row = [], completion._quer_row
+
+    def counting(part, quiver):
+        row = quer_row(part, quiver)
+        return lambda g, elems: searched.append(g) or row(g, elems)
+
+    monkeypatch.setattr(completion, "_quer_row", counting)
+    return searched
+
+
+def quer_outcomes(part, quiver):
+    """class_quer's quer map or failure, and the plain search's (see
+    quer_search_reference) with the classes that map names outside the
+    listed ones as further candidates."""
+    got = outcome(lambda: class_quer(part, class_structure(part, quiver), quiver).mapping)
+    listed = set(part.class_doubles())
+    unlisted = [q for q in got.values() if q not in listed] if isinstance(got, dict) else []
+    return got, outcome(lambda: quer_search_reference(part, quiver, dict.fromkeys(unlisted)))
 
 
 def unmemoised_product(part, quiver, base):
@@ -721,7 +735,7 @@ def test_neg_componentwise_quer_swaps_components():
 
 def test_neg_post_quer_fixes_classes():
     K = completion_for("neg3", "post-ternary")
-    assert quer_kind(K.quiver, K.base) == "post"
+    assert quer_kind(K.quiver, K.base) == "formula"
     for c in K.classes():
         assert K.quer.mapping[c] == c
 
@@ -732,14 +746,29 @@ def test_quer_formula_follows_the_wiring_not_the_name():
     assert scrambled == post and scrambled.name != post.name
     K = build_completion(zmod_add(3, 3), scrambled, WitnessSearch())
     want = build_completion(zmod_add(3, 3), post, WitnessSearch())
-    assert quer_kind(scrambled, K.base) == quer_kind(post, K.base) == "post"
+    assert quer_kind(scrambled, K.base) == quer_kind(post, K.base) == "formula"
     assert K.report == want.report and K.report.ok
     assert K.quer.mapping == want.quer.mapping
-    # a scramble that is wired like no built-in searches; built-ins keep their formula
-    other = swap_picks(builtin_quiver("componentwise-3"), ("top", 0), ("bottom", 0))
-    assert quer_kind(other, zmod_add(3, 3)) == "search"
-    assert quer_kind(builtin_quiver("componentwise-5"), zmod_add(3, 5)) == "componentwise"
-    assert quer_kind(builtin_quiver("post-5ary"), zmod_add(3, 5)) == "search"
+    # a wiring that feeds both components of the last double to one wire,
+    # or has an intact wire, has no formula and searches
+    both = swap_picks(builtin_quiver("componentwise-3"), ("top", 2), ("bottom", 0))
+    assert quer_kind(both, zmod_add(3, 3)) == "search"
+    assert quer_kind(builtin_quiver("ternary-to-binary-a"), zmod_add(3, 3)) == "search"
+    assert quer_kind(builtin_quiver("five-to-three-intact"), zmod_add(3, 5)) == "search"
+
+
+@pytest.mark.parametrize("name, words", [
+    ("componentwise-2", ("ab", "ab")), ("componentwise-3", ("abb", "aab")),
+    ("componentwise-4", ("abbb", "aaab")), ("componentwise-5", ("abbbb", "aaaab")),
+    ("twisted-binary", ("ab", "ab")), ("post-ternary", ("aab", "abb")),
+    ("post-5ary", ("aaabb", "aabbb")),
+])
+def test_quer_formula_words_are_read_off_the_picks(name, words):
+    # over a base that concatenates its arguments, the candidate of [a;b]
+    # spells the words of its two components
+    quiver = builtin_quiver(name)
+    free = PolyadicStructure(FiniteCarrier(["a", "b"]), NAryOperation(quiver.input_arity, "".join))
+    assert completion._quer_formula(quiver, free)("a", "b") == Double(*words)
 
 
 def test_odd_quer_modes():
@@ -762,8 +791,7 @@ def test_quer_search_mode_matches_formula():
     ]:
         K = completion_for(name, quiver, limit=limit)
         assert K.report.ok and quer_kind(K.quiver, K.base) != "search", name
-        found = searched_quer(class_structure(K.partition, K.quiver))
-        assert found == K.quer.mapping, name
+        assert quer_search_reference(K.partition, K.quiver) == K.quer.mapping, name
     # binary quer equation op[c, q] = c forces q to be the neutral class
     K = completion_for("nat0", "componentwise-2", limit=12)
     neutral = K.partition.resolve(Double(0, 0))
@@ -914,19 +942,31 @@ def test_a_quer_failing_any_slot_fails_the_completion(samples, seed):
 
 
 @pytest.mark.parametrize("arity, k, cells, slot", [
+    # left projection on 8 elements: the formula's candidate [0;0] for [0;1]
+    # solves the defining slot and fails slot 0
     (2, 8, LEFT_PROJECTION_8, 0),
-    # right projection on 4 elements: the formula quer fails its defining slot
+    # right projection on 4 elements: the candidate [1;1] for [0;1] misses
+    # the defining slot 2, so it refutes nothing and the search decides
     (3, 4, [t[2] for t in itertools.product(range(4), repeat=3)], 2),
 ])
 def test_quer_failure_replays_as_one_class_product(arity, k, cells, slot):
     s = flat_table(k, arity, cells)
-    K = build_completion(s, builtin_quiver(f"componentwise-{arity}"), ExactRule(operator.eq),
-                         samples=3, seed=1)
-    g, q, i = K.report.group.counterexample
-    assert i == slot and str(K.report.group).startswith(
-        f"failed(quer: querelement candidate {q} for {g} fails at placement {i};")
-    assert K.product.fn((g,) * i + (q,) + (g,) * (arity - 1 - i)) != g
-    assert all(K.product.fn((g,) * j + (q,) + (g,) * (arity - 1 - j)) == g for j in range(i))
+    quiver = builtin_quiver(f"componentwise-{arity}")
+    K = build_completion(s, quiver, ExactRule(operator.eq), samples=3, seed=1)
+    g = cls(0, 1)
+    q = K.partition.resolve(completion._quer_formula(quiver, s)(0, 1))
+    fails = [j for j in range(arity)
+             if K.product.fn((g,) * j + (q,) + (g,) * (arity - 1 - j)) != g]
+    assert fails[0] == slot
+    if slot < arity - 1:
+        assert K.report.group.counterexample == (g, q, slot)
+        assert str(K.report.group).startswith(
+            f"failed(quer: querelement candidate {q} for {g} fails at placement {slot};")
+    else:
+        # [0;1] is its own quer at every slot; the class stage refutes the group
+        assert K.quer.mapping[g] == g
+        assert str(K.report.group) == (
+            "failed(cancellation identities at [1;0],[0;2]; 16-double domain)")
 
 
 def test_group_stage_pass_string_and_quer_are_pinned():
@@ -935,7 +975,7 @@ def test_group_stage_pass_string_and_quer_are_pinned():
     assert K.report.ok
     assert str(K.report.group) == (
         "proved-exhaustive(75; solvability and associativity; quer at all slots; 25-double domain)")
-    assert searched_quer(class_structure(K.partition, K.quiver)) == K.quer.mapping
+    assert quer_search_reference(K.partition, K.quiver) == K.quer.mapping
 
 
 def test_class_group_checks_make_one_product_per_class_tuple():
@@ -1095,18 +1135,19 @@ def test_truncated_label_needs_a_truncated_class_set():
 def product_backed_group_stage(part, product, quiver, base, samples, seed, note):
     """Reference class stage that evaluates the class product on every call,
     and compiles the class table for the group proof under the cutoff:
-    (group verdict, quer map or None).  Every quer must solve every slot.
-    A double that matches no class makes the verdict unknown."""
+    (group verdict, quer map or None).  A class's quer is the formula's
+    candidate, or searched when there is none or it misses the defining
+    slot, and must solve every slot.  A double that matches no class makes
+    the verdict unknown."""
     cs = PolyadicStructure(FiniteCarrier(part.class_doubles()), product)
-    cds = cs.carrier.elements()
+    cds, n = cs.carrier.elements(), cs.arity
     formula = completion._quer_formula(quiver, base)
     mapping = {}
     try:
         for c in cds:
-            if formula is None:
+            q = None if formula is None else part.resolve(formula(*c.rep))
+            if q is None or cs.op.fn((c,) * (n - 1) + (q,)) != c:
                 q = _quer_search(cs, c, cds)
-            else:
-                q = part.resolve(formula(*c.rep))
             slot = quer_slot_failure(cs, c, q)
             if slot is not None:
                 note_q = f"quer: querelement candidate {q!r} for {c!r} fails at placement {slot}"
@@ -1334,7 +1375,7 @@ def test_table_backed_class_stage_matches_product_backed_reference(monkeypatch):
                 "unknown(class product leaves the partition"]
     for branch in branches:
         assert sum(n for got, n in seen.items() if got.startswith(branch)) >= 3, (branch, seen)
-    for key in ["componentwise", "post", "search"]:
+    for key in ["formula", "search"]:
         assert seen[key] >= 3, (key, seen)
     assert max(k ** (2 * n - 1) for k, n in stage_scans) <= 200_000, sorted(set(stage_scans))
 
@@ -1396,24 +1437,114 @@ def test_quer_row_search_matches_the_per_candidate_search():
 
 
 def test_post_5ary_quer_search_memoises_base_values_per_row():
-    # post-5ary feeds the candidate x one pick per wire, so a row evaluates
-    # the base once per distinct top and once per distinct bottom of the
-    # representatives, not twice per candidate (2C^2 for the whole search);
-    # the slot checks add one class product, 2n base values, per class
+    # post-5ary feeds the candidate x one pick per wire, so a search row
+    # evaluates the base once per distinct top and once per distinct bottom
+    # of the representatives, not twice per candidate (2C^2 for all rows)
     recipe = get_recipe("res-7-10")
     s = recipe.build(80)
     calls = count_calls(s)
     q = builtin_quiver("post-5ary")
     part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
                              canonical=recipe.canonical_double)
-    cs = class_structure(part, q)
-    c, n = part.class_count(), q.output_arity
+    cds = part.class_doubles()
+    quer = class_quer(part, class_structure(part, q), q).mapping
+    c = part.class_count()
     components = len({x for rep in part.reps for x in rep})
     assert (c, components) == (57, 8)
     calls.clear()
-    class_quer(part, cs, q)
-    assert len(calls) <= c * 2 * components + c * 2 * n
+    row = completion._quer_row(part, q)
+    assert [row(g, cds) for g in cds] == [[quer[g]] for g in cds]
+    assert len(calls) <= c * 2 * components
     assert len(calls) < 2 * c * c
+
+
+def test_residue_post_5ary_quer_searches_no_row(monkeypatch):
+    # every class's formula candidate solves the defining slot, so the 307
+    # classes of the residue job take no search row, and each quer still
+    # solves every slot
+    searched = counting_quer_rows(monkeypatch)
+    K = completion_for("res-7-10", "post-5ary", limit=178)
+    assert K.partition.class_count() == 307 and K.quer is not None
+    assert searched == []
+
+
+RECIPE_BOUNDS = {"nat0": 10, "neg3": 8, "odd3": 21, "res-7-10": 60, "matrix4": None}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["componentwise-4"])
+def test_formula_quer_matches_a_plain_search_on_every_recipe(name):
+    # each recipe of the wiring's base arity, under its exact rule and
+    # canonical form: class_quer gives the plain search's quer map, or its
+    # failure with its message.  A rule carrier lists a truncated class set:
+    # under componentwise-5 most residue classes have their quer outside it
+    quiver, seen = builtin_quiver(name), 0
+    for recipe_name, limit in RECIPE_BOUNDS.items():
+        recipe = get_recipe(recipe_name)
+        s = recipe.build(recipe.default_limit if limit is None else limit)
+        if s.arity != quiver.input_arity:
+            continue
+        part = partition_classes(s, all_doubles(s.carrier), recipe.exact_decision(),
+                                 canonical=recipe.canonical_double)
+        got, want = quer_outcomes(part, quiver)
+        assert got == want, recipe_name
+        seen += 1
+    assert seen
+
+
+def test_formula_quer_matches_a_plain_search_on_z_k_under_every_wiring(monkeypatch):
+    # seeded Z_k addition, 2 <= k <= 9, under every binary and ternary
+    # wiring with no intact wire and under seeded 5-ary ones, by gauge and by
+    # twist: the formula's candidate always solves the defining slot, so a
+    # wiring with a formula searches no row, and class_quer agrees with the
+    # plain search, found or failed
+    searched = counting_quer_rows(monkeypatch)
+    rng = random.Random(20261022)
+    inputs = [(slot, comp) for slot in range(1, 6) for comp in "TB"]
+    fives = [(order[:5], order[5:]) for order in (rng.sample(inputs, 10) for _ in range(40))]
+    seen = collections.Counter()
+    for wires in every_wiring(2, 0) + every_wiring(3, 0) + fives:
+        quiver, k = QuiverSpec(*wires), rng.randrange(2, 10)
+        s = zmod_add(k, quiver.input_arity)
+        kind = quer_kind(quiver, s)
+        for relation in (GAUGE, TWIST):
+            part = partition_classes(s, all_doubles(s.carrier), WitnessSearch(relation))
+            del searched[:]
+            got, want = quer_outcomes(part, quiver)
+            assert got == want, (wires, k, relation)
+            assert kind == "search" or searched == [], (wires, k, relation)
+            result = "found" if isinstance(want, dict) else want[0].__name__
+            seen[kind, quiver.input_arity, result] += 1
+    # a binary sum whose one wire takes both components of the last double
+    # fails a slot whatever the quer; every other kind is both found and failed
+    kinds = itertools.product(["formula", "search"], [2, 3, 5], ["found", "QuerPlacementFailed"])
+    assert set(seen) == set(kinds) - {("search", 2, "found")}, seen
+
+
+def test_formula_quer_on_a_non_commutative_base_verifies_or_falls_back(monkeypatch):
+    # S3 composition, binary and derived ternary: one class's candidate
+    # solves the defining slot and is checked at every slot, another's
+    # misses it and that class is searched; either way class_quer agrees
+    # with the plain search
+    searched = counting_quer_rows(monkeypatch)
+    perms = list(itertools.permutations(range(3)))
+    compose = NAryOperation(2, lambda t: tuple(t[0][i] for i in t[1]))
+    seen = collections.Counter()
+    for m, names in [(2, ["componentwise-2", "twisted-binary"]),
+                     (3, ["componentwise-3", "post-ternary"])]:
+        s = derived_structure(FiniteCarrier(perms), compose, m)
+        for name, dec in itertools.product(names, [ExactRule(operator.eq), WitnessSearch(GAUGE),
+                                                   WitnessSearch(TWIST)]):
+            quiver = builtin_quiver(name)
+            part = partition_classes(s, all_doubles(s.carrier), dec)
+            del searched[:]
+            got, want = quer_outcomes(part, quiver)
+            assert got == want, (name, dec)
+            if isinstance(got, dict):
+                seen["searched"] += len(searched)
+                seen["verified"] += len(got) - len(searched)
+            else:
+                seen[got[0].__name__] += 1
+    assert seen["searched"] and seen["verified"] and seen["QuerPlacementFailed"], seen
 
 
 def test_class_product_leaving_the_partition_reports_unknown():
@@ -1429,11 +1560,18 @@ def test_class_product_leaving_the_partition_reports_unknown():
                                    "9-double domain)")
     assert not K.report.ok and K.quer is not None
     # a wiring with no closed-form quer: the search meets the double first
-    swapped = swap_picks(builtin_quiver("componentwise-2"), ("top", 0), ("bottom", 0))
-    K = build_completion(s, swapped, diff, assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0)
+    K = build_completion(naturals(3, 3), builtin_quiver("ternary-to-binary-a"), diff,
+                         assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0)
     assert str(K.report.group) == ("unknown(class product leaves the partition: double "
                                    "Double(top=3, bottom=0) matches no class of the partition; "
                                    "9-double domain)")
+    assert not K.report.ok and K.quer is None
+    # swapped componentwise-2 has a formula: its candidate [0;2] for [0;1]
+    # solves the defining slot 1, stays within the partition and fails slot 0
+    swapped = swap_picks(builtin_quiver("componentwise-2"), ("top", 0), ("bottom", 0))
+    K = build_completion(s, swapped, diff, assoc_mode=CheckMode.sampled(0, 0), samples=0, seed=0)
+    assert str(K.report.group) == ("failed(quer: querelement candidate [0;2] for [0;1] fails at "
+                                   "placement 0; 9-double domain)")
     assert not K.report.ok and K.quer is None
     with pytest.raises(NoClassMatch, match="matches no class"):
         K.partition.resolve((3, 0))

@@ -465,8 +465,6 @@ def test_commutativity_none_on_left_projection():
 
 
 def test_commutativity_sigma_level():
-    from polygroth import builtin_quiver, hetero_power
-
     d = hetero_power(zmod_add(3, 3), builtin_quiver("ternary-to-binary-a"))
     rep = commutativity_report(d.structure, CheckMode.exhaustive())
     assert rep.level == "none"

@@ -30,24 +30,18 @@ from polygroth import (
     verify_polyadic_group,
     zmod_add,
 )
-from polygroth.core import _index_table
+from polygroth import core, doubles
+from polygroth.core import _assoc_scan, _index_rows, _index_table
 from polygroth.errors import (
     ArityMismatch, InvalidQuiver, NonMember, NotQuantized, UnknownQuiver, UsageError,
 )
 from polygroth.structures import get_recipe
 from polygroth.tables import format_table, parse_table
 from reference import (
-    apply_quiver_by_picks, assoc_reference, compiled_by_evaluation, count_calls,
-    counted_zmod_add, cyclic_flat, perturbed, plain_power, reference_row_entries, relabelled,
-    table_structure, table_text,
+    BUILTIN_NAMES, apply_quiver_by_picks, assoc_reference, compiled_by_evaluation, count_calls,
+    counted_zmod_add, cyclic_flat, every_wiring, perturbed, plain_power, reference_row_entries,
+    relabelled, table_structure, table_text,
 )
-
-BUILTIN_NAMES = [
-    "componentwise-2", "componentwise-3", "componentwise-5", "twisted-binary",
-    "ternary-to-binary-a", "ternary-to-binary-b", "post-ternary", "post-5ary",
-    "five-to-three-intact",
-]
-
 
 # ---------------------------------------------------------------------------
 # arity quantization
@@ -367,8 +361,6 @@ def test_power_evaluates_no_base_operation_until_an_exhaustive_check():
 def test_derived_rows_read_the_binary_table_once(monkeypatch):
     # a derived structure cuts its binary table into rows once, so deriving
     # every row, twice over, reads that table once and pays k^2 binary calls
-    from polygroth import core
-
     reads = []
     s, binary = counted_zmod_add(5, 4)
     index_table = core._index_table
@@ -383,8 +375,6 @@ def test_derived_rows_read_the_binary_table_once(monkeypatch):
 def counting_base_proofs(monkeypatch):
     """The steps of the lift's base proof, logged as they run: the
     Hosszu-Gluskin decomposition first, then the scan if it fails."""
-    from polygroth import doubles
-
     steps = []
     decomposes, scan = doubles._decomposes, doubles._assoc_scan
     monkeypatch.setattr(doubles, "_decomposes",
@@ -418,8 +408,6 @@ def test_group_bases_lift_by_their_decomposition_without_a_scan(monkeypatch):
     # are scanned.  The lift's answer is the base scan's, and the power's
     # verdict that of a fact-free structure on the same product, whose table
     # is compiled by evaluation (except Z7 4-ary: 49^4 entries)
-    from polygroth.core import _assoc_scan, _index_rows
-
     rng = random.Random(67)
     steps = counting_base_proofs(monkeypatch)
     z5 = cyclic_flat(5, 3)
@@ -444,8 +432,6 @@ def test_group_bases_lift_by_their_decomposition_without_a_scan(monkeypatch):
 def test_placement_words_are_decided_once_per_wiring(monkeypatch):
     # the words depend on the wires alone, so a second power over an equal
     # wiring, re-parsed under another object, evaluates no symbolic placement
-    from polygroth import doubles
-
     calls = []
     monkeypatch.setattr(doubles, "placement_result",
                         lambda *a: calls.append(a) or placement_result(*a))
@@ -867,20 +853,6 @@ def test_no_identity_candidate_on_odds_power():
     odd = get_recipe("odd3").build(21)
     assert find_identities(odd) == []
     assert find_identities(hetero_power(odd, builtin_quiver("componentwise-3")).structure) == []
-
-
-def every_wiring(m, intact):
-    """Each n<-m wiring with `intact` intact wires, as plain (top, bottom) pick tuples:
-    every input used once, the intact wire on either side, product picks in any order."""
-    n = arity_after_intact(m, intact)
-    inputs = [(slot, comp) for slot in range(1, n + 1) for comp in "TB"]
-    if not intact:
-        return [(order[:m], order[m:]) for order in itertools.permutations(inputs)]
-    wirings = []
-    for kept in inputs:
-        for order in itertools.permutations([p for p in inputs if p != kept]):
-            wirings += [(order, (kept,)), ((kept,), order)]
-    return wirings
 
 
 @pytest.mark.parametrize("m, intact, count", [(3, 0, 720), (3, 1, 48), (5, 1, 1440)])

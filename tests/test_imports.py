@@ -225,3 +225,17 @@ def test_sources_parse_on_the_declared_python_floor():
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path),
                   feature_version=(3, int(floor.group(1))))
+
+
+def test_test_modules_import_the_package_at_module_level():
+    # the benchmark's tests re-import the package, so a polygroth import
+    # inside a test function may bind a fresh copy of a module while the
+    # module-level names, and the monkeypatches made through them, reach
+    # the first one
+    local = [(path.name, node.lineno) for path in sorted(TESTS.glob("*.py"))
+             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and "polygroth" in imported_modules(node)]
+    assert local == []
